@@ -260,16 +260,15 @@ def cmd_quotient(args) -> int:
     return EXIT_OK
 
 
-def _space_listing(g: Graph, pts, which: str, json_mode: bool) -> int:
+def _space_listing(g: Graph, space, json_mode: bool) -> int:
+    pts = space.points
     names = _point_names(g, pts)
-    sep = separation_report(
-        spec_space(g) if which == "spec" else prim_space(g)
-    )
-    closure_of = {p: graph_closure(g, frozenset((p,)), ambient=pts) for p in pts}
+    sep = separation_report(space)
+    closure_of = {p: space.closure(frozenset((p,))) for p in pts}
     ideal_of = {p: h_map(g, p) for p in pts}
     if json_mode:
         payload = {
-            "schema": f"ck-spectra/{which}/1",
+            "schema": f"ck-spectra/{space.name}/1",
             "points": [
                 {
                     "name": names[p],
@@ -310,12 +309,12 @@ def _space_listing(g: Graph, pts, which: str, json_mode: bool) -> int:
 
 def cmd_spec(args) -> int:
     g = _load(args.path)
-    return _space_listing(g, tuple(spec_points(g, args.limit)), "spec", args.json)
+    return _space_listing(g, spec_space(g, limit=args.limit), args.json)
 
 
 def cmd_prim(args) -> int:
     g = _load(args.path)
-    return _space_listing(g, tuple(prim_points(g, args.limit)), "prim", args.json)
+    return _space_listing(g, prim_space(g, limit=args.limit), args.json)
 
 
 def cmd_closure(args) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import SizeLimitExceeded
@@ -27,6 +26,7 @@ from .graph_core import (
     Graph,
     Mult,
     _bits,
+    _closure_from,
     check_mult,
     simple_cycle_class,
 )
@@ -198,12 +198,6 @@ def _all_subsets(t: frozenset):
         yield frozenset(elems[i] for i in _bits(m))
 
 
-@lru_cache(maxsize=64)
-def px_companion(model: PXModel) -> Graph:
-    """The OMEGA-multiplicity subset graph the model describes."""
-    return ea_graph(model.ground, OMEGA)
-
-
 def phi(model: PXModel, point: frozenset) -> frozenset:
     """The cluster represented by a point: vertices of its nonempty subsets."""
     point = frozenset(point)
@@ -216,25 +210,29 @@ def phi(model: PXModel, point: frozenset) -> frozenset:
 
 
 def _find_first_return_walk(g: Graph, v: str) -> list[Bundle]:
-    """The unique first-return walk at a vertex whose cycle class is ONE."""
+    """The unique first-return walk at a vertex whose cycle class is ONE.
+
+    A depth-first search along out-bundles in canonical order, kept on an
+    explicit stack so that walks longer than the recursion limit are found.
+    """
     iv = g.index[v]
-    target_reach = [g.reach[i] >> iv & 1 for i in range(g.n)]
-
-    def dfs(current: str, visited: frozenset, walk: list[Bundle]):
-        for b in g.out_bundles[current]:
-            if b.dst == v:
-                return walk + [b]
-            j = g.index[b.dst]
-            if b.dst not in visited and target_reach[j]:
-                found = dfs(b.dst, visited | {b.dst}, walk + [b])
-                if found:
-                    return found
-        return None
-
-    walk = dfs(v, frozenset((v,)), [])
-    if walk is None:
-        raise ValueError(f"no first-return walk at {v!r}")
-    return walk
+    reaches_v = _closure_from(1 << iv, g.pred_mask, 0)
+    walk: list[Bundle] = []
+    on_walk = {v}
+    stack = [iter(g.out_bundles[v])]  # one bundle iterator per walk vertex
+    while stack:
+        b = next(stack[-1], None)
+        if b is None:
+            stack.pop()
+            if walk:
+                on_walk.discard(walk.pop().dst)
+        elif b.dst == v:
+            return walk + [b]
+        elif b.dst not in on_walk and reaches_v >> g.index[b.dst] & 1:
+            walk.append(b)
+            on_walk.add(b.dst)
+            stack.append(iter(g.out_bundles[b.dst]))
+    raise ValueError(f"no first-return walk at {v!r}")
 
 
 def _bump_bundle(g: Graph, target: Bundle) -> Graph:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Union
+from functools import cache, cached_property, partial, wraps
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import SizeLimitExceeded, UnknownVertex
 
@@ -131,13 +131,6 @@ class VertexClassification:
     def singular(self) -> frozenset:
         return self.sinks | self.infinite_emitters
 
-    def kind(self, v: str) -> str:
-        if v in self.sinks:
-            return "sink"
-        if v in self.infinite_emitters:
-            return "infinite-emitter"
-        return "regular"
-
 
 def _bits(mask: int) -> Iterator[int]:
     while mask:
@@ -235,10 +228,6 @@ class Graph:
         keep = set(names)
         return tuple(v for v in self.vertices if v in keep)
 
-    def subsets(self) -> Iterator[int]:
-        """All subset masks in canonical (ascending bitmask) order."""
-        return iter(range(self.full_mask + 1))
-
     # -- derived structure -------------------------------------------------
 
     @cached_property
@@ -247,13 +236,6 @@ class Graph:
         for b in self.bundles:
             out[b.src].append(b)
         return {v: tuple(bs) for v, bs in out.items()}
-
-    @cached_property
-    def in_bundles(self) -> dict[str, tuple[Bundle, ...]]:
-        inc: dict[str, list[Bundle]] = {v: [] for v in self.vertices}
-        for b in self.bundles:
-            inc[b.dst].append(b)
-        return {v: tuple(bs) for v, bs in inc.items()}
 
     @cached_property
     def succ_mask(self) -> list[int]:
@@ -267,15 +249,6 @@ class Graph:
         masks = [0] * self.n
         for b in self.bundles:
             masks[self.index[b.dst]] |= 1 << self.index[b.src]
-        return masks
-
-    @cached_property
-    def omega_succ_mask(self) -> list[int]:
-        """Per vertex, the targets it reaches through an OMEGA bundle."""
-        masks = [0] * self.n
-        for b in self.bundles:
-            if is_omega(b.mult):
-                masks[self.index[b.src]] |= 1 << self.index[b.dst]
         return masks
 
     @cached_property
@@ -308,6 +281,25 @@ class Graph:
             for j in _bits(row):
                 co[j] |= bit
         return co
+
+
+def per_graph(fn: Callable) -> Callable:
+    """Cache ``fn(g, *args)`` on the graph ``g`` itself.
+
+    The memo is a ``functools.cache`` of ``fn`` bound to ``g``, kept in the
+    graph's ``__dict__``, so it dies with the graph and is shared by every
+    caller holding it: cached results must not be mutated.
+    """
+    slot = f"_cache:{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def cached(g: Graph, *args):
+        memo = g.__dict__.get(slot)
+        if memo is None:
+            memo = g.__dict__[slot] = cache(partial(fn, g))
+        return memo(*args)
+
+    return cached
 
 
 def require_enumerable(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> None:
@@ -437,15 +429,6 @@ def _has_internal_cycle(g: Graph, mask: int) -> bool:
     return False
 
 
-def first_return_support(g: Graph, v: str) -> frozenset:
-    """Vertices other than v that lie on some v -> v walk avoiding v internally."""
-    iv = g.require_vertex(v)
-    bit = 1 << iv
-    r_out = _closure_from(g.succ_mask[iv], g.succ_mask, bit)
-    r_in = _closure_from(g.pred_mask[iv], g.pred_mask, bit)
-    return g.names(r_out & r_in)
-
-
 def simple_cycle_class(g: Graph, v: str) -> CycleClass:
     """Count the simple cycles based at v, saturated at two.
 
@@ -477,32 +460,30 @@ def simple_cycle_class(g: Graph, v: str) -> CycleClass:
         return CycleClass.TWO_OR_MORE
 
     # The support is acyclic and every viable bundle is simple, so counting
-    # walks back to v with saturation at two is exact.
+    # walks back to v with saturation at two is exact.  The counts are filled
+    # in depth-first post-order on an explicit stack, because a support can
+    # be longer than the recursion limit.
     from_vertex: dict[int, list[int]] = {}
     for b in viable:
         from_vertex.setdefault(g.index[b.src], []).append(g.index[b.dst])
 
-    memo: dict[int, int] = {}
-
-    def walks_to_v(i: int) -> int:
-        if i in memo:
-            return memo[i]
-        total = 0
-        for j in from_vertex.get(i, ()):
-            total += 1 if j == iv else walks_to_v(j)
-            if total >= 2:
-                break
-        memo[i] = min(total, 2)
-        return memo[i]
-
-    total = 0
-    for j in from_vertex.get(iv, ()):
-        total += 1 if j == iv else walks_to_v(j)
-        if total >= 2:
-            break
-    return CycleClass(min(total, 2))
+    walks = {iv: 1}
+    stack = list(from_vertex[iv])
+    while stack:
+        i = stack[-1]
+        if i in walks:
+            stack.pop()
+            continue
+        todo = [j for j in from_vertex.get(i, ()) if j not in walks]
+        if todo:
+            stack += todo
+        else:
+            walks[i] = min(sum(walks[j] for j in from_vertex.get(i, ())), 2)
+            stack.pop()
+    return CycleClass(min(sum(walks[j] for j in from_vertex[iv]), 2))
 
 
+@per_graph
 def condition_K(g: Graph) -> Check:
     """No vertex is the source of exactly one simple cycle."""
     for v in g.vertices:
@@ -538,8 +519,3 @@ def condition_L(g: Graph) -> Check:
             v = next_vertex[v]
         cleared.update(trail)
     return Check(True)
-
-
-@lru_cache(maxsize=4096)
-def _condition_k_cached(g: Graph) -> bool:
-    return condition_K(g).holds

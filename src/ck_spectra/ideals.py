@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import ConditionKRequired, NotSaturatedHereditary
@@ -34,13 +33,14 @@ from .graph_core import (
     Check,
     Graph,
     _bits,
-    _condition_k_cached,
     classify_vertices,
+    condition_K,
+    condition_L,
     has_csp,
     is_downward_directed,
     is_omega,
-    condition_L,
     mult_sum,
+    per_graph,
     require_enumerable,
     upward_set,
 )
@@ -53,9 +53,6 @@ class AdmissiblePair:
 
     h: frozenset
     s: frozenset
-
-    def key(self, g: Graph) -> tuple[int, int]:
-        return g.mask(self.h), g.mask(self.s)
 
 
 class IdealKind(enum.Enum):
@@ -113,7 +110,6 @@ def is_saturated(g: Graph, members) -> Check:
     return Check(True)
 
 
-@lru_cache(maxsize=1 << 16)
 def _sat_her_masked(g: Graph, mask: int) -> bool:
     succ = g.succ_mask
     for i in _bits(mask):
@@ -129,13 +125,18 @@ def _sat_her_masked(g: Graph, mask: int) -> bool:
 def saturated_hereditary_sets(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[frozenset]:
     """All saturated hereditary subsets, in canonical bitmask order."""
     require_enumerable(g, limit)
-    return [g.names(m) for m in g.subsets() if _sat_her_masked(g, m)]
+    return _sat_her_scan(g)
+
+
+@per_graph
+def _sat_her_scan(g: Graph) -> list[frozenset]:
+    return [g.names(m) for m in range(g.full_mask + 1) if _sat_her_masked(g, m)]
 
 
 # -- breaking vertices ---------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 16)
+@per_graph
 def _breaking_masked(g: Graph, hmask: int) -> int:
     """Mask of infinite emitters with a finite, nonzero edge count escaping hmask."""
     out = 0
@@ -183,7 +184,7 @@ def breaking_vertex_discrepancies(g: Graph, members) -> frozenset:
     return frozenset(out)
 
 
-@lru_cache(maxsize=1 << 16)
+@per_graph
 def _check_admissible(g: Graph, pair: AdmissiblePair) -> tuple[int, int]:
     hmask = _require_sat_her(g, pair.h)
     smask = g.mask(pair.s)
@@ -208,14 +209,19 @@ def admissible_pairs(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[A
     the gauge-invariant part of the ideal lattice; a warning is emitted.
     """
     require_enumerable(g, limit)
-    if not _condition_k_cached(g):
+    if not condition_K(g):
         warnings.warn(
             "graph violates Condition (K); admissible pairs describe only the "
             "gauge-invariant ideals",
             stacklevel=2,
         )
+    return _pair_scan(g)
+
+
+@per_graph
+def _pair_scan(g: Graph) -> list[AdmissiblePair]:
     pairs = []
-    for h in saturated_hereditary_sets(g, limit):
+    for h in _sat_her_scan(g):
         breakers = g.sorted_set(g.names(_breaking_masked(g, g.mask(h))))
         for smask in range(1 << len(breakers)):
             s = frozenset(breakers[i] for i in _bits(smask))
@@ -339,7 +345,7 @@ def _classify_from_structure(
 
 
 def _require_condition_k(g: Graph) -> None:
-    if not _condition_k_cached(g):
+    if not condition_K(g):
         raise ConditionKRequired("classification requires Condition (K)")
 
 

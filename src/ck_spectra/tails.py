@@ -9,14 +9,13 @@ A vertex set is tested against the four MT axioms:
 
 Nonempty sets satisfying MT1-MT4 are the maximal tails; MT1-MT3 the clusters
 of maximal tails; MT1-MT2 the unions of maximal tails.  On finite-vertex
-graphs tails and clusters coincide, and both enumerations are deliberately
-plain exhaustive scans over all subsets.
+graphs tails and clusters coincide: the clusters come from one plain
+exhaustive scan over all subsets, and the tails are the clusters passing MT4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .errors import InvalidPath, NotAMaximalTail
@@ -30,6 +29,7 @@ from .graph_core import (
     is_downward_directed,
     is_omega,
     mult_sum,
+    per_graph,
     require_enumerable,
     upward_set,
 )
@@ -95,14 +95,9 @@ def mt_report(g: Graph, members) -> MtReport:
     )
 
 
-def is_union_of_maximal_tails(g: Graph, members) -> bool:
-    rep = mt_report(g, members)
-    return rep.union_axioms
-
-
-def _mt_scan(g: Graph, limit: int, *, need_mt3: bool) -> list[frozenset]:
-    """All nonempty subsets passing MT1-MT2 (and MT3 when asked), by bitmask order."""
-    require_enumerable(g, limit)
+@per_graph
+def _mt_scan(g: Graph) -> list[frozenset]:
+    """All nonempty subsets passing MT1-MT3, by bitmask order."""
     coreach = g.coreach
     succ = g.succ_mask
     reach = g.reach
@@ -114,34 +109,24 @@ def _mt_scan(g: Graph, limit: int, *, need_mt3: bool) -> list[frozenset]:
             continue
         if any(not succ[i] & mask for i in regular if mask >> i & 1):
             continue
-        if need_mt3:
-            ok = True
-            for a, i in enumerate(members):
-                ri = reach[i]
-                for j in members[a:]:
-                    if not ri & reach[j] & mask:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-        found.append(g.names(mask))
+        if all(reach[i] & reach[j] & mask for a, i in enumerate(members) for j in members[a:]):
+            found.append(g.names(mask))
     return found
 
 
 def maximal_tails(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[frozenset]:
-    """All nonempty sets satisfying MT1-MT4.
+    """All nonempty sets satisfying MT1-MT4: the clusters that pass MT4.
 
-    MT4 cannot fail on a finite-vertex graph, but it is still evaluated so
-    that this enumeration and :func:`clusters` stay independent computations.
+    MT4 cannot fail on a finite-vertex graph, but it is still evaluated here,
+    the one place the enumeration checks it.
     """
-    return [w for w in _mt_scan(g, limit, need_mt3=True) if has_csp(g, w)[0]]
+    return [w for w in clusters(g, limit) if has_csp(g, w)[0]]
 
 
 def clusters(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[frozenset]:
     """All nonempty sets satisfying MT1-MT3."""
-    return _mt_scan(g, limit, need_mt3=True)
+    require_enumerable(g, limit)
+    return _mt_scan(g)
 
 
 @dataclass(frozen=True)
@@ -263,6 +248,7 @@ def realize_as_tail(g: Graph, members) -> BoundaryPath:
     return BoundaryPath(base, tuple(bundles))
 
 
+@per_graph
 def finite_return_vertices(g: Graph) -> frozenset:
     """Infinite emitters with finitely many (but at least one) returning edges.
 
@@ -278,8 +264,3 @@ def finite_return_vertices(g: Graph) -> frozenset:
         if not is_omega(returning) and returning > 0:
             out.append(v)
     return frozenset(out)
-
-
-@lru_cache(maxsize=4096)
-def _fr_cached(g: Graph) -> frozenset:
-    return finite_return_vertices(g)

@@ -19,19 +19,12 @@ The two computations must produce identical point sets; that equality, the
 Kuratowski axioms, and the density of the primitive points are what
 :func:`verify_homeomorphism`, :func:`check_kuratowski` and
 :func:`prim_spec_density_check` establish instance by instance.
-
-:func:`naive_graph_closure` keeps the simpler first cut of the graph-side
-operator (coverage by V(X), plus an infinitely-many-edges test for return
-points).  It agrees with the real closure whenever no breaking vertices are
-around, but in general it is neither extensive nor compatible with the ideal
-side, and it is retained only as a diagnostic.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import ConditionKRequired, VerificationFailure
@@ -39,10 +32,8 @@ from .graph_core import (
     DEFAULT_ENUMERATION_LIMIT,
     Graph,
     _bits,
-    _condition_k_cached,
-    is_omega,
-    mult_sum,
-    require_enumerable,
+    condition_K,
+    per_graph,
 )
 from .ideals import (
     AdmissiblePair,
@@ -52,7 +43,7 @@ from .ideals import (
     ideal_leq,
     meet,
 )
-from .tails import _fr_cached, clusters, maximal_tails
+from .tails import clusters, finite_return_vertices, maximal_tails
 
 
 @dataclass(frozen=True)
@@ -79,29 +70,27 @@ SpecPoint = Union[ClusterPoint, FRPoint]
 
 
 def _require_condition_k(g: Graph) -> None:
-    if not _condition_k_cached(g):
+    if not condition_K(g):
         raise ConditionKRequired("spectrum computations require Condition (K)")
 
 
 def spec_points(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[SpecPoint]:
     """Points of the prime spectrum: clusters, then finite-return vertices."""
     _require_condition_k(g)
-    require_enumerable(g, limit)
     pts: list[SpecPoint] = [ClusterPoint(c) for c in clusters(g, limit)]
-    pts += [FRPoint(v) for v in g.sorted_set(_fr_cached(g))]
+    pts += [FRPoint(v) for v in g.sorted_set(finite_return_vertices(g))]
     return pts
 
 
 def prim_points(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[SpecPoint]:
     """Points of the primitive ideal space: maximal tails, then return vertices."""
     _require_condition_k(g)
-    require_enumerable(g, limit)
     pts: list[SpecPoint] = [ClusterPoint(c) for c in maximal_tails(g, limit)]
-    pts += [FRPoint(v) for v in g.sorted_set(_fr_cached(g))]
+    pts += [FRPoint(v) for v in g.sorted_set(finite_return_vertices(g))]
     return pts
 
 
-@lru_cache(maxsize=1 << 16)
+@per_graph
 def _point_mask(g: Graph, p: SpecPoint) -> int:
     """Mask of the vertex set carried by a point (the tail U(v) for return points)."""
     if isinstance(p, ClusterPoint):
@@ -109,7 +98,7 @@ def _point_mask(g: Graph, p: SpecPoint) -> int:
     return g.coreach[g.require_vertex(p.vertex)]
 
 
-@lru_cache(maxsize=1 << 16)
+@per_graph
 def _essential_mask(g: Graph, p: SpecPoint) -> int:
     """Vertices of the point's set that stay essential for ideal containment.
 
@@ -122,14 +111,6 @@ def _essential_mask(g: Graph, p: SpecPoint) -> int:
     if isinstance(p, FRPoint):
         m |= 1 << g.index[p.vertex]
     return m
-
-
-def v_of(g: Graph, points: Iterable[SpecPoint]) -> frozenset:
-    """V(X): union of the cluster sets and the tails of the return vertices."""
-    m = 0
-    for p in points:
-        m |= _point_mask(g, p)
-    return g.names(m)
 
 
 def graph_closure(
@@ -161,38 +142,7 @@ def graph_closure(
     return frozenset(out)
 
 
-def naive_graph_closure(
-    g: Graph,
-    points: Iterable[SpecPoint],
-    ambient: Optional[Iterable[SpecPoint]] = None,
-) -> frozenset:
-    """Diagnostic: coverage-only closure, ignoring breaking-vertex bookkeeping.
-
-    Clusters enter when covered by V(X); return vertices when they emit
-    infinitely many edges into V(X).  Agrees with :func:`graph_closure` when
-    the graph has no breaking vertices at all; differs in general.
-    """
-    pts = tuple(ambient) if ambient is not None else tuple(spec_points(g))
-    vmask = 0
-    for p in points:
-        vmask |= _point_mask(g, p)
-    out = []
-    for p in pts:
-        if isinstance(p, ClusterPoint):
-            if not _point_mask(g, p) & ~vmask:
-                out.append(p)
-        else:
-            into = mult_sum(
-                b.mult
-                for b in g.out_bundles[p.vertex]
-                if vmask >> g.index[b.dst] & 1
-            )
-            if is_omega(into):
-                out.append(p)
-    return frozenset(out)
-
-
-@lru_cache(maxsize=1 << 16)
+@per_graph
 def h_map(g: Graph, p: SpecPoint) -> AdmissiblePair:
     """The admissible pair named by a point.
 
@@ -241,12 +191,9 @@ class SpecSpace:
         name: str,
     ):
         self.points = tuple(points)
-        self._closure = closure
+        self.closure = closure
         self.side = side
         self.name = name
-
-    def closure(self, points: Iterable[SpecPoint]) -> frozenset:
-        return self._closure(points)
 
     def __repr__(self) -> str:
         return f"SpecSpace({self.name}/{self.side}, {len(self.points)} points)"
@@ -319,6 +266,10 @@ def _subset_pool(n: int, exhaustive_limit: int, seed: int, samples: int):
     return sorted(pool), False
 
 
+# Largest space whose 4^n pairs of subsets all get the literal union axiom.
+_UNION_PAIR_LIMIT = 6
+
+
 def _pick(points: tuple, mask: int) -> frozenset:
     return frozenset(points[i] for i in _bits(mask))
 
@@ -389,7 +340,6 @@ def check_kuratowski(
     *,
     seed: int = 0,
     samples: int = 256,
-    union_pair_limit: int = 6,
 ) -> KuratowskiReport:
     """Test the four closure axioms on the space's power set.
 
@@ -422,7 +372,7 @@ def check_kuratowski(
         if c != singletons:
             failures.append(("additive", xs, None))
 
-    if n <= union_pair_limit:
+    if n <= _UNION_PAIR_LIMIT:
         pair_masks = [(a, b) for a in range(1 << n) for b in range(1 << n)]
     else:
         rng = random.Random(seed + 1)

@@ -39,6 +39,13 @@ def remark_graph():
 
 
 @pytest.fixture(scope="session")
+def long_cycle():
+    """A plain 1,500-vertex cycle, longer than the default recursion limit."""
+    names = [f"v{i}" for i in range(1500)]
+    return Graph(names, [Bundle(a, b) for a, b in zip(names, names[1:] + names[:1])])
+
+
+@pytest.fixture(scope="session")
 def ea2_omega():
     return ea_graph(["a", "b"], OMEGA)
 

@@ -39,7 +39,6 @@ from ck_spectra import (
     prim_space,
     prim_spec_density_check,
     px_closure,
-    px_companion,
     px_model,
     quotient_graph,
     random_condition_k_graph,
@@ -117,7 +116,7 @@ def test_criterion_2_subset_graph_family():
         grounds = [["a"], ["a", "b"], ["a", "b", "c"]]
         for ground in grounds:
             model = px_model(ground)
-            g = px_companion(model)
+            g = ea_graph(model.ground, OMEGA)
             assert condition_K(g) and condition_L(g)
             assert is_downward_directed(g, g.vertices)
             assert all(simple_cycle_class(g, v) is CycleClass.ZERO for v in g.vertices)
@@ -143,7 +142,7 @@ def test_criterion_2_subset_graph_family():
 
         # ground set of four: sampled subsets of the 15 points
         model = px_model(["a", "b", "c", "d"])
-        g = px_companion(model)
+        g = ea_graph(model.ground, OMEGA)
         assert finite_return_vertices(g) == f()
         clus = clusters(g)
         assert len(clus) == 15

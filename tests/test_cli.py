@@ -1,9 +1,12 @@
+import inspect
 import json
+import sys
+from collections import Counter
 
 import pytest
 
 from ck_spectra import VerificationFailure, emit_gcg, parse_graph, running_example
-from ck_spectra import cli
+from ck_spectra import cli, ideals, tails
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +127,42 @@ def test_verify_fixture_passes(fixture_path, capsys):
     code, out, _ = run(capsys, "verify", fixture_path)
     assert code == 0
     assert "all checks passed" in out
+
+
+def test_verify_runs_each_whole_graph_scan_once(fixture_path, capsys):
+    scans = {
+        inspect.unwrap(fn).__code__: name
+        for name, fn in (
+            ("mt", tails._mt_scan),
+            ("sat_her", ideals._sat_her_scan),
+            ("pairs", ideals._pair_scan),
+        )
+    }
+    runs = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in scans:
+            runs[scans[frame.f_code]] += 1
+
+    sys.setprofile(count)
+    try:
+        code, _, _ = run(capsys, "verify", fixture_path)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert runs == {"mt": 1, "sat_her": 1, "pairs": 1}
+
+
+def test_spec_honours_a_limit_above_the_default(tmp_path, capsys):
+    names = [f"v{i}" for i in range(21)]  # one above the default limit of 20
+    path = tmp_path / "chain.gcg"
+    path.write_text(
+        f"vertex {', '.join(names)};\n"
+        + "".join(f"edge {a} -> {b};\n" for a, b in zip(names, names[1:]))
+    )
+    code, out, err = run(capsys, "spec", "--limit", "21", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("points (1):\n")
 
 
 def test_tails_output_shows_realizations(fixture_path, capsys):

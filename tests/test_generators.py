@@ -20,7 +20,6 @@ from ck_spectra import (
     phi,
     prim_points,
     px_closure,
-    px_companion,
     px_model,
     random_condition_k_graph,
     random_graph,
@@ -29,6 +28,7 @@ from ck_spectra import (
     simple_cycle_class,
     spec_points,
 )
+from ck_spectra.generators import _find_first_return_walk
 from ck_spectra.graph_core import CycleClass
 
 seeds = st.integers(0, 10_000)
@@ -145,7 +145,7 @@ def test_phi_structure():
 def test_phi_bijection_onto_clusters():
     for ground in (["a"], ["a", "b"], ["a", "b", "c"]):
         model = px_model(ground)
-        g = px_companion(model)
+        g = ea_graph(model.ground, OMEGA)
         images = [phi(model, p) for p in model.points]
         assert len(set(images)) == len(images)
         assert set(images) == set(clusters(g))
@@ -156,7 +156,7 @@ def test_phi_transports_the_closure():
     # determined by the cluster part alone
     for ground in (["a", "b"], ["a", "b", "c"]):
         model = px_model(ground)
-        g = px_companion(model)
+        g = ea_graph(model.ground, OMEGA)
         ambient = tuple(spec_points(g))
         for mask in range(1 << len(model.points)):
             fam = [p for i, p in enumerate(model.points) if mask >> i & 1]
@@ -187,6 +187,12 @@ def test_random_empty_graph():
 @settings(max_examples=60, deadline=None)
 def test_random_condition_k_always_holds(seed, n):
     assert condition_K(random_condition_k_graph(seed, n, density=0.45))
+
+
+def test_first_return_walk_on_a_cycle_longer_than_the_recursion_limit(long_cycle):
+    walk = _find_first_return_walk(long_cycle, "v0")
+    assert len(walk) == 1500
+    assert walk == list(long_cycle.bundles)  # v0 -> v1 -> ... -> v1499 -> v0
 
 
 def test_repair_changes_something_sometimes():

@@ -242,6 +242,10 @@ def test_cycle_class_two_step_cycle():
     assert condition_K(g).witness == "a"
 
 
+def test_cycle_class_on_a_cycle_longer_than_the_recursion_limit(long_cycle):
+    assert simple_cycle_class(long_cycle, "v0") is CycleClass.ONE
+
+
 def test_cycle_class_matches_walk_oracle(g7):
     for v in g7.vertices:
         assert simple_cycle_class(g7, v) is oracle_cycle_class(g7, v)

@@ -13,7 +13,6 @@ from ck_spectra import (
     clusters,
     ea_graph,
     finite_return_vertices,
-    is_union_of_maximal_tails,
     maximal_tails,
     mt_report,
     random_condition_k_graph,
@@ -101,14 +100,14 @@ def test_enumeration_matches_literal_oracle_random(seed):
 
 def test_union_of_tails_but_not_cluster(three_chain):
     everything = frozenset(three_chain.vertices)
-    assert is_union_of_maximal_tails(three_chain, everything)
+    assert mt_report(three_chain, everything).union_axioms
     assert everything not in clusters(three_chain)
     assert set(maximal_tails(three_chain)) == {frozenset("ab"), frozenset("bc")}
 
 
 def test_union_examples(g7):
-    assert is_union_of_maximal_tails(g7, [])
-    assert not is_union_of_maximal_tails(g7, "yz")  # x reaches y from outside
+    assert mt_report(g7, []).union_axioms
+    assert not mt_report(g7, "yz").union_axioms  # x reaches y from outside
 
 
 def test_enumeration_respects_size_limit(g7):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,17 +19,18 @@ from ck_spectra import (
     graph_closure,
     h_map,
     ideal_closure,
-    naive_graph_closure,
     prim_points,
     prim_space,
     prim_spec_density_check,
     random_condition_k_graph,
+    running_example,
     separation_report,
     spec_points,
     spec_space,
-    v_of,
+    upward_set,
     verify_homeomorphism,
 )
+from ck_spectra.graph_core import is_omega, mult_sum
 
 seeds = st.integers(0, 10_000)
 f = frozenset
@@ -34,6 +38,31 @@ f = frozenset
 
 def cluster(chars) -> ClusterPoint:
     return ClusterPoint(f(chars))
+
+
+def vertex_set(g, p) -> frozenset:
+    """The vertices a point carries: its cluster, or the tail U(v) of a return vertex."""
+    return p.members if isinstance(p, ClusterPoint) else upward_set(g, [p.vertex])
+
+
+def naive_graph_closure(g, points, ambient) -> frozenset:
+    """The first cut of the graph-side closure, kept to show why it is wrong.
+
+    Clusters enter when covered by V(X), the union of the vertex sets of the
+    points of X; return vertices when they emit infinitely many edges into
+    V(X).  It ignores breaking vertices, so it agrees with graph_closure only
+    when there are none; in general it is neither extensive nor compatible
+    with the ideal side.
+    """
+    covered = f().union(*(vertex_set(g, p) for p in points))
+    out = []
+    for p in ambient:
+        if isinstance(p, ClusterPoint):
+            if p.members <= covered:
+                out.append(p)
+        elif is_omega(mult_sum(b.mult for b in g.out_bundles[p.vertex] if b.dst in covered)):
+            out.append(p)
+    return f(out)
 
 
 # -- points ------------------------------------------------------------------
@@ -75,15 +104,6 @@ def test_cluster_and_return_vertex_are_distinct_points(remark_graph):
     pts = spec_points(remark_graph)
     assert cluster("v") in pts and FRPoint("v") in pts
     assert len(pts) == 3
-
-
-# -- vertex sets of point sets ---------------------------------------------------
-
-
-def test_v_of_examples(g7, fixture):
-    assert v_of(g7, [cluster(fixture.expected.full_tail)]) == f("uvwxyz")
-    assert v_of(g7, []) == f()
-    assert v_of(g7, [FRPoint("x")]) == f("uvwx")
 
 
 # -- closures ---------------------------------------------------------------------
@@ -154,7 +174,7 @@ def test_simple_union_formula_on_row_finite_graphs():
         clus = clusters(g)
         for mask in range(1 << len(pts)):
             x = [p for i, p in enumerate(pts) if mask >> i & 1]
-            covered = v_of(g, x)
+            covered = f().union(*(vertex_set(g, p) for p in x))
             simple = f(ClusterPoint(c) for c in clus if c <= covered)
             assert graph_closure(g, x, ambient=pts) == simple
 
@@ -201,6 +221,15 @@ def test_verify_homeomorphism_trivial(single_sink):
 
 def test_verify_homeomorphism_remark_graph(remark_graph):
     assert verify_homeomorphism(remark_graph).points == 3
+
+
+def test_cached_results_do_not_keep_the_graph_alive():
+    g = running_example().graph
+    verify_homeomorphism(g)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_verify_homeomorphism_requires_condition_k(single_loop):
