@@ -1,7 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 verification counterexample, 2 parse error,
-3 precondition violation, 4 enumeration size limit.
+Exit codes: 0 success, 1 verification counterexample, 2 parse error or
+argparse usage error, 3 precondition violation, 4 enumeration size limit
+(only ``ideals`` and ``verify``, whose outputs can have 2^n entries), 5
+internal error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .graph_core import (
     DEFAULT_ENUMERATION_LIMIT,
     OMEGA,
     Graph,
+    Mult,
+    check_mult,
     classify_vertices,
     condition_K,
     condition_L,
@@ -76,6 +80,7 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_SIZE = 4
+EXIT_INTERNAL = 5
 
 
 def _load(path: str) -> Graph:
@@ -183,8 +188,8 @@ def cmd_check(args) -> int:
 
 def cmd_tails(args) -> int:
     g = _load(args.path)
-    tails = maximal_tails(g, args.limit)
-    clus = clusters(g, args.limit)
+    tails = maximal_tails(g)
+    clus = clusters(g)
     fr = finite_return_vertices(g)
     if args.json:
         payload = {
@@ -309,19 +314,17 @@ def _space_listing(g: Graph, space, json_mode: bool) -> int:
 
 def cmd_spec(args) -> int:
     g = _load(args.path)
-    return _space_listing(g, spec_space(g, limit=args.limit), args.json)
+    return _space_listing(g, spec_space(g), args.json)
 
 
 def cmd_prim(args) -> int:
     g = _load(args.path)
-    return _space_listing(g, prim_space(g, limit=args.limit), args.json)
+    return _space_listing(g, prim_space(g), args.json)
 
 
 def cmd_closure(args) -> int:
     g = _load(args.path)
-    pts = tuple(spec_points(g, args.limit)) if args.space == "spec" else tuple(
-        prim_points(g, args.limit)
-    )
+    pts = tuple(spec_points(g) if args.space == "spec" else prim_points(g))
     names = _point_names(g, pts)
     xs = _parse_points(g, pts, args.points)
     left = graph_closure(g, xs, ambient=pts)
@@ -353,7 +356,7 @@ def cmd_verify(args) -> int:
     )
     for which, build in (("spec", spec_space), ("prim", prim_space)):
         for side in ("graph", "ideal"):
-            rep = check_kuratowski(build(g, side, args.limit), args.exhaustive_limit, seed=args.seed)
+            rep = check_kuratowski(build(g, side), args.exhaustive_limit, seed=args.seed)
             if not rep.ok:
                 raise VerificationFailure(
                     f"kuratowski axioms fail for {which}/{side}: {rep.failures[0]}",
@@ -363,11 +366,11 @@ def cmd_verify(args) -> int:
                 f"kuratowski {which}/{side}: ok (subsets={rep.subsets_checked}, "
                 f"union pairs={rep.union_pairs_checked})"
             )
-    dens = prim_spec_density_check(g, args.limit)
+    dens = prim_spec_density_check(g)
     print(f"primitive = prime points: ok ({dens.prim_point_count} points)")
 
-    tails = maximal_tails(g, args.limit)
-    if tails != clusters(g, args.limit):
+    tails = maximal_tails(g)
+    if tails != clusters(g):
         raise VerificationFailure("maximal tails differ from clusters", tails)
     print(f"tails equal clusters: ok ({len(tails)})")
 
@@ -403,8 +406,11 @@ def cmd_gen(args) -> int:
     if args.kind == "fixture":
         g = running_example().graph
     elif args.kind == "ea":
-        mult = OMEGA if args.mult == "inf" else int(args.mult)
-        g = ea_graph(_comma_set(args.set), mult)
+        try:
+            g = ea_graph(_comma_set(args.set), args.mult)
+        except (ValueError, SizeLimitExceeded) as err:
+            print(f"precondition violation: {err}", file=sys.stderr)
+            return EXIT_PRECONDITION
     else:
         if args.allow_non_k:
             g = random_graph(args.seed, args.n, args.density, args.omega_prob)
@@ -426,6 +432,11 @@ def cmd_export(args) -> int:
 # -- argument plumbing -----------------------------------------------------------
 
 
+def multiplicity(text: str) -> Mult:
+    """A count, or inf; argparse reports a rejected value as a usage error."""
+    return OMEGA if text == "inf" else check_mult(int(text))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ck-spectra",
@@ -436,16 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, with_path=True):
+    def add(name, fn, help_text, limit=False):
         p = sub.add_parser(name, help=help_text)
-        if with_path:
-            p.add_argument("path", help="input .gcg file, or - for stdin")
-        p.add_argument(
-            "--limit",
-            type=int,
-            default=DEFAULT_ENUMERATION_LIMIT,
-            help="vertex cap for exhaustive enumerations",
-        )
+        p.add_argument("path", help="input .gcg file, or - for stdin")
+        if limit:
+            p.add_argument(
+                "--limit",
+                type=int,
+                default=DEFAULT_ENUMERATION_LIMIT,
+                help="vertex cap for enumerating saturated hereditary sets and admissible pairs",
+            )
         p.set_defaults(func=fn)
         return p
 
@@ -455,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tails", cmd_tails, "maximal tails, clusters and finite-return vertices")
     p.add_argument("--json", action="store_true")
 
-    p = add("ideals", cmd_ideals, "admissible pairs with their classification")
+    p = add("ideals", cmd_ideals, "admissible pairs with their classification", limit=True)
     p.add_argument("--json", action="store_true")
 
     p = add("quotient", cmd_quotient, "quotient graph of an admissible pair")
@@ -475,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=("spec", "prim"), default="spec")
     p.add_argument("--json", action="store_true")
 
-    p = add("verify", cmd_verify, "run the full property suite on one graph")
+    p = add("verify", cmd_verify, "run the full property suite on one graph", limit=True)
     p.add_argument("--exhaustive-limit", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
 
@@ -485,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.set_defaults(func=cmd_gen, kind="fixture")
     pe = gen_sub.add_parser("ea", help="subset graph on a ground set")
     pe.add_argument("--set", required=True, help="comma-separated ground elements")
-    pe.add_argument("--mult", default="1", help="bundle multiplicity (count or inf)")
+    pe.add_argument("--mult", type=multiplicity, default="1", help="bundle multiplicity (count or inf)")
     pe.set_defaults(func=cmd_gen, kind="ea")
     pr = gen_sub.add_parser("random", help="seeded random Condition-(K) graph")
     pr.add_argument("--seed", type=int, required=True)
@@ -527,6 +538,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -130,8 +130,8 @@ def ea_graph(ground, mult: Mult = 1) -> Graph:
 
     With ``mult=1`` this is an honest finite graph with a single maximal
     tail; with ``mult=OMEGA`` every non-terminal vertex becomes an infinite
-    emitter.  The ground set is capped at four elements because every
-    downstream enumeration walks the power set of the 2**k - 1 vertices.
+    emitter.  The ground set is capped at four elements, which keeps the
+    2**k - 1 vertices under the default vertex cap of the ideal enumeration.
     """
     elems = sorted(set(ground))
     if len(elems) > 4:

@@ -44,7 +44,7 @@ from .graph_core import (
     require_enumerable,
     upward_set,
 )
-from .tails import mt_report
+from .tails import clusters, mt_report
 
 
 @dataclass(frozen=True)
@@ -110,18 +110,6 @@ def is_saturated(g: Graph, members) -> Check:
     return Check(True)
 
 
-def _sat_her_masked(g: Graph, mask: int) -> bool:
-    succ = g.succ_mask
-    for i in _bits(mask):
-        if succ[i] & ~mask:
-            return False
-    for v in classify_vertices(g).regular:
-        i = g.index[v]
-        if not mask >> i & 1 and not succ[i] & ~mask:
-            return False
-    return True
-
-
 def saturated_hereditary_sets(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[frozenset]:
     """All saturated hereditary subsets, in canonical bitmask order."""
     require_enumerable(g, limit)
@@ -130,7 +118,18 @@ def saturated_hereditary_sets(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) 
 
 @per_graph
 def _sat_her_scan(g: Graph) -> list[frozenset]:
-    return [g.names(m) for m in range(g.full_mask + 1) if _sat_her_masked(g, m)]
+    """Complements of the unions of tails, by the mask of H.
+
+    H is saturated hereditary exactly when its complement C satisfies MT1 and
+    MT2.  Every union of tails does; conversely, following MT2 inside C from
+    any member ends at a singular vertex or on a cycle, at some w whose tail
+    U(w) holds that member and lies in C by MT1.
+    """
+    unions = {0}
+    for tail in clusters(g):
+        m = g.mask(tail)
+        unions |= {u | m for u in unions}
+    return [g.names(g.full_mask ^ u) for u in sorted(unions, reverse=True)]
 
 
 # -- breaking vertices ---------------------------------------------------------
@@ -154,10 +153,9 @@ def _breaking_masked(g: Graph, hmask: int) -> int:
 
 def _require_sat_her(g: Graph, members) -> int:
     mask = g.mask(members)
-    if not _sat_her_masked(g, mask):
-        raise NotSaturatedHereditary(
-            f"{sorted(g.names(mask))} is not saturated hereditary"
-        )
+    h = g.names(mask)
+    if not (is_hereditary(g, h) and is_saturated(g, h)):
+        raise NotSaturatedHereditary(f"{sorted(h)} is not saturated hereditary")
     return mask
 
 

@@ -9,8 +9,10 @@ A vertex set is tested against the four MT axioms:
 
 Nonempty sets satisfying MT1-MT4 are the maximal tails; MT1-MT3 the clusters
 of maximal tails; MT1-MT2 the unions of maximal tails.  On finite-vertex
-graphs tails and clusters coincide: the clusters come from one plain
-exhaustive scan over all subsets, and the tails are the clusters passing MT4.
+graphs tails and clusters coincide, at most one per vertex: MT3 applied
+repeatedly inside a cluster gives a member w that every member reaches, so by
+MT1 the cluster is U(w), the set of vertices reaching w.  U(w) passes MT2
+exactly when w is singular or on a cycle.  Tails are the clusters passing MT4.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Optional
 
 from .errors import InvalidPath, NotAMaximalTail
 from .graph_core import (
-    DEFAULT_ENUMERATION_LIMIT,
     Bundle,
     Graph,
     _bits,
@@ -30,7 +31,6 @@ from .graph_core import (
     is_omega,
     mult_sum,
     per_graph,
-    require_enumerable,
     upward_set,
 )
 
@@ -95,38 +95,25 @@ def mt_report(g: Graph, members) -> MtReport:
     )
 
 
-@per_graph
-def _mt_scan(g: Graph) -> list[frozenset]:
-    """All nonempty subsets passing MT1-MT3, by bitmask order."""
-    coreach = g.coreach
-    succ = g.succ_mask
-    reach = g.reach
-    regular = [g.index[v] for v in classify_vertices(g).regular]
-    found: list[frozenset] = []
-    for mask in range(1, g.full_mask + 1):
-        members = list(_bits(mask))
-        if any(coreach[w] & ~mask for w in members):
-            continue
-        if any(not succ[i] & mask for i in regular if mask >> i & 1):
-            continue
-        if all(reach[i] & reach[j] & mask for a, i in enumerate(members) for j in members[a:]):
-            found.append(g.names(mask))
-    return found
-
-
-def maximal_tails(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[frozenset]:
+def maximal_tails(g: Graph) -> list[frozenset]:
     """All nonempty sets satisfying MT1-MT4: the clusters that pass MT4.
 
     MT4 cannot fail on a finite-vertex graph, but it is still evaluated here,
     the one place the enumeration checks it.
     """
-    return [w for w in clusters(g, limit) if has_csp(g, w)[0]]
+    return [w for w in clusters(g) if has_csp(g, w)[0]]
 
 
-def clusters(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[frozenset]:
-    """All nonempty sets satisfying MT1-MT3."""
-    require_enumerable(g, limit)
-    return _mt_scan(g)
+@per_graph
+def clusters(g: Graph) -> list[frozenset]:
+    """All nonempty sets satisfying MT1-MT3: the distinct U(w), w singular or on a cycle."""
+    singular = classify_vertices(g).singular
+    masks = {
+        g.coreach[w]
+        for w, v in enumerate(g.vertices)
+        if v in singular or g.succ_mask[w] & g.coreach[w]
+    }
+    return [g.names(m) for m in sorted(masks)]
 
 
 @dataclass(frozen=True)

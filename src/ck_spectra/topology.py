@@ -74,18 +74,18 @@ def _require_condition_k(g: Graph) -> None:
         raise ConditionKRequired("spectrum computations require Condition (K)")
 
 
-def spec_points(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[SpecPoint]:
+def spec_points(g: Graph) -> list[SpecPoint]:
     """Points of the prime spectrum: clusters, then finite-return vertices."""
     _require_condition_k(g)
-    pts: list[SpecPoint] = [ClusterPoint(c) for c in clusters(g, limit)]
+    pts: list[SpecPoint] = [ClusterPoint(c) for c in clusters(g)]
     pts += [FRPoint(v) for v in g.sorted_set(finite_return_vertices(g))]
     return pts
 
 
-def prim_points(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[SpecPoint]:
+def prim_points(g: Graph) -> list[SpecPoint]:
     """Points of the primitive ideal space: maximal tails, then return vertices."""
     _require_condition_k(g)
-    pts: list[SpecPoint] = [ClusterPoint(c) for c in maximal_tails(g, limit)]
+    pts: list[SpecPoint] = [ClusterPoint(c) for c in maximal_tails(g)]
     pts += [FRPoint(v) for v in g.sorted_set(finite_return_vertices(g))]
     return pts
 
@@ -199,13 +199,13 @@ class SpecSpace:
         return f"SpecSpace({self.name}/{self.side}, {len(self.points)} points)"
 
 
-def spec_space(g: Graph, side: str = "graph", limit: int = DEFAULT_ENUMERATION_LIMIT) -> SpecSpace:
-    pts = tuple(spec_points(g, limit))
+def spec_space(g: Graph, side: str = "graph") -> SpecSpace:
+    pts = tuple(spec_points(g))
     return SpecSpace(pts, _closure_fn(g, pts, side), side, "spec")
 
 
-def prim_space(g: Graph, side: str = "graph", limit: int = DEFAULT_ENUMERATION_LIMIT) -> SpecSpace:
-    pts = tuple(prim_points(g, limit))
+def prim_space(g: Graph, side: str = "graph") -> SpecSpace:
+    pts = tuple(prim_points(g))
     return SpecSpace(pts, _closure_fn(g, pts, side), side, "prim")
 
 
@@ -291,8 +291,8 @@ def verify_homeomorphism(
     Raises :class:`VerificationFailure` with the offending subset otherwise.
     """
     _require_condition_k(g)
-    spec_pts = tuple(spec_points(g, limit))
-    prim_pts = tuple(prim_points(g, limit))
+    spec_pts = tuple(spec_points(g))
+    prim_pts = tuple(prim_points(g))
 
     pairs = [h_map(g, p) for p in spec_pts]
     if len(set(pairs)) != len(pairs):
@@ -420,10 +420,10 @@ def separation_report(space: SpecSpace) -> SeparationReport:
     )
 
 
-def prim_spec_density_check(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> DensityReport:
+def prim_spec_density_check(g: Graph) -> DensityReport:
     """Primitive points must exhaust the spectrum here, and be dense in it."""
-    spec_pts = tuple(spec_points(g, limit))
-    prim_pts = tuple(prim_points(g, limit))
+    spec_pts = tuple(spec_points(g))
+    prim_pts = tuple(prim_points(g))
     if set(spec_pts) != set(prim_pts):
         raise VerificationFailure(
             "primitive ideal space differs from the prime spectrum",

@@ -312,5 +312,5 @@ def test_criterion_5_parser_emitter_and_exit_codes(tmp_path, capsys):
         assert cli.main(["verify", str(good)]) == 0
         assert cli.main(["check", str(bad)]) == 2
         assert cli.main(["spec", str(loop)]) == 3
-        assert cli.main(["tails", str(big)]) == 4
+        assert cli.main(["ideals", str(big)]) == 4
         capsys.readouterr()

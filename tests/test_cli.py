@@ -57,7 +57,7 @@ def test_size_limit_exits_four(tmp_path, capsys):
     names = ", ".join(f"v{i}" for i in range(25))
     path = tmp_path / "big.gcg"
     path.write_text(f"vertex {names};\n")
-    code, _, err = run(capsys, "tails", str(path))
+    code, _, err = run(capsys, "ideals", str(path))
     assert code == 4 and "limit" in err
 
 
@@ -73,6 +73,34 @@ def test_verification_failure_exits_one(fixture_path, capsys, monkeypatch):
 def test_missing_file_exits_three(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/nope.gcg")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("--set", "a,b", "--mult", "0"), 2),
+        (("--set", "a,b", "--mult", "x"), 2),
+        (("--set", "1,a-b"), 3),
+        (("--set", "a,b,c,d,e"), 3),
+    ],
+)
+def test_rejected_gen_ea_input_exits_with_its_documented_code(argv, expected, capsys):
+    try:
+        code = cli.main(["gen", "ea", *argv])
+    except SystemExit as stop:  # argparse usage errors
+        code = stop.code
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err and len(err.strip().splitlines()) <= 2
+
+
+def test_internal_error_exits_five(fixture_path, capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(cli, "cmd_check", boom)
+    code, _, err = run(capsys, "check", fixture_path)
+    assert (code, err) == (5, "internal error: RuntimeError: forced\n")
 
 
 # -- command output ------------------------------------------------------------------
@@ -133,7 +161,7 @@ def test_verify_runs_each_whole_graph_scan_once(fixture_path, capsys):
     scans = {
         inspect.unwrap(fn).__code__: name
         for name, fn in (
-            ("mt", tails._mt_scan),
+            ("mt", tails.clusters),
             ("sat_her", ideals._sat_her_scan),
             ("pairs", ideals._pair_scan),
         )
@@ -154,13 +182,13 @@ def test_verify_runs_each_whole_graph_scan_once(fixture_path, capsys):
 
 
 def test_spec_honours_a_limit_above_the_default(tmp_path, capsys):
-    names = [f"v{i}" for i in range(21)]  # one above the default limit of 20
+    names = [f"v{i}" for i in range(21)]  # above the ideals/verify default of 20
     path = tmp_path / "chain.gcg"
     path.write_text(
         f"vertex {', '.join(names)};\n"
         + "".join(f"edge {a} -> {b};\n" for a, b in zip(names, names[1:]))
     )
-    code, out, err = run(capsys, "spec", "--limit", "21", str(path))
+    code, out, err = run(capsys, "spec", str(path))
     assert (code, err) == (0, "")
     assert out.startswith("points (1):\n")
 

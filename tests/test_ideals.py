@@ -83,11 +83,16 @@ def test_saturated_hereditary_subset_graph(ea2_omega):
     assert got == expected == oracle_sat_her(g)
 
 
-@given(seed=seeds)
+@given(
+    seed=seeds,
+    n=st.integers(1, 9),
+    density=st.sampled_from([0.15, 0.3, 0.5]),
+    generate=st.sampled_from([random_graph, random_condition_k_graph]),
+)
 @settings(max_examples=40, deadline=None)
-def test_saturated_hereditary_matches_oracle_random(seed):
-    g = random_graph(seed, 5)
-    assert set(saturated_hereditary_sets(g)) == oracle_sat_her(g)
+def test_saturated_hereditary_matches_oracle_random(seed, n, density, generate):
+    g = generate(seed, n, density)
+    assert saturated_hereditary_sets(g) == sorted(oracle_sat_her(g), key=g.mask)
 
 
 # -- breaking vertices ------------------------------------------------------------

@@ -91,11 +91,16 @@ def test_enumeration_matches_literal_oracle(g7, three_chain, ea2_omega):
         assert set(clusters(g)) == oracle_tails(g)
 
 
-@given(seed=seeds)
+@given(
+    seed=seeds,
+    n=st.integers(1, 9),
+    density=st.sampled_from([0.15, 0.3, 0.5]),
+    generate=st.sampled_from([random_graph, random_condition_k_graph]),
+)
 @settings(max_examples=40, deadline=None)
-def test_enumeration_matches_literal_oracle_random(seed):
-    g = random_graph(seed, 5)
-    assert set(clusters(g)) == oracle_tails(g)
+def test_enumeration_matches_literal_oracle_random(seed, n, density, generate):
+    g = generate(seed, n, density)
+    assert clusters(g) == sorted(oracle_tails(g), key=g.mask)
 
 
 def test_union_of_tails_but_not_cluster(three_chain):
@@ -110,13 +115,14 @@ def test_union_examples(g7):
     assert not mt_report(g7, "yz").union_axioms  # x reaches y from outside
 
 
-def test_enumeration_respects_size_limit(g7):
-    from ck_spectra import SizeLimitExceeded
+def test_enumeration_respects_size_limit():
+    from ck_spectra import SizeLimitExceeded, saturated_hereditary_sets
 
+    # one tail per vertex needs no cap; the 2^21 saturated hereditary sets do
+    g = Graph([f"v{i}" for i in range(21)])
+    assert clusters(g) == [frozenset({v}) for v in g.vertices]
     with pytest.raises(SizeLimitExceeded):
-        maximal_tails(g7, limit=5)
-    with pytest.raises(SizeLimitExceeded):
-        clusters(Graph([f"v{i}" for i in range(21)]))
+        saturated_hereditary_sets(g)
 
 
 # -- boundary paths ----------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_points_respect_size_limit(g7):
     from ck_spectra import SizeLimitExceeded
 
     with pytest.raises(SizeLimitExceeded):
-        spec_points(g7, limit=3)
+        verify_homeomorphism(g7, limit=3)
 
 
 def test_cluster_and_return_vertex_are_distinct_points(remark_graph):
