@@ -437,6 +437,20 @@ def multiplicity(text: str) -> Mult:
     return OMEGA if text == "inf" else check_mult(int(text))
 
 
+def vertex_count(text: str) -> int:
+    """An int >= 0; argparse reports a rejected value as a usage error."""
+    if (n := int(text)) < 0:
+        raise ValueError(text)
+    return n
+
+
+def probability(text: str) -> float:
+    """A float in [0, 1] (so not nan); argparse reports a rejected value as a usage error."""
+    if not 0 <= (p := float(text)) <= 1:
+        raise ValueError(text)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ck-spectra",
@@ -500,9 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_gen, kind="ea")
     pr = gen_sub.add_parser("random", help="seeded random Condition-(K) graph")
     pr.add_argument("--seed", type=int, required=True)
-    pr.add_argument("--n", type=int, required=True)
-    pr.add_argument("--density", type=float, default=0.3)
-    pr.add_argument("--omega-prob", type=float, default=0.25)
+    pr.add_argument("--n", type=vertex_count, required=True)
+    pr.add_argument("--density", type=probability, default=0.3)
+    pr.add_argument("--omega-prob", type=probability, default=0.25)
     pr.add_argument("--allow-non-k", action="store_true", help="skip the repair pass")
     pr.set_defaults(func=cmd_gen, kind="random")
 

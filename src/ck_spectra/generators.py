@@ -26,9 +26,7 @@ from .graph_core import (
     Graph,
     Mult,
     _bits,
-    _closure_from,
     check_mult,
-    simple_cycle_class,
 )
 from .ideals import AdmissiblePair
 
@@ -209,40 +207,29 @@ def phi(model: PXModel, point: frozenset) -> frozenset:
 # -- seeded random graphs --------------------------------------------------------
 
 
-def _find_first_return_walk(g: Graph, v: str) -> list[Bundle]:
-    """The unique first-return walk at a vertex whose cycle class is ONE.
+def _repair_condition_k(g: Graph) -> Graph:
+    """Double one bundle of every plain cycle, so that Condition (K) holds.
 
-    A depth-first search along out-bundles in canonical order, kept on an
-    explicit stack so that walks longer than the recursion limit are found.
+    A vertex is the source of exactly one simple cycle iff its strongly
+    connected component is a plain cycle of multiplicity-one bundles.  For
+    each such component the bundle leaving its lowest vertex inside the
+    component gets a parallel edge, which lifts every vertex on the cycle to
+    at least two.  Reachability, and with it every other component, is left
+    as it was.
     """
-    iv = g.index[v]
-    reaches_v = _closure_from(1 << iv, g.pred_mask, 0)
-    walk: list[Bundle] = []
-    on_walk = {v}
-    stack = [iter(g.out_bundles[v])]  # one bundle iterator per walk vertex
-    while stack:
-        b = next(stack[-1], None)
-        if b is None:
-            stack.pop()
-            if walk:
-                on_walk.discard(walk.pop().dst)
-        elif b.dst == v:
-            return walk + [b]
-        elif b.dst not in on_walk and reaches_v >> g.index[b.dst] & 1:
-            walk.append(b)
-            on_walk.add(b.dst)
-            stack.append(iter(g.out_bundles[b.dst]))
-    raise ValueError(f"no first-return walk at {v!r}")
-
-
-def _bump_bundle(g: Graph, target: Bundle) -> Graph:
-    bundles = []
-    for b in g.bundles:
-        if b == target:
-            bundles.append(Bundle(b.src, b.dst, b.mult + 1, b.label))
-        else:
-            bundles.append(b)
-    return Graph(g.vertices, bundles)
+    masks, comp = g.condensation
+    lowest = {(m & -m).bit_length() - 1 for m in masks}
+    bump = {
+        b
+        for b in g.bundles
+        if (i := g.index[b.src]) in lowest
+        and g.cycle_class[i] is CycleClass.ONE
+        and comp[g.index[b.dst]] == comp[i]
+    }
+    if not bump:
+        return g
+    bumped = (Bundle(b.src, b.dst, b.mult + 1, b.label) if b in bump else b for b in g.bundles)
+    return Graph(g.vertices, bumped)
 
 
 def random_graph(
@@ -269,20 +256,5 @@ def random_condition_k_graph(
     density: float = 0.3,
     omega_prob: float = 0.25,
 ) -> Graph:
-    """Seeded random graph repaired to satisfy Condition (K).
-
-    Whenever a vertex is the source of exactly one simple cycle, one bundle
-    on that unique (necessarily vertex-simple, multiplicity-one) walk gets a
-    parallel edge, which lifts every count along it to at least two and never
-    creates a fresh singleton count elsewhere.
-    """
-    g = random_graph(seed, n, density, omega_prob)
-    while True:
-        lonely = next(
-            (v for v in g.vertices if simple_cycle_class(g, v) is CycleClass.ONE),
-            None,
-        )
-        if lonely is None:
-            return g
-        walk = _find_first_return_walk(g, lonely)
-        g = _bump_bundle(g, walk[0])
+    """Seeded random graph repaired to satisfy Condition (K) by ``_repair_condition_k``."""
+    return _repair_condition_k(random_graph(seed, n, density, omega_prob))

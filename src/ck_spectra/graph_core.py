@@ -6,6 +6,11 @@ countably infinite family.  All structural predicates used elsewhere in the
 package (Condition (K), Condition (L), downward directedness, the countable
 separation property) live here, together with bitmask reachability.
 
+Reachability, the simple-cycle classes behind Condition (K), and the MT3
+(downward directedness) and MT4 (countable separation) checks all come from
+one strongly connected condensation per graph, ``Graph.condensation``, so each
+costs O(n + m) big-int operations.
+
 Vertex subsets are plain ``frozenset`` objects at the API boundary; the
 implementation works on integer bitmasks indexed by declaration order, which
 is also the canonical order for all deterministic output.
@@ -256,31 +261,106 @@ class Graph:
         return {v: mult_sum(b.mult for b in self.out_bundles[v]) for v in self.vertices}
 
     @cached_property
+    def condensation(self) -> tuple[list[int], list[int]]:
+        """Strongly connected components: their masks, sinks first, and comp[i].
+
+        Tarjan's algorithm (SIAM J. Comput. 1, 1972), kept on explicit stacks
+        so that a cycle longer than the recursion limit is fine.  A component
+        comes after every component it reaches.  Bits are walked inline, not
+        with ``_bits``: the classification builds thousands of small quotient
+        graphs, where a generator per vertex costs more than the search.
+        """
+        succ = self.succ_mask
+        found = [-1] * self.n  # discovery time
+        low = [0] * self.n
+        comp = [-1] * self.n
+        masks: list[int] = []
+        pending: list[int] = []  # discovered, not yet placed in a component
+        clock = 0
+        for root in range(self.n):
+            if found[root] >= 0:
+                continue
+            found[root] = low[root] = clock
+            clock += 1
+            pending.append(root)
+            work = [[root, succ[root]]]  # each vertex with its successors still to try
+            while work:
+                frame = work[-1]
+                v, out = frame
+                while out:
+                    bit = out & -out
+                    out ^= bit
+                    w = bit.bit_length() - 1
+                    if found[w] < 0:
+                        frame[1] = out
+                        found[w] = low[w] = clock
+                        clock += 1
+                        pending.append(w)
+                        work.append([w, succ[w]])
+                        break
+                    if comp[w] < 0 and found[w] < low[v]:
+                        low[v] = found[w]
+                else:
+                    work.pop()
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+                    if low[v] == found[v]:  # v and everything pending above it
+                        members = 0
+                        while pending and found[pending[-1]] >= found[v]:
+                            members |= 1 << pending[-1]
+                            comp[pending.pop()] = len(masks)
+                        masks.append(members)
+        return masks, comp
+
+    def _closure(self, step: list[int], order: Iterable[int]) -> list[int]:
+        """Per-vertex closure under ``step``; a component's members share one int.
+
+        ``order`` lists each component after every component ``step`` leads to.
+        """
+        masks, comp = self.condensation
+        closed = [0] * len(masks)
+        for c in order:
+            acc = rest = masks[c]
+            out = 0
+            while rest:
+                bit = rest & -rest
+                out |= step[bit.bit_length() - 1]
+                rest ^= bit
+            out &= ~acc
+            while out:
+                acc |= closed[comp[(out & -out).bit_length() - 1]]
+                out &= ~acc
+            closed[c] = acc
+        return [closed[c] for c in comp]
+
+    @cached_property
     def reach(self) -> list[int]:
         """reach[i] = mask of vertices reachable from i (reflexive-transitive)."""
-        succ = self.succ_mask
-        reach = [(1 << i) | succ[i] for i in range(self.n)]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(self.n):
-                acc = reach[i]
-                for j in _bits(acc):
-                    acc |= reach[j]
-                if acc != reach[i]:
-                    reach[i] = acc
-                    changed = True
-        return reach
+        return self._closure(self.succ_mask, range(len(self.condensation[0])))
 
     @cached_property
     def coreach(self) -> list[int]:
         """coreach[j] = mask of vertices that can reach j."""
-        co = [0] * self.n
-        for i, row in enumerate(self.reach):
-            bit = 1 << i
-            for j in _bits(row):
-                co[j] |= bit
-        return co
+        return self._closure(self.pred_mask, reversed(range(len(self.condensation[0]))))
+
+    @cached_property
+    def cycle_class(self) -> list[CycleClass]:
+        """cycle_class[i] = the simple cycles based at vertex i; see simple_cycle_class."""
+        masks, comp = self.condensation
+        internal: list[Mult] = [0] * len(masks)
+        for b in self.bundles:
+            c = comp[self.index[b.src]]
+            if c == comp[self.index[b.dst]]:
+                internal[c] += b.mult
+        classes = [
+            CycleClass.ZERO
+            if total == 0
+            else CycleClass.ONE
+            if total == members.bit_count()
+            else CycleClass.TWO_OR_MORE
+            for total, members in zip(internal, masks)
+        ]
+        return [classes[c] for c in comp]
 
 
 def per_graph(fn: Callable) -> Callable:
@@ -348,12 +428,22 @@ def is_downward_directed(g: Graph, members: Iterable[str], *, witness_in_set: bo
 
     With ``witness_in_set`` (the default) the common vertex must itself lie in
     the given set, which is the reading used for the MT3 axiom; pass False to
-    allow the witness anywhere in the graph.  Fails with a violating pair.
+    allow the witness anywhere in the graph.  Fails with the first violating
+    pair in declaration order.
+
+    A vertex every member reaches settles it at once; with the witness in the
+    set that is also necessary (a common bound x of u and v is a member, so x
+    and w have one too, and so on).  Only otherwise are the pairs scanned.
     """
     mask = g.mask(members)
     allowed = mask if witness_in_set else g.full_mask
-    idx = list(_bits(mask))
     reach = g.reach
+    common = allowed
+    for i in _bits(mask):
+        common &= reach[i]
+    if common:
+        return Check(True)
+    idx = list(_bits(mask))
     for a, i in enumerate(idx):
         ri = reach[i]
         for j in idx[a:]:
@@ -365,68 +455,26 @@ def is_downward_directed(g: Graph, members: Iterable[str], *, witness_in_set: bo
 def has_csp(g: Graph, members: Iterable[str]) -> tuple[bool, frozenset]:
     """Countable separation property of a vertex set, with a minimal witness.
 
-    Every finite-vertex graph satisfies it; the witness is shrunk greedily in
-    declaration order so reports stay small and deterministic.
+    Every finite-vertex graph satisfies it.  The witness is what a greedy
+    shrink in declaration order keeps of the set (drop a member while every
+    member still reaches the rest): members that reach each other form
+    classes, a class is minimal when its members reach no other member, and
+    a subset covers exactly when it meets every minimal class.  So the
+    witness is the highest-index member of each minimal class.
+    ``tests/oracles.py::oracle_csp_witness`` is the literal shrink.
     """
     mask = g.mask(members)
-    coreach = g.coreach
-    witness = mask
-
-    def covers(w: int) -> bool:
-        covered = 0
-        for j in _bits(w):
-            covered |= coreach[j]
-        return mask & ~covered == 0
-
+    masks, comp = g.condensation
+    reach = g.reach
+    witness = 0
     for i in _bits(mask):
-        trial = witness & ~(1 << i)
-        if covers(trial):
-            witness = trial
+        same = masks[comp[i]]
+        if not reach[i] & mask & ~same:
+            witness |= 1 << (mask & same).bit_length() - 1
     return True, g.names(witness)
 
 
 # -- simple cycles and the structural conditions ------------------------------
-
-
-def _closure_from(start: int, step: list[int], forbidden: int) -> int:
-    """Vertices reachable from the start mask without entering ``forbidden``."""
-    seen = start & ~forbidden
-    frontier = seen
-    while frontier:
-        grow = 0
-        for j in _bits(frontier):
-            grow |= step[j]
-        grow &= ~forbidden
-        frontier = grow & ~seen
-        seen |= frontier
-    return seen
-
-
-def _has_internal_cycle(g: Graph, mask: int) -> bool:
-    """Whether the subgraph induced on ``mask`` contains a cycle (loops count)."""
-    color = {}  # 0/absent: white, 1: on stack, 2: done
-    succ = g.succ_mask
-    for root in _bits(mask):
-        if color.get(root):
-            continue
-        stack = [(root, iter(_bits(succ[root] & mask)))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, 0)
-                if c == 1:
-                    return True
-                if c == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(_bits(succ[nxt] & mask))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return False
 
 
 def simple_cycle_class(g: Graph, v: str) -> CycleClass:
@@ -434,61 +482,24 @@ def simple_cycle_class(g: Graph, v: str) -> CycleClass:
 
     A simple cycle is a first-return walk: it starts and ends at v and does
     not pass through v in between (other vertices may repeat).  Parallel
-    edges count as distinct cycles.  If the support of the first-return walks
-    carries an internal cycle, or any usable bundle has multiplicity >= 2,
-    there are infinitely many (or at least two) such walks; otherwise the
-    walks are vertex-simple and are counted exactly.
+    edges count as distinct cycles.  Such a walk stays inside the strongly
+    connected component C of v, so the saturating sum of the multiplicities
+    of the bundles inside C decides the class: 0 gives ZERO; |C| means every
+    member has one internal edge of multiplicity one, so C is a plain cycle
+    and the class is ONE; anything more is TWO_OR_MORE, because an internal
+    edge e off the cycle through v (or a parallel copy of one on it) gives a
+    second first-return walk, from v through e and back to v.
+    ``tests/oracles.py::oracle_cycle_class`` counts the walks instead.
     """
-    iv = g.require_vertex(v)
-    bit = 1 << iv
-    r_out = _closure_from(g.succ_mask[iv], g.succ_mask, bit)
-    r_in = _closure_from(g.pred_mask[iv], g.pred_mask, bit)
-    support = r_out & r_in
-
-    def on_route(b: Bundle) -> bool:
-        sm = 1 << g.index[b.src]
-        dm = 1 << g.index[b.dst]
-        return bool((sm == bit or sm & support) and (dm == bit or dm & support))
-
-    viable = [b for b in g.bundles if on_route(b)]
-    if not viable:
-        return CycleClass.ZERO
-    for b in viable:
-        if is_omega(b.mult) or b.mult >= 2:
-            return CycleClass.TWO_OR_MORE
-    if _has_internal_cycle(g, support):
-        return CycleClass.TWO_OR_MORE
-
-    # The support is acyclic and every viable bundle is simple, so counting
-    # walks back to v with saturation at two is exact.  The counts are filled
-    # in depth-first post-order on an explicit stack, because a support can
-    # be longer than the recursion limit.
-    from_vertex: dict[int, list[int]] = {}
-    for b in viable:
-        from_vertex.setdefault(g.index[b.src], []).append(g.index[b.dst])
-
-    walks = {iv: 1}
-    stack = list(from_vertex[iv])
-    while stack:
-        i = stack[-1]
-        if i in walks:
-            stack.pop()
-            continue
-        todo = [j for j in from_vertex.get(i, ()) if j not in walks]
-        if todo:
-            stack += todo
-        else:
-            walks[i] = min(sum(walks[j] for j in from_vertex.get(i, ())), 2)
-            stack.pop()
-    return CycleClass(min(sum(walks[j] for j in from_vertex[iv]), 2))
+    return g.cycle_class[g.require_vertex(v)]
 
 
 @per_graph
 def condition_K(g: Graph) -> Check:
     """No vertex is the source of exactly one simple cycle."""
-    for v in g.vertices:
-        if simple_cycle_class(g, v) is CycleClass.ONE:
-            return Check(False, v)
+    classes = g.cycle_class
+    if CycleClass.ONE in classes:
+        return Check(False, g.vertices[classes.index(CycleClass.ONE)])
     return Check(True)
 
 

@@ -114,6 +114,38 @@ def oracle_cycle_class(g: Graph, v: str) -> CycleClass:
     return CycleClass(min(count, 2))
 
 
+def oracle_csp_witness(g: Graph, members) -> frozenset:
+    """The greedy shrink of a countable-separation witness, over explicit sets.
+
+    Members are dropped one at a time in declaration order while every member
+    still reaches some kept member.
+    """
+    m = reach_matrix(g)
+    keep = set(members)
+    witness = [v for v in g.vertices if v in keep]
+    for v in list(witness):
+        trial = [w for w in witness if w != v]
+        if all(any(m[g.index[u], g.index[w]] for w in trial) for u in members):
+            witness = trial
+    return frozenset(witness)
+
+
+def oracle_downward_directed(g: Graph, members, witness_in_set: bool = True):
+    """The first pair in declaration order with no common lower bound, or None.
+
+    The bound is looked for among the members, or among all vertices when
+    ``witness_in_set`` is False.
+    """
+    m = reach_matrix(g)
+    keep = set(members)
+    order = [v for v in g.vertices if v in keep]
+    bounds = order if witness_in_set else g.vertices
+    for u, w in combinations(order, 2):
+        if not any(m[g.index[u], g.index[c]] and m[g.index[w], g.index[c]] for c in bounds):
+            return (u, w)
+    return None
+
+
 def oracle_mt1(g: Graph, members: frozenset) -> bool:
     m = reach_matrix(g)
     return all(

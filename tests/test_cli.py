@@ -78,20 +78,29 @@ def test_missing_file_exits_three(capsys):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (("--set", "a,b", "--mult", "0"), 2),
-        (("--set", "a,b", "--mult", "x"), 2),
-        (("--set", "1,a-b"), 3),
-        (("--set", "a,b,c,d,e"), 3),
+        (("ea", "--set", "a,b", "--mult", "0"), 2),
+        (("ea", "--set", "a,b", "--mult", "x"), 2),
+        (("ea", "--set", "1,a-b"), 3),
+        (("ea", "--set", "a,b,c,d,e"), 3),
+        (("random", "--seed", "1", "--n", "-3"), 2),
+        (("random", "--seed", "1", "--n", "4", "--density", "-1"), 2),
+        (("random", "--seed", "1", "--n", "4", "--density", "nan"), 2),
+        (("random", "--seed", "1", "--n", "4", "--omega-prob", "2"), 2),
     ],
 )
-def test_rejected_gen_ea_input_exits_with_its_documented_code(argv, expected, capsys):
+def test_rejected_gen_input_exits_with_its_documented_code(argv, expected, capsys):
     try:
-        code = cli.main(["gen", "ea", *argv])
+        code = cli.main(["gen", *argv])
     except SystemExit as stop:  # argparse usage errors
         code = stop.code
     err = capsys.readouterr().err
     assert code == expected
-    assert "Traceback" not in err and len(err.strip().splitlines()) <= 2
+    # one message line, after the usage block (which argparse wraps at the
+    # terminal width: `gen random` has a two-line usage at 80 columns)
+    *usage, message = err.strip().splitlines()
+    assert "Traceback" not in err
+    assert all(line.startswith(("usage:", " ")) for line in usage)
+    assert (": error: " if code == 2 else "precondition violation: ") in message
 
 
 def test_internal_error_exits_five(fixture_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,8 @@ from ck_spectra import (
     simple_cycle_class,
     spec_points,
 )
-from ck_spectra.generators import _find_first_return_walk
+from ck_spectra.gcg import emit_gcg
+from ck_spectra.generators import _repair_condition_k
 from ck_spectra.graph_core import CycleClass
 
 seeds = st.integers(0, 10_000)
@@ -189,10 +192,30 @@ def test_random_condition_k_always_holds(seed, n):
     assert condition_K(random_condition_k_graph(seed, n, density=0.45))
 
 
-def test_first_return_walk_on_a_cycle_longer_than_the_recursion_limit(long_cycle):
-    walk = _find_first_return_walk(long_cycle, "v0")
-    assert len(walk) == 1500
-    assert walk == list(long_cycle.bundles)  # v0 -> v1 -> ... -> v1499 -> v0
+def test_repair_on_a_cycle_longer_than_the_recursion_limit(long_cycle):
+    repaired = _repair_condition_k(long_cycle)
+    assert condition_K(repaired)
+    changed = [(a, b) for a, b in zip(long_cycle.bundles, repaired.bundles) if a != b]
+    assert changed == [(Bundle("v0", "v1"), Bundle("v0", "v1", 2))]
+    assert repaired.vertices == long_cycle.vertices
+    assert len(repaired.bundles) == len(long_cycle.bundles)
+
+
+def test_repair_golden_digests():
+    # Each raw graph has two or three plain cycles; some are loops, some run
+    # through a vertex whose first out-bundle leaves the cycle.
+    golden = {
+        (24, 6, 0.3): "f9f37b34bebc80e9bcdba6e5db0dcc5a429f713c32d50e69267ad69658ed2e47",
+        (49, 9, 0.2): "1fef739d4c432af8d1cd51234aaf3ddc83eb279c7c94edb24f0049d70a99cee2",
+        (5, 15, 0.1): "37c0b4c0b04ade45e807bcc33dfd3fe9fc43b22b93554102b9aab6e9d5774885",
+        (8, 20, 0.08): "fdee9f555ae9d11521ad54084edccd48495f66727c1052530157f5794be82bdf",
+        (13, 30, 0.05): "6cf7b1f8324dfdf8a0a0f3d9ec2e5b94439f23e9c6e343c03c1cb0ff7fb8eb53",
+        (37, 60, 0.03): "f33f888105e45a3ea8f5fdac7901a061dc920ec4ddccc878ab09c4e5c6849a9e",
+    }
+    for (seed, n, density), digest in golden.items():
+        assert not condition_K(random_graph(seed, n, density))
+        text = emit_gcg(random_condition_k_graph(seed, n, density))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (seed, n, density)
 
 
 def test_repair_changes_something_sometimes():

@@ -23,7 +23,13 @@ from ck_spectra import (
 )
 from ck_spectra.graph_core import CycleClass, check_mult
 
-from .oracles import oracle_cycle_class, oracle_upward_set, reach_matrix
+from .oracles import (
+    oracle_csp_witness,
+    oracle_cycle_class,
+    oracle_downward_directed,
+    oracle_upward_set,
+    reach_matrix,
+)
 
 seeds = st.integers(0, 10_000)
 
@@ -120,14 +126,18 @@ def test_reaches_matches_matrix_squaring(g7):
             assert reaches(g7, u, v) == m[g7.index[u], g7.index[v]]
 
 
-@given(seed=seeds, n=st.integers(0, 7))
+@given(seed=seeds, n=st.integers(0, 30), per_vertex=st.sampled_from([1, 2, None]))
 @settings(max_examples=60, deadline=None)
-def test_reaches_matches_oracle_random(seed, n):
-    g = random_graph(seed, n)
+def test_reaches_matches_oracle_random(seed, n, per_vertex):
+    # 1/n and 2/n give chains of strongly connected components; 0.3 gives few
+    density = 0.3 if per_vertex is None else per_vertex / max(n, 1)
+    g = random_graph(seed, n, density)
     m = reach_matrix(g)
     for u in g.vertices:
         for v in g.vertices:
             assert reaches(g, u, v) == m[g.index[u], g.index[v]]
+    for j in range(n):
+        assert g.coreach[j] == sum(1 << i for i in range(n) if m[i, j])
 
 
 def test_upward_set_fixture(g7):
@@ -203,6 +213,25 @@ def test_has_csp_empty():
     assert has_csp(Graph(["a"]), []) == (True, frozenset())
 
 
+@given(
+    seed=seeds,
+    n=st.integers(1, 12),
+    repaired=st.booleans(),
+    density=st.sampled_from([0.1, 0.25, 0.5]),
+    picks=st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_mt3_and_mt4_witnesses_match_oracles(seed, n, repaired, density, picks):
+    g = (random_condition_k_graph if repaired else random_graph)(seed, n, density)
+    for pick in picks:
+        members = sorted(g.names(pick & g.full_mask), reverse=True)
+        assert has_csp(g, members) == (True, oracle_csp_witness(g, members))
+        for inside in (True, False):
+            verdict = is_downward_directed(g, members, witness_in_set=inside)
+            failing = oracle_downward_directed(g, members, inside)
+            assert (verdict.holds, verdict.witness) == (failing is None, failing)
+
+
 # -- simple cycles -------------------------------------------------------------------
 
 
@@ -251,12 +280,15 @@ def test_cycle_class_matches_walk_oracle(g7):
         assert simple_cycle_class(g7, v) is oracle_cycle_class(g7, v)
 
 
-@given(seed=seeds, n=st.integers(1, 6))
+@given(seed=seeds, n=st.integers(1, 8), density=st.sampled_from([0.15, 0.4]))
 @settings(max_examples=80, deadline=None)
-def test_cycle_class_matches_walk_oracle_random(seed, n):
-    g = random_graph(seed, n, density=0.4)
-    for v in g.vertices:
-        assert simple_cycle_class(g, v) is oracle_cycle_class(g, v), (seed, v)
+def test_cycle_class_matches_walk_oracle_random(seed, n, density):
+    g = random_graph(seed, n, density)
+    expected = [oracle_cycle_class(g, v) for v in g.vertices]
+    for v, want in zip(g.vertices, expected):
+        assert simple_cycle_class(g, v) is want, (seed, v)
+    lonely = [v for v, want in zip(g.vertices, expected) if want is CycleClass.ONE]
+    assert condition_K(g).witness == (lonely[0] if lonely else None)
 
 
 # -- conditions K and L ------------------------------------------------------------
