@@ -392,6 +392,7 @@ def require_enumerable(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> None
 # -- vertex classification --------------------------------------------------
 
 
+@per_graph
 def classify_vertices(g: Graph) -> VertexClassification:
     """Partition the vertices into sinks, infinite emitters and regular vertices."""
     sinks, emitters, regular = [], [], []

@@ -237,17 +237,17 @@ def meet(g: Graph, pairs: Iterable[AdmissiblePair]) -> AdmissiblePair:
     breaking material cut back down to B_H.  The empty family yields the
     whole-algebra pair (all vertices, no breaking vertices).
     """
-    pairs = list(pairs)
-    if not pairs:
-        return AdmissiblePair(frozenset(g.vertices), frozenset())
-    hmask = g.full_mask
-    keep = g.full_mask
-    for p in pairs:
-        ph, ps = _check_admissible(g, p)
+    hmask, smask = _meet_masks(g, (_check_admissible(g, p) for p in pairs))
+    return AdmissiblePair(g.names(hmask), g.names(smask))
+
+
+def _meet_masks(g: Graph, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """:func:`meet` on ``(hmask, smask)`` pairs that are already validated."""
+    hmask = keep = g.full_mask
+    for ph, ps in pairs:
         hmask &= ph
         keep &= ph | ps
-    smask = keep & _breaking_masked(g, hmask)
-    return AdmissiblePair(g.names(hmask), g.names(smask))
+    return hmask, keep & _breaking_masked(g, hmask)
 
 
 def ideal_leq(g: Graph, p: AdmissiblePair, q: AdmissiblePair) -> bool:
@@ -373,7 +373,11 @@ def classify_via_quotient(g: Graph, pair: AdmissiblePair) -> IdealClass:
     everything) is the zero algebra and counts as not prime.
     """
     _require_condition_k(g)
-    q = quotient_graph(g, pair)
+    return classify_quotient(quotient_graph(g, pair))
+
+
+def classify_quotient(q: QuotientGraph) -> IdealClass:
+    """The primeness test of :func:`classify_via_quotient` on a built quotient."""
     qg = q.graph
     if not qg.vertices:
         return IdealClass(IdealKind.NOT_PRIME)

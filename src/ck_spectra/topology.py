@@ -19,12 +19,21 @@ The two computations must produce identical point sets; that equality, the
 Kuratowski axioms, and the density of the primitive points are what
 :func:`verify_homeomorphism`, :func:`check_kuratowski` and
 :func:`prim_spec_density_check` establish instance by instance.
+
+Both closures, the sweeps and the separation report run on point-index
+bitmasks (bit i stands for the i-th point of the ambient tuple).  On a finite
+space an additive closure is the down-set closure of its specialization
+preorder (Alexandrov 1937), so one int holds any closed set.  Point objects
+and vertex names appear only at the API and CLI boundary: the arguments and
+results of :func:`graph_closure`, :func:`ideal_closure` and
+:meth:`SpecSpace.closure`, and the counterexamples in the reports.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import ConditionKRequired, VerificationFailure
@@ -38,10 +47,10 @@ from .graph_core import (
 from .ideals import (
     AdmissiblePair,
     _breaking_masked,
+    _check_admissible,
+    _meet_masks,
     admissible_pairs,
     classify_ideal,
-    ideal_leq,
-    meet,
 )
 from .tails import clusters, finite_return_vertices, maximal_tails
 
@@ -113,6 +122,42 @@ def _essential_mask(g: Graph, p: SpecPoint) -> int:
     return m
 
 
+def _mask_of(pts: tuple, xs: Iterable[SpecPoint]) -> int:
+    """Point-index mask of ``xs`` (bit i for ``pts[i]``); foreign points are rejected."""
+    index = {p: i for i, p in enumerate(pts)}
+    xs = set(xs)
+    foreign = xs - index.keys()
+    if foreign:
+        raise ValueError(f"points outside the ambient space: {sorted(map(str, foreign))}")
+    return sum(1 << index[p] for p in xs)
+
+
+def _pick(points: tuple, mask: int) -> frozenset:
+    return frozenset(points[i] for i in _bits(mask))
+
+
+@per_graph
+def _graph_kernel(g: Graph, pts: tuple) -> Callable[[int], int]:
+    """Graph-side closure on point-index masks over ``pts``, from the per-point
+    vertex and essential masks and the breaking vertices out of V(X)'s complement."""
+    table = [(_point_mask(g, p), _essential_mask(g, p)) for p in pts]
+
+    @cache
+    def closure(xmask: int) -> int:
+        vmask = essential = 0
+        for i in _bits(xmask):
+            vmask |= table[i][0]
+            essential |= table[i][1]
+        smask = _breaking_masked(g, g.full_mask & ~vmask) & ~essential
+        out = 0
+        for i, (w, e) in enumerate(table):
+            if not w & ~vmask and not smask & e:
+                out |= 1 << i
+        return out
+
+    return closure
+
+
 def graph_closure(
     g: Graph,
     points: Iterable[SpecPoint],
@@ -124,22 +169,7 @@ def graph_closure(
     points restricts to the subspace closure.
     """
     pts = tuple(ambient) if ambient is not None else tuple(spec_points(g))
-    xs = set(points)
-    foreign = xs - set(pts)
-    if foreign:
-        raise ValueError(f"points outside the ambient space: {sorted(map(str, foreign))}")
-    vmask = 0
-    for p in xs:
-        vmask |= _point_mask(g, p)
-    smask = _breaking_masked(g, g.full_mask & ~vmask)
-    for p in xs:
-        smask &= ~_essential_mask(g, p)
-    out = [
-        p
-        for p in pts
-        if not _point_mask(g, p) & ~vmask and not smask & _essential_mask(g, p)
-    ]
-    return frozenset(out)
+    return _pick(pts, _graph_kernel(g, pts)(_mask_of(pts, points)))
 
 
 @per_graph
@@ -157,6 +187,25 @@ def h_map(g: Graph, p: SpecPoint) -> AdmissiblePair:
     return AdmissiblePair(g.names(hmask), g.names(smask))
 
 
+@per_graph
+def _ideal_kernel(g: Graph, pts: tuple) -> Callable[[int], int]:
+    """Ideal-side closure on point-index masks over ``pts``, from the :func:`h_map`
+    pairs and the meet formula; each meet result is validated as admissible."""
+    pairs = [_check_admissible(g, h_map(g, p)) for p in pts]
+
+    @cache
+    def above(bottom: tuple[int, int]) -> int:
+        """Mask of the points whose pair contains ``bottom``: meet(bottom, q) == bottom."""
+        _check_admissible(g, AdmissiblePair(g.names(bottom[0]), g.names(bottom[1])))
+        return sum(1 << i for i, q in enumerate(pairs) if _meet_masks(g, (bottom, q)) == bottom)
+
+    @cache
+    def closure(xmask: int) -> int:
+        return above(_meet_masks(g, [pairs[i] for i in _bits(xmask)]))
+
+    return closure
+
+
 def ideal_closure(
     g: Graph,
     ambient: Iterable[SpecPoint],
@@ -169,52 +218,50 @@ def ideal_closure(
     the ambient points whose pair contains the meet.
     """
     pts = tuple(ambient)
-    xs = set(points)
-    foreign = xs - set(pts)
-    if foreign:
-        raise ValueError(f"points outside the ambient space: {sorted(map(str, foreign))}")
-    bottom = meet(g, [h_map(g, p) for p in xs])
-    return frozenset(p for p in pts if ideal_leq(g, bottom, h_map(g, p)))
+    return _pick(pts, _ideal_kernel(g, pts)(_mask_of(pts, points)))
 
 
 # -- spaces -------------------------------------------------------------------
 
 
 class SpecSpace:
-    """A finite point set together with a closure operator."""
+    """A finite point set together with a closure operator.
 
-    def __init__(
-        self,
-        points: Iterable[SpecPoint],
-        closure: Callable[[Iterable[SpecPoint]], frozenset],
-        side: str,
-        name: str,
-    ):
+    The operator runs on point-index masks: ``mask_closure`` maps the mask of
+    X (bit i for ``points[i]``) to the mask of its closure.  A space given only
+    a ``closure`` on point sets adapts it once into a mask closure, so every
+    check runs on the one mask path.
+    """
+
+    def __init__(self, points: Iterable[SpecPoint], closure: Optional[Callable], side: str,
+                 name: str, mask_closure: Optional[Callable[[int], int]] = None):
         self.points = tuple(points)
-        self.closure = closure
+        if mask_closure is None:
+            mask_closure = lambda m: _mask_of(self.points, closure(_pick(self.points, m)))
+        self.mask_closure = mask_closure
         self.side = side
         self.name = name
+
+    def closure(self, xs: Iterable[SpecPoint]) -> frozenset:
+        return _pick(self.points, self.mask_closure(_mask_of(self.points, xs)))
 
     def __repr__(self) -> str:
         return f"SpecSpace({self.name}/{self.side}, {len(self.points)} points)"
 
 
 def spec_space(g: Graph, side: str = "graph") -> SpecSpace:
-    pts = tuple(spec_points(g))
-    return SpecSpace(pts, _closure_fn(g, pts, side), side, "spec")
+    return _space(g, tuple(spec_points(g)), side, "spec")
 
 
 def prim_space(g: Graph, side: str = "graph") -> SpecSpace:
-    pts = tuple(prim_points(g))
-    return SpecSpace(pts, _closure_fn(g, pts, side), side, "prim")
+    return _space(g, tuple(prim_points(g)), side, "prim")
 
 
-def _closure_fn(g: Graph, pts: tuple, side: str) -> Callable:
-    if side == "graph":
-        return lambda xs: graph_closure(g, xs, ambient=pts)
-    if side == "ideal":
-        return lambda xs: ideal_closure(g, pts, xs)
-    raise ValueError(f"side must be 'graph' or 'ideal', got {side!r}")
+def _space(g: Graph, pts: tuple, side: str, name: str) -> SpecSpace:
+    kernels = {"graph": _graph_kernel, "ideal": _ideal_kernel}
+    if side not in kernels:
+        raise ValueError(f"side must be 'graph' or 'ideal', got {side!r}")
+    return SpecSpace(pts, None, side, name, kernels[side](g, pts))
 
 
 # -- verification reports ------------------------------------------------------
@@ -270,10 +317,6 @@ def _subset_pool(n: int, exhaustive_limit: int, seed: int, samples: int):
 _UNION_PAIR_LIMIT = 6
 
 
-def _pick(points: tuple, mask: int) -> frozenset:
-    return frozenset(points[i] for i in _bits(mask))
-
-
 def verify_homeomorphism(
     g: Graph,
     exhaustive_limit: int = 12,
@@ -314,11 +357,10 @@ def verify_homeomorphism(
     checked = []
     for pts in (spec_pts, prim_pts):
         masks, exhaustive = _subset_pool(len(pts), exhaustive_limit, seed, samples)
+        left, right = _graph_kernel(g, pts), _ideal_kernel(g, pts)
         for m in masks:
-            xs = _pick(pts, m)
-            left = graph_closure(g, xs, ambient=pts)
-            right = ideal_closure(g, pts, xs)
-            if left != right:
+            if left(m) != right(m):
+                xs = _pick(pts, m)
                 raise VerificationFailure(
                     f"closures disagree on {sorted(str(x) for x in xs)}", xs
                 )
@@ -350,27 +392,23 @@ def check_kuratowski(
     """
     pts = space.points
     n = len(pts)
-    memo: dict[frozenset, frozenset] = {}
-
-    def cl(xs: frozenset) -> frozenset:
-        if xs not in memo:
-            memo[xs] = frozenset(space.closure(xs))
-        return memo[xs]
+    cl = cache(space.mask_closure)
 
     failures = []
     masks, exhaustive = _subset_pool(n, exhaustive_limit, seed, samples)
-    if cl(frozenset()) != frozenset():
+    if cl(0):
         failures.append(("empty", frozenset(), None))
     for m in masks:
-        xs = _pick(pts, m)
-        c = cl(xs)
-        if not xs <= c:
-            failures.append(("extensive", xs, None))
+        c = cl(m)
+        if m & ~c:
+            failures.append(("extensive", _pick(pts, m), None))
         if cl(c) != c:
-            failures.append(("idempotent", xs, None))
-        singletons = frozenset().union(*(cl(frozenset((p,))) for p in xs)) if xs else frozenset()
-        if c != singletons:
-            failures.append(("additive", xs, None))
+            failures.append(("idempotent", _pick(pts, m), None))
+        union = 0
+        for i in _bits(m):
+            union |= cl(1 << i)
+        if c != union:
+            failures.append(("additive", _pick(pts, m), None))
 
     if n <= _UNION_PAIR_LIMIT:
         pair_masks = [(a, b) for a in range(1 << n) for b in range(1 << n)]
@@ -380,9 +418,8 @@ def check_kuratowski(
             (rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(samples)
         ]
     for a, b in pair_masks:
-        xa, xb = _pick(pts, a), _pick(pts, b)
-        if cl(xa | xb) != cl(xa) | cl(xb):
-            failures.append(("union", xa, xb))
+        if cl(a | b) != cl(a) | cl(b):
+            failures.append(("union", _pick(pts, a), _pick(pts, b)))
 
     return KuratowskiReport(
         ok=not failures,
@@ -396,25 +433,21 @@ def check_kuratowski(
 def separation_report(space: SpecSpace) -> SeparationReport:
     """T0/T1/Hausdorff verdicts plus the specialization preorder.
 
-    Works from singleton closures: q lies in the closure of {p} exactly when
-    every open set around q contains p, so the minimal open neighborhood of p
-    consists of the q with p in the closure of {q}; two points are separated
-    by opens iff those minimal neighborhoods are disjoint.
+    Works from the n singleton-closure masks: q lies in the closure of {p}
+    exactly when every open set around q contains p, so the minimal open
+    neighborhood of p consists of the q with p in the closure of {q}.  Two
+    points are separated by opens iff those neighborhoods are disjoint, so
+    the space is Hausdorff iff no singleton closure holds two points.
     """
     pts = space.points
-    cl = {p: frozenset(space.closure(frozenset((p,)))) for p in pts}
-    specialization = tuple((p, q) for p in pts for q in pts if q in cl[p])
-    t0 = all(not (q in cl[p] and p in cl[q]) for p in pts for q in pts if p != q)
-    non_closed = tuple(p for p in pts if cl[p] != frozenset((p,)))
-    t1 = not non_closed
-    min_open = {p: frozenset(q for q in pts if p in cl[q]) for p in pts}
-    hausdorff = all(
-        min_open[p].isdisjoint(min_open[q]) for p in pts for q in pts if p != q
-    )
+    cl = [space.mask_closure(1 << i) for i in range(len(pts))]
+    specialization = tuple((p, pts[j]) for p, c in zip(pts, cl) for j in _bits(c))
+    t0 = not any(j != i and cl[j] >> i & 1 for i, c in enumerate(cl) for j in _bits(c))
+    non_closed = tuple(p for i, (p, c) in enumerate(zip(pts, cl)) if c != 1 << i)
     return SeparationReport(
         t0=t0,
-        t1=t1,
-        hausdorff=hausdorff,
+        t1=not non_closed,
+        hausdorff=all(c.bit_count() <= 1 for c in cl),
         non_closed_singletons=non_closed,
         specialization=specialization,
     )

@@ -3,17 +3,23 @@
 Everything here deliberately avoids the package's bitmask machinery:
 reachability comes from repeated squaring of a numpy boolean matrix, cycle
 detection from networkx, and the subset predicates from literal quantifier
-evaluation over explicit sets.
+evaluation over explicit sets.  The closure oracles are the exception: they
+are the frozenset formulas, over vertex names and through the public
+``breaking_vertices``, ``meet`` and ``ideal_leq``, that the point-index mask
+kernels in ``ck_spectra.topology`` must reproduce.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 import networkx as nx
 import numpy as np
 
-from ck_spectra.graph_core import CycleClass, Graph, is_omega
+from ck_spectra.graph_core import CycleClass, Graph, is_omega, upward_set
+from ck_spectra.ideals import breaking_vertices, ideal_leq, meet
+from ck_spectra.topology import ClusterPoint, FRPoint, h_map
 
 
 def reach_matrix(g: Graph) -> np.ndarray:
@@ -203,3 +209,48 @@ def oracle_sat_her(g: Graph) -> set:
         if hereditary and saturated:
             out.add(members)
     return out
+
+
+@cache
+def vertex_set(g: Graph, p) -> frozenset:
+    """The vertices a point carries: its cluster, or the tail U(v) of a return vertex."""
+    return p.members if isinstance(p, ClusterPoint) else upward_set(g, [p.vertex])
+
+
+@cache
+def _essential(g: Graph, p) -> frozenset:
+    """Members of the point's set that do not break out of its complement (plus v for FR)."""
+    w = vertex_set(g, p)
+    out = w - breaking_vertices(g, frozenset(g.vertices) - w)
+    return out | {p.vertex} if isinstance(p, FRPoint) else out
+
+
+def oracle_graph_closure(g: Graph, points, ambient) -> frozenset:
+    """Graph-side closure over vertex names: p is in it iff V(X) covers W_p and
+    no vertex breaking out of the complement of V(X) is essential for both."""
+    covered = frozenset().union(*(vertex_set(g, p) for p in points))
+    stray = breaking_vertices(g, frozenset(g.vertices) - covered)
+    stray -= frozenset().union(*(_essential(g, p) for p in points))
+    return frozenset(
+        p for p in ambient if vertex_set(g, p) <= covered and not stray & _essential(g, p)
+    )
+
+
+def oracle_ideal_closure(g: Graph, ambient, points) -> frozenset:
+    """Ideal-side closure through the public lattice operations on pairs."""
+    bottom = meet(g, [h_map(g, p) for p in points])
+    return frozenset(p for p in ambient if ideal_leq(g, bottom, h_map(g, p)))
+
+
+def oracle_separation(points, closure) -> tuple:
+    """(t0, t1, hausdorff, specialization) by the pairwise definitions over the
+    singleton closures; minimal open neighborhoods are {q : p in closure({q})}."""
+    cl = {p: closure(frozenset([p])) for p in points}
+    min_open = {p: frozenset(q for q in points if p in cl[q]) for p in points}
+    distinct = [(p, q) for p in points for q in points if p != q]
+    return (
+        all(not (q in cl[p] and p in cl[q]) for p, q in distinct),
+        all(cl[p] == {p} for p in points),
+        all(min_open[p].isdisjoint(min_open[q]) for p, q in distinct),
+        tuple((p, q) for p in points for q in points if q in cl[p]),
+    )

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,17 @@ from ck_spectra import (
     ConditionKRequired,
     FRPoint,
     Graph,
+    OMEGA,
     VerificationFailure,
     check_kuratowski,
     classify_ideal,
     clusters,
+    ea_graph,
+    emit_gcg,
     graph_closure,
     h_map,
     ideal_closure,
+    parse_graph,
     prim_points,
     prim_space,
     prim_spec_density_check,
@@ -27,10 +32,12 @@ from ck_spectra import (
     separation_report,
     spec_points,
     spec_space,
-    upward_set,
     verify_homeomorphism,
 )
+from ck_spectra import cli, topology
 from ck_spectra.graph_core import is_omega, mult_sum
+
+from .oracles import oracle_graph_closure, oracle_ideal_closure, oracle_separation, vertex_set
 
 seeds = st.integers(0, 10_000)
 f = frozenset
@@ -38,11 +45,6 @@ f = frozenset
 
 def cluster(chars) -> ClusterPoint:
     return ClusterPoint(f(chars))
-
-
-def vertex_set(g, p) -> frozenset:
-    """The vertices a point carries: its cluster, or the tail U(v) of a return vertex."""
-    return p.members if isinstance(p, ClusterPoint) else upward_set(g, [p.vertex])
 
 
 def naive_graph_closure(g, points, ambient) -> frozenset:
@@ -348,6 +350,49 @@ def test_prim_restriction_is_subspace_closure(g7):
         full = graph_closure(g7, x, ambient=spec_pts)
         restricted = graph_closure(g7, x, ambient=prim_pts)
         assert restricted == full & prim_set
+
+
+LATTICE_RICH = sorted(
+    (Path(__file__).parents[1] / "perfbench" / "corpus" / "lattice-rich").glob("*.gcg")
+)
+KERNEL_GRAPHS = {
+    "fixture": lambda: running_example().graph,
+    "ea3_omega": lambda: ea_graph(["a", "b", "c"], OMEGA),
+    **{f"lattice-rich/{p.stem}": (lambda p=p: parse_graph(p.read_text())) for p in LATTICE_RICH},
+    **{f"random-{seed}": (lambda seed=seed: random_condition_k_graph(seed, 1 + seed % 9)) for seed in range(18)},
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_GRAPHS)
+def test_mask_kernels_and_separation_match_oracles(name):
+    # every subset up to 12 points; above that, the subsets verify sweeps
+    g = KERNEL_GRAPHS[name]()
+    for pts in {tuple(spec_points(g)), tuple(prim_points(g))}:
+        graph_side = topology._graph_kernel(g, pts)
+        ideal_side = topology._ideal_kernel(g, pts)
+        for mask in topology._subset_pool(len(pts), 12, 0, 256)[0]:
+            x = f(p for i, p in enumerate(pts) if mask >> i & 1)
+            want = oracle_graph_closure(g, x, pts)
+            assert topology._pick(pts, graph_side(mask)) == want, (name, x)
+            assert topology._pick(pts, ideal_side(mask)) == oracle_ideal_closure(g, pts, x) == want
+        sep = separation_report(topology.SpecSpace(pts, None, "graph", "spec", graph_side))
+        want = oracle_separation(pts, lambda x: oracle_graph_closure(g, x, pts))
+        assert (sep.t0, sep.t1, sep.hausdorff, sep.specialization) == want
+
+
+def test_lattice_rich_corpus_is_present():
+    assert len(LATTICE_RICH) == 18
+
+
+def test_planted_ideal_kernel_fault_fails_verify(tmp_path, capsys, monkeypatch):
+    kernel = topology._ideal_kernel
+    monkeypatch.setattr(
+        topology, "_ideal_kernel", lambda g, pts: lambda m: kernel(g, pts)(m) & ~1
+    )
+    path = tmp_path / "fixture.gcg"
+    path.write_text(emit_gcg(running_example().graph))
+    assert cli.main(["verify", str(path)]) == 1
+    assert "closures disagree" in capsys.readouterr().err
 
 
 @given(seed=seeds)
