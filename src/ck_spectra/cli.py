@@ -85,10 +85,23 @@ EXIT_INTERNAL = 5
 
 
 def _load(path: str) -> Graph:
+    """Parse a .gcg file, or stdin for ``-``; the bytes must be UTF-8.
+
+    The first byte that is not is a parse error at its line and column.
+    """
     if path == "-":
-        return parse_graph(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            # line endings as text-mode open() reads them
+            data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[: err.start].decode("utf-8")
+        line, col = head.count("\n") + 1, len(head) - head.rfind("\n")
+        raise ParseError(line, col, f"byte 0x{data[err.start]:02x} is not valid UTF-8") from None
+    return parse_graph(text)
 
 
 def _fmt_set(g: Graph, members) -> str:

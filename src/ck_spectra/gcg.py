@@ -12,178 +12,205 @@ Vertices must be declared before use, the default multiplicity is one, and
 the same pair merge additively (saturating); duplicate labels are errors.
 All errors carry 1-based line and column positions.
 
+The text is a ``str``; a file holds it as UTF-8, and ``cli._load`` reports
+a byte that is not UTF-8 as a parse error.  Blanks are space, tab, carriage
+return and newline; a line ends only at a newline.  An IDENT starts with a
+letter (``str.isalpha``) or an underscore and goes on with letters, digits,
+numeric characters and underscores (``str.isalnum``).  A NAT is a run of
+``str.isdigit`` characters; as a count it must be decimal digits
+(``str.isdecimal``), so ``٣`` reads as 3 and ``²`` is an error.
+
+One compiled regular expression scans the whole text; each match is one
+token (or a comment, dropped), kept as a plain string.  No positions are
+kept: an error rescans the text for the offset of the token at fault and
+computes its line and column from that.
+
 ``parse_graph(emit_gcg(g)) == g`` for every graph whose vertex names and
 labels are identifiers, since the emitter writes the canonical form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NoReturn
 
 from .errors import DuplicateLabel, ParseError, UndeclaredVertex
-from .graph_core import OMEGA, Bundle, Graph, is_omega
+from .graph_core import OMEGA, Bundle, Graph, Mult, is_omega
 
 _KEYWORDS = {"vertex", "edge", "inf"}
 _PUNCT = {",", ";", ":", "*", "->"}
+_NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
+
+# Blanks, then one piece: punctuation, a run of word characters, a comment,
+# "" at the end of the text, or any other single character.  After the greedy
+# blanks one alternative always matches, so the scan never backtracks.
+_TOKEN = re.compile(r"[ \t\r\n]*(->|[,;:*]|\w+|#[^\n]*|\Z|.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # ident | nat | punct | eof
-    text: str
-    line: int
-    col: int
+def _plain(tok: str) -> bool:
+    """Whether a scanned piece is one whole token of the grammar as it stands.
+
+    Any other word run (one that starts outside ASCII, or with a digit and
+    goes on with more than ASCII digits) is split by ``_split_words``, and
+    any other single character is an error.
+    """
+    return not tok or tok in _PUNCT or tok[0] in _NAME_START or (tok.isascii() and tok.isdigit())
 
 
-def _tokenize(src: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+def _scan(src: str) -> tuple[list[str], list[int] | None]:
+    """The tokens, ending in "", and their offsets if the scan needed them."""
+    toks = _TOKEN.findall(src)
+    if "#" in src:
+        toks = [tok for tok in toks if tok[:1] != "#"]
+    if all(map(_plain, set(toks))):
+        return toks, None
+    return _split_words(src)
+
+
+def _split_words(src: str) -> tuple[list[str], list[int]]:
+    """Tokens and their offsets, splitting word runs character by character.
+
+    A word run is a sequence of tokens: digit runs (``str.isdigit``) and
+    names (a letter or an underscore, then the rest of the run).  Any other
+    character that starts a token is an error.
+    """
+    toks: list[str] = []
+    starts: list[int] = []
+    for m in _TOKEN.finditer(src):
+        tok, at = m.group(1), m.start(1)
+        if tok[:1] == "#":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if _plain(tok):
+            toks.append(tok)
+            starts.append(at)
             continue
-        if ch == "#":
-            while i < len(src) and src[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch == "-" and src[i : i + 2] == "->":
-            toks.append(_Tok("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in ",;:*":
-            toks.append(_Tok("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            toks.append(_Tok("nat", src[i:j], line, col))
-            col += j - i
+        i = 0
+        while i < len(tok):
+            ch = tok[i]
+            if ch.isdigit():
+                j = i + 1
+                while j < len(tok) and tok[j].isdigit():
+                    j += 1
+            elif ch.isalpha() or ch == "_":
+                j = len(tok)
+            else:
+                raise ParseError(*_line_col(src, at + i), f"unexpected character {ch!r}")
+            toks.append(tok[i:j])
+            starts.append(at + i)
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(line, col, f"unexpected character {ch!r}")
-    toks.append(_Tok("eof", "", line, col))
-    return toks
+    return toks, starts
+
+
+def _line_col(src: str, offset: int) -> tuple[int, int]:
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
 class _Parser:
+    """Recursive descent over the token strings; each method takes the index
+    of the token it starts at.
+
+    A token's kind follows from its text: "" ends the input, punctuation is
+    in ``_PUNCT``, a NAT starts with a digit, and the rest are IDENTs.
+    """
+
     def __init__(self, src: str):
-        self.toks = _tokenize(src)
-        self.pos = 0
-        self.vertices: list[str] = []
-        self.declared: set[str] = set()
+        self.src = src
+        self.toks, self.starts = _scan(src)
+        # each vertex, in declaration order, to the string it was declared
+        # as; every bundle shares that object, so dict lookups match by identity
+        self.declared: dict[str, str] = {}
         self.labels: set[str] = set()
         self.bundles: list[Bundle] = []
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def fail(self, k: int, message: str, kind: type[ParseError] = ParseError) -> NoReturn:
+        """Raise ``kind`` at token ``k``, scanning again for its offset."""
+        if self.starts is None:
+            self.starts = _split_words(self.src)[1]
+        raise kind(*_line_col(self.src, self.starts[k]), message)
 
-    def take(self) -> _Tok:
-        tok = self.toks[self.pos]
-        self.pos += 1
+    def expected(self, k: int, what: str) -> NoReturn:
+        self.fail(k, f"expected {what}, found {self.toks[k] or 'end of input'!r}")
+
+    def name(self, k: int) -> str:
+        tok = self.toks[k]
+        if not tok or tok in _PUNCT or tok[0].isdigit():
+            self.expected(k, "a name")
+        if tok in _KEYWORDS:
+            self.fail(k, f"{tok!r} is a reserved word")
         return tok
 
-    def expect_punct(self, text: str) -> _Tok:
-        tok = self.take()
-        if tok.kind != "punct" or tok.text != text:
-            raise ParseError(tok.line, tok.col, f"expected {text!r}, found {tok.text or 'end of input'!r}")
-        return tok
+    def vertex(self, k: int) -> str:
+        tok = self.toks[k]
+        vertex = self.declared.get(tok)
+        if vertex is None:  # every declared vertex is a name
+            self.name(k)
+            self.fail(k, f"vertex {tok!r} used before declaration", UndeclaredVertex)
+        return vertex
 
-    def expect_name(self) -> _Tok:
-        tok = self.take()
-        if tok.kind != "ident":
-            raise ParseError(tok.line, tok.col, f"expected a name, found {tok.text or 'end of input'!r}")
-        if tok.text in _KEYWORDS:
-            raise ParseError(tok.line, tok.col, f"{tok.text!r} is a reserved word")
-        return tok
+    def count(self, k: int) -> Mult:
+        tok = self.toks[k]
+        if tok == "inf":
+            return OMEGA
+        if not tok[:1].isdigit():
+            self.expected(k, "a count or 'inf'")
+        if not tok.isdecimal():
+            self.fail(k, f"count {tok!r} is not a decimal number")
+        try:
+            mult = int(tok)
+        except ValueError:  # more digits than int() converts
+            self.fail(k, f"count of {len(tok)} digits is too long")
+        if mult < 1:
+            self.fail(k, "multiplicity must be at least 1")
+        return mult
 
     def parse(self) -> Graph:
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                break
-            if tok.kind == "ident" and tok.text == "vertex":
-                self.take()
-                self.vertex_stmt()
-            elif tok.kind == "ident" and tok.text == "edge":
-                self.take()
-                self.edge_stmt()
+        toks = self.toks
+        k = 0
+        while toks[k]:
+            if toks[k] == "vertex":
+                k = self.vertex_stmt(k + 1)
+            elif toks[k] == "edge":
+                k = self.edge_stmt(k + 1)
             else:
-                raise ParseError(tok.line, tok.col, f"expected 'vertex' or 'edge', found {tok.text!r}")
-        return Graph(self.vertices, self.bundles)
+                self.fail(k, f"expected 'vertex' or 'edge', found {toks[k]!r}")
+        return Graph(self.declared, self.bundles)
 
-    def vertex_stmt(self) -> None:
+    def vertex_stmt(self, k: int) -> int:
+        toks, declared = self.toks, self.declared
         while True:
-            tok = self.expect_name()
-            if tok.text in self.declared:
-                raise ParseError(tok.line, tok.col, f"vertex {tok.text!r} already declared")
-            self.declared.add(tok.text)
-            self.vertices.append(tok.text)
-            nxt = self.take()
-            if nxt.kind == "punct" and nxt.text == ",":
-                continue
-            if nxt.kind == "punct" and nxt.text == ";":
-                return
-            raise ParseError(nxt.line, nxt.col, f"expected ',' or ';', found {nxt.text or 'end of input'!r}")
+            tok = self.name(k)
+            if tok in declared:
+                self.fail(k, f"vertex {tok!r} already declared")
+            declared[tok] = tok
+            if toks[k + 1] == ";":
+                return k + 2
+            if toks[k + 1] != ",":
+                self.expected(k + 1, "',' or ';'")
+            k += 2
 
-    def vertex_ref(self) -> str:
-        tok = self.expect_name()
-        if tok.text not in self.declared:
-            raise UndeclaredVertex(tok.line, tok.col, f"vertex {tok.text!r} used before declaration")
-        return tok.text
-
-    def edge_stmt(self) -> None:
+    def edge_stmt(self, k: int) -> int:
+        toks = self.toks
         label = None
-        first = self.expect_name()
-        if self.peek().kind == "punct" and self.peek().text == ":":
-            self.take()
-            if first.text in self.labels:
-                raise DuplicateLabel(first.line, first.col, f"label {first.text!r} already used")
-            self.labels.add(first.text)
-            label = first.text
-            src = self.vertex_ref()
-        else:
-            if first.text not in self.declared:
-                raise UndeclaredVertex(first.line, first.col, f"vertex {first.text!r} used before declaration")
-            src = first.text
-        self.expect_punct("->")
-        dst = self.vertex_ref()
-        mult = 1
-        tok = self.take()
-        if tok.kind == "punct" and tok.text == "*":
-            mtok = self.take()
-            if mtok.kind == "ident" and mtok.text == "inf":
-                mult = OMEGA
-            elif mtok.kind == "nat":
-                mult = int(mtok.text)
-                if mult < 1:
-                    raise ParseError(mtok.line, mtok.col, "multiplicity must be at least 1")
-            else:
-                raise ParseError(mtok.line, mtok.col, f"expected a count or 'inf', found {mtok.text or 'end of input'!r}")
-            tok = self.take()
-        if not (tok.kind == "punct" and tok.text == ";"):
-            raise ParseError(tok.line, tok.col, f"expected ';', found {tok.text or 'end of input'!r}")
+        first = self.name(k)
+        if toks[k + 1] == ":":
+            if first in self.labels:
+                self.fail(k, f"label {first!r} already used", DuplicateLabel)
+            self.labels.add(first)
+            label = first
+            k += 2
+        src = self.vertex(k)
+        if toks[k + 1] != "->":
+            self.expected(k + 1, "'->'")
+        dst = self.vertex(k + 2)
+        k += 3
+        mult: Mult = 1
+        if toks[k] == "*":
+            mult = self.count(k + 1)
+            k += 2
+        if toks[k] != ";":
+            self.expected(k, "';'")
         self.bundles.append(Bundle(src, dst, mult, label))
+        return k + 1
 
 
 def parse_graph(src: str) -> Graph:

@@ -158,7 +158,8 @@ class Graph:
             raise ValueError("vertex identifiers must be distinct")
         index = {v: i for i, v in enumerate(verts)}
 
-        unlabeled: dict[tuple[str, str], Mult] = {}
+        # A caller's Bundle is kept as it is unless a merge replaces it.
+        unlabeled: dict[tuple[str, str], Bundle] = {}
         labeled: list[Bundle] = []
         seen_labels: set[str] = set()
         for b in bundles:
@@ -168,20 +169,21 @@ class Graph:
                 raise UnknownVertex(f"unknown source vertex {b.src!r}")
             if b.dst not in index:
                 raise UnknownVertex(f"unknown target vertex {b.dst!r}")
-            mult = check_mult(b.mult)
+            if type(b.mult) is not int or b.mult < 1:  # a plain count needs no check
+                check_mult(b.mult)
             if b.label is None:
                 key = (b.src, b.dst)
-                unlabeled[key] = mult_sum((unlabeled.get(key, 0), mult)) if key in unlabeled else mult
+                prev = unlabeled.get(key)
+                unlabeled[key] = b if prev is None else Bundle(b.src, b.dst, prev.mult + b.mult)
             else:
                 if b.label in seen_labels:
                     raise ValueError(f"duplicate bundle label {b.label!r}")
                 seen_labels.add(b.label)
-                labeled.append(Bundle(b.src, b.dst, mult, b.label))
+                labeled.append(b)
 
-        merged = [Bundle(s, d, m) for (s, d), m in unlabeled.items()]
         order = lambda b: (index[b.src], index[b.dst], b.label is not None, b.label or "")
         self.vertices: tuple[str, ...] = verts
-        self.bundles: tuple[Bundle, ...] = tuple(sorted(merged + labeled, key=order))
+        self.bundles: tuple[Bundle, ...] = tuple(sorted([*unlabeled.values(), *labeled], key=order))
         self.index: dict[str, int] = index
 
     # -- identity ---------------------------------------------------------
@@ -258,7 +260,11 @@ class Graph:
 
     @cached_property
     def out_mult(self) -> dict[str, Mult]:
-        return {v: mult_sum(b.mult for b in self.out_bundles[v]) for v in self.vertices}
+        """Total out-multiplicity of each vertex; ``+`` saturates at OMEGA."""
+        out: dict[str, Mult] = dict.fromkeys(self.vertices, 0)
+        for b in self.bundles:
+            out[b.src] += b.mult
+        return out
 
     @cached_property
     def condensation(self) -> tuple[list[int], list[int]]:
@@ -504,6 +510,7 @@ def condition_K(g: Graph) -> Check:
     return Check(True)
 
 
+@per_graph
 def condition_L(g: Graph) -> Check:
     """Every cycle has an exit.
 
@@ -511,10 +518,8 @@ def condition_L(g: Graph) -> Check:
     out-multiplicity one, so it suffices to chase the out-degree-one
     subgraph.  The witness is the vertex sequence of an exitless cycle.
     """
-    next_vertex: dict[str, str] = {}
-    for v in g.vertices:
-        if g.out_mult[v] == 1:
-            next_vertex[v] = g.out_bundles[v][0].dst
+    out, succ, names = g.out_mult, g.succ_mask, g.vertices
+    next_vertex = {v: names[succ[i].bit_length() - 1] for i, v in enumerate(names) if out[v] == 1}
 
     cleared: set[str] = set()
     for start in g.vertices:

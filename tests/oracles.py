@@ -6,18 +6,22 @@ detection from networkx, and the subset predicates from literal quantifier
 evaluation over explicit sets.  The closure oracles are the exception: they
 are the frozenset formulas, over vertex names and through the public
 ``breaking_vertices``, ``meet`` and ``ideal_leq``, that the point-index mask
-kernels in ``ck_spectra.topology`` must reproduce.
+kernels in ``ck_spectra.topology`` must reproduce.  ``oracle_parse_graph`` is
+the character-at-a-time tokenizer and token-object parser that the
+regex scanner in ``ck_spectra.gcg`` replaced.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
 import networkx as nx
 import numpy as np
 
-from ck_spectra.graph_core import CycleClass, Graph, is_omega, upward_set
+from ck_spectra.errors import DuplicateLabel, ParseError, UndeclaredVertex
+from ck_spectra.graph_core import OMEGA, Bundle, CycleClass, Graph, is_omega, upward_set
 from ck_spectra.ideals import breaking_vertices, ideal_leq, meet
 from ck_spectra.topology import ClusterPoint, FRPoint, h_map
 
@@ -254,3 +258,173 @@ def oracle_separation(points, closure) -> tuple:
         all(min_open[p].isdisjoint(min_open[q]) for p, q in distinct),
         tuple((p, q) for p in points for q in points if q in cl[p]),
     )
+
+
+# -- the .gcg parser -----------------------------------------------------------
+
+_KEYWORDS = {"vertex", "edge", "inf"}
+
+
+@dataclass(frozen=True)
+class _OracleTok:
+    kind: str  # ident | nat | punct | eof
+    text: str
+    line: int
+    col: int
+
+
+def _oracle_tokenize(src: str) -> list[_OracleTok]:
+    toks: list[_OracleTok] = []
+    line, col = 1, 1
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < len(src) and src[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if ch == "-" and src[i : i + 2] == "->":
+            toks.append(_OracleTok("punct", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in ",;:*":
+            toks.append(_OracleTok("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(src) and src[j].isdigit():
+                j += 1
+            toks.append(_OracleTok("nat", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(_OracleTok("ident", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(line, col, f"unexpected character {ch!r}")
+    toks.append(_OracleTok("eof", "", line, col))
+    return toks
+
+
+class _OracleParser:
+    def __init__(self, src: str):
+        self.toks = _oracle_tokenize(src)
+        self.pos = 0
+        self.vertices: list[str] = []
+        self.declared: set[str] = set()
+        self.labels: set[str] = set()
+        self.bundles: list[Bundle] = []
+
+    def peek(self) -> _OracleTok:
+        return self.toks[self.pos]
+
+    def take(self) -> _OracleTok:
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_punct(self, text: str) -> _OracleTok:
+        tok = self.take()
+        if tok.kind != "punct" or tok.text != text:
+            raise ParseError(tok.line, tok.col, f"expected {text!r}, found {tok.text or 'end of input'!r}")
+        return tok
+
+    def expect_name(self) -> _OracleTok:
+        tok = self.take()
+        if tok.kind != "ident":
+            raise ParseError(tok.line, tok.col, f"expected a name, found {tok.text or 'end of input'!r}")
+        if tok.text in _KEYWORDS:
+            raise ParseError(tok.line, tok.col, f"{tok.text!r} is a reserved word")
+        return tok
+
+    def parse(self) -> Graph:
+        while True:
+            tok = self.peek()
+            if tok.kind == "eof":
+                break
+            if tok.kind == "ident" and tok.text == "vertex":
+                self.take()
+                self.vertex_stmt()
+            elif tok.kind == "ident" and tok.text == "edge":
+                self.take()
+                self.edge_stmt()
+            else:
+                raise ParseError(tok.line, tok.col, f"expected 'vertex' or 'edge', found {tok.text!r}")
+        return Graph(self.vertices, self.bundles)
+
+    def vertex_stmt(self) -> None:
+        while True:
+            tok = self.expect_name()
+            if tok.text in self.declared:
+                raise ParseError(tok.line, tok.col, f"vertex {tok.text!r} already declared")
+            self.declared.add(tok.text)
+            self.vertices.append(tok.text)
+            nxt = self.take()
+            if nxt.kind == "punct" and nxt.text == ",":
+                continue
+            if nxt.kind == "punct" and nxt.text == ";":
+                return
+            raise ParseError(nxt.line, nxt.col, f"expected ',' or ';', found {nxt.text or 'end of input'!r}")
+
+    def vertex_ref(self) -> str:
+        tok = self.expect_name()
+        if tok.text not in self.declared:
+            raise UndeclaredVertex(tok.line, tok.col, f"vertex {tok.text!r} used before declaration")
+        return tok.text
+
+    def edge_stmt(self) -> None:
+        label = None
+        first = self.expect_name()
+        if self.peek().kind == "punct" and self.peek().text == ":":
+            self.take()
+            if first.text in self.labels:
+                raise DuplicateLabel(first.line, first.col, f"label {first.text!r} already used")
+            self.labels.add(first.text)
+            label = first.text
+            src = self.vertex_ref()
+        else:
+            if first.text not in self.declared:
+                raise UndeclaredVertex(first.line, first.col, f"vertex {first.text!r} used before declaration")
+            src = first.text
+        self.expect_punct("->")
+        dst = self.vertex_ref()
+        mult = 1
+        tok = self.take()
+        if tok.kind == "punct" and tok.text == "*":
+            mtok = self.take()
+            if mtok.kind == "ident" and mtok.text == "inf":
+                mult = OMEGA
+            elif mtok.kind == "nat":
+                mult = int(mtok.text)
+                if mult < 1:
+                    raise ParseError(mtok.line, mtok.col, "multiplicity must be at least 1")
+            else:
+                raise ParseError(mtok.line, mtok.col, f"expected a count or 'inf', found {mtok.text or 'end of input'!r}")
+            tok = self.take()
+        if not (tok.kind == "punct" and tok.text == ";"):
+            raise ParseError(tok.line, tok.col, f"expected ';', found {tok.text or 'end of input'!r}")
+        self.bundles.append(Bundle(src, dst, mult, label))
+
+
+def oracle_parse_graph(src: str) -> Graph:
+    """The reference parse: same graph, or the same error class, position and
+    message, except that a count ``int()`` rejects raises ``ValueError``."""
+    return _OracleParser(src).parse()

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from ck_spectra import VerificationFailure, emit_gcg, parse_graph, running_example
-from ck_spectra import cli, ideals, tails
+from ck_spectra import cli, graph_core, ideals, tails
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,36 @@ def test_parse_error_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "parse error: 2:1" in err
+
+
+@pytest.mark.parametrize(
+    "data, position",
+    [
+        ("vertex a, b;\nedge a -> b * ²;\n".encode(), "2:15"),  # int() rejects '²'
+        (b"vertex a;\n# caf\xc3\xa9\nedge a -> \xff a;\n", "3:11"),  # not UTF-8
+        (b"vertex a;\r\n\xc3(", "2:1"),  # a cut multibyte sequence, after CRLF
+    ],
+    ids=["superscript-count", "bad-byte", "cut-sequence"],
+)
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_bad_count_and_bad_bytes_exit_two(data, position, source, tmp_path, capsys, monkeypatch):
+    import io
+
+    path = tmp_path / "bad.gcg"
+    path.write_bytes(data)
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, out, err = run(capsys, "check", "-" if source == "stdin" else str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {position}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_file_line_endings_read_as_text_mode_reads_them(tmp_path, capsys):
+    path = tmp_path / "cr.gcg"
+    path.write_bytes(b"vertex a;\rvertex a;")
+    code, _, err = run(capsys, "check", str(path))
+    assert (code, err) == (2, "parse error: 2:8: vertex 'a' already declared\n")
 
 
 def test_precondition_violation_exits_three(tmp_path, capsys):
@@ -188,6 +218,23 @@ def test_verify_runs_each_whole_graph_scan_once(fixture_path, capsys):
         sys.setprofile(None)
     assert code == 0
     assert runs == {"mt": 1, "sat_her": 1, "pairs": 1}
+
+
+def test_verify_checks_condition_L_once_per_graph(fixture_path, capsys):
+    body = inspect.unwrap(graph_core.condition_L).__code__
+    checked = []  # kept alive, so that no two of them share an id
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code is body:
+            checked.append(frame.f_locals["g"])
+
+    sys.setprofile(record)
+    try:
+        code, _, _ = run(capsys, "verify", fixture_path)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert len(checked) > 1 and len({id(g) for g in checked}) == len(checked)
 
 
 def test_spec_honours_a_limit_above_the_default(tmp_path, capsys):
@@ -353,9 +400,9 @@ def test_quotient_dot_marks_sink_copies(fixture_path, capsys):
 def test_stdin_input(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("vertex a;\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO("vertex é;\n".encode())))
     code, out, _ = run(capsys, "check", "-")
-    assert code == 0 and "sinks: {a}" in out
+    assert code == 0 and "sinks: {é}" in out
 
 
 def test_spec_json_output(fixture_path, capsys):
