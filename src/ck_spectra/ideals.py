@@ -36,7 +36,6 @@ from .graph_core import (
     classify_vertices,
     condition_K,
     condition_L,
-    has_csp,
     is_downward_directed,
     is_omega,
     mult_sum,
@@ -347,6 +346,7 @@ def _require_condition_k(g: Graph) -> None:
         raise ConditionKRequired("classification requires Condition (K)")
 
 
+@per_graph
 def classify_ideal(g: Graph, pair: AdmissiblePair) -> IdealClass:
     """Classify the ideal of (H, S) from the complement of H."""
     _require_condition_k(g)
@@ -368,9 +368,10 @@ def classify_via_quotient(g: Graph, pair: AdmissiblePair) -> IdealClass:
     """Classify by building the quotient graph and testing it for primeness.
 
     The quotient algebra is prime iff the quotient graph satisfies Condition
-    (L) and is downward directed; primitivity additionally needs the countable
-    separation property, which always holds here.  The empty quotient (H is
-    everything) is the zero algebra and counts as not prime.
+    (L) and is downward directed.  Primitivity additionally needs the
+    countable separation property, which every finite vertex set has, so a
+    prime quotient is primitive.  The empty quotient (H is everything) is the
+    zero algebra and counts as not prime.
     """
     _require_condition_k(g)
     return classify_quotient(quotient_graph(g, pair))
@@ -381,12 +382,8 @@ def classify_quotient(q: QuotientGraph) -> IdealClass:
     qg = q.graph
     if not qg.vertices:
         return IdealClass(IdealKind.NOT_PRIME)
-    prime = condition_L(qg).holds and is_downward_directed(qg, qg.vertices).holds
-    if not prime:
+    if not (condition_L(qg).holds and is_downward_directed(qg, qg.vertices).holds):
         return IdealClass(IdealKind.NOT_PRIME)
-    primitive = has_csp(qg, qg.vertices)[0]
-    if not primitive:  # unreachable at this scale; kept for contract symmetry
-        return IdealClass(IdealKind.PRIME_NOT_PRIMITIVE)
     if len(q.primed) == 1:
         (v0,) = q.primed
         return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=v0)

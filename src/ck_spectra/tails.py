@@ -207,8 +207,7 @@ def realize_as_tail(g: Graph, members) -> BoundaryPath:
         raise NotAMaximalTail(f"{sorted(g.names(mask))} does not satisfy MT1-MT4 or is empty")
 
     order = g.sorted_set(g.names(mask))
-    _, csp = has_csp(g, g.names(mask))
-    anchors = [v for v in order if v in csp]
+    anchors = [v for v in order if v in rep.csp_witness]
 
     base = order[0]
     current = base

@@ -15,10 +15,13 @@ different points).  The same space is materialized along two routes:
 * ideal side: each point is mapped through ``h_map`` to an admissible pair
   and the closure of X is everything containing the meet of the pairs of X.
 
-The two computations must produce identical point sets; that equality, the
-Kuratowski axioms, and the density of the primitive points are what
-:func:`verify_homeomorphism`, :func:`check_kuratowski` and
-:func:`prim_spec_density_check` establish instance by instance.
+On a finite vertex set MT4 holds vacuously, so the primitive points are
+the prime points, in the same order.  :func:`verify_homeomorphism` decides
+that first, through :func:`prim_spec_density_check`; the checks after it
+concern the one space.  It then matches the points with the prime and the
+primitive pairs and sweeps the subsets once, comparing the two closures.
+:func:`check_kuratowski` tests the closure axioms of a space; ``verify``
+runs it once per side on the spectrum.
 
 Both closures, the sweeps and the separation report run on point-index
 bitmasks (bit i stands for the i-th point of the ambient tuple).  On a finite
@@ -327,52 +330,48 @@ def verify_homeomorphism(
 ) -> HomeomorphismReport:
     """Check that the graph-side and ideal-side spaces are the same space.
 
-    Establishes that the point-to-pair map is injective, that its image is
-    exactly the prime-classified admissible pairs (primitive ones for the
-    primitive-point list), and that the two closure operators agree on every
-    swept subset, for the full spectrum and for the primitive subspace.
-    Raises :class:`VerificationFailure` with the offending subset otherwise.
+    First decides that the primitive points are the prime points
+    (:func:`prim_spec_density_check`), so the primitive subspace is the
+    spectrum itself.  Then establishes that the point-to-pair map is
+    injective, that its image is exactly the prime-classified admissible
+    pairs and also exactly the primitive ones, and that the two closure
+    operators agree on every swept subset.  Raises
+    :class:`VerificationFailure` with the offending subset otherwise.
     """
-    _require_condition_k(g)
-    spec_pts = tuple(spec_points(g))
-    prim_pts = tuple(prim_points(g))
+    prim_spec_density_check(g)
+    pts = tuple(spec_points(g))
 
-    pairs = [h_map(g, p) for p in spec_pts]
-    if len(set(pairs)) != len(pairs):
-        raise VerificationFailure("point-to-ideal map is not injective", spec_pts)
+    image = {h_map(g, p) for p in pts}
+    if len(image) != len(pts):
+        raise VerificationFailure("point-to-ideal map is not injective", pts)
     verdicts = {p: classify_ideal(g, p) for p in admissible_pairs(g, limit)}
     prime_pairs = {p for p, c in verdicts.items() if c.is_prime}
     primitive_pairs = {p for p, c in verdicts.items() if c.is_primitive}
-    if set(pairs) != prime_pairs:
+    if image != prime_pairs:
         raise VerificationFailure(
             "image of the point map differs from the prime-classified pairs",
-            (set(pairs), prime_pairs),
+            (image, prime_pairs),
         )
-    if {h_map(g, p) for p in prim_pts} != primitive_pairs:
+    if image != primitive_pairs:
         raise VerificationFailure(
             "primitive points do not match the primitive-classified pairs",
-            ({h_map(g, p) for p in prim_pts}, primitive_pairs),
+            (image, primitive_pairs),
         )
 
-    checked = []
-    for pts in (spec_pts, prim_pts):
-        masks, exhaustive = _subset_pool(len(pts), exhaustive_limit, seed, samples)
-        left, right = _graph_kernel(g, pts), _ideal_kernel(g, pts)
-        for m in masks:
-            if left(m) != right(m):
-                xs = _pick(pts, m)
-                raise VerificationFailure(
-                    f"closures disagree on {sorted(str(x) for x in xs)}", xs
-                )
-        checked.append(len(masks))
+    masks, exhaustive = _subset_pool(len(pts), exhaustive_limit, seed, samples)
+    left, right = _graph_kernel(g, pts), _ideal_kernel(g, pts)
+    for m in masks:
+        if left(m) != right(m):
+            xs = _pick(pts, m)
+            raise VerificationFailure(f"closures disagree on {sorted(str(x) for x in xs)}", xs)
 
     return HomeomorphismReport(
-        points=len(spec_pts),
+        points=len(pts),
         prime_pairs=len(prime_pairs),
         primitive_pairs=len(primitive_pairs),
-        spec_subsets_checked=checked[0],
-        prim_subsets_checked=checked[1],
-        exhaustive=len(spec_pts) <= exhaustive_limit and len(prim_pts) <= exhaustive_limit,
+        spec_subsets_checked=len(masks),
+        prim_subsets_checked=len(masks),
+        exhaustive=exhaustive,
     )
 
 
@@ -454,10 +453,10 @@ def separation_report(space: SpecSpace) -> SeparationReport:
 
 
 def prim_spec_density_check(g: Graph) -> DensityReport:
-    """Primitive points must exhaust the spectrum here, and be dense in it."""
+    """Primitive points must be the prime points, in order, and be dense."""
     spec_pts = tuple(spec_points(g))
     prim_pts = tuple(prim_points(g))
-    if set(spec_pts) != set(prim_pts):
+    if spec_pts != prim_pts:
         raise VerificationFailure(
             "primitive ideal space differs from the prime spectrum",
             (spec_pts, prim_pts),

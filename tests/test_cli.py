@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from ck_spectra import VerificationFailure, emit_gcg, parse_graph, running_example
-from ck_spectra import cli, graph_core, ideals, tails
+from ck_spectra import cli, graph_core, ideals, tails, topology
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +218,36 @@ def test_verify_runs_each_whole_graph_scan_once(fixture_path, capsys):
         sys.setprofile(None)
     assert code == 0
     assert runs == {"mt": 1, "sat_her": 1, "pairs": 1}
+
+
+def test_verify_decides_each_fact_once(fixture_path, capsys):
+    bodies = {
+        inspect.unwrap(fn).__code__: name
+        for name, fn in (("kuratowski", topology.check_kuratowski), ("classify", ideals.classify_ideal))
+    }
+    csp_body = graph_core.has_csp.__code__
+    runs = Counter()
+    csp_graphs = []  # kept alive, so that no two of them share an id
+
+    def count(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code in bodies:
+            runs[bodies[frame.f_code]] += 1
+        elif frame.f_code is csp_body:
+            csp_graphs.append(frame.f_locals["g"])
+
+    sys.setprofile(count)
+    try:
+        code, _, _ = run(capsys, "verify", fixture_path)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    # one sweep per side, one direct verdict per admissible pair
+    assert len(ideals.admissible_pairs(running_example().graph)) == 12
+    assert runs == {"kuratowski": 2, "classify": 12}
+    # only the input graph is asked for a countable separating set
+    assert csp_graphs and len({id(g) for g in csp_graphs}) == 1
 
 
 def test_verify_checks_condition_L_once_per_graph(fixture_path, capsys):

@@ -331,11 +331,22 @@ def test_density_two_loop_vertex():
     assert rep.spec_point_count == 1
 
 
-def test_density_failure_raises():
-    # fabricate a failure by checking a graph then lying about prim points:
-    # simplest honest negative: VerificationFailure carries its payload
-    err = VerificationFailure("nope", counterexample=("a",))
-    assert err.counterexample == ("a",)
+def test_density_failure_raises(monkeypatch, tmp_path, capsys):
+    # planted fault: the primitive side loses its last maximal tail
+    real = topology.maximal_tails
+    monkeypatch.setattr(topology, "maximal_tails", lambda g: real(g)[:-1])
+    message = "primitive ideal space differs from the prime spectrum"
+    for check in (prim_spec_density_check, verify_homeomorphism):
+        with pytest.raises(VerificationFailure, match=message):
+            check(running_example().graph)
+
+    path = tmp_path / "fixture.gcg"
+    path.write_text(emit_gcg(running_example().graph))
+    code = cli.main(["verify", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert message in err
+    assert "kuratowski" not in out
 
 
 # -- subspace behaviour ---------------------------------------------------------------------
