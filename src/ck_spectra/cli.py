@@ -34,6 +34,7 @@ from .graph_core import (
     condition_L,
     has_csp,
     is_downward_directed,
+    require_enumerable,
 )
 from .ideals import (
     AdmissiblePair,
@@ -230,6 +231,9 @@ def cmd_tails(args) -> int:
 
 def cmd_ideals(args) -> int:
     g = _load(args.path)
+    require_enumerable(g, args.limit)
+    if not condition_K(g):  # before the enumeration, which would warn
+        raise ConditionKRequired("classification requires Condition (K)")
     sh = saturated_hereditary_sets(g, args.limit)
     pairs = admissible_pairs(g, args.limit)
     rows = []

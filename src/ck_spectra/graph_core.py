@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache, cached_property, partial, wraps
+from functools import cached_property, wraps
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import SizeLimitExceeded, UnknownVertex
@@ -372,18 +372,21 @@ class Graph:
 def per_graph(fn: Callable) -> Callable:
     """Cache ``fn(g, *args)`` on the graph ``g`` itself.
 
-    The memo is a ``functools.cache`` of ``fn`` bound to ``g``, kept in the
+    The memo is a dict from the argument tuple to the result, kept in the
     graph's ``__dict__``, so it dies with the graph and is shared by every
     caller holding it: cached results must not be mutated.
     """
-    slot = f"_cache:{fn.__module__}.{fn.__qualname__}"
+    slot, miss = f"_cache:{fn.__module__}.{fn.__qualname__}", object()
 
     @wraps(fn)
     def cached(g: Graph, *args):
         memo = g.__dict__.get(slot)
         if memo is None:
-            memo = g.__dict__[slot] = cache(partial(fn, g))
-        return memo(*args)
+            memo = g.__dict__[slot] = {}
+        out = memo.get(args, miss)
+        if out is miss:
+            out = memo[args] = fn(g, *args)
+        return out
 
     return cached
 
@@ -443,20 +446,25 @@ def is_downward_directed(g: Graph, members: Iterable[str], *, witness_in_set: bo
     and w have one too, and so on).  Only otherwise are the pairs scanned.
     """
     mask = g.mask(members)
-    allowed = mask if witness_in_set else g.full_mask
+    pair = _undirected_pair(g, mask, mask if witness_in_set else g.full_mask)
+    return Check(True) if pair is None else Check(False, (g.vertices[pair[0]], g.vertices[pair[1]]))
+
+
+def _undirected_pair(g: Graph, mask: int, allowed: int) -> Optional[tuple[int, int]]:
+    """:func:`is_downward_directed` on masks: the first failing pair of indices, or None."""
     reach = g.reach
     common = allowed
     for i in _bits(mask):
         common &= reach[i]
     if common:
-        return Check(True)
+        return None
     idx = list(_bits(mask))
     for a, i in enumerate(idx):
         ri = reach[i]
         for j in idx[a:]:
             if not ri & reach[j] & allowed:
-                return Check(False, (g.vertices[i], g.vertices[j]))
-    return Check(True)
+                return i, j
+    return None
 
 
 def has_csp(g: Graph, members: Iterable[str]) -> tuple[bool, frozenset]:

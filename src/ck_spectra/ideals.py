@@ -17,13 +17,19 @@ Breaking vertices are counted by *edges*: the saturating multiplicity sum of
 the bundles escaping H must be finite and nonzero.  Counting target vertices
 instead can disagree when an OMEGA bundle leaves H;
 :func:`breaking_vertex_discrepancies` reports exactly those vertices.
+
+Inside, a pair is ``(hmask, smask)``: admissibility, breaking vertices and
+the MT axioms of the complement are all decided on vertex bitmasks.  Names
+appear only at the boundary: :class:`AdmissiblePair`, ``IdealClass.v0`` and
+the quotient graph's vertices and bundles.
 """
 
 from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import ConditionKRequired, NotSaturatedHereditary
@@ -41,9 +47,8 @@ from .graph_core import (
     mult_sum,
     per_graph,
     require_enumerable,
-    upward_set,
 )
-from .tails import clusters, mt_report
+from .tails import _mt_faults, clusters
 
 
 @dataclass(frozen=True)
@@ -92,21 +97,25 @@ class IdealClass:
 def is_hereditary(g: Graph, members) -> Check:
     """Every bundle leaving the set stays inside it; witness is an escaping bundle."""
     mask = g.mask(members)
-    for b in g.bundles:
-        if 1 << g.index[b.src] & mask and not 1 << g.index[b.dst] & mask:
-            return Check(False, b)
-    return Check(True)
+    i = _sat_her_faults(g, mask)[0]
+    if i is None:
+        return Check(True)
+    escaping = (b for b in g.out_bundles[g.vertices[i]] if not mask >> g.index[b.dst] & 1)
+    return Check(False, next(escaping))
 
 
 def is_saturated(g: Graph, members) -> Check:
     """Regular vertices feeding entirely into the set belong to it; witness vertex."""
-    mask = g.mask(members)
-    regular = classify_vertices(g).regular
-    for v in g.vertices:
-        i = g.index[v]
-        if v in regular and not mask >> i & 1 and not g.succ_mask[i] & ~mask:
-            return Check(False, v)
-    return Check(True)
+    i = _sat_her_faults(g, g.mask(members))[1]
+    return Check(True) if i is None else Check(False, g.vertices[i])
+
+
+def _sat_her_faults(g: Graph, mask: int) -> tuple:
+    """The first member with a successor outside, the first regular non-member with none; or None."""
+    succ, regular = g.succ_mask, classify_vertices(g).regular
+    escapes = (i for i in _bits(mask) if succ[i] & ~mask)
+    trapped = (i for i in _bits(g.full_mask & ~mask) if g.vertices[i] in regular and not succ[i] & ~mask)
+    return next(escapes, None), next(trapped, None)
 
 
 def saturated_hereditary_sets(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[frozenset]:
@@ -150,17 +159,16 @@ def _breaking_masked(g: Graph, hmask: int) -> int:
     return out
 
 
-def _require_sat_her(g: Graph, members) -> int:
-    mask = g.mask(members)
-    h = g.names(mask)
-    if not (is_hereditary(g, h) and is_saturated(g, h)):
-        raise NotSaturatedHereditary(f"{sorted(h)} is not saturated hereditary")
-    return mask
+@per_graph
+def _require_sat_her(g: Graph, hmask: int) -> int:
+    if _sat_her_faults(g, hmask) != (None, None):
+        raise NotSaturatedHereditary(f"{sorted(g.names(hmask))} is not saturated hereditary")
+    return hmask
 
 
 def breaking_vertices(g: Graph, members) -> frozenset:
     """B_H for a saturated hereditary H, counting escaping edges with saturation."""
-    return g.names(_breaking_masked(g, _require_sat_her(g, members)))
+    return g.names(_breaking_masked(g, _require_sat_her(g, g.mask(members))))
 
 
 def breaking_vertex_discrepancies(g: Graph, members) -> frozenset:
@@ -169,7 +177,7 @@ def breaking_vertex_discrepancies(g: Graph, members) -> frozenset:
     On a finite-vertex graph the set of escape targets is always finite, so a
     discrepancy happens exactly when some escaping bundle carries OMEGA.
     """
-    hmask = _require_sat_her(g, members)
+    hmask = _require_sat_her(g, g.mask(members))
     edge_side = _breaking_masked(g, hmask)
     out = []
     for v in classify_vertices(g).infinite_emitters:
@@ -183,11 +191,14 @@ def breaking_vertex_discrepancies(g: Graph, members) -> frozenset:
 
 @per_graph
 def _check_admissible(g: Graph, pair: AdmissiblePair) -> tuple[int, int]:
-    hmask = _require_sat_her(g, pair.h)
-    smask = g.mask(pair.s)
-    if smask & ~_breaking_masked(g, hmask):
+    return _check_masks(g, _require_sat_her(g, g.mask(pair.h)), g.mask(pair.s))
+
+
+def _check_masks(g: Graph, hmask: int, smask: int) -> tuple[int, int]:
+    """Raise unless ``(hmask, smask)`` is admissible, naming the offending set."""
+    if smask & ~_breaking_masked(g, _require_sat_her(g, hmask)):
         raise NotSaturatedHereditary(
-            f"S = {sorted(pair.s)} is not contained in the breaking vertices of H"
+            f"S = {sorted(g.names(smask))} is not contained in the breaking vertices of H"
         )
     return hmask, smask
 
@@ -219,10 +230,10 @@ def admissible_pairs(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[A
 def _pair_scan(g: Graph) -> list[AdmissiblePair]:
     pairs = []
     for h in _sat_her_scan(g):
-        breakers = g.sorted_set(g.names(_breaking_masked(g, g.mask(h))))
-        for smask in range(1 << len(breakers)):
-            s = frozenset(breakers[i] for i in _bits(smask))
-            pairs.append(AdmissiblePair(h, s))
+        subsets = [frozenset()]  # subsets[k] holds the breakers at the bits of k
+        for i in _bits(_breaking_masked(g, g.mask(h))):
+            subsets += [s | {g.vertices[i]} for s in subsets]
+        pairs += [AdmissiblePair(h, s) for s in subsets]
     return pairs
 
 
@@ -263,12 +274,20 @@ class QuotientGraph:
 
     ``primed`` maps every kept breaking vertex (B_H minus S) to the name of
     its sink copy inside ``graph``; ``provenance`` maps every quotient bundle
-    back to the source-graph bundle it came from.
+    back to the source-graph bundle it came from, read on first use off
+    ``built``, where each sink copy follows the bundle it copies.
     """
 
     graph: Graph
     primed: dict
-    provenance: dict
+    built: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def provenance(self) -> dict:
+        copies, out = set(self.primed.values()), {}
+        for b in self.built:
+            out[b] = source = source if b.dst in copies else b
+        return out
 
 
 def _fresh_name(base: str, taken: set) -> str:
@@ -286,30 +305,26 @@ def quotient_graph(g: Graph, pair: AdmissiblePair) -> QuotientGraph:
     breaking vertex v is duplicated toward the sink copy v'.
     """
     hmask, smask = _check_admissible(g, pair)
-    kept_breakers = g.names(_breaking_masked(g, hmask) & ~smask)
 
     taken = set(g.vertices)
-    primed = {v: _fresh_name(f"{v}_prime", taken) for v in g.sorted_set(kept_breakers)}
-    vertices = [v for v in g.vertices if not hmask >> g.index[v] & 1]
-    vertices += [primed[v] for v in g.sorted_set(kept_breakers)]
+    kept = [g.vertices[i] for i in _bits(_breaking_masked(g, hmask) & ~smask)]
+    primed = {v: _fresh_name(f"{v}_prime", taken) for v in kept}
+    vertices = [v for i, v in enumerate(g.vertices) if not hmask >> i & 1]
+    vertices += primed.values()
 
-    labels = {b.label for b in g.bundles if b.label}
+    labels = {b.label for b in g.bundles if b.label} if primed else set()
     bundles: list[Bundle] = []
-    provenance: dict[Bundle, Bundle] = {}
     for b in g.bundles:
         if hmask >> g.index[b.dst] & 1:
             continue
         bundles.append(b)
-        provenance[b] = b
         if b.dst in primed:
             label = None
             if b.label is not None:
                 label = _fresh_name(f"{b.label}_prime", labels)
-            copy = Bundle(b.src, primed[b.dst], b.mult, label)
-            bundles.append(copy)
-            provenance[copy] = b
+            bundles.append(Bundle(b.src, primed[b.dst], b.mult, label))
 
-    return QuotientGraph(Graph(vertices, bundles), primed, provenance)
+    return QuotientGraph(Graph(vertices, bundles), primed, tuple(bundles))
 
 
 # -- classification ------------------------------------------------------------
@@ -348,20 +363,20 @@ def _require_condition_k(g: Graph) -> None:
 
 @per_graph
 def classify_ideal(g: Graph, pair: AdmissiblePair) -> IdealClass:
-    """Classify the ideal of (H, S) from the complement of H."""
+    """Classify the ideal of (H, S) from the complement of H, evaluating MT1-MT3
+    on its mask (MT4 holds on every finite vertex set) rather than looking it up."""
     _require_condition_k(g)
     hmask, smask = _check_admissible(g, pair)
-    kept = g.sorted_set(g.names(_breaking_masked(g, hmask) & ~smask))
-    complement = g.names(g.full_mask & ~hmask)
+    kept = _breaking_masked(g, hmask) & ~smask
+    complement = g.full_mask & ~hmask
 
     is_tail = is_cluster = is_return_tail = False
     if not kept:
-        rep = mt_report(g, complement)
-        is_cluster = bool(complement) and rep.cluster_axioms
-        is_tail = is_cluster and rep.mt4
-    elif len(kept) == 1:
-        is_return_tail = complement == upward_set(g, kept)
-    return _classify_from_structure(kept, is_tail, is_cluster, is_return_tail)
+        is_cluster = is_tail = complement != 0 and _mt_faults(g, complement) == (None, None, None)
+    elif not kept & (kept - 1):
+        is_return_tail = complement == g.coreach[kept.bit_length() - 1]
+    kept_names = tuple(g.vertices[i] for i in _bits(kept))
+    return _classify_from_structure(kept_names, is_tail, is_cluster, is_return_tail)
 
 
 def classify_via_quotient(g: Graph, pair: AdmissiblePair) -> IdealClass:

@@ -25,9 +25,9 @@ from .graph_core import (
     Bundle,
     Graph,
     _bits,
+    _undirected_pair,
     classify_vertices,
     has_csp,
-    is_downward_directed,
     is_omega,
     mult_sum,
     per_graph,
@@ -64,35 +64,30 @@ class MtReport:
 def mt_report(g: Graph, members) -> MtReport:
     """Evaluate MT1-MT4 for a vertex set."""
     mask = g.mask(members)
-    kinds = classify_vertices(g)
-
-    mt1_witness = None
-    for w in _bits(mask):
-        outside = g.coreach[w] & ~mask
-        if outside:
-            v = next(_bits(outside))
-            mt1_witness = (g.vertices[v], g.vertices[w])
-            break
-
-    mt2_witness = None
-    for i in _bits(mask):
-        v = g.vertices[i]
-        if v in kinds.regular and not g.succ_mask[i] & mask:
-            mt2_witness = v
-            break
-
-    dd = is_downward_directed(g, g.names(mask))
+    mt1, mt2, mt3 = _mt_faults(g, mask)
+    v = g.vertices
     _, csp = has_csp(g, g.names(mask))
     return MtReport(
-        mt1=mt1_witness is None,
-        mt2=mt2_witness is None,
-        mt3=dd.holds,
+        mt1=mt1 is None,
+        mt2=mt2 is None,
+        mt3=mt3 is None,
         mt4=True,
-        mt1_witness=mt1_witness,
-        mt2_witness=mt2_witness,
-        mt3_witness=None if dd.holds else dd.witness,
+        mt1_witness=None if mt1 is None else (v[mt1[0]], v[mt1[1]]),
+        mt2_witness=None if mt2 is None else v[mt2],
+        mt3_witness=None if mt3 is None else (v[mt3[0]], v[mt3[1]]),
         csp_witness=csp,
     )
+
+
+def _mt_faults(g: Graph, mask: int) -> tuple:
+    """MT1-MT3 on a vertex mask, each as its first failure in indices or None: (v, w)
+    with v outside reaching w inside; a regular member with no successor inside;
+    two members with no common bound inside."""
+    coreach, succ, regular = g.coreach, g.succ_mask, classify_vertices(g).regular
+    members = list(_bits(mask))
+    escapes = ((next(_bits(coreach[w] & ~mask)), w) for w in members if coreach[w] & ~mask)
+    trapped = (i for i in members if g.vertices[i] in regular and not succ[i] & mask)
+    return next(escapes, None), next(trapped, None), _undirected_pair(g, mask, mask)
 
 
 def maximal_tails(g: Graph) -> list[frozenset]:

@@ -50,7 +50,7 @@ from .graph_core import (
 from .ideals import (
     AdmissiblePair,
     _breaking_masked,
-    _check_admissible,
+    _check_masks,
     _meet_masks,
     admissible_pairs,
     classify_ideal,
@@ -148,9 +148,9 @@ def _graph_kernel(g: Graph, pts: tuple) -> Callable[[int], int]:
     @cache
     def closure(xmask: int) -> int:
         vmask = essential = 0
-        for i in _bits(xmask):
-            vmask |= table[i][0]
-            essential |= table[i][1]
+        while xmask:
+            w, e = table[(xmask & -xmask).bit_length() - 1]
+            vmask, essential, xmask = vmask | w, essential | e, xmask & xmask - 1
         smask = _breaking_masked(g, g.full_mask & ~vmask) & ~essential
         out = 0
         for i, (w, e) in enumerate(table):
@@ -175,31 +175,35 @@ def graph_closure(
     return _pick(pts, _graph_kernel(g, pts)(_mask_of(pts, points)))
 
 
-@per_graph
 def h_map(g: Graph, p: SpecPoint) -> AdmissiblePair:
     """The admissible pair named by a point.
 
     A cluster C maps to (complement of C, all its breaking vertices); a
     return vertex v to (complement of U(v), breaking vertices minus v).
     """
-    w = _point_mask(g, p)
-    hmask = g.full_mask & ~w
+    return AdmissiblePair(*map(g.names, _h_masks(g, p)))
+
+
+@per_graph
+def _h_masks(g: Graph, p: SpecPoint) -> tuple[int, int]:
+    """:func:`h_map` as ``(hmask, smask)``."""
+    hmask = g.full_mask & ~_point_mask(g, p)
     smask = _breaking_masked(g, hmask)
     if isinstance(p, FRPoint):
         smask &= ~(1 << g.index[p.vertex])
-    return AdmissiblePair(g.names(hmask), g.names(smask))
+    return hmask, smask
 
 
 @per_graph
 def _ideal_kernel(g: Graph, pts: tuple) -> Callable[[int], int]:
     """Ideal-side closure on point-index masks over ``pts``, from the :func:`h_map`
-    pairs and the meet formula; each meet result is validated as admissible."""
-    pairs = [_check_admissible(g, h_map(g, p)) for p in pts]
+    pairs and the meet formula; each pair and each meet is validated as admissible."""
+    pairs = [_check_masks(g, *_h_masks(g, p)) for p in pts]
 
     @cache
     def above(bottom: tuple[int, int]) -> int:
         """Mask of the points whose pair contains ``bottom``: meet(bottom, q) == bottom."""
-        _check_admissible(g, AdmissiblePair(g.names(bottom[0]), g.names(bottom[1])))
+        _check_masks(g, *bottom)
         return sum(1 << i for i, q in enumerate(pairs) if _meet_masks(g, (bottom, q)) == bottom)
 
     @cache
@@ -393,6 +397,7 @@ def check_kuratowski(
     n = len(pts)
     cl = cache(space.mask_closure)
 
+    unions = {0: 0}  # m -> the union of the closures of m's singletons
     failures = []
     masks, exhaustive = _subset_pool(n, exhaustive_limit, seed, samples)
     if cl(0):
@@ -403,10 +408,12 @@ def check_kuratowski(
             failures.append(("extensive", _pick(pts, m), None))
         if cl(c) != c:
             failures.append(("idempotent", _pick(pts, m), None))
-        union = 0
-        for i in _bits(m):
-            union |= cl(1 << i)
-        if c != union:
+        chain = [m]  # down through m & (m - 1) to a known union, then back up
+        while chain[-1] not in unions:
+            chain.append(chain[-1] & chain[-1] - 1)
+        for k in reversed(chain[:-1]):
+            unions[k] = unions[k & k - 1] | cl(k & -k)
+        if c != unions[m]:
             failures.append(("additive", _pick(pts, m), None))
 
     if n <= _UNION_PAIR_LIMIT:

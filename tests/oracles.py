@@ -8,7 +8,10 @@ are the frozenset formulas, over vertex names and through the public
 ``breaking_vertices``, ``meet`` and ``ideal_leq``, that the point-index mask
 kernels in ``ck_spectra.topology`` must reproduce.  ``oracle_parse_graph`` is
 the character-at-a-time tokenizer and token-object parser that the
-regex scanner in ``ck_spectra.gcg`` replaced.
+regex scanner in ``ck_spectra.gcg`` replaced.  ``oracle_check_admissible``
+and ``oracle_classify_ideal`` are the name-based bodies that the mask cores
+of ``ck_spectra.ideals`` replaced, with the hereditary, saturated and MT
+tests read off explicit sets.
 """
 
 from __future__ import annotations
@@ -20,9 +23,27 @@ from itertools import combinations
 import networkx as nx
 import numpy as np
 
-from ck_spectra.errors import DuplicateLabel, ParseError, UndeclaredVertex
-from ck_spectra.graph_core import OMEGA, Bundle, CycleClass, Graph, is_omega, upward_set
-from ck_spectra.ideals import breaking_vertices, ideal_leq, meet
+from ck_spectra.errors import DuplicateLabel, NotSaturatedHereditary, ParseError, UndeclaredVertex
+from ck_spectra.graph_core import (
+    OMEGA,
+    Bundle,
+    Check,
+    CycleClass,
+    Graph,
+    classify_vertices,
+    is_omega,
+    upward_set,
+)
+from ck_spectra.ideals import (
+    AdmissiblePair,
+    IdealClass,
+    _breaking_masked,
+    _classify_from_structure,
+    _require_condition_k,
+    breaking_vertices,
+    ideal_leq,
+    meet,
+)
 from ck_spectra.topology import ClusterPoint, FRPoint, h_map
 
 
@@ -213,6 +234,60 @@ def oracle_sat_her(g: Graph) -> set:
         if hereditary and saturated:
             out.add(members)
     return out
+
+
+def oracle_is_hereditary(g: Graph, members) -> Check:
+    mask = g.mask(members)
+    for b in g.bundles:
+        if 1 << g.index[b.src] & mask and not 1 << g.index[b.dst] & mask:
+            return Check(False, b)
+    return Check(True)
+
+
+def oracle_is_saturated(g: Graph, members) -> Check:
+    mask = g.mask(members)
+    regular = classify_vertices(g).regular
+    for v in g.vertices:
+        i = g.index[v]
+        if v in regular and not mask >> i & 1 and not g.succ_mask[i] & ~mask:
+            return Check(False, v)
+    return Check(True)
+
+
+def _oracle_require_sat_her(g: Graph, members) -> int:
+    mask = g.mask(members)
+    h = g.names(mask)
+    if not (oracle_is_hereditary(g, h) and oracle_is_saturated(g, h)):
+        raise NotSaturatedHereditary(f"{sorted(h)} is not saturated hereditary")
+    return mask
+
+
+def oracle_check_admissible(g: Graph, pair: AdmissiblePair) -> tuple[int, int]:
+    hmask = _oracle_require_sat_her(g, pair.h)
+    smask = g.mask(pair.s)
+    if smask & ~_breaking_masked(g, hmask):
+        raise NotSaturatedHereditary(
+            f"S = {sorted(pair.s)} is not contained in the breaking vertices of H"
+        )
+    return hmask, smask
+
+
+def oracle_classify_ideal(g: Graph, pair: AdmissiblePair) -> IdealClass:
+    """The direct classification over vertex names; MT1-MT3 by the literal
+    quantifier oracles above (MT4 holds on every finite vertex set)."""
+    _require_condition_k(g)
+    hmask, smask = oracle_check_admissible(g, pair)
+    kept = g.sorted_set(g.names(_breaking_masked(g, hmask) & ~smask))
+    complement = g.names(g.full_mask & ~hmask)
+
+    is_tail = is_cluster = is_return_tail = False
+    if not kept:
+        axioms = oracle_mt1(g, complement) and oracle_mt2(g, complement) and oracle_mt3(g, complement)
+        is_cluster = bool(complement) and axioms
+        is_tail = is_cluster
+    elif len(kept) == 1:
+        is_return_tail = complement == upward_set(g, kept)
+    return _classify_from_structure(kept, is_tail, is_cluster, is_return_tail)
 
 
 @cache

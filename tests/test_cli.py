@@ -1,5 +1,7 @@
 import inspect
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -248,6 +250,91 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
     assert runs == {"kuratowski": 2, "classify": 12}
     # only the input graph is asked for a countable separating set
     assert csp_graphs and len({id(g) for g in csp_graphs}) == 1
+
+
+def test_verify_keeps_pairs_and_points_as_masks(fixture_path, capsys):
+    def bodies(fn):
+        """The code of ``fn`` and of every function defined inside it."""
+        found, todo = set(), [inspect.unwrap(fn).__code__]
+        while todo:
+            code = todo.pop()
+            found.add(code)
+            todo += [c for c in code.co_consts if inspect.iscode(c)]
+        return found
+
+    inside = bodies(ideals.classify_ideal) | bodies(topology._ideal_kernel) | bodies(topology.check_kuratowski)
+    names_body = graph_core.Graph.names.__code__
+    callers = Counter()
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is names_body:
+            f = frame.f_back
+            while f is not None and f.f_code not in inside:
+                f = f.f_back
+            callers[f.f_code.co_name if f else "elsewhere"] += 1
+
+    sys.setprofile(watch)
+    try:
+        code, _, _ = run(capsys, "verify", fixture_path)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert set(callers) == {"elsewhere"}, callers
+
+
+def test_ideals_without_condition_K_prints_one_line():
+    # through a real process, where a library warning would reach stderr
+    result = subprocess.run(
+        [sys.executable, "-m", "ck_spectra.cli", "ideals", "-"],
+        input="vertex a; edge a -> a;\n",
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == "precondition violation: classification requires Condition (K)\n"
+
+
+def test_ideals_limit_comes_before_condition_K(tmp_path, capsys):
+    names = [f"v{i}" for i in range(21)]
+    path = tmp_path / "loops.gcg"
+    path.write_text(f"vertex {', '.join(names)};\n" + "".join(f"edge {v} -> {v};\n" for v in names))
+    code, out, err = run(capsys, "ideals", str(path))
+    assert (code, out) == (4, "") and err.startswith("size limit: ")
+
+
+# -- planted faults: the two classification routes stay independent -----------------
+
+
+def test_verify_catches_a_direct_route_that_ignores_MT3(fixture_path, capsys, monkeypatch):
+    # MT1 and MT2 hold on the complement of every saturated hereditary set,
+    # so MT3 is the axiom that decides the direct verdict.  A direct route
+    # that looked its complements up instead of evaluating them would not
+    # notice this fault, and verify would pass.
+    real = tails._mt_faults
+    monkeypatch.setattr(ideals, "_mt_faults", lambda g, mask: (*real(g, mask)[:2], None))
+    code, out, _ = run(capsys, "ideals", fixture_path)
+    assert code == 0 and "[DISAGREE]" in out
+    code, out, err = run(capsys, "verify", fixture_path)
+    assert code == 1
+    assert err == "verification counterexample: image of the point map differs from the prime-classified pairs\n"
+
+
+def test_verify_catches_a_quotient_without_sink_copies(fixture_path, capsys, monkeypatch):
+    real = ideals.quotient_graph
+
+    def without_sinks(g, pair):
+        q = real(g, pair)
+        copies = set(q.primed.values())
+        built = tuple(b for b in q.built if b.dst not in copies)
+        vertices = [v for v in q.graph.vertices if v not in copies]
+        return ideals.QuotientGraph(graph_core.Graph(vertices, built), {}, built)
+
+    monkeypatch.setattr(ideals, "quotient_graph", without_sinks)
+    monkeypatch.setattr(cli, "quotient_graph", without_sinks)
+    code, out, err = run(capsys, "verify", fixture_path)
+    assert code == 1 and "homeomorphism: ok" in out
+    assert err.startswith("verification counterexample: classification routes disagree")
 
 
 def test_verify_checks_condition_L_once_per_graph(fixture_path, capsys):

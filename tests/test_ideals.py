@@ -1,4 +1,7 @@
 import warnings
+from collections import Counter
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,14 +29,21 @@ from ck_spectra import (
     is_saturated,
     meet,
     mt_report,
+    parse_graph,
     quotient_graph,
     random_condition_k_graph,
     random_graph,
     saturated_hereditary_sets,
 )
-from ck_spectra.ideals import _classify_from_structure
+from ck_spectra.ideals import _check_admissible, _classify_from_structure
 
-from .oracles import oracle_sat_her
+from .oracles import (
+    oracle_check_admissible,
+    oracle_classify_ideal,
+    oracle_is_hereditary,
+    oracle_is_saturated,
+    oracle_sat_her,
+)
 
 seeds = st.integers(0, 10_000)
 f = frozenset
@@ -407,3 +417,60 @@ def test_routes_agree_random(seed):
     g = random_condition_k_graph(seed, 1 + seed % 7)
     for pair in admissible_pairs(g):
         assert classify_ideal(g, pair) == classify_via_quotient(g, pair), (seed, pair)
+
+
+# -- the direct route against its name-based oracle ---------------------------------------
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "lattice-rich"
+ORACLE_GRAPHS = [
+    *(pytest.param(lambda p=p: parse_graph(p.read_text()), id=p.stem) for p in sorted(CORPUS.glob("*.gcg"))),
+    *(pytest.param(lambda s=s: random_condition_k_graph(s, 1 + s % 9), id=f"random-{s}") for s in range(18)),
+]
+
+
+def outcome(fn, *args):
+    """The result, or the class and message of what was raised."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("build", ORACLE_GRAPHS)
+def test_direct_route_matches_its_oracle_on_every_pair(build):
+    g = build()
+    pairs = admissible_pairs(g)
+    assert pairs
+    for pair in pairs:
+        assert _check_admissible(g, pair) == oracle_check_admissible(g, pair)
+        assert classify_ideal(g, pair) == oracle_classify_ideal(g, pair), pair
+
+
+def test_direct_route_rejects_as_its_oracle_does(g7):
+    everything = f(g7.vertices)
+    subsets = [f(c) for k in range(len(everything) + 1) for c in combinations(g7.vertices, k)]
+    pairs = [AdmissiblePair(h, s) for h in subsets for s in (f(), *(f({v}) for v in everything))]
+    pairs += [
+        AdmissiblePair(f(["nope"]), f()),
+        AdmissiblePair(f(), f(["nope"])),
+        AdmissiblePair(f("u"), f(["nope"])),  # H is rejected before S is read
+        AdmissiblePair(f("tyz"), f(["w", "nope"])),
+    ]
+    kinds = Counter()
+    for pair in pairs:
+        assert outcome(_check_admissible, g7, pair) == outcome(oracle_check_admissible, g7, pair), pair
+        assert outcome(classify_ideal, g7, pair) == outcome(oracle_classify_ideal, g7, pair), pair
+        if not pair.h | pair.s <= everything:
+            kinds["unknown vertex"] += 1
+        elif not is_hereditary(g7, pair.h):
+            kinds["not hereditary"] += 1
+        elif not is_saturated(g7, pair.h):
+            kinds["not saturated"] += 1
+        elif not pair.s <= breaking_vertices(g7, pair.h):
+            kinds["S outside B_H"] += 1
+        else:
+            kinds["admissible"] += 1
+    assert len(kinds) == 5, kinds
+    for h in subsets:
+        assert is_hereditary(g7, h) == oracle_is_hereditary(g7, h)
+        assert is_saturated(g7, h) == oracle_is_saturated(g7, h)

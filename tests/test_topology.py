@@ -272,6 +272,27 @@ def test_kuratowski_flags_a_broken_operator(g7):
     assert any(kind == "extensive" for kind, _, _ in rep.failures)
 
 
+def test_kuratowski_sweeps_many_points_without_recursion():
+    from ck_spectra import SpecSpace
+
+    pts = tuple(FRPoint(f"v{i}") for i in range(1500))
+    rep = check_kuratowski(SpecSpace(pts, None, "graph", "discrete", mask_closure=lambda m: m))
+    assert rep.ok and not rep.exhaustive
+    assert rep.subsets_checked == 1502  # the empty set, everything and each singleton
+
+
+def test_kuratowski_flags_a_non_additive_operator_when_sampling():
+    from ck_spectra import SpecSpace
+
+    pts = tuple(FRPoint(f"v{i}") for i in range(14))
+    everything = (1 << 14) - 1
+    # singletons are closed, anything larger closes to everything
+    spread = SpecSpace(pts, None, "graph", "spread", mask_closure=lambda m: m if m & (m - 1) == 0 else everything)
+    rep = check_kuratowski(spread)
+    assert not rep.ok and not rep.exhaustive
+    assert {kind for kind, _, _ in rep.failures} == {"additive"}
+
+
 def test_naive_closure_fails_kuratowski_here(g7):
     from ck_spectra import SpecSpace
 
