@@ -93,8 +93,9 @@ def _load(path: str) -> Graph:
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
-            # line endings as text-mode open() reads them
-            data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            data = fh.read()
+    # line endings as text-mode open() reads them
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -12,13 +12,15 @@ Vertices must be declared before use, the default multiplicity is one, and
 the same pair merge additively (saturating); duplicate labels are errors.
 All errors carry 1-based line and column positions.
 
-The text is a ``str``; a file holds it as UTF-8, and ``cli._load`` reports
-a byte that is not UTF-8 as a parse error.  Blanks are space, tab, carriage
-return and newline; a line ends only at a newline.  An IDENT starts with a
-letter (``str.isalpha``) or an underscore and goes on with letters, digits,
-numeric characters and underscores (``str.isalnum``).  A NAT is a run of
-``str.isdigit`` characters; as a count it must be decimal digits
-(``str.isdecimal``), so ``٣`` reads as 3 and ``²`` is an error.
+The text is a ``str``.  ``cli._load`` reads a file and stdin the same way:
+it turns CRLF and a lone CR into a newline, as text-mode ``open()`` does,
+and reports a byte that is not UTF-8 as a parse error.  In the ``str``,
+blanks are space, tab, carriage return and newline, and a line ends only at
+a newline.  An IDENT starts with a letter (``str.isalpha``) or an
+underscore and goes on with letters, digits, numeric characters and
+underscores (``str.isalnum``).  A NAT is a run of ``str.isdigit``
+characters; as a count it must be decimal digits (``str.isdecimal``), so
+``٣`` reads as 3 and ``²`` is an error.
 
 One compiled regular expression scans the whole text; each match is one
 token (or a comment, dropped), kept as a plain string.  No positions are

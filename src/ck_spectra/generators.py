@@ -123,6 +123,12 @@ def _subset_name(members: Iterable[str]) -> str:
     return "v_" + "_".join(sorted(members))
 
 
+def _all_subsets(t: Iterable[str]):
+    elems = sorted(t)
+    for m in range(1 << len(elems)):
+        yield frozenset(elems[i] for i in _bits(m))
+
+
 def ea_graph(ground, mult: Mult = 1) -> Graph:
     """Subset graph on a ground set: nonempty subsets, bundles along strict inclusion.
 
@@ -135,9 +141,7 @@ def ea_graph(ground, mult: Mult = 1) -> Graph:
     if len(elems) > 4:
         raise SizeLimitExceeded(f"ground set of {len(elems)} elements is above the cap of 4")
     check_mult(mult)
-    subsets = [
-        frozenset(elems[i] for i in _bits(m)) for m in range(1, 1 << len(elems))
-    ]
+    subsets = [s for s in _all_subsets(elems) if s]
     names = [_subset_name(s) for s in subsets]
     if len(set(names)) != len(names) or not all(n.isidentifier() for n in names):
         raise ValueError("ground-set elements produce colliding or invalid vertex names")
@@ -158,11 +162,7 @@ class PXModel:
     points: tuple = field(init=False)
 
     def __post_init__(self):
-        pts = tuple(
-            frozenset(self.ground[i] for i in _bits(m))
-            for m in range(1, 1 << len(self.ground))
-        )
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", tuple(s for s in _all_subsets(self.ground) if s))
 
 
 def px_model(ground) -> PXModel:
@@ -188,12 +188,6 @@ def px_closure(model: PXModel, family: Iterable[frozenset]) -> frozenset:
         if all(any(a <= s for s in fam) for a in _all_subsets(t)):
             out.append(t)
     return frozenset(out)
-
-
-def _all_subsets(t: frozenset):
-    elems = sorted(t)
-    for m in range(1 << len(elems)):
-        yield frozenset(elems[i] for i in _bits(m))
 
 
 def phi(model: PXModel, point: frozenset) -> frozenset:

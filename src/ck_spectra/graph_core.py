@@ -152,7 +152,7 @@ class Graph:
     addition; labeled bundles keep their identity and labels must be unique.
     """
 
-    def __init__(self, vertices: Iterable[str], bundles: Iterable[Bundle | tuple] = ()):
+    def __init__(self, vertices: Iterable[str], bundles: Iterable[Bundle] = ()):
         verts = tuple(vertices)
         if len(set(verts)) != len(verts):
             raise ValueError("vertex identifiers must be distinct")
@@ -163,8 +163,6 @@ class Graph:
         labeled: list[Bundle] = []
         seen_labels: set[str] = set()
         for b in bundles:
-            if not isinstance(b, Bundle):
-                b = Bundle(*b)
             if b.src not in index:
                 raise UnknownVertex(f"unknown source vertex {b.src!r}")
             if b.dst not in index:

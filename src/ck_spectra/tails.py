@@ -53,12 +53,8 @@ class MtReport:
         return self.mt1 and self.mt2
 
     @property
-    def cluster_axioms(self) -> bool:
-        return self.mt1 and self.mt2 and self.mt3
-
-    @property
     def tail_axioms(self) -> bool:
-        return self.cluster_axioms and self.mt4
+        return self.mt1 and self.mt2 and self.mt3 and self.mt4
 
 
 def mt_report(g: Graph, members) -> MtReport:

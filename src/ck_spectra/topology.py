@@ -81,25 +81,23 @@ class FRPoint:
 SpecPoint = Union[ClusterPoint, FRPoint]
 
 
-def _require_condition_k(g: Graph) -> None:
+def _points(g: Graph, tails_of: Callable[[Graph], list]) -> list[SpecPoint]:
+    """A point per set of ``tails_of(g)``, then per finite-return vertex; needs (K)."""
     if not condition_K(g):
         raise ConditionKRequired("spectrum computations require Condition (K)")
+    pts: list[SpecPoint] = [ClusterPoint(c) for c in tails_of(g)]
+    pts += [FRPoint(v) for v in g.sorted_set(finite_return_vertices(g))]
+    return pts
 
 
 def spec_points(g: Graph) -> list[SpecPoint]:
     """Points of the prime spectrum: clusters, then finite-return vertices."""
-    _require_condition_k(g)
-    pts: list[SpecPoint] = [ClusterPoint(c) for c in clusters(g)]
-    pts += [FRPoint(v) for v in g.sorted_set(finite_return_vertices(g))]
-    return pts
+    return _points(g, clusters)
 
 
 def prim_points(g: Graph) -> list[SpecPoint]:
     """Points of the primitive ideal space: maximal tails, then return vertices."""
-    _require_condition_k(g)
-    pts: list[SpecPoint] = [ClusterPoint(c) for c in maximal_tails(g)]
-    pts += [FRPoint(v) for v in g.sorted_set(finite_return_vertices(g))]
-    return pts
+    return _points(g, maximal_tails)
 
 
 @per_graph
@@ -110,7 +108,6 @@ def _point_mask(g: Graph, p: SpecPoint) -> int:
     return g.coreach[g.require_vertex(p.vertex)]
 
 
-@per_graph
 def _essential_mask(g: Graph, p: SpecPoint) -> int:
     """Vertices of the point's set that stay essential for ideal containment.
 

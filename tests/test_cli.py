@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -49,8 +50,9 @@ def test_parse_error_exits_two(tmp_path, capsys):
         ("vertex a, b;\nedge a -> b * ²;\n".encode(), "2:15"),  # int() rejects '²'
         (b"vertex a;\n# caf\xc3\xa9\nedge a -> \xff a;\n", "3:11"),  # not UTF-8
         (b"vertex a;\r\n\xc3(", "2:1"),  # a cut multibyte sequence, after CRLF
+        (b"vertex a;\redge a -> b;\r", "2:11"),  # a lone CR ends the line
     ],
-    ids=["superscript-count", "bad-byte", "cut-sequence"],
+    ids=["superscript-count", "bad-byte", "cut-sequence", "lone-cr"],
 )
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_bad_count_and_bad_bytes_exit_two(data, position, source, tmp_path, capsys, monkeypatch):
@@ -337,6 +339,68 @@ def test_verify_catches_a_quotient_without_sink_copies(fixture_path, capsys, mon
     assert err.startswith("verification counterexample: classification routes disagree")
 
 
+# -- planted faults: each check of verify reports its own failure -------------------
+
+
+def test_verify_reports_a_kuratowski_failure(fixture_path, capsys, monkeypatch):
+    def empty_closure(g, side="graph"):
+        return topology.SpecSpace(topology.spec_points(g), None, side, "spec", lambda m: 0)
+
+    monkeypatch.setattr(cli, "spec_space", empty_closure)
+    code, out, err = run(capsys, "verify", fixture_path)
+    assert code == 1 and "homeomorphism: ok" in out
+    assert err == (
+        "verification counterexample: kuratowski axioms fail for spec/graph: "
+        "('extensive', frozenset({ClusterPoint(members=frozenset({'w'}))}), None)\n"
+    )
+
+
+def test_verify_reports_a_realization_that_does_not_round_trip(fixture_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "tail_of_boundary", lambda g, path: frozenset())
+    code, _, err = run(capsys, "verify", fixture_path)
+    assert (code, err) == (1, "verification counterexample: realization does not round-trip\n")
+
+
+def test_verify_reports_a_quotient_without_condition_L(fixture_path, capsys, monkeypatch):
+    # the quotient route reads ideals.condition_L, which stays real
+    monkeypatch.setattr(cli, "condition_L", lambda g: False)
+    code, out, err = run(capsys, "verify", fixture_path)
+    assert code == 1 and "tail realization round-trip: ok" in out
+    assert err == "verification counterexample: a quotient of a Condition-(K) graph violates (L)\n"
+
+
+def test_verify_reports_a_point_map_that_is_not_injective(fixture_path, capsys, monkeypatch):
+    monkeypatch.setattr(topology, "h_map", lambda g, p: ideals.AdmissiblePair(frozenset(), frozenset()))
+    code, _, err = run(capsys, "verify", fixture_path)
+    assert (code, err) == (1, "verification counterexample: point-to-ideal map is not injective\n")
+
+
+def test_verify_reports_primitive_points_that_match_no_primitive_pair(fixture_path, capsys, monkeypatch):
+    real = topology.classify_ideal
+
+    def demoted(g, pair):
+        verdict = real(g, pair)
+        if verdict.kind is ideals.IdealKind.PRIMITIVE_TAIL:
+            return ideals.IdealClass(ideals.IdealKind.PRIME_NOT_PRIMITIVE)
+        return verdict
+
+    monkeypatch.setattr(topology, "classify_ideal", demoted)
+    code, _, err = run(capsys, "verify", fixture_path)
+    assert (code, err) == (
+        1,
+        "verification counterexample: primitive points do not match the primitive-classified pairs\n",
+    )
+
+
+def test_verify_reports_primitive_points_that_are_not_dense(fixture_path, capsys, monkeypatch):
+    real = topology.graph_closure
+    monkeypatch.setattr(
+        topology, "graph_closure", lambda g, xs, ambient=None: real(g, xs, ambient) - {ambient[0]}
+    )
+    code, _, err = run(capsys, "verify", fixture_path)
+    assert (code, err) == (1, "verification counterexample: primitive points are not dense\n")
+
+
 def test_verify_checks_condition_L_once_per_graph(fixture_path, capsys):
     body = inspect.unwrap(graph_core.condition_L).__code__
     checked = []  # kept alive, so that no two of them share an id
@@ -446,11 +510,34 @@ def test_byte_identical_output_across_runs(fixture_path, capsys):
         ("verify",),
         ("export", "--json"),
         ("export", "--dot"),
+        ("check", "--json"),
+        ("tails", "--json"),
+        ("quotient", "--json", "--H", "t,y,z", "--S", "w"),
+        ("closure", "--json", "--points", "T4,FR:x"),
     ]
     for cmd in commands:
         first = run(capsys, *cmd, fixture_path)
         second = run(capsys, *cmd, fixture_path)
         assert first == second, cmd
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--json"),
+        ("tails", "--json"),
+        ("quotient", "--json", "--H", "t,y,z", "--S", "w"),
+        ("closure", "--json", "--points", "T4,FR:x"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_output_matches_its_golden_file(argv, fixture_path, capsys):
+    code, out, err = run(capsys, *argv, fixture_path)
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN_DIR / f"{argv[0]}.json").read_bytes()
 
 
 # -- generation and export -------------------------------------------------------------

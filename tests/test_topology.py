@@ -293,6 +293,27 @@ def test_kuratowski_flags_a_non_additive_operator_when_sampling():
     assert {kind for kind, _, _ in rep.failures} == {"additive"}
 
 
+@pytest.mark.parametrize(
+    "n, mask_closure, kinds",
+    [
+        # the sweep also finds the empty set's closure above its empty union
+        (2, lambda m: m | 1, {"empty", "additive"}),
+        (3, lambda m: m | (m << 1) & 0b111, {"idempotent"}),
+        # singletons are closed, anything larger closes to everything; on 3
+        # points the 3 additive failures leave room among the first 8 reported
+        (3, lambda m: m if m & (m - 1) == 0 else 0b111, {"additive", "union"}),
+    ],
+    ids=["empty", "idempotent", "union"],
+)
+def test_kuratowski_names_each_failing_axiom(n, mask_closure, kinds):
+    from ck_spectra import SpecSpace
+
+    pts = tuple(FRPoint(f"v{i}") for i in range(n))
+    rep = check_kuratowski(SpecSpace(pts, None, "graph", "synthetic", mask_closure=mask_closure))
+    assert not rep.ok and rep.exhaustive
+    assert {kind for kind, _, _ in rep.failures} == kinds
+
+
 def test_naive_closure_fails_kuratowski_here(g7):
     from ck_spectra import SpecSpace
 
