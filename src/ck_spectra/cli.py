@@ -38,10 +38,10 @@ from .graph_core import (
 )
 from .ideals import (
     AdmissiblePair,
+    _quotient_verdict,
     admissible_pair,
     admissible_pairs,
     classify_ideal,
-    classify_quotient,
     classify_via_quotient,
     quotient_graph,
     saturated_hereditary_sets,
@@ -393,10 +393,10 @@ def cmd_verify(args) -> int:
 
     disagreements, bad = [], []
     for pair in admissible_pairs(g, args.limit):
-        q = quotient_graph(g, pair)
-        if classify_ideal(g, pair) != classify_quotient(q):
+        verdict, has_l = _quotient_verdict(g, pair)
+        if classify_ideal(g, pair) != verdict:
             disagreements.append(pair)
-        if not condition_L(q.graph):
+        if not has_l:
             bad.append(pair)
     if disagreements:
         raise VerificationFailure(
@@ -466,8 +466,22 @@ def probability(text: str) -> float:
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _AskTheFullParser(Exception):
+    """Help or a usage error, whose text lists every subcommand."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        raise _AskTheFullParser
+
+    def error(self, message):
+        raise _AskTheFullParser
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; with ``only``, of that one, raising
+    :class:`_AskTheFullParser` where it would print help or a usage error."""
+    parser = (argparse.ArgumentParser if only is None else _OneCommandParser)(
         prog="ck-spectra",
         description="Ideal lattices and prime/primitive spectra of graph algebras under Condition (K).",
     )
@@ -476,7 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, limit=False):
+    def add(name, fn, help_text, *flags, limit=False):
+        """The subparser, with its path, ``--limit`` and store-true flags; None if unwanted."""
+        if only not in (None, name):
+            return None
         p = sub.add_parser(name, help=help_text)
         p.add_argument("path", help="input .gcg file, or - for stdin")
         if limit:
@@ -486,64 +503,62 @@ def build_parser() -> argparse.ArgumentParser:
                 default=DEFAULT_ENUMERATION_LIMIT,
                 help="vertex cap for enumerating saturated hereditary sets and admissible pairs",
             )
+        for flag in flags:
+            p.add_argument(flag, action="store_true")
         p.set_defaults(func=fn)
         return p
 
-    p = add("check", cmd_check, "structural predicates and vertex classes")
-    p.add_argument("--json", action="store_true")
-
-    p = add("tails", cmd_tails, "maximal tails, clusters and finite-return vertices")
-    p.add_argument("--json", action="store_true")
-
-    p = add("ideals", cmd_ideals, "admissible pairs with their classification", limit=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("quotient", cmd_quotient, "quotient graph of an admissible pair")
-    p.add_argument("--H", default="", help="comma-separated saturated hereditary set")
-    p.add_argument("--S", default="", help="comma-separated kept breaking vertices")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--dot", action="store_true")
-
-    p = add("spec", cmd_spec, "prime spectrum with its topology")
-    p.add_argument("--json", action="store_true")
-
-    p = add("prim", cmd_prim, "primitive ideal space with its topology")
-    p.add_argument("--json", action="store_true")
-
-    p = add("closure", cmd_closure, "closure of a point set along both routes")
-    p.add_argument("--points", default="", help="comma-separated point names (T1, FR:v, ...)")
-    p.add_argument("--space", choices=("spec", "prim"), default="spec")
-    p.add_argument("--json", action="store_true")
-
-    p = add("verify", cmd_verify, "run the full property suite on one graph", limit=True)
-    p.add_argument("--exhaustive-limit", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("gen", help="emit a generated graph as .gcg")
-    gen_sub = p.add_subparsers(dest="kind", required=True)
-    pf = gen_sub.add_parser("fixture", help="the seven-vertex reference example")
-    pf.set_defaults(func=cmd_gen, kind="fixture")
-    pe = gen_sub.add_parser("ea", help="subset graph on a ground set")
-    pe.add_argument("--set", required=True, help="comma-separated ground elements")
-    pe.add_argument("--mult", type=multiplicity, default="1", help="bundle multiplicity (count or inf)")
-    pe.set_defaults(func=cmd_gen, kind="ea")
-    pr = gen_sub.add_parser("random", help="seeded random Condition-(K) graph")
-    pr.add_argument("--seed", type=int, required=True)
-    pr.add_argument("--n", type=vertex_count, required=True)
-    pr.add_argument("--density", type=probability, default=0.3)
-    pr.add_argument("--omega-prob", type=probability, default=0.25)
-    pr.add_argument("--allow-non-k", action="store_true", help="skip the repair pass")
-    pr.set_defaults(func=cmd_gen, kind="random")
-
-    p = add("export", cmd_export, "emit a parsed graph as JSON or DOT")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--dot", action="store_true")
-
+    add("check", cmd_check, "structural predicates and vertex classes", "--json")
+    add("tails", cmd_tails, "maximal tails, clusters and finite-return vertices", "--json")
+    add("ideals", cmd_ideals, "admissible pairs with their classification", "--json", limit=True)
+    if p := add("quotient", cmd_quotient, "quotient graph of an admissible pair"):
+        p.add_argument("--H", default="", help="comma-separated saturated hereditary set")
+        p.add_argument("--S", default="", help="comma-separated kept breaking vertices")
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--dot", action="store_true")
+    add("spec", cmd_spec, "prime spectrum with its topology", "--json")
+    add("prim", cmd_prim, "primitive ideal space with its topology", "--json")
+    if p := add("closure", cmd_closure, "closure of a point set along both routes"):
+        p.add_argument("--points", default="", help="comma-separated point names (T1, FR:v, ...)")
+        p.add_argument("--space", choices=("spec", "prim"), default="spec")
+        p.add_argument("--json", action="store_true")
+    if p := add("verify", cmd_verify, "run the full property suite on one graph", limit=True):
+        p.add_argument("--exhaustive-limit", type=int, default=12)
+        p.add_argument("--seed", type=int, default=0)
+    if only in (None, "gen"):
+        p = sub.add_parser("gen", help="emit a generated graph as .gcg")
+        gen_sub = p.add_subparsers(dest="kind", required=True)
+        pf = gen_sub.add_parser("fixture", help="the seven-vertex reference example")
+        pf.set_defaults(func=cmd_gen, kind="fixture")
+        pe = gen_sub.add_parser("ea", help="subset graph on a ground set")
+        pe.add_argument("--set", required=True, help="comma-separated ground elements")
+        pe.add_argument("--mult", type=multiplicity, default="1", help="bundle multiplicity (count or inf)")
+        pe.set_defaults(func=cmd_gen, kind="ea")
+        pr = gen_sub.add_parser("random", help="seeded random Condition-(K) graph")
+        pr.add_argument("--seed", type=int, required=True)
+        pr.add_argument("--n", type=vertex_count, required=True)
+        pr.add_argument("--density", type=probability, default=0.3)
+        pr.add_argument("--omega-prob", type=probability, default=0.25)
+        pr.add_argument("--allow-non-k", action="store_true", help="skip the repair pass")
+        pr.set_defaults(func=cmd_gen, kind="random")
+    add("export", cmd_export, "emit a parsed graph as JSON or DOT", "--json", "--dot")
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parse with only the subparser that argv names; help, ``--version`` and
+    usage errors go to the full parser, whose text lists every subcommand."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and not argv[0].startswith("-"):
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except _AskTheFullParser:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except ParseError as err:

@@ -9,7 +9,9 @@ separation property) live here, together with bitmask reachability.
 Reachability, the simple-cycle classes behind Condition (K), and the MT3
 (downward directedness) and MT4 (countable separation) checks all come from
 one strongly connected condensation per graph, ``Graph.condensation``, so each
-costs O(n + m) big-int operations.
+costs O(n + m) big-int operations.  Its search, :func:`strong_components`,
+works on successor masks alone, so the quotient route in ``ideals`` runs it
+on quotient graphs that are never built as a :class:`Graph`.
 
 Vertex subsets are plain ``frozenset`` objects at the API boundary; the
 implementation works on integer bitmasks indexed by declaration order, which
@@ -21,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import SizeLimitExceeded, UnknownVertex
@@ -137,11 +140,67 @@ class VertexClassification:
         return self.sinks | self.infinite_emitters
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def strong_components(succ: list[int], vertices: int) -> tuple[list[int], list[int]]:
+    """Component masks, sinks first, and comp[i] (-1 off ``vertices``) of the
+    digraph on the bits of ``vertices`` whose successor masks are ``succ``.
+
+    Tarjan's algorithm (SIAM J. Comput. 1, 1972), kept on explicit stacks so
+    that a cycle longer than the recursion limit is fine.  A component comes
+    after every component it reaches.  Bits are walked inline, not with
+    ``_bits``: the quotient route condenses thousands of small graphs, where
+    a generator per vertex costs more than the search.
+    """
+    size = vertices.bit_length()
+    found = [-1] * size  # discovery time
+    low = [0] * size
+    comp = [-1] * size
+    masks: list[int] = []
+    pending: list[int] = []  # discovered, not yet placed in a component
+    clock = 0
+    for root in range(size):
+        if found[root] >= 0 or not vertices >> root & 1:
+            continue
+        found[root] = low[root] = clock
+        clock += 1
+        pending.append(root)
+        work = [[root, succ[root]]]  # each vertex with its successors still to try
+        while work:
+            frame = work[-1]
+            v, out = frame
+            while out:
+                bit = out & -out
+                out ^= bit
+                w = bit.bit_length() - 1
+                if found[w] < 0:
+                    frame[1] = out
+                    found[w] = low[w] = clock
+                    clock += 1
+                    pending.append(w)
+                    work.append([w, succ[w]])
+                    break
+                if comp[w] < 0 and found[w] < low[v]:
+                    low[v] = found[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == found[v]:  # v and everything pending above it
+                    members = 0
+                    while pending and found[pending[-1]] >= found[v]:
+                        members |= 1 << pending[-1]
+                        comp[pending.pop()] = len(masks)
+                    masks.append(members)
+    return masks, comp
 
 
 class Graph:
@@ -226,7 +285,8 @@ class Graph:
         return m
 
     def names(self, mask: int) -> frozenset:
-        return frozenset(self.vertices[i] for i in _bits(mask))
+        # one pass over bin(mask), low bit first: byte i is 1 iff bit i is set
+        return frozenset(compress(self.vertices, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
     def sorted_set(self, names: Iterable[str]) -> tuple[str, ...]:
         """The subset listed in declaration order (canonical output order)."""
@@ -266,55 +326,9 @@ class Graph:
 
     @cached_property
     def condensation(self) -> tuple[list[int], list[int]]:
-        """Strongly connected components: their masks, sinks first, and comp[i].
-
-        Tarjan's algorithm (SIAM J. Comput. 1, 1972), kept on explicit stacks
-        so that a cycle longer than the recursion limit is fine.  A component
-        comes after every component it reaches.  Bits are walked inline, not
-        with ``_bits``: the classification builds thousands of small quotient
-        graphs, where a generator per vertex costs more than the search.
-        """
-        succ = self.succ_mask
-        found = [-1] * self.n  # discovery time
-        low = [0] * self.n
-        comp = [-1] * self.n
-        masks: list[int] = []
-        pending: list[int] = []  # discovered, not yet placed in a component
-        clock = 0
-        for root in range(self.n):
-            if found[root] >= 0:
-                continue
-            found[root] = low[root] = clock
-            clock += 1
-            pending.append(root)
-            work = [[root, succ[root]]]  # each vertex with its successors still to try
-            while work:
-                frame = work[-1]
-                v, out = frame
-                while out:
-                    bit = out & -out
-                    out ^= bit
-                    w = bit.bit_length() - 1
-                    if found[w] < 0:
-                        frame[1] = out
-                        found[w] = low[w] = clock
-                        clock += 1
-                        pending.append(w)
-                        work.append([w, succ[w]])
-                        break
-                    if comp[w] < 0 and found[w] < low[v]:
-                        low[v] = found[w]
-                else:
-                    work.pop()
-                    if work and low[v] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[v]
-                    if low[v] == found[v]:  # v and everything pending above it
-                        members = 0
-                        while pending and found[pending[-1]] >= found[v]:
-                            members |= 1 << pending[-1]
-                            comp[pending.pop()] = len(masks)
-                        masks.append(members)
-        return masks, comp
+        """Strongly connected components: masks, sinks first, and comp[i]; the
+        quotient route runs :func:`strong_components` on its own masks instead."""
+        return strong_components(self.succ_mask, self.full_mask)
 
     def _closure(self, step: list[int], order: Iterable[int]) -> list[int]:
         """Per-vertex closure under ``step``; a component's members share one int.
@@ -386,6 +400,7 @@ def per_graph(fn: Callable) -> Callable:
             out = memo[args] = fn(g, *args)
         return out
 
+    cached.memo = lambda g: g.__dict__.setdefault(slot, {})  # to seed known results
     return cached
 
 

@@ -8,10 +8,12 @@ primitive, prime-but-not-primitive, or not prime in two independent ways:
 
 * :func:`classify_ideal` reads the answer off the complement of H directly
   (tail / cluster membership and the kept breaking vertices), and
-* :func:`classify_via_quotient` builds the quotient graph and applies the
-  primeness criterion (Condition (L) plus downward directedness) to it.
+* :func:`classify_via_quotient` tests the quotient graph for primeness
+  (Condition (L) plus downward directedness) on the quotient's own vertex
+  bitmasks, built from the parent's bundles and breaking vertices alone.
 
 The two must agree everywhere; the test suite uses that as its main oracle.
+Past the (K) check, the quotient route reads no reachability or tails.
 
 Breaking vertices are counted by *edges*: the saturating multiplicity sum of
 the bundles escaping H must be finite and nonzero.  Counting target vertices
@@ -19,9 +21,11 @@ instead can disagree when an OMEGA bundle leaves H;
 :func:`breaking_vertex_discrepancies` reports exactly those vertices.
 
 Inside, a pair is ``(hmask, smask)``: admissibility, breaking vertices and
-the MT axioms of the complement are all decided on vertex bitmasks.  Names
-appear only at the boundary: :class:`AdmissiblePair`, ``IdealClass.v0`` and
-the quotient graph's vertices and bundles.
+the MT axioms of the complement are all decided on vertex bitmasks.  An
+enumerated pair carries the masks it was built from; only pairs from outside
+are validated.  Names appear only at the boundary: :class:`AdmissiblePair`,
+``IdealClass.v0`` and the named quotient graph of :func:`quotient_graph`,
+which the ``quotient`` command and rendering use.
 """
 
 from __future__ import annotations
@@ -41,12 +45,11 @@ from .graph_core import (
     _bits,
     classify_vertices,
     condition_K,
-    condition_L,
-    is_downward_directed,
     is_omega,
     mult_sum,
     per_graph,
     require_enumerable,
+    strong_components,
 )
 from .tails import _mt_faults, clusters
 
@@ -121,12 +124,12 @@ def _sat_her_faults(g: Graph, mask: int) -> tuple:
 def saturated_hereditary_sets(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[frozenset]:
     """All saturated hereditary subsets, in canonical bitmask order."""
     require_enumerable(g, limit)
-    return _sat_her_scan(g)
+    return [g.names(hmask) for hmask in _sat_her_scan(g)]
 
 
 @per_graph
-def _sat_her_scan(g: Graph) -> list[frozenset]:
-    """Complements of the unions of tails, by the mask of H.
+def _sat_her_scan(g: Graph) -> list[int]:
+    """Masks of the complements of the unions of tails, in increasing order.
 
     H is saturated hereditary exactly when its complement C satisfies MT1 and
     MT2.  Every union of tails does; conversely, following MT2 inside C from
@@ -137,7 +140,7 @@ def _sat_her_scan(g: Graph) -> list[frozenset]:
     for tail in clusters(g):
         m = g.mask(tail)
         unions |= {u | m for u in unions}
-    return [g.names(g.full_mask ^ u) for u in sorted(unions, reverse=True)]
+    return [g.full_mask ^ u for u in sorted(unions, reverse=True)]
 
 
 # -- breaking vertices ---------------------------------------------------------
@@ -228,12 +231,19 @@ def admissible_pairs(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[A
 
 @per_graph
 def _pair_scan(g: Graph) -> list[AdmissiblePair]:
-    pairs = []
-    for h in _sat_her_scan(g):
-        subsets = [frozenset()]  # subsets[k] holds the breakers at the bits of k
-        for i in _bits(_breaking_masked(g, g.mask(h))):
-            subsets += [s | {g.vertices[i]} for s in subsets]
-        pairs += [AdmissiblePair(h, s) for s in subsets]
+    """Every pair; each is admissible by construction, so its masks go straight
+    into the memo of :func:`_check_admissible`."""
+    pairs, known = [], _check_admissible.memo(g)
+    for hmask in _sat_her_scan(g):
+        h = g.names(hmask)
+        subsets = [(0, frozenset())]
+        for i in _bits(_breaking_masked(g, hmask)):
+            bit, v = 1 << i, g.vertices[i]
+            subsets += [(smask | bit, s | {v}) for smask, s in subsets]
+        for smask, s in subsets:
+            pair = AdmissiblePair(h, s)
+            known[(pair,)] = hmask, smask
+            pairs.append(pair)
     return pairs
 
 
@@ -380,7 +390,7 @@ def classify_ideal(g: Graph, pair: AdmissiblePair) -> IdealClass:
 
 
 def classify_via_quotient(g: Graph, pair: AdmissiblePair) -> IdealClass:
-    """Classify by building the quotient graph and testing it for primeness.
+    """Classify through the quotient graph, tested for primeness on its masks.
 
     The quotient algebra is prime iff the quotient graph satisfies Condition
     (L) and is downward directed.  Primitivity additionally needs the
@@ -389,17 +399,93 @@ def classify_via_quotient(g: Graph, pair: AdmissiblePair) -> IdealClass:
     zero algebra and counts as not prime.
     """
     _require_condition_k(g)
-    return classify_quotient(quotient_graph(g, pair))
+    return _quotient_verdict(g, pair)[0]
 
 
-def classify_quotient(q: QuotientGraph) -> IdealClass:
-    """The primeness test of :func:`classify_via_quotient` on a built quotient."""
-    qg = q.graph
-    if not qg.vertices:
-        return IdealClass(IdealKind.NOT_PRIME)
-    if not (condition_L(qg).holds and is_downward_directed(qg, qg.vertices).holds):
-        return IdealClass(IdealKind.NOT_PRIME)
-    if len(q.primed) == 1:
-        (v0,) = q.primed
-        return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=v0)
-    return IdealClass(IdealKind.PRIMITIVE_TAIL)
+@dataclass(frozen=True)
+class _Quotient:
+    """:func:`quotient_graph` on bitmasks: the complement of H keeps its bits,
+    and the sink copy of the j-th kept breaking vertex is bit n + j."""
+
+    succ: list  # successor mask of each bit
+    vertices: int
+    one: int  # the vertices of total out-multiplicity one
+    kept: int  # the kept breaking vertices, B_H minus S, as parent bits
+
+    @cached_property
+    def components(self) -> list[int]:
+        return strong_components(self.succ, self.vertices)[0]
+
+
+@per_graph
+def _unit_edges(g: Graph) -> list[int]:
+    """unit[i]: the mask of the vertices that i reaches along exactly one edge."""
+    total: dict = {}
+    for b in g.bundles:
+        key = g.index[b.src], g.index[b.dst]
+        total[key] = total.get(key, 0) + b.mult
+    unit = [0] * g.n
+    for (i, j), m in total.items():
+        if m == 1:
+            unit[i] |= 1 << j
+    return unit
+
+
+def _quotient_masks(g: Graph, pair: AdmissiblePair) -> _Quotient:
+    """Build the quotient of the pair from the parent's bundles and breaking
+    vertices alone: an edge into a kept breaking vertex also runs to its copy."""
+    hmask, smask = _check_admissible(g, pair)
+    kept = _breaking_masked(g, hmask) & ~smask
+    n, rest, unit, parent_succ = g.n, g.full_mask & ~hmask, _unit_edges(g), g.succ_mask
+    copy = {1 << i: 1 << n + j for j, i in enumerate(_bits(kept))}
+    succ = [0] * (n + len(copy))
+    one = 0
+    for i in _bits(rest):
+        out = parent_succ[i] & rest
+        if out & unit[i] & ~kept and not out & out - 1:
+            one |= 1 << i
+        if out & kept:
+            out |= sum(c for bit, c in copy.items() if out & bit)
+        succ[i] = out
+    return _Quotient(succ, rest | (1 << n + len(copy)) - (1 << n), one, kept)
+
+
+def _quotient_condition_L(q: _Quotient) -> bool:
+    """Every cycle has an exit: no component inside the vertices of
+    out-multiplicity one carries a cycle (any member, say the last, has a
+    successor in it), for such a component is the vertex set of an exitless
+    cycle."""
+    for c in q.components:
+        if not c & ~q.one and q.succ[c.bit_length() - 1] & c:
+            return False
+    return True
+
+
+def _one_terminal_component(q: _Quotient) -> bool:
+    """Downward directedness of the whole quotient.
+
+    In a finite digraph every vertex reaches a terminal component, so every
+    two vertices reach a common vertex iff exactly one component is terminal.
+    """
+    terminal = 0
+    for c in q.components:
+        out, rest = 0, c
+        while rest:
+            bit = rest & -rest
+            out |= q.succ[bit.bit_length() - 1]
+            rest ^= bit
+        if not out & ~c:
+            terminal += 1
+    return terminal == 1
+
+
+def _quotient_verdict(g: Graph, pair: AdmissiblePair) -> tuple[IdealClass, bool]:
+    """The verdict of :func:`classify_via_quotient`, and whether the quotient
+    satisfies Condition (L), from one build of the quotient's masks."""
+    q = _quotient_masks(g, pair)
+    has_l = _quotient_condition_L(q)
+    if not (q.vertices and has_l and _one_terminal_component(q)):
+        return IdealClass(IdealKind.NOT_PRIME), has_l
+    if q.kept and not q.kept & q.kept - 1:
+        return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=g.vertices[q.kept.bit_length() - 1]), has_l
+    return IdealClass(IdealKind.PRIMITIVE_TAIL), has_l

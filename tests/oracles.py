@@ -11,7 +11,9 @@ the character-at-a-time tokenizer and token-object parser that the
 regex scanner in ``ck_spectra.gcg`` replaced.  ``oracle_check_admissible``
 and ``oracle_classify_ideal`` are the name-based bodies that the mask cores
 of ``ck_spectra.ideals`` replaced, with the hereditary, saturated and MT
-tests read off explicit sets.
+tests read off explicit sets.  ``oracle_classify_quotient`` is the quotient
+route on the named quotient graph, through the package's ``condition_L`` and
+``is_downward_directed``, that the quotient's own masks replaced.
 """
 
 from __future__ import annotations
@@ -31,12 +33,16 @@ from ck_spectra.graph_core import (
     CycleClass,
     Graph,
     classify_vertices,
+    condition_L,
+    is_downward_directed,
     is_omega,
     upward_set,
 )
 from ck_spectra.ideals import (
     AdmissiblePair,
     IdealClass,
+    IdealKind,
+    QuotientGraph,
     _breaking_masked,
     _classify_from_structure,
     _require_condition_k,
@@ -288,6 +294,20 @@ def oracle_classify_ideal(g: Graph, pair: AdmissiblePair) -> IdealClass:
     elif len(kept) == 1:
         is_return_tail = complement == upward_set(g, kept)
     return _classify_from_structure(kept, is_tail, is_cluster, is_return_tail)
+
+
+def oracle_classify_quotient(q: QuotientGraph) -> IdealClass:
+    """The quotient route on the named quotient graph: Condition (L) by its
+    out-degree-one chase and downward directedness by its pair scan."""
+    qg = q.graph
+    if not qg.vertices:
+        return IdealClass(IdealKind.NOT_PRIME)
+    if not (condition_L(qg).holds and is_downward_directed(qg, qg.vertices).holds):
+        return IdealClass(IdealKind.NOT_PRIME)
+    if len(q.primed) == 1:
+        (v0,) = q.primed
+        return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=v0)
+    return IdealClass(IdealKind.PRIMITIVE_TAIL)
 
 
 @cache

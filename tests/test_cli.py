@@ -284,6 +284,27 @@ def test_verify_keeps_pairs_and_points_as_masks(fixture_path, capsys):
     assert set(callers) == {"elsewhere"}, callers
 
 
+def test_verify_validates_no_enumerated_pair(fixture_path, capsys):
+    # an enumerated pair is admissible by construction and keeps its masks
+    mask_body, check_body = graph_core.Graph.mask.__code__, inspect.unwrap(ideals._check_admissible).__code__
+    callers, validated = Counter(), []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is mask_body:
+            callers[frame.f_back.f_code.co_name] += 1
+        elif event == "call" and frame.f_code is check_body:
+            validated.append(frame.f_locals["pair"])
+
+    sys.setprofile(watch)
+    try:
+        code, _, _ = run(capsys, "verify", fixture_path)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert validated == []
+    assert not {"_check_admissible", "_pair_scan", "_quotient_masks"} & callers.keys(), callers
+
+
 def test_ideals_without_condition_K_prints_one_line():
     # through a real process, where a library warning would reach stderr
     result = subprocess.run(
@@ -323,17 +344,14 @@ def test_verify_catches_a_direct_route_that_ignores_MT3(fixture_path, capsys, mo
 
 
 def test_verify_catches_a_quotient_without_sink_copies(fixture_path, capsys, monkeypatch):
-    real = ideals.quotient_graph
+    real = ideals._quotient_masks
 
     def without_sinks(g, pair):
         q = real(g, pair)
-        copies = set(q.primed.values())
-        built = tuple(b for b in q.built if b.dst not in copies)
-        vertices = [v for v in q.graph.vertices if v not in copies]
-        return ideals.QuotientGraph(graph_core.Graph(vertices, built), {}, built)
+        parent = g.full_mask
+        return ideals._Quotient([m & parent for m in q.succ], q.vertices & parent, q.one, q.kept)
 
-    monkeypatch.setattr(ideals, "quotient_graph", without_sinks)
-    monkeypatch.setattr(cli, "quotient_graph", without_sinks)
+    monkeypatch.setattr(ideals, "_quotient_masks", without_sinks)
     code, out, err = run(capsys, "verify", fixture_path)
     assert code == 1 and "homeomorphism: ok" in out
     assert err.startswith("verification counterexample: classification routes disagree")
@@ -362,8 +380,11 @@ def test_verify_reports_a_realization_that_does_not_round_trip(fixture_path, cap
 
 
 def test_verify_reports_a_quotient_without_condition_L(fixture_path, capsys, monkeypatch):
-    # the quotient route reads ideals.condition_L, which stays real
-    monkeypatch.setattr(cli, "condition_L", lambda g: False)
+    # The fault fires only on quotients that are not downward directed, which
+    # are not prime either way: the two routes still agree, and only the (L)
+    # check can see it.
+    real = ideals._quotient_condition_L
+    monkeypatch.setattr(ideals, "_quotient_condition_L", lambda q: real(q) and ideals._one_terminal_component(q))
     code, out, err = run(capsys, "verify", fixture_path)
     assert code == 1 and "tail realization round-trip: ok" in out
     assert err == "verification counterexample: a quotient of a Condition-(K) graph violates (L)\n"
@@ -402,12 +423,13 @@ def test_verify_reports_primitive_points_that_are_not_dense(fixture_path, capsys
 
 
 def test_verify_checks_condition_L_once_per_graph(fixture_path, capsys):
-    body = inspect.unwrap(graph_core.condition_L).__code__
+    # each quotient graph is checked once, for its verdict and the (L) line alike
+    body = ideals._quotient_condition_L.__code__
     checked = []  # kept alive, so that no two of them share an id
 
     def record(frame, event, arg):
         if event == "call" and frame.f_code is body:
-            checked.append(frame.f_locals["g"])
+            checked.append(frame.f_locals["q"])
 
     sys.setprofile(record)
     try:
@@ -415,7 +437,7 @@ def test_verify_checks_condition_L_once_per_graph(fixture_path, capsys):
     finally:
         sys.setprofile(None)
     assert code == 0
-    assert len(checked) > 1 and len({id(g) for g in checked}) == len(checked)
+    assert len(checked) == 12 and len({id(q) for q in checked}) == len(checked)
 
 
 def test_spec_honours_a_limit_above_the_default(tmp_path, capsys):
@@ -538,6 +560,56 @@ def test_json_output_matches_its_golden_file(argv, fixture_path, capsys):
     code, out, err = run(capsys, *argv, fixture_path)
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN_DIR / f"{argv[0]}.json").read_bytes()
+
+
+HELP_CASES = {
+    "top": ("--help",),
+    **{
+        name: (*name.split("-"), "--help")
+        for name in (
+            "check", "tails", "ideals", "quotient", "spec", "prim", "closure", "verify",
+            "gen", "gen-fixture", "gen-ea", "gen-random", "export",
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("name", HELP_CASES)
+def test_help_matches_its_golden_file(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(list(HELP_CASES[name]))
+    out = capsys.readouterr()
+    assert (exit_.value.code, out.err) == (0, "")
+    assert out.out.encode("utf-8") == (GOLDEN_DIR / "help" / f"{name}.txt").read_bytes()
+
+
+def test_usage_error_matches_its_golden_file(capsys, monkeypatch):
+    # the top-level usage, with every subcommand, though argv names one
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["check", "--bogus", "x"])
+    out = capsys.readouterr()
+    assert (exit_.value.code, out.out) == (2, "")
+    assert out.err.encode("utf-8") == (GOLDEN_DIR / "help" / "usage-error.txt").read_bytes()
+
+
+def test_main_builds_only_the_subparser_that_argv_names(fixture_path, capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def record(only=None):
+        built.append(only)
+        return real(only)
+
+    monkeypatch.setattr(cli, "build_parser", record)
+    assert run(capsys, "check", fixture_path)[0] == 0
+    assert run(capsys, "gen", "random", "--seed", "3", "--n", "5")[0] == 0
+    assert built == ["check", "gen"]
+    # a usage error is reported by the full parser
+    with pytest.raises(SystemExit):
+        cli.main(["check", "--bogus", fixture_path])
+    assert built[2:] == ["check", None]
 
 
 # -- generation and export -------------------------------------------------------------

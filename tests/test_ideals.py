@@ -24,6 +24,7 @@ from ck_spectra import (
     condition_K,
     condition_L,
     ea_graph,
+    emit_gcg,
     ideal_leq,
     is_hereditary,
     is_saturated,
@@ -35,11 +36,20 @@ from ck_spectra import (
     random_graph,
     saturated_hereditary_sets,
 )
-from ck_spectra.ideals import _check_admissible, _classify_from_structure
+from ck_spectra import ideals
+from ck_spectra.ideals import (
+    _check_admissible,
+    _classify_from_structure,
+    _one_terminal_component,
+    _quotient_masks,
+    _quotient_verdict,
+)
 
 from .oracles import (
     oracle_check_admissible,
     oracle_classify_ideal,
+    oracle_classify_quotient,
+    oracle_downward_directed,
     oracle_is_hereditary,
     oracle_is_saturated,
     oracle_sat_her,
@@ -474,3 +484,84 @@ def test_direct_route_rejects_as_its_oracle_does(g7):
     for h in subsets:
         assert is_hereditary(g7, h) == oracle_is_hereditary(g7, h)
         assert is_saturated(g7, h) == oracle_is_saturated(g7, h)
+
+
+# -- the quotient route on masks against the named quotient graph ---------------------
+
+# (K) graphs, whose quotients all satisfy (L), and graphs without (K), whose
+# quotients may not; a quarter of the random bundles carry OMEGA.
+QUOTIENT_GRAPHS = [
+    *ORACLE_GRAPHS,
+    # a 3-cycle whose one exit leads into H: exitless in the quotient unless
+    # the exit is an OMEGA bundle and c stays as a kept breaking vertex
+    *(
+        pytest.param(
+            lambda m=m: parse_graph(f"vertex a, b, c, d; edge a -> b; edge b -> c; edge c -> a; edge c -> d * {m};"),
+            id=f"cycle-exit-{m}",
+        )
+        for m in ("1", "inf")
+    ),
+    *(
+        pytest.param(lambda s=s, d=d: make(s, 1 + s % 8, d), id=f"{make.__name__}-{s}-{d}")
+        for make in (random_condition_k_graph, random_graph)
+        for d in (0.15, 0.3, 0.5)
+        for s in range(12)
+    ),
+]
+
+
+def _quiet_pairs(g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the (K) warning of graphs without it
+        return admissible_pairs(g)
+
+
+@pytest.mark.parametrize("build", QUOTIENT_GRAPHS)
+def test_quotient_route_matches_the_named_quotient(build):
+    g = build()
+    for pair in _quiet_pairs(g):
+        q = quotient_graph(g, pair)
+        named = (oracle_classify_quotient(q), condition_L(q.graph).holds)
+        assert _quotient_verdict(g, pair) == named, pair
+
+
+def test_quotient_route_meets_every_verdict_and_both_L_flags():
+    # the graphs above reach sink copies (return verdicts) and exitless cycles
+    seen = set()
+    for make in (random_condition_k_graph, random_graph):
+        for s in range(12):
+            g = make(s, 1 + s % 8, 0.5)
+            for pair in _quiet_pairs(g):
+                verdict, has_l = _quotient_verdict(g, pair)
+                seen.add((verdict.kind, has_l))
+    kinds = {kind for kind, _ in seen}
+    assert kinds == {IdealKind.PRIMITIVE_TAIL, IdealKind.PRIMITIVE_RETURN, IdealKind.NOT_PRIME}
+    assert {has_l for _, has_l in seen} == {True, False}
+
+
+@pytest.mark.parametrize("build", QUOTIENT_GRAPHS)
+def test_one_terminal_component_is_downward_directed(build):
+    g = build()
+    for pair in _quiet_pairs(g):
+        qg = quotient_graph(g, pair).graph
+        if qg.vertices:
+            named = oracle_downward_directed(qg, qg.vertices) is None
+            assert _one_terminal_component(_quotient_masks(g, pair)) == named, pair
+
+
+@pytest.mark.parametrize("build", ORACLE_GRAPHS)
+def test_quotient_route_reads_nothing_of_the_direct_route(build, monkeypatch):
+    text = emit_gcg(build())
+    g, fresh = parse_graph(text), parse_graph(text)
+    pairs = admissible_pairs(g)
+    verdicts = [classify_ideal(g, pair) for pair in pairs]
+
+    def forbidden(*args):
+        raise AssertionError("the quotient route reads the tails")
+
+    monkeypatch.setattr(ideals, "_mt_faults", forbidden)
+    monkeypatch.setattr(ideals, "clusters", forbidden)
+    for pair, verdict in zip(pairs, verdicts):
+        assert _quotient_verdict(fresh, pair)[0] == verdict, pair
+    assert not {"reach", "coreach", "condensation"} & fresh.__dict__.keys()
+    assert not [slot for slot in fresh.__dict__ if slot.startswith("_cache:ck_spectra.tails.")]
