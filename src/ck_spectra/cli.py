@@ -38,13 +38,13 @@ from .graph_core import (
 )
 from .ideals import (
     AdmissiblePair,
+    _direct_verdict,
+    _named,
+    _pair_scan,
     _quotient_verdict,
+    _sat_her_scan,
     admissible_pair,
-    admissible_pairs,
-    classify_ideal,
-    classify_via_quotient,
     quotient_graph,
-    saturated_hereditary_sets,
 )
 from .render import (
     emit_dot,
@@ -233,19 +233,14 @@ def cmd_tails(args) -> int:
 def cmd_ideals(args) -> int:
     g = _load(args.path)
     require_enumerable(g, args.limit)
-    if not condition_K(g):  # before the enumeration, which would warn
+    if not condition_K(g):
         raise ConditionKRequired("classification requires Condition (K)")
-    sh = saturated_hereditary_sets(g, args.limit)
-    pairs = admissible_pairs(g, args.limit)
-    rows = []
-    for pair in pairs:
-        direct = classify_ideal(g, pair)
-        quotient = classify_via_quotient(g, pair)
-        rows.append((pair, direct, quotient))
+    sh, pairs = _sat_her_scan(g), _pair_scan(g)
+    rows = [(_named(g, pair), _direct_verdict(g, *pair), _quotient_verdict(g, *pair)[0]) for pair in pairs]
     if args.json:
         payload = {
             "schema": "ck-spectra/ideals/1",
-            "saturated_hereditary_sets": [list(g.sorted_set(h)) for h in sh],
+            "saturated_hereditary_sets": [list(g.sorted_set(g.names(h))) for h in sh],
             "pairs": [
                 {
                     **pair_payload(g, pair),
@@ -391,16 +386,13 @@ def cmd_verify(args) -> int:
     tails = maximal_tails(g)
     print(f"tails equal clusters: ok ({len(tails)})")
 
-    disagreements, bad = [], []
-    for pair in admissible_pairs(g, args.limit):
-        verdict, has_l = _quotient_verdict(g, pair)
-        if classify_ideal(g, pair) != verdict:
-            disagreements.append(pair)
-        if not has_l:
-            bad.append(pair)
+    # verify_homeomorphism enumerated the pairs under the same limit
+    quotients = [(pair, *_quotient_verdict(g, *pair)) for pair in _pair_scan(g)]
+    disagreements = [pair for pair, verdict, _ in quotients if _direct_verdict(g, *pair) != verdict]
+    bad = [pair for pair, _, has_l in quotients if not has_l]
     if disagreements:
         raise VerificationFailure(
-            "classification routes disagree", disagreements[0]
+            "classification routes disagree", _named(g, disagreements[0])
         )
     print("classification agreement: ok")
 
@@ -411,7 +403,7 @@ def cmd_verify(args) -> int:
     print("tail realization round-trip: ok")
 
     if bad:
-        raise VerificationFailure("a quotient of a Condition-(K) graph violates (L)", bad[0])
+        raise VerificationFailure("a quotient of a Condition-(K) graph violates (L)", _named(g, bad[0]))
     print("quotients satisfy condition L: ok")
     print("all checks passed")
     return EXIT_OK

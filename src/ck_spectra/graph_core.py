@@ -325,6 +325,26 @@ class Graph:
         return out
 
     @cached_property
+    def class_masks(self) -> tuple[int, int, int]:
+        """The sinks, the infinite emitters and the regular vertices, as masks."""
+        sinks = emitters = 0
+        for i, total in enumerate(self.out_mult.values()):
+            if total == 0:
+                sinks |= 1 << i
+            elif is_omega(total):
+                emitters |= 1 << i
+        return sinks, emitters, self.full_mask & ~(sinks | emitters)
+
+    @cached_property
+    def edge_mult(self) -> list[dict[int, Mult]]:
+        """edge_mult[i][j]: the edges i -> j, every bundle between them merged."""
+        table: list[dict[int, Mult]] = [{} for _ in self.vertices]
+        for b in self.bundles:
+            row, j = table[self.index[b.src]], self.index[b.dst]
+            row[j] = row.get(j, 0) + b.mult
+        return table
+
+    @cached_property
     def condensation(self) -> tuple[list[int], list[int]]:
         """Strongly connected components: masks, sinks first, and comp[i]; the
         quotient route runs :func:`strong_components` on its own masks instead."""
@@ -384,9 +404,9 @@ class Graph:
 def per_graph(fn: Callable) -> Callable:
     """Cache ``fn(g, *args)`` on the graph ``g`` itself.
 
-    The memo is a dict from the argument tuple to the result, kept in the
-    graph's ``__dict__``, so it dies with the graph and is shared by every
-    caller holding it: cached results must not be mutated.
+    The memo maps the argument tuple to the result that ``fn`` computed; it
+    is kept in the graph's ``__dict__``, so it dies with the graph and is
+    shared by every caller holding it: cached results must not be mutated.
     """
     slot, miss = f"_cache:{fn.__module__}.{fn.__qualname__}", object()
 
@@ -400,7 +420,6 @@ def per_graph(fn: Callable) -> Callable:
             out = memo[args] = fn(g, *args)
         return out
 
-    cached.memo = lambda g: g.__dict__.setdefault(slot, {})  # to seed known results
     return cached
 
 
@@ -414,19 +433,15 @@ def require_enumerable(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> None
 # -- vertex classification --------------------------------------------------
 
 
-@per_graph
 def classify_vertices(g: Graph) -> VertexClassification:
     """Partition the vertices into sinks, infinite emitters and regular vertices."""
-    sinks, emitters, regular = [], [], []
-    for v in g.vertices:
-        total = g.out_mult[v]
-        if total == 0:
-            sinks.append(v)
-        elif is_omega(total):
-            emitters.append(v)
-        else:
-            regular.append(v)
-    return VertexClassification(frozenset(sinks), frozenset(emitters), frozenset(regular))
+    return VertexClassification(*map(g.names, g.class_masks))
+
+
+def _finite_edges(g: Graph, i: int, into: int) -> bool:
+    """Whether vertex i has finitely many, and at least one, edges into the mask ``into``."""
+    total = mult_sum(m for j, m in g.edge_mult[i].items() if into >> j & 1)
+    return total != 0 and not is_omega(total)
 
 
 # -- reachability ------------------------------------------------------------

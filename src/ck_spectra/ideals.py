@@ -20,12 +20,11 @@ the bundles escaping H must be finite and nonzero.  Counting target vertices
 instead can disagree when an OMEGA bundle leaves H;
 :func:`breaking_vertex_discrepancies` reports exactly those vertices.
 
-Inside, a pair is ``(hmask, smask)``: admissibility, breaking vertices and
-the MT axioms of the complement are all decided on vertex bitmasks.  An
-enumerated pair carries the masks it was built from; only pairs from outside
-are validated.  Names appear only at the boundary: :class:`AdmissiblePair`,
-``IdealClass.v0`` and the named quotient graph of :func:`quotient_graph`,
-which the ``quotient`` command and rendering use.
+Inside, a pair is ``(hmask, smask)``: enumeration, admissibility, breaking
+vertices and both verdicts work on vertex bitmasks, and a named pair from
+outside is validated once.  Names appear only at the boundary:
+:class:`AdmissiblePair`, ``IdealClass.v0`` and the named quotient graph of
+:func:`quotient_graph`, which the ``quotient`` command and rendering use.
 """
 
 from __future__ import annotations
@@ -43,15 +42,13 @@ from .graph_core import (
     Check,
     Graph,
     _bits,
-    classify_vertices,
+    _finite_edges,
     condition_K,
-    is_omega,
-    mult_sum,
     per_graph,
     require_enumerable,
     strong_components,
 )
-from .tails import _mt_faults, clusters
+from .tails import _cluster_masks, _mt_faults
 
 
 @dataclass(frozen=True)
@@ -60,6 +57,10 @@ class AdmissiblePair:
 
     h: frozenset
     s: frozenset
+
+
+def _named(g: Graph, pair: tuple[int, int]) -> AdmissiblePair:
+    return AdmissiblePair(g.names(pair[0]), g.names(pair[1]))
 
 
 class IdealKind(enum.Enum):
@@ -115,9 +116,9 @@ def is_saturated(g: Graph, members) -> Check:
 
 def _sat_her_faults(g: Graph, mask: int) -> tuple:
     """The first member with a successor outside, the first regular non-member with none; or None."""
-    succ, regular = g.succ_mask, classify_vertices(g).regular
+    succ = g.succ_mask
     escapes = (i for i in _bits(mask) if succ[i] & ~mask)
-    trapped = (i for i in _bits(g.full_mask & ~mask) if g.vertices[i] in regular and not succ[i] & ~mask)
+    trapped = (i for i in _bits(g.class_masks[2] & ~mask) if not succ[i] & ~mask)
     return next(escapes, None), next(trapped, None)
 
 
@@ -137,8 +138,7 @@ def _sat_her_scan(g: Graph) -> list[int]:
     U(w) holds that member and lies in C by MT1.
     """
     unions = {0}
-    for tail in clusters(g):
-        m = g.mask(tail)
+    for m in _cluster_masks(g):
         unions |= {u | m for u in unions}
     return [g.full_mask ^ u for u in sorted(unions, reverse=True)]
 
@@ -149,17 +149,8 @@ def _sat_her_scan(g: Graph) -> list[int]:
 @per_graph
 def _breaking_masked(g: Graph, hmask: int) -> int:
     """Mask of infinite emitters with a finite, nonzero edge count escaping hmask."""
-    out = 0
-    for v in classify_vertices(g).infinite_emitters:
-        i = g.index[v]
-        if hmask >> i & 1:
-            continue
-        escaping = mult_sum(
-            b.mult for b in g.out_bundles[v] if not hmask >> g.index[b.dst] & 1
-        )
-        if not is_omega(escaping) and escaping > 0:
-            out |= 1 << i
-    return out
+    rest = g.full_mask & ~hmask
+    return sum(1 << i for i in _bits(g.class_masks[1] & rest) if _finite_edges(g, i, rest))
 
 
 @per_graph
@@ -181,15 +172,8 @@ def breaking_vertex_discrepancies(g: Graph, members) -> frozenset:
     discrepancy happens exactly when some escaping bundle carries OMEGA.
     """
     hmask = _require_sat_her(g, g.mask(members))
-    edge_side = _breaking_masked(g, hmask)
-    out = []
-    for v in classify_vertices(g).infinite_emitters:
-        i = g.index[v]
-        targets = g.succ_mask[i] & ~hmask
-        vertex_side = targets != 0
-        if vertex_side != bool(edge_side >> i & 1):
-            out.append(v)
-    return frozenset(out)
+    vertex_side = sum(1 << i for i in _bits(g.class_masks[1]) if g.succ_mask[i] & ~hmask)
+    return g.names(vertex_side ^ _breaking_masked(g, hmask))
 
 
 @per_graph
@@ -226,24 +210,19 @@ def admissible_pairs(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[A
             "gauge-invariant ideals",
             stacklevel=2,
         )
-    return _pair_scan(g)
+    return [_named(g, pair) for pair in _pair_scan(g)]
 
 
 @per_graph
-def _pair_scan(g: Graph) -> list[AdmissiblePair]:
-    """Every pair; each is admissible by construction, so its masks go straight
-    into the memo of :func:`_check_admissible`."""
-    pairs, known = [], _check_admissible.memo(g)
+def _pair_scan(g: Graph) -> list[tuple[int, int]]:
+    """Every pair as ``(hmask, smask)``, admissible by construction: each
+    saturated hereditary H with each subset of its breaking vertices."""
+    pairs = []
     for hmask in _sat_her_scan(g):
-        h = g.names(hmask)
-        subsets = [(0, frozenset())]
+        subsets = [0]
         for i in _bits(_breaking_masked(g, hmask)):
-            bit, v = 1 << i, g.vertices[i]
-            subsets += [(smask | bit, s | {v}) for smask, s in subsets]
-        for smask, s in subsets:
-            pair = AdmissiblePair(h, s)
-            known[(pair,)] = hmask, smask
-            pairs.append(pair)
+            subsets += [smask | 1 << i for smask in subsets]
+        pairs += [(hmask, smask) for smask in subsets]
     return pairs
 
 
@@ -371,12 +350,16 @@ def _require_condition_k(g: Graph) -> None:
         raise ConditionKRequired("classification requires Condition (K)")
 
 
-@per_graph
 def classify_ideal(g: Graph, pair: AdmissiblePair) -> IdealClass:
-    """Classify the ideal of (H, S) from the complement of H, evaluating MT1-MT3
-    on its mask (MT4 holds on every finite vertex set) rather than looking it up."""
+    """Classify the ideal of (H, S) from the complement of H: see :func:`_direct_verdict`."""
     _require_condition_k(g)
-    hmask, smask = _check_admissible(g, pair)
+    return _direct_verdict(g, *_check_admissible(g, pair))
+
+
+@per_graph
+def _direct_verdict(g: Graph, hmask: int, smask: int) -> IdealClass:
+    """:func:`classify_ideal` on masks: MT1-MT3 are evaluated on the complement
+    (MT4 holds on every finite vertex set) rather than looked up."""
     kept = _breaking_masked(g, hmask) & ~smask
     complement = g.full_mask & ~hmask
 
@@ -399,7 +382,7 @@ def classify_via_quotient(g: Graph, pair: AdmissiblePair) -> IdealClass:
     zero algebra and counts as not prime.
     """
     _require_condition_k(g)
-    return _quotient_verdict(g, pair)[0]
+    return _quotient_verdict(g, *_check_admissible(g, pair))[0]
 
 
 @dataclass(frozen=True)
@@ -420,21 +403,12 @@ class _Quotient:
 @per_graph
 def _unit_edges(g: Graph) -> list[int]:
     """unit[i]: the mask of the vertices that i reaches along exactly one edge."""
-    total: dict = {}
-    for b in g.bundles:
-        key = g.index[b.src], g.index[b.dst]
-        total[key] = total.get(key, 0) + b.mult
-    unit = [0] * g.n
-    for (i, j), m in total.items():
-        if m == 1:
-            unit[i] |= 1 << j
-    return unit
+    return [sum(1 << j for j, m in row.items() if m == 1) for row in g.edge_mult]
 
 
-def _quotient_masks(g: Graph, pair: AdmissiblePair) -> _Quotient:
-    """Build the quotient of the pair from the parent's bundles and breaking
-    vertices alone: an edge into a kept breaking vertex also runs to its copy."""
-    hmask, smask = _check_admissible(g, pair)
+def _quotient_masks(g: Graph, hmask: int, smask: int) -> _Quotient:
+    """Build the quotient of an admissible pair from the parent's bundles and
+    breaking vertices alone: an edge into a kept breaking vertex also runs to its copy."""
     kept = _breaking_masked(g, hmask) & ~smask
     n, rest, unit, parent_succ = g.n, g.full_mask & ~hmask, _unit_edges(g), g.succ_mask
     copy = {1 << i: 1 << n + j for j, i in enumerate(_bits(kept))}
@@ -479,10 +453,10 @@ def _one_terminal_component(q: _Quotient) -> bool:
     return terminal == 1
 
 
-def _quotient_verdict(g: Graph, pair: AdmissiblePair) -> tuple[IdealClass, bool]:
-    """The verdict of :func:`classify_via_quotient`, and whether the quotient
-    satisfies Condition (L), from one build of the quotient's masks."""
-    q = _quotient_masks(g, pair)
+def _quotient_verdict(g: Graph, hmask: int, smask: int) -> tuple[IdealClass, bool]:
+    """The verdict of :func:`classify_via_quotient` on an admissible pair, and
+    whether the quotient satisfies Condition (L), from one build of its masks."""
+    q = _quotient_masks(g, hmask, smask)
     has_l = _quotient_condition_L(q)
     if not (q.vertices and has_l and _one_terminal_component(q)):
         return IdealClass(IdealKind.NOT_PRIME), has_l

@@ -25,11 +25,9 @@ from .graph_core import (
     Bundle,
     Graph,
     _bits,
+    _finite_edges,
     _undirected_pair,
-    classify_vertices,
     has_csp,
-    is_omega,
-    mult_sum,
     per_graph,
     upward_set,
 )
@@ -79,10 +77,9 @@ def _mt_faults(g: Graph, mask: int) -> tuple:
     """MT1-MT3 on a vertex mask, each as its first failure in indices or None: (v, w)
     with v outside reaching w inside; a regular member with no successor inside;
     two members with no common bound inside."""
-    coreach, succ, regular = g.coreach, g.succ_mask, classify_vertices(g).regular
-    members = list(_bits(mask))
-    escapes = ((next(_bits(coreach[w] & ~mask)), w) for w in members if coreach[w] & ~mask)
-    trapped = (i for i in members if g.vertices[i] in regular and not succ[i] & mask)
+    coreach, succ = g.coreach, g.succ_mask
+    escapes = ((next(_bits(coreach[w] & ~mask)), w) for w in _bits(mask) if coreach[w] & ~mask)
+    trapped = (i for i in _bits(mask & g.class_masks[2]) if not succ[i] & mask)
     return next(escapes, None), next(trapped, None), _undirected_pair(g, mask, mask)
 
 
@@ -97,14 +94,15 @@ def maximal_tails(g: Graph) -> list[frozenset]:
 
 @per_graph
 def clusters(g: Graph) -> list[frozenset]:
-    """All nonempty sets satisfying MT1-MT3: the distinct U(w), w singular or on a cycle."""
-    singular = classify_vertices(g).singular
-    masks = {
-        g.coreach[w]
-        for w, v in enumerate(g.vertices)
-        if v in singular or g.succ_mask[w] & g.coreach[w]
-    }
-    return [g.names(m) for m in sorted(masks)]
+    """All nonempty sets satisfying MT1-MT3, as named by :func:`_cluster_masks`."""
+    return [g.names(m) for m in _cluster_masks(g)]
+
+
+@per_graph
+def _cluster_masks(g: Graph) -> list[int]:
+    """The distinct U(w), w singular or on a cycle, as masks in increasing order."""
+    coreach, succ, regular = g.coreach, g.succ_mask, g.class_masks[2]
+    return sorted({coreach[w] for w in range(g.n) if not regular >> w & 1 or succ[w] & coreach[w]})
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def validate_boundary_path(g: Graph, path: BoundaryPath) -> None:
             raise InvalidPath("cycle part does not close up")
     else:
         end = path.end
-        if end not in classify_vertices(g).singular:
+        if g.class_masks[2] >> g.index[end] & 1:
             raise InvalidPath(
                 f"finite boundary path must end at a sink or infinite emitter, not {end!r}"
             )
@@ -197,10 +195,9 @@ def realize_as_tail(g: Graph, members) -> BoundaryPath:
     if mask == 0 or not rep.tail_axioms:
         raise NotAMaximalTail(f"{sorted(g.names(mask))} does not satisfy MT1-MT4 or is empty")
 
-    order = g.sorted_set(g.names(mask))
-    anchors = [v for v in order if v in rep.csp_witness]
+    anchors = g.sorted_set(rep.csp_witness)  # the witness lies inside the set
 
-    base = order[0]
+    base = g.vertices[next(_bits(mask))]
     current = base
     bundles: list[Bundle] = []
     for x in anchors:
@@ -211,9 +208,9 @@ def realize_as_tail(g: Graph, members) -> BoundaryPath:
         bundles.extend(_shortest_route(g, current, target))
         current = target
 
-    singular = classify_vertices(g).singular
+    regular = g.class_masks[2]
     seen_at = {current: len(bundles)}
-    while current not in singular:
+    while regular >> g.index[current] & 1:
         step = next(b for b in g.out_bundles[current] if 1 << g.index[b.dst] & mask)
         bundles.append(step)
         current = step.dst
@@ -229,15 +226,8 @@ def realize_as_tail(g: Graph, members) -> BoundaryPath:
 def finite_return_vertices(g: Graph) -> frozenset:
     """Infinite emitters with finitely many (but at least one) returning edges.
 
-    An edge returns when its target can reach back to the source; the count
-    is the saturating sum of bundle multiplicities over returning bundles.
+    An edge returns when its target can reach back to the source, that is
+    when it runs into U(v).
     """
-    out = []
-    for v in classify_vertices(g).infinite_emitters:
-        iv = g.index[v]
-        returning = mult_sum(
-            b.mult for b in g.out_bundles[v] if g.reach[g.index[b.dst]] >> iv & 1
-        )
-        if not is_omega(returning) and returning > 0:
-            out.append(v)
-    return frozenset(out)
+    emitters, coreach = g.class_masks[1], g.coreach
+    return g.names(sum(1 << i for i in _bits(emitters) if _finite_edges(g, i, coreach[i])))

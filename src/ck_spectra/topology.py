@@ -46,14 +46,16 @@ from .graph_core import (
     _bits,
     condition_K,
     per_graph,
+    require_enumerable,
 )
 from .ideals import (
     AdmissiblePair,
     _breaking_masked,
     _check_masks,
+    _direct_verdict,
     _meet_masks,
-    admissible_pairs,
-    classify_ideal,
+    _named,
+    _pair_scan,
 )
 from .tails import clusters, finite_return_vertices, maximal_tails
 
@@ -178,7 +180,7 @@ def h_map(g: Graph, p: SpecPoint) -> AdmissiblePair:
     A cluster C maps to (complement of C, all its breaking vertices); a
     return vertex v to (complement of U(v), breaking vertices minus v).
     """
-    return AdmissiblePair(*map(g.names, _h_masks(g, p)))
+    return _named(g, _h_masks(g, p))
 
 
 @per_graph
@@ -342,21 +344,23 @@ def verify_homeomorphism(
     prim_spec_density_check(g)
     pts = tuple(spec_points(g))
 
-    image = {h_map(g, p) for p in pts}
+    image = {_h_masks(g, p) for p in pts}
     if len(image) != len(pts):
         raise VerificationFailure("point-to-ideal map is not injective", pts)
-    verdicts = {p: classify_ideal(g, p) for p in admissible_pairs(g, limit)}
-    prime_pairs = {p for p, c in verdicts.items() if c.is_prime}
-    primitive_pairs = {p for p, c in verdicts.items() if c.is_primitive}
+    require_enumerable(g, limit)
+    verdicts = {pair: _direct_verdict(g, *pair) for pair in _pair_scan(g)}
+    prime_pairs = {pair for pair, c in verdicts.items() if c.is_prime}
+    primitive_pairs = {pair for pair, c in verdicts.items() if c.is_primitive}
+    named = lambda pairs: {_named(g, pair) for pair in pairs}
     if image != prime_pairs:
         raise VerificationFailure(
             "image of the point map differs from the prime-classified pairs",
-            (image, prime_pairs),
+            (named(image), named(prime_pairs)),
         )
     if image != primitive_pairs:
         raise VerificationFailure(
             "primitive points do not match the primitive-classified pairs",
-            (image, primitive_pairs),
+            (named(image), named(primitive_pairs)),
         )
 
     masks, exhaustive = _subset_pool(len(pts), exhaustive_limit, seed, samples)
@@ -388,7 +392,9 @@ def check_kuratowski(
     The empty set, extensivity and idempotence are checked subset by subset;
     finite additivity is checked through singleton decomposition on every
     swept subset and through the literal pairwise union axiom on all pairs of
-    subsets when the space is small enough (seeded samples otherwise).
+    subsets when the space is small enough (seeded samples otherwise).  The
+    report keeps the first failure of each axiom, then the earliest others,
+    eight at most, in sweep order.
     """
     pts = space.points
     n = len(pts)
@@ -410,7 +416,7 @@ def check_kuratowski(
             chain.append(chain[-1] & chain[-1] - 1)
         for k in reversed(chain[:-1]):
             unions[k] = unions[k & k - 1] | cl(k & -k)
-        if c != unions[m]:
+        if m and c != unions[m]:  # a nonempty cl(0) is the "empty" failure
             failures.append(("additive", _pick(pts, m), None))
 
     if n <= _UNION_PAIR_LIMIT:
@@ -424,9 +430,11 @@ def check_kuratowski(
         if cl(a | b) != cl(a) | cl(b):
             failures.append(("union", _pick(pts, a), _pick(pts, b)))
 
+    firsts = {kind: i for i, (kind, *_) in reversed(list(enumerate(failures)))}.values()
+    fill = [i for i in range(len(failures)) if i not in firsts][: 8 - len(firsts)]
     return KuratowskiReport(
         ok=not failures,
-        failures=tuple(failures[:8]),
+        failures=tuple(failures[i] for i in sorted({*firsts, *fill})),
         subsets_checked=len(masks),
         union_pairs_checked=len(pair_masks),
         exhaustive=exhaustive,

@@ -13,7 +13,10 @@ and ``oracle_classify_ideal`` are the name-based bodies that the mask cores
 of ``ck_spectra.ideals`` replaced, with the hereditary, saturated and MT
 tests read off explicit sets.  ``oracle_classify_quotient`` is the quotient
 route on the named quotient graph, through the package's ``condition_L`` and
-``is_downward_directed``, that the quotient's own masks replaced.
+``is_downward_directed``, that the quotient's own masks replaced.  The
+vertex-class, breaking-vertex and finite-return oracles count edges bundle by
+bundle over ``g.bundles``, without the merged per-pair multiplicity table that
+the package reads.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from ck_spectra.graph_core import (
     Check,
     CycleClass,
     Graph,
+    VertexClassification,
     classify_vertices,
     condition_L,
     is_downward_directed,
@@ -240,6 +244,57 @@ def oracle_sat_her(g: Graph) -> set:
         if hereditary and saturated:
             out.add(members)
     return out
+
+
+def _oracle_edge_count(g: Graph, src: str, into) -> object:
+    """How many edges run from src into the vertex set ``into``, summed bundle
+    by bundle: OMEGA when one of them carries OMEGA."""
+    mults = [b.mult for b in g.bundles if b.src == src and b.dst in into]
+    return OMEGA if any(is_omega(m) for m in mults) else sum(mults)
+
+
+def _oracle_finitely_many(count) -> bool:
+    return not is_omega(count) and count > 0
+
+
+def oracle_vertex_classes(g: Graph) -> VertexClassification:
+    """Sinks emit no edge, infinite emitters infinitely many, the rest are regular."""
+    counts = {v: _oracle_edge_count(g, v, g.vertices) for v in g.vertices}
+    return VertexClassification(
+        frozenset(v for v, c in counts.items() if c == 0),
+        frozenset(v for v, c in counts.items() if is_omega(c)),
+        frozenset(v for v, c in counts.items() if _oracle_finitely_many(c)),
+    )
+
+
+def oracle_breaking_vertices(g: Graph, h) -> frozenset:
+    """Infinite emitters outside H with finitely many, but some, edges leaving H."""
+    rest = frozenset(g.vertices) - frozenset(h)
+    return frozenset(
+        v for v in oracle_vertex_classes(g).infinite_emitters
+        if v in rest and _oracle_finitely_many(_oracle_edge_count(g, v, rest))
+    )
+
+
+def oracle_breaking_vertex_discrepancies(g: Graph, h) -> frozenset:
+    """Infinite emitters where "some edge leaves H" and "breaks out of H" disagree."""
+    rest = frozenset(g.vertices) - frozenset(h)
+    breaking = oracle_breaking_vertices(g, h)
+    return frozenset(
+        v for v in oracle_vertex_classes(g).infinite_emitters
+        if any(b.src == v and b.dst in rest for b in g.bundles) != (v in breaking)
+    )
+
+
+def oracle_finite_return_vertices(g: Graph) -> frozenset:
+    """Infinite emitters with finitely many, but some, edges into vertices that reach back."""
+    m = reach_matrix(g)
+    out = set()
+    for v in oracle_vertex_classes(g).infinite_emitters:
+        back = [w for w in g.vertices if m[g.index[w], g.index[v]]]
+        if _oracle_finitely_many(_oracle_edge_count(g, v, back)):
+            out.add(v)
+    return frozenset(out)
 
 
 def oracle_is_hereditary(g: Graph, members) -> Check:

@@ -204,7 +204,7 @@ def test_verify_runs_each_whole_graph_scan_once(fixture_path, capsys):
     scans = {
         inspect.unwrap(fn).__code__: name
         for name, fn in (
-            ("mt", tails.clusters),
+            ("mt", tails._cluster_masks),
             ("sat_her", ideals._sat_her_scan),
             ("pairs", ideals._pair_scan),
         )
@@ -227,7 +227,7 @@ def test_verify_runs_each_whole_graph_scan_once(fixture_path, capsys):
 def test_verify_decides_each_fact_once(fixture_path, capsys):
     bodies = {
         inspect.unwrap(fn).__code__: name
-        for name, fn in (("kuratowski", topology.check_kuratowski), ("classify", ideals.classify_ideal))
+        for name, fn in (("kuratowski", topology.check_kuratowski), ("classify", ideals._direct_verdict))
     }
     csp_body = graph_core.has_csp.__code__
     runs = Counter()
@@ -264,7 +264,8 @@ def test_verify_keeps_pairs_and_points_as_masks(fixture_path, capsys):
             todo += [c for c in code.co_consts if inspect.iscode(c)]
         return found
 
-    inside = bodies(ideals.classify_ideal) | bodies(topology._ideal_kernel) | bodies(topology.check_kuratowski)
+    cores = (ideals._direct_verdict, ideals._quotient_verdict, ideals._pair_scan, ideals._sat_her_scan)
+    inside = set().union(*map(bodies, cores)) | bodies(topology._ideal_kernel) | bodies(topology.check_kuratowski)
     names_body = graph_core.Graph.names.__code__
     callers = Counter()
 
@@ -285,24 +286,27 @@ def test_verify_keeps_pairs_and_points_as_masks(fixture_path, capsys):
 
 
 def test_verify_validates_no_enumerated_pair(fixture_path, capsys):
-    # an enumerated pair is admissible by construction and keeps its masks
+    # an enumerated pair is admissible by construction and stays a pair of
+    # masks, in `ideals` as in `verify`
     mask_body, check_body = graph_core.Graph.mask.__code__, inspect.unwrap(ideals._check_admissible).__code__
-    callers, validated = Counter(), []
+    cores = {"_check_admissible", "_sat_her_scan", "_pair_scan", "_quotient_masks", "_direct_verdict"}
+    for command in ("verify", "ideals"):
+        callers, validated = Counter(), []
 
-    def watch(frame, event, arg):
-        if event == "call" and frame.f_code is mask_body:
-            callers[frame.f_back.f_code.co_name] += 1
-        elif event == "call" and frame.f_code is check_body:
-            validated.append(frame.f_locals["pair"])
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code is mask_body:
+                callers[frame.f_back.f_code.co_name] += 1
+            elif event == "call" and frame.f_code is check_body:
+                validated.append(frame.f_locals["pair"])
 
-    sys.setprofile(watch)
-    try:
-        code, _, _ = run(capsys, "verify", fixture_path)
-    finally:
-        sys.setprofile(None)
-    assert code == 0
-    assert validated == []
-    assert not {"_check_admissible", "_pair_scan", "_quotient_masks"} & callers.keys(), callers
+        sys.setprofile(watch)
+        try:
+            code, _, _ = run(capsys, command, fixture_path)
+        finally:
+            sys.setprofile(None)
+        assert code == 0, command
+        assert validated == [], command
+        assert not cores & callers.keys(), (command, callers)
 
 
 def test_ideals_without_condition_K_prints_one_line():
@@ -346,8 +350,8 @@ def test_verify_catches_a_direct_route_that_ignores_MT3(fixture_path, capsys, mo
 def test_verify_catches_a_quotient_without_sink_copies(fixture_path, capsys, monkeypatch):
     real = ideals._quotient_masks
 
-    def without_sinks(g, pair):
-        q = real(g, pair)
+    def without_sinks(g, hmask, smask):
+        q = real(g, hmask, smask)
         parent = g.full_mask
         return ideals._Quotient([m & parent for m in q.succ], q.vertices & parent, q.one, q.kept)
 
@@ -391,21 +395,21 @@ def test_verify_reports_a_quotient_without_condition_L(fixture_path, capsys, mon
 
 
 def test_verify_reports_a_point_map_that_is_not_injective(fixture_path, capsys, monkeypatch):
-    monkeypatch.setattr(topology, "h_map", lambda g, p: ideals.AdmissiblePair(frozenset(), frozenset()))
+    monkeypatch.setattr(topology, "_h_masks", lambda g, p: (0, 0))
     code, _, err = run(capsys, "verify", fixture_path)
     assert (code, err) == (1, "verification counterexample: point-to-ideal map is not injective\n")
 
 
 def test_verify_reports_primitive_points_that_match_no_primitive_pair(fixture_path, capsys, monkeypatch):
-    real = topology.classify_ideal
+    real = topology._direct_verdict
 
-    def demoted(g, pair):
-        verdict = real(g, pair)
+    def demoted(g, hmask, smask):
+        verdict = real(g, hmask, smask)
         if verdict.kind is ideals.IdealKind.PRIMITIVE_TAIL:
             return ideals.IdealClass(ideals.IdealKind.PRIME_NOT_PRIMITIVE)
         return verdict
 
-    monkeypatch.setattr(topology, "classify_ideal", demoted)
+    monkeypatch.setattr(topology, "_direct_verdict", demoted)
     code, _, err = run(capsys, "verify", fixture_path)
     assert (code, err) == (
         1,

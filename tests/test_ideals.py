@@ -1,3 +1,4 @@
+import random
 import warnings
 from collections import Counter
 from itertools import combinations
@@ -20,11 +21,13 @@ from ck_spectra import (
     breaking_vertex_discrepancies,
     breaking_vertices,
     classify_ideal,
+    classify_vertices,
     classify_via_quotient,
     condition_K,
     condition_L,
     ea_graph,
     emit_gcg,
+    finite_return_vertices,
     ideal_leq,
     is_hereditary,
     is_saturated,
@@ -46,13 +49,17 @@ from ck_spectra.ideals import (
 )
 
 from .oracles import (
+    oracle_breaking_vertex_discrepancies,
+    oracle_breaking_vertices,
     oracle_check_admissible,
     oracle_classify_ideal,
     oracle_classify_quotient,
     oracle_downward_directed,
+    oracle_finite_return_vertices,
     oracle_is_hereditary,
     oracle_is_saturated,
     oracle_sat_her,
+    oracle_vertex_classes,
 )
 
 seeds = st.integers(0, 10_000)
@@ -438,6 +445,48 @@ ORACLE_GRAPHS = [
 ]
 
 
+def with_labeled_copies(seed: int, n: int) -> Graph:
+    """``random_graph(seed, n)`` plus a labeled bundle of multiplicity 1, 2 or
+    OMEGA beside about half of its bundles.  A graph keeps labeled bundles
+    apart, so these are the parallel bundles that ``random_graph`` never draws."""
+    g = random_graph(seed, n, 0.4)
+    rng = random.Random(seed)
+    extra = [
+        Bundle(b.src, b.dst, rng.choice((1, 2, OMEGA)), f"e{k}")
+        for k, b in enumerate(g.bundles)
+        if rng.random() < 0.5
+    ]
+    return Graph(g.vertices, [*g.bundles, *extra])
+
+
+LABELED_GRAPHS = [
+    # a returns to itself along two labeled edges to b, and escapes to c along OMEGA
+    pytest.param(
+        lambda: Graph("abc", [Bundle("a", "b", 1, "p"), Bundle("a", "b", 1, "q"), Bundle("a", "c", OMEGA),
+                              Bundle("b", "a"), Bundle("c", "c", 2)]),
+        id="labeled-return",
+    ),
+    *(pytest.param(lambda s=s: with_labeled_copies(s, 2 + s % 6), id=f"labeled-{s}") for s in range(16)),
+]
+
+
+def test_labeled_graphs_draw_parallel_and_omega_bundles():
+    graphs = [param.values[0]() for param in LABELED_GRAPHS]
+    parallel = [b for g in graphs for b in g.bundles if b.label and sum(c.dst == b.dst for c in g.out_bundles[b.src]) > 1]
+    assert {b.mult for b in parallel} >= {1, 2, OMEGA}
+    assert sum(len(finite_return_vertices(g)) for g in graphs) >= 3
+
+
+@pytest.mark.parametrize("build", [*ORACLE_GRAPHS, *LABELED_GRAPHS])
+def test_edge_counts_match_their_literal_oracles(build):
+    g = build()
+    assert classify_vertices(g) == oracle_vertex_classes(g)
+    assert finite_return_vertices(g) == oracle_finite_return_vertices(g)
+    for h in saturated_hereditary_sets(g):
+        assert breaking_vertices(g, h) == oracle_breaking_vertices(g, h), h
+        assert breaking_vertex_discrepancies(g, h) == oracle_breaking_vertex_discrepancies(g, h), h
+
+
 def outcome(fn, *args):
     """The result, or the class and message of what was raised."""
     try:
@@ -516,13 +565,18 @@ def _quiet_pairs(g):
         return admissible_pairs(g)
 
 
+def masks(g, pair):
+    """The ``(hmask, smask)`` that the mask cores take."""
+    return g.mask(pair.h), g.mask(pair.s)
+
+
 @pytest.mark.parametrize("build", QUOTIENT_GRAPHS)
 def test_quotient_route_matches_the_named_quotient(build):
     g = build()
     for pair in _quiet_pairs(g):
         q = quotient_graph(g, pair)
         named = (oracle_classify_quotient(q), condition_L(q.graph).holds)
-        assert _quotient_verdict(g, pair) == named, pair
+        assert _quotient_verdict(g, *masks(g, pair)) == named, pair
 
 
 def test_quotient_route_meets_every_verdict_and_both_L_flags():
@@ -532,7 +586,7 @@ def test_quotient_route_meets_every_verdict_and_both_L_flags():
         for s in range(12):
             g = make(s, 1 + s % 8, 0.5)
             for pair in _quiet_pairs(g):
-                verdict, has_l = _quotient_verdict(g, pair)
+                verdict, has_l = _quotient_verdict(g, *masks(g, pair))
                 seen.add((verdict.kind, has_l))
     kinds = {kind for kind, _ in seen}
     assert kinds == {IdealKind.PRIMITIVE_TAIL, IdealKind.PRIMITIVE_RETURN, IdealKind.NOT_PRIME}
@@ -546,7 +600,7 @@ def test_one_terminal_component_is_downward_directed(build):
         qg = quotient_graph(g, pair).graph
         if qg.vertices:
             named = oracle_downward_directed(qg, qg.vertices) is None
-            assert _one_terminal_component(_quotient_masks(g, pair)) == named, pair
+            assert _one_terminal_component(_quotient_masks(g, *masks(g, pair))) == named, pair
 
 
 @pytest.mark.parametrize("build", ORACLE_GRAPHS)
@@ -560,8 +614,8 @@ def test_quotient_route_reads_nothing_of_the_direct_route(build, monkeypatch):
         raise AssertionError("the quotient route reads the tails")
 
     monkeypatch.setattr(ideals, "_mt_faults", forbidden)
-    monkeypatch.setattr(ideals, "clusters", forbidden)
+    monkeypatch.setattr(ideals, "_cluster_masks", forbidden)
     for pair, verdict in zip(pairs, verdicts):
-        assert _quotient_verdict(fresh, pair)[0] == verdict, pair
+        assert _quotient_verdict(fresh, *masks(fresh, pair))[0] == verdict, pair
     assert not {"reach", "coreach", "condensation"} & fresh.__dict__.keys()
     assert not [slot for slot in fresh.__dict__ if slot.startswith("_cache:ck_spectra.tails.")]

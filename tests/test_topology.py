@@ -296,14 +296,15 @@ def test_kuratowski_flags_a_non_additive_operator_when_sampling():
 @pytest.mark.parametrize(
     "n, mask_closure, kinds",
     [
-        # the sweep also finds the empty set's closure above its empty union
-        (2, lambda m: m | 1, {"empty", "additive"}),
+        # a nonempty closure of the empty set is reported once, as "empty"
+        (2, lambda m: m | 1, {"empty"}),
         (3, lambda m: m | (m << 1) & 0b111, {"idempotent"}),
-        # singletons are closed, anything larger closes to everything; on 3
-        # points the 3 additive failures leave room among the first 8 reported
+        # singletons are closed, anything larger closes to everything
         (3, lambda m: m if m & (m - 1) == 0 else 0b111, {"additive", "union"}),
+        # on 4 points the 10 additive failures alone would fill the report
+        (4, lambda m: m if m & (m - 1) == 0 else 0b1111, {"additive", "union"}),
     ],
-    ids=["empty", "idempotent", "union"],
+    ids=["empty", "idempotent", "union", "union-4"],
 )
 def test_kuratowski_names_each_failing_axiom(n, mask_closure, kinds):
     from ck_spectra import SpecSpace
@@ -312,6 +313,18 @@ def test_kuratowski_names_each_failing_axiom(n, mask_closure, kinds):
     rep = check_kuratowski(SpecSpace(pts, None, "graph", "synthetic", mask_closure=mask_closure))
     assert not rep.ok and rep.exhaustive
     assert {kind for kind, _, _ in rep.failures} == kinds
+    assert len(rep.failures) <= 8
+
+
+def test_kuratowski_report_keeps_the_first_failure_first():
+    from ck_spectra import SpecSpace
+
+    pts = tuple(FRPoint(f"v{i}") for i in range(4))
+    spread = SpecSpace(pts, None, "graph", "spread", mask_closure=lambda m: m if m & (m - 1) == 0 else 0b1111)
+    rep = check_kuratowski(spread)
+    # verify reports failures[0]: the sweep's first failure, at {v0, v1}
+    assert rep.failures[0] == ("additive", f(pts[:2]), None)
+    assert len(rep.failures) == 8 and rep.failures[-1][0] == "union"
 
 
 def test_naive_closure_fails_kuratowski_here(g7):
