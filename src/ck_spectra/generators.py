@@ -15,8 +15,7 @@ point to the cluster it represents.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import SizeLimitExceeded
 from .graph_core import (
@@ -31,8 +30,7 @@ from .graph_core import (
 from .ideals import AdmissiblePair
 
 
-@dataclass(frozen=True)
-class RunningExampleFacts:
+class RunningExampleFacts(NamedTuple):
     """Expected values for the running-example fixture, aligned by index."""
 
     tails: tuple  # maximal tails in canonical enumeration order
@@ -47,8 +45,7 @@ class RunningExampleFacts:
     notes: tuple = ()
 
 
-@dataclass(frozen=True)
-class GraphFixture:
+class GraphFixture(NamedTuple):
     graph: Graph
     expected: RunningExampleFacts
 
@@ -154,22 +151,18 @@ def ea_graph(ground, mult: Mult = 1) -> Graph:
     return Graph(names, bundles)
 
 
-@dataclass(frozen=True)
-class PXModel:
+class PXModel(NamedTuple):
     """Nonempty subsets of a ground set with finite-subset-containment closure."""
 
     ground: tuple
-    points: tuple = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(s for s in _all_subsets(self.ground) if s))
+    points: tuple  # the nonempty subsets of ``ground``
 
 
 def px_model(ground) -> PXModel:
     elems = tuple(sorted(set(ground)))
     if len(elems) > 4:
         raise SizeLimitExceeded(f"ground set of {len(elems)} elements is above the cap of 4")
-    return PXModel(elems)
+    return PXModel(elems, tuple(s for s in _all_subsets(elems) if s))
 
 
 def px_closure(model: PXModel, family: Iterable[frozenset]) -> frozenset:

@@ -21,10 +21,9 @@ is also the canonical order for all deterministic output.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import SizeLimitExceeded, UnknownVertex
 
@@ -100,8 +99,7 @@ def mult_sum(ms: Iterable[Mult]) -> Mult:
     return total
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(NamedTuple):
     """A family of parallel edges src -> dst with the given multiplicity."""
 
     src: str
@@ -118,19 +116,17 @@ class CycleClass(enum.IntEnum):
     TWO_OR_MORE = 2
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """Boolean predicate result carrying a witness for failures."""
 
     holds: bool
     witness: object = None
 
-    def __bool__(self) -> bool:
+    def __bool__(self) -> bool:  # a nonempty tuple would be truthy
         return self.holds
 
 
-@dataclass(frozen=True)
-class VertexClassification:
+class VertexClassification(NamedTuple):
     sinks: frozenset
     infinite_emitters: frozenset
     regular: frozenset
@@ -289,9 +285,16 @@ class Graph:
         return frozenset(compress(self.vertices, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
     def sorted_set(self, names: Iterable[str]) -> tuple[str, ...]:
-        """The subset listed in declaration order (canonical output order)."""
-        keep = set(names)
-        return tuple(v for v in self.vertices if v in keep)
+        """The subset listed in declaration order (canonical output order);
+        names the graph does not know are left out.
+
+        A small subset is sorted by index, a large one read off one pass over
+        the vertices: sorting k names costs about k log k, the pass about n.
+        """
+        keep = frozenset(names)
+        if len(keep) * 8 < len(self.vertices):
+            return tuple(sorted(keep & self.index.keys(), key=self.index.__getitem__))
+        return tuple(filter(keep.__contains__, self.vertices))
 
     # -- derived structure -------------------------------------------------
 

@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ConditionKRequired, NotSaturatedHereditary
 from .graph_core import (
@@ -51,8 +49,7 @@ from .graph_core import (
 from .tails import _cluster_masks, _mt_faults
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(NamedTuple):
     """(H, S): saturated hereditary H together with kept breaking vertices S."""
 
     h: frozenset
@@ -70,8 +67,7 @@ class IdealKind(enum.Enum):
     NOT_PRIME = "not-prime"
 
 
-@dataclass(frozen=True)
-class IdealClass:
+class IdealClass(NamedTuple):
     """Classification verdict; PRIMITIVE_RETURN carries the return vertex."""
 
     kind: IdealKind
@@ -257,26 +253,17 @@ def ideal_leq(g: Graph, p: AdmissiblePair, q: AdmissiblePair) -> bool:
 # -- quotient graphs -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
+class QuotientGraph(NamedTuple):
     """The graph realizing the quotient by the ideal of an admissible pair.
 
     ``primed`` maps every kept breaking vertex (B_H minus S) to the name of
     its sink copy inside ``graph``; ``provenance`` maps every quotient bundle
-    back to the source-graph bundle it came from, read on first use off
-    ``built``, where each sink copy follows the bundle it copies.
+    back to the source-graph bundle it came from.
     """
 
     graph: Graph
     primed: dict
-    built: tuple = field(repr=False, compare=False)
-
-    @cached_property
-    def provenance(self) -> dict:
-        copies, out = set(self.primed.values()), {}
-        for b in self.built:
-            out[b] = source = source if b.dst in copies else b
-        return out
+    provenance: dict
 
 
 def _fresh_name(base: str, taken: set) -> str:
@@ -302,18 +289,18 @@ def quotient_graph(g: Graph, pair: AdmissiblePair) -> QuotientGraph:
     vertices += primed.values()
 
     labels = {b.label for b in g.bundles if b.label} if primed else set()
-    bundles: list[Bundle] = []
+    provenance: dict[Bundle, Bundle] = {}
     for b in g.bundles:
         if hmask >> g.index[b.dst] & 1:
             continue
-        bundles.append(b)
+        provenance[b] = b
         if b.dst in primed:
             label = None
             if b.label is not None:
                 label = _fresh_name(f"{b.label}_prime", labels)
-            bundles.append(Bundle(b.src, primed[b.dst], b.mult, label))
+            provenance[Bundle(b.src, primed[b.dst], b.mult, label)] = b
 
-    return QuotientGraph(Graph(vertices, bundles), primed, tuple(bundles))
+    return QuotientGraph(Graph(vertices, provenance), primed, provenance)
 
 
 # -- classification ------------------------------------------------------------
@@ -385,8 +372,7 @@ def classify_via_quotient(g: Graph, pair: AdmissiblePair) -> IdealClass:
     return _quotient_verdict(g, *_check_admissible(g, pair))[0]
 
 
-@dataclass(frozen=True)
-class _Quotient:
+class _Quotient(NamedTuple):
     """:func:`quotient_graph` on bitmasks: the complement of H keeps its bits,
     and the sink copy of the j-th kept breaking vertex is bit n + j."""
 
@@ -394,10 +380,7 @@ class _Quotient:
     vertices: int
     one: int  # the vertices of total out-multiplicity one
     kept: int  # the kept breaking vertices, B_H minus S, as parent bits
-
-    @cached_property
-    def components(self) -> list[int]:
-        return strong_components(self.succ, self.vertices)[0]
+    components: list  # the strongly connected components, as masks
 
 
 @per_graph
@@ -421,7 +404,8 @@ def _quotient_masks(g: Graph, hmask: int, smask: int) -> _Quotient:
         if out & kept:
             out |= sum(c for bit, c in copy.items() if out & bit)
         succ[i] = out
-    return _Quotient(succ, rest | (1 << n + len(copy)) - (1 << n), one, kept)
+    vertices = rest | (1 << n + len(copy)) - (1 << n)
+    return _Quotient(succ, vertices, one, kept, strong_components(succ, vertices)[0])
 
 
 def _quotient_condition_L(q: _Quotient) -> bool:

@@ -17,8 +17,7 @@ exactly when w is singular or on a cycle.  Tails are the clusters passing MT4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidPath, NotAMaximalTail
 from .graph_core import (
@@ -33,8 +32,7 @@ from .graph_core import (
 )
 
 
-@dataclass(frozen=True)
-class MtReport:
+class MtReport(NamedTuple):
     """Per-axiom verdicts for one vertex set, with failure witnesses."""
 
     mt1: bool
@@ -105,8 +103,7 @@ def _cluster_masks(g: Graph) -> list[int]:
     return sorted({coreach[w] for w in range(g.n) if not regular >> w & 1 or succ[w] & coreach[w]})
 
 
-@dataclass(frozen=True)
-class BoundaryPath:
+class BoundaryPath(NamedTuple):
     """A finite path ending at a singular vertex, or an eventually periodic one.
 
     ``prefix`` is walked once from ``base``; a nonempty ``cycle`` is then

@@ -35,9 +35,8 @@ results of :func:`graph_closure`, :func:`ideal_closure` and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .errors import ConditionKRequired, VerificationFailure
 from .graph_core import (
@@ -60,8 +59,7 @@ from .ideals import (
 from .tails import clusters, finite_return_vertices, maximal_tails
 
 
-@dataclass(frozen=True)
-class ClusterPoint:
+class ClusterPoint(NamedTuple):
     """A point of the spectrum given by a cluster of maximal tails."""
 
     members: frozenset
@@ -70,8 +68,7 @@ class ClusterPoint:
         return "{" + ", ".join(g.sorted_set(self.members)) + "}"
 
 
-@dataclass(frozen=True)
-class FRPoint:
+class FRPoint(NamedTuple):
     """A point of the spectrum given by a finite-return vertex."""
 
     vertex: str
@@ -273,8 +270,7 @@ def _space(g: Graph, pts: tuple, side: str, name: str) -> SpecSpace:
 # -- verification reports ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomeomorphismReport:
+class HomeomorphismReport(NamedTuple):
     points: int
     prime_pairs: int
     primitive_pairs: int
@@ -283,8 +279,7 @@ class HomeomorphismReport:
     exhaustive: bool
 
 
-@dataclass(frozen=True)
-class KuratowskiReport:
+class KuratowskiReport(NamedTuple):
     ok: bool
     failures: tuple
     subsets_checked: int
@@ -292,8 +287,7 @@ class KuratowskiReport:
     exhaustive: bool
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     t0: bool
     t1: bool
     hausdorff: bool
@@ -301,8 +295,7 @@ class SeparationReport:
     specialization: tuple  # (p, q) pairs with q in the closure of {p}
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     spec_point_count: int
     prim_point_count: int
 

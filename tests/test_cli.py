@@ -353,7 +353,9 @@ def test_verify_catches_a_quotient_without_sink_copies(fixture_path, capsys, mon
     def without_sinks(g, hmask, smask):
         q = real(g, hmask, smask)
         parent = g.full_mask
-        return ideals._Quotient([m & parent for m in q.succ], q.vertices & parent, q.one, q.kept)
+        succ, vertices = [m & parent for m in q.succ], q.vertices & parent
+        components = graph_core.strong_components(succ, vertices)[0]
+        return ideals._Quotient(succ, vertices, q.one, q.kept, components)
 
     monkeypatch.setattr(ideals, "_quotient_masks", without_sinks)
     code, out, err = run(capsys, "verify", fixture_path)
@@ -550,6 +552,14 @@ def test_byte_identical_output_across_runs(fixture_path, capsys):
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
+def help_golden(name: str) -> bytes:
+    """The expected help text; from 3.13 on, argparse keeps the top usage
+    line's trailing ``...`` beside the subcommand choices."""
+    if sys.version_info >= (3, 13) and name in ("top", "usage-error"):
+        name += "-3.13"
+    return (GOLDEN_DIR / "help" / f"{name}.txt").read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -585,7 +595,7 @@ def test_help_matches_its_golden_file(name, capsys, monkeypatch):
         cli.main(list(HELP_CASES[name]))
     out = capsys.readouterr()
     assert (exit_.value.code, out.err) == (0, "")
-    assert out.out.encode("utf-8") == (GOLDEN_DIR / "help" / f"{name}.txt").read_bytes()
+    assert out.out.encode("utf-8") == help_golden(name)
 
 
 def test_usage_error_matches_its_golden_file(capsys, monkeypatch):
@@ -595,7 +605,7 @@ def test_usage_error_matches_its_golden_file(capsys, monkeypatch):
         cli.main(["check", "--bogus", "x"])
     out = capsys.readouterr()
     assert (exit_.value.code, out.out) == (2, "")
-    assert out.err.encode("utf-8") == (GOLDEN_DIR / "help" / "usage-error.txt").read_bytes()
+    assert out.err.encode("utf-8") == help_golden("usage-error")
 
 
 def test_main_builds_only_the_subparser_that_argv_names(fixture_path, capsys, monkeypatch):
@@ -614,6 +624,18 @@ def test_main_builds_only_the_subparser_that_argv_names(fixture_path, capsys, mo
     with pytest.raises(SystemExit):
         cli.main(["check", "--bogus", fixture_path])
     assert built[2:] == ["check", None]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every command pays for its imports; -S keeps site hooks from loading them instead
+    probe = "import sys, ck_spectra.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 # -- generation and export -------------------------------------------------------------
