@@ -28,16 +28,14 @@ from .graph_core import (
     OMEGA,
     Graph,
     Mult,
+    _csp_mask,
     check_mult,
-    classify_vertices,
     condition_K,
     condition_L,
-    has_csp,
     is_downward_directed,
     require_enumerable,
 )
 from .ideals import (
-    AdmissiblePair,
     _direct_verdict,
     _named,
     _pair_scan,
@@ -55,7 +53,7 @@ from .render import (
 )
 from .tails import (
     BoundaryPath,
-    clusters,
+    _cluster_masks,
     finite_return_vertices,
     maximal_tails,
     mt_report,
@@ -64,9 +62,10 @@ from .tails import (
 )
 from .topology import (
     ClusterPoint,
+    _h_masks,
+    _point_mask,
     check_kuratowski,
     graph_closure,
-    h_map,
     ideal_closure,
     prim_points,
     prim_space,
@@ -105,12 +104,12 @@ def _load(path: str) -> Graph:
     return parse_graph(text)
 
 
-def _fmt_set(g: Graph, members) -> str:
-    return "{" + ", ".join(g.sorted_set(members)) + "}"
+def _fmt_set(g: Graph, mask: int) -> str:
+    return "{" + ", ".join(g.listing(mask)) + "}"
 
 
-def _fmt_pair(g: Graph, pair: AdmissiblePair) -> str:
-    return f"(H={_fmt_set(g, pair.h)}, S={_fmt_set(g, pair.s)})"
+def _fmt_pair(g: Graph, hmask: int, smask: int) -> str:
+    return f"(H={_fmt_set(g, hmask)}, S={_fmt_set(g, smask)})"
 
 
 def _fmt_path(path: BoundaryPath) -> str:
@@ -123,7 +122,11 @@ def _fmt_path(path: BoundaryPath) -> str:
     return text
 
 
-def _point_names(g: Graph, pts) -> dict:
+def _comma_set(text: str) -> frozenset:
+    return frozenset(t.strip() for t in text.split(",") if t.strip())
+
+
+def _point_names(pts) -> dict:
     names = {}
     counter = 0
     for p in pts:
@@ -135,22 +138,14 @@ def _point_names(g: Graph, pts) -> dict:
     return names
 
 
-def _parse_points(g: Graph, pts, spec: str) -> frozenset:
-    names = _point_names(g, pts)
+def _parse_points(pts, spec: str) -> frozenset:
+    names = _point_names(pts)
     by_name = {v: k for k, v in names.items()}
-    chosen = []
-    if spec:
-        for token in spec.split(","):
-            token = token.strip()
-            if token not in by_name:
-                known = ", ".join(names[p] for p in pts)
-                raise UnknownVertex(f"unknown point {token!r}; points are: {known}")
-            chosen.append(by_name[token])
-    return frozenset(chosen)
-
-
-def _comma_set(text: str) -> frozenset:
-    return frozenset(t.strip() for t in text.split(",") if t.strip())
+    tokens = _comma_set(spec)
+    unknown = sorted(tokens - by_name.keys())
+    if unknown:
+        raise UnknownVertex(f"unknown point {unknown[0]!r}; points are: {', '.join(names.values())}")
+    return frozenset(by_name[t] for t in tokens)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -158,32 +153,32 @@ def _comma_set(text: str) -> frozenset:
 
 def cmd_check(args) -> int:
     g = _load(args.path)
-    kinds = classify_vertices(g)
+    sinks, emitters, regular = g.class_masks
     k = condition_K(g)
     l = condition_L(g)
     dd = is_downward_directed(g, g.vertices)
-    _, csp = has_csp(g, g.vertices)
+    csp = _csp_mask(g, g.full_mask)
     if args.json:
         payload = {
             "schema": "ck-spectra/check/1",
             "vertices": len(g.vertices),
-            "sinks": list(g.sorted_set(kinds.sinks)),
-            "infinite_emitters": list(g.sorted_set(kinds.infinite_emitters)),
-            "regular": list(g.sorted_set(kinds.regular)),
+            "sinks": g.listing(sinks),
+            "infinite_emitters": g.listing(emitters),
+            "regular": g.listing(regular),
             "condition_k": k.holds,
             "condition_k_witness": k.witness,
             "condition_l": l.holds,
             "condition_l_witness": list(l.witness) if l.witness else None,
             "downward_directed": dd.holds,
             "downward_directed_witness": list(dd.witness) if dd.witness else None,
-            "csp_witness": list(g.sorted_set(csp)),
+            "csp_witness": g.listing(csp),
         }
         sys.stdout.write(emit_json(payload))
         return EXIT_OK
     print(f"vertices: {len(g.vertices)}")
-    print(f"sinks: {_fmt_set(g, kinds.sinks)}")
-    print(f"infinite emitters: {_fmt_set(g, kinds.infinite_emitters)}")
-    print(f"regular: {_fmt_set(g, kinds.regular)}")
+    print(f"sinks: {_fmt_set(g, sinks)}")
+    print(f"infinite emitters: {_fmt_set(g, emitters)}")
+    print(f"regular: {_fmt_set(g, regular)}")
     if k:
         print("condition K: yes")
     else:
@@ -204,28 +199,29 @@ def cmd_check(args) -> int:
 def cmd_tails(args) -> int:
     g = _load(args.path)
     tails = maximal_tails(g)
-    clus = clusters(g)
-    fr = finite_return_vertices(g)
+    tmasks = [g.mask(t) for t in tails]
+    clus = _cluster_masks(g)
+    fr = g.mask(finite_return_vertices(g))
     if args.json:
         payload = {
             "schema": "ck-spectra/tails/1",
-            "maximal_tails": [list(g.sorted_set(t)) for t in tails],
-            "clusters": [list(g.sorted_set(c)) for c in clus],
-            "clusters_equal_tails": tails == clus,
-            "finite_return_vertices": list(g.sorted_set(fr)),
+            "maximal_tails": [g.listing(m) for m in tmasks],
+            "clusters": [g.listing(m) for m in clus],
+            "clusters_equal_tails": tmasks == clus,
+            "finite_return_vertices": g.listing(fr),
         }
         sys.stdout.write(emit_json(payload))
         return EXIT_OK
     print(f"maximal tails ({len(tails)}):")
-    for i, t in enumerate(tails, 1):
+    for i, (t, m) in enumerate(zip(tails, tmasks), 1):
         rep = mt_report(g, t)
         flags = " ".join(
             f"{name}={'yes' if ok else 'no'}"
             for name, ok in [("mt1", rep.mt1), ("mt2", rep.mt2), ("mt3", rep.mt3), ("mt4", rep.mt4)]
         )
-        print(f"  T{i} = {_fmt_set(g, t)}  [{flags}]")
+        print(f"  T{i} = {_fmt_set(g, m)}  [{flags}]")
         print(f"       realized by: {_fmt_path(realize_as_tail(g, t))}")
-    print(f"clusters match maximal tails: {'yes' if tails == clus else 'no'}")
+    print(f"clusters match maximal tails: {'yes' if tmasks == clus else 'no'}")
     print(f"finite-return vertices: {_fmt_set(g, fr)}")
     return EXIT_OK
 
@@ -236,14 +232,14 @@ def cmd_ideals(args) -> int:
     if not condition_K(g):
         raise ConditionKRequired("classification requires Condition (K)")
     sh, pairs = _sat_her_scan(g), _pair_scan(g)
-    rows = [(_named(g, pair), _direct_verdict(g, *pair), _quotient_verdict(g, *pair)[0]) for pair in pairs]
+    rows = [(pair, _direct_verdict(g, *pair), _quotient_verdict(g, *pair)[0]) for pair in pairs]
     if args.json:
         payload = {
             "schema": "ck-spectra/ideals/1",
-            "saturated_hereditary_sets": [list(g.sorted_set(g.names(h))) for h in sh],
+            "saturated_hereditary_sets": [g.listing(h) for h in sh],
             "pairs": [
                 {
-                    **pair_payload(g, pair),
+                    **pair_payload(g, *pair),
                     "class": direct.kind.value,
                     "v0": direct.v0,
                     "quotient_route_agrees": direct == quotient,
@@ -257,7 +253,7 @@ def cmd_ideals(args) -> int:
     print(f"admissible pairs: {len(pairs)}")
     for pair, direct, quotient in rows:
         agree = "agree" if direct == quotient else "DISAGREE"
-        print(f"  {_fmt_pair(g, pair)} -> {direct.describe()} [{agree}]")
+        print(f"  {_fmt_pair(g, *pair)} -> {direct.describe()} [{agree}]")
     prime = sum(1 for _, d, _q in rows if d.is_prime)
     print(f"prime ideals: {prime}")
     return EXIT_OK
@@ -280,7 +276,7 @@ def cmd_quotient(args) -> int:
 
 def _space_listing(g: Graph, space, json_mode: bool) -> int:
     pts = space.points
-    names = _point_names(g, pts)
+    names = _point_names(pts)
     sep = separation_report(space)
     closure_of = {p: [] for p in pts}
     for p, q in sep.specialization:
@@ -292,10 +288,8 @@ def _space_listing(g: Graph, space, json_mode: bool) -> int:
                 {
                     "name": names[p],
                     "kind": "cluster" if isinstance(p, ClusterPoint) else "finite-return",
-                    "vertices": list(g.sorted_set(p.members))
-                    if isinstance(p, ClusterPoint)
-                    else [p.vertex],
-                    "ideal": pair_payload(g, h_map(g, p)),
+                    "vertices": g.listing(_point_mask(g, p)) if isinstance(p, ClusterPoint) else [p.vertex],
+                    "ideal": pair_payload(g, *_h_masks(g, p)),
                     "closure": sorted(names[q] for q in closure_of[p]),
                 }
                 for p in pts
@@ -313,7 +307,7 @@ def _space_listing(g: Graph, space, json_mode: bool) -> int:
     print(f"points ({len(pts)}):")
     for p in pts:
         print(f"  {names[p]} = {p.label(g)}")
-        print(f"       ideal: {_fmt_pair(g, h_map(g, p))}")
+        print(f"       ideal: {_fmt_pair(g, *_h_masks(g, p))}")
         print(f"       closure: {{{', '.join(sorted(names[q] for q in closure_of[p]))}}}")
     arrows = [(p, q) for p, q in sep.specialization if p != q]
     print("specialization (p -> q means q lies in the closure of {p}):")
@@ -339,8 +333,8 @@ def cmd_prim(args) -> int:
 def cmd_closure(args) -> int:
     g = _load(args.path)
     pts = tuple(spec_points(g) if args.space == "spec" else prim_points(g))
-    names = _point_names(g, pts)
-    xs = _parse_points(g, pts, args.points)
+    names = _point_names(pts)
+    xs = _parse_points(pts, args.points)
     left = graph_closure(g, xs, ambient=pts)
     right = ideal_closure(g, pts, xs)
     if args.json:

@@ -15,7 +15,9 @@ on quotient graphs that are never built as a :class:`Graph`.
 
 Vertex subsets are plain ``frozenset`` objects at the API boundary; the
 implementation works on integer bitmasks indexed by declaration order, which
-is also the canonical order for all deterministic output.
+is also the canonical order for all deterministic output.  ``Graph.listing``
+is the one reader of that order: it lists a mask's vertices, and every
+printed or rendered vertex set comes from it.
 """
 
 from __future__ import annotations
@@ -280,22 +282,13 @@ class Graph:
             m |= 1 << self.require_vertex(v)
         return m
 
-    def names(self, mask: int) -> frozenset:
+    def listing(self, mask: int) -> tuple[str, ...]:
+        """The vertices of ``mask`` in declaration order, the canonical output order."""
         # one pass over bin(mask), low bit first: byte i is 1 iff bit i is set
-        return frozenset(compress(self.vertices, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+        return tuple(compress(self.vertices, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
-    def sorted_set(self, names: Iterable[str]) -> tuple[str, ...]:
-        """The subset listed in declaration order (canonical output order);
-        names the graph does not know are left out.
-
-        A small subset is sorted by index, a large one read off one pass over
-        the vertices: sorting k names costs about k log k, the pass about n,
-        and the two take the same time near k = n/8 (timed for n of 40 to 5,000).
-        """
-        keep = frozenset(names)
-        if len(keep) * 8 < len(self.vertices):
-            return tuple(sorted(keep & self.index.keys(), key=self.index.__getitem__))
-        return tuple(filter(keep.__contains__, self.vertices))
+    def names(self, mask: int) -> frozenset:
+        return frozenset(self.listing(mask))
 
     # -- derived structure -------------------------------------------------
 
@@ -510,7 +503,11 @@ def has_csp(g: Graph, members: Iterable[str]) -> tuple[bool, frozenset]:
     witness is the highest-index member of each minimal class.
     ``tests/oracles.py::oracle_csp_witness`` is the literal shrink.
     """
-    mask = g.mask(members)
+    return True, g.names(_csp_mask(g, g.mask(members)))
+
+
+def _csp_mask(g: Graph, mask: int) -> int:
+    """The :func:`has_csp` witness of a vertex mask, as a mask."""
     masks, comp = g.condensation
     reach = g.reach
     witness = 0
@@ -518,7 +515,7 @@ def has_csp(g: Graph, members: Iterable[str]) -> tuple[bool, frozenset]:
         same = masks[comp[i]]
         if not reach[i] & mask & ~same:
             witness |= 1 << (mask & same).bit_length() - 1
-    return True, g.names(witness)
+    return witness
 
 
 # -- simple cycles and the structural conditions ------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .graph_core import Graph, is_omega
-from .ideals import AdmissiblePair, QuotientGraph
+from .ideals import QuotientGraph
 
 
 def mult_payload(m):
@@ -42,11 +42,8 @@ def quotient_payload(q: QuotientGraph) -> dict:
     }
 
 
-def pair_payload(g: Graph, pair: AdmissiblePair) -> dict:
-    return {
-        "h": list(g.sorted_set(pair.h)),
-        "s": list(g.sorted_set(pair.s)),
-    }
+def pair_payload(g: Graph, hmask: int, smask: int) -> dict:
+    return {"h": g.listing(hmask), "s": g.listing(smask)}
 
 
 def emit_json(payload) -> str:

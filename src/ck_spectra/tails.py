@@ -24,6 +24,7 @@ from .graph_core import (
     Bundle,
     Graph,
     _bits,
+    _csp_mask,
     _finite_edges,
     _undirected_pair,
     has_csp,
@@ -58,7 +59,6 @@ def mt_report(g: Graph, members) -> MtReport:
     mask = g.mask(members)
     mt1, mt2, mt3 = _mt_faults(g, mask)
     v = g.vertices
-    _, csp = has_csp(g, g.names(mask))
     return MtReport(
         mt1=mt1 is None,
         mt2=mt2 is None,
@@ -67,7 +67,7 @@ def mt_report(g: Graph, members) -> MtReport:
         mt1_witness=None if mt1 is None else (v[mt1[0]], v[mt1[1]]),
         mt2_witness=None if mt2 is None else v[mt2],
         mt3_witness=None if mt3 is None else (v[mt3[0]], v[mt3[1]]),
-        csp_witness=csp,
+        csp_witness=g.names(_csp_mask(g, mask)),
     )
 
 
@@ -188,19 +188,16 @@ def realize_as_tail(g: Graph, members) -> BoundaryPath:
     extend through MT2 until the walk hits a singular vertex or repeats.
     """
     mask = g.mask(members)
-    rep = mt_report(g, g.names(mask))
-    if mask == 0 or not rep.tail_axioms:
+    if mask == 0 or _mt_faults(g, mask) != (None, None, None):  # MT4 always holds
         raise NotAMaximalTail(f"{sorted(g.names(mask))} does not satisfy MT1-MT4 or is empty")
-
-    anchors = g.sorted_set(rep.csp_witness)  # the witness lies inside the set
 
     base = g.vertices[next(_bits(mask))]
     current = base
     bundles: list[Bundle] = []
-    for x in anchors:
+    for x in _bits(_csp_mask(g, mask)):  # the witness lies inside the set
         # common lower bound of x and the walk head, inside the set (MT3);
         # MT1 keeps every vertex of the connecting route inside the set.
-        common = g.reach[g.index[x]] & g.reach[g.index[current]] & mask
+        common = g.reach[x] & g.reach[g.index[current]] & mask
         target = g.vertices[next(_bits(common))]
         bundles.extend(_shortest_route(g, current, target))
         current = target

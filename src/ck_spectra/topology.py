@@ -65,7 +65,7 @@ class ClusterPoint(NamedTuple):
     members: frozenset
 
     def label(self, g: Graph) -> str:
-        return "{" + ", ".join(g.sorted_set(self.members)) + "}"
+        return "{" + ", ".join(g.listing(_point_mask(g, self))) + "}"
 
 
 class FRPoint(NamedTuple):
@@ -85,7 +85,7 @@ def _points(g: Graph, tails_of: Callable[[Graph], list]) -> list[SpecPoint]:
     if not condition_K(g):
         raise ConditionKRequired("spectrum computations require Condition (K)")
     pts: list[SpecPoint] = [ClusterPoint(c) for c in tails_of(g)]
-    pts += [FRPoint(v) for v in g.sorted_set(finite_return_vertices(g))]
+    pts += [FRPoint(v) for v in g.listing(g.mask(finite_return_vertices(g)))]
     return pts
 
 
@@ -231,16 +231,11 @@ class SpecSpace:
     """A finite point set together with a closure operator.
 
     The operator runs on point-index masks: ``mask_closure`` maps the mask of
-    X (bit i for ``points[i]``) to the mask of its closure.  A space given only
-    a ``closure`` on point sets adapts it once into a mask closure, so every
-    check runs on the one mask path.
+    X (bit i for ``points[i]``) to the mask of its closure.
     """
 
-    def __init__(self, points: Iterable[SpecPoint], closure: Optional[Callable], side: str,
-                 name: str, mask_closure: Optional[Callable[[int], int]] = None):
+    def __init__(self, points: Iterable[SpecPoint], mask_closure: Callable[[int], int], side: str, name: str):
         self.points = tuple(points)
-        if mask_closure is None:
-            mask_closure = lambda m: _mask_of(self.points, closure(_pick(self.points, m)))
         self.mask_closure = mask_closure
         self.side = side
         self.name = name
@@ -264,7 +259,7 @@ def _space(g: Graph, pts: tuple, side: str, name: str) -> SpecSpace:
     kernels = {"graph": _graph_kernel, "ideal": _ideal_kernel}
     if side not in kernels:
         raise ValueError(f"side must be 'graph' or 'ideal', got {side!r}")
-    return SpecSpace(pts, None, side, name, kernels[side](g, pts))
+    return SpecSpace(pts, kernels[side](g, pts), side, name)
 
 
 # -- verification reports ------------------------------------------------------

@@ -338,7 +338,8 @@ def oracle_classify_ideal(g: Graph, pair: AdmissiblePair) -> IdealClass:
     quantifier oracles above (MT4 holds on every finite vertex set)."""
     _require_condition_k(g)
     hmask, smask = oracle_check_admissible(g, pair)
-    kept = g.sorted_set(g.names(_breaking_masked(g, hmask) & ~smask))
+    breakers = _breaking_masked(g, hmask) & ~smask
+    kept = tuple(v for i, v in enumerate(g.vertices) if breakers >> i & 1)
     complement = g.names(g.full_mask & ~hmask)
 
     is_tail = is_cluster = is_return_tail = False

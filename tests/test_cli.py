@@ -178,6 +178,18 @@ def test_closure_unknown_point_exits_three(fixture_path, capsys):
     assert code == 3 and "unknown point" in err
 
 
+def test_closure_points_skip_blank_items_like_every_comma_list(fixture_path, capsys):
+    plain = run(capsys, "closure", "--points", "T4", fixture_path)
+    assert run(capsys, "closure", "--points", "T4,", fixture_path) == plain
+    assert run(capsys, "closure", "--points", " , T4 ,,", fixture_path) == plain
+
+
+def test_closure_names_the_first_unknown_point_in_sorted_order(fixture_path, capsys):
+    code, _, err = run(capsys, "closure", "--points", "T9,T4,FR:q", fixture_path)
+    assert code == 3
+    assert err == "precondition violation: unknown point 'FR:q'; points are: T1, T2, T3, T4, FR:x\n"
+
+
 def test_closure_prim_space_and_empty_input(fixture_path, capsys):
     code, out, _ = run(capsys, "closure", "--space", "prim", "--points", "FR:x", fixture_path)
     assert code == 0 and "agreement: yes" in out
@@ -229,7 +241,7 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
         inspect.unwrap(fn).__code__: name
         for name, fn in (("kuratowski", topology.check_kuratowski), ("classify", ideals._direct_verdict))
     }
-    csp_body = graph_core.has_csp.__code__
+    csp_body = graph_core._csp_mask.__code__
     runs = Counter()
     csp_graphs = []  # kept alive, so that no two of them share an id
 
@@ -368,7 +380,7 @@ def test_verify_catches_a_quotient_without_sink_copies(fixture_path, capsys, mon
 
 def test_verify_reports_a_kuratowski_failure(fixture_path, capsys, monkeypatch):
     def empty_closure(g, side="graph"):
-        return topology.SpecSpace(topology.spec_points(g), None, side, "spec", lambda m: 0)
+        return topology.SpecSpace(topology.spec_points(g), lambda m: 0, side, "spec")
 
     monkeypatch.setattr(cli, "spec_space", empty_closure)
     code, out, err = run(capsys, "verify", fixture_path)

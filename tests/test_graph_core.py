@@ -85,13 +85,12 @@ def test_graph_equality_and_canonical_order():
     assert g1 == g2 and hash(g1) == hash(g2)
 
 
-@given(picks=st.lists(st.integers(0, 39)), strangers=st.lists(st.sampled_from(["x", "v40", ""])))
+@given(mask=st.integers(0, (1 << 40) - 1))
 @settings(max_examples=80, deadline=None)
-def test_sorted_set_lists_known_names_in_declaration_order(picks, strangers):
-    # small and large subsets take different routes through sorted_set
+def test_listing_reads_a_mask_in_declaration_order(mask):
     g = Graph([f"v{i}" for i in reversed(range(40))])
-    names = [f"v{i}" for i in picks] + strangers
-    assert g.sorted_set(names) == tuple(v for v in g.vertices if v in set(names))
+    assert g.listing(mask) == tuple(v for i, v in enumerate(g.vertices) if mask >> i & 1)
+    assert g.names(mask) == frozenset(g.listing(mask))
 
 
 # -- vertex classes --------------------------------------------------------------

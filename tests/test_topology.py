@@ -14,6 +14,7 @@ from ck_spectra import (
     FRPoint,
     Graph,
     OMEGA,
+    UnknownVertex,
     VerificationFailure,
     check_kuratowski,
     classify_ideal,
@@ -181,6 +182,23 @@ def test_simple_union_formula_on_row_finite_graphs():
             assert graph_closure(g, x, ambient=pts) == simple
 
 
+def test_point_labels_list_vertices_in_declaration_order(g7):
+    # the fixture declares t, u, v, w, x, y, z
+    assert [p.label(g7) for p in spec_points(g7)] == [
+        "{w}",
+        "{u, v, w, x}",
+        "{t, u, v, w, x}",
+        "{u, v, w, x, y, z}",
+        "return vertex x",
+    ]
+    assert cluster("zyxwvu").label(g7) == "{u, v, w, x, y, z}"
+
+
+def test_cluster_label_rejects_an_unknown_vertex(g7):
+    with pytest.raises(UnknownVertex):
+        ClusterPoint(f({"w", "nope"})).label(g7)
+
+
 # -- the h map ---------------------------------------------------------------------
 
 
@@ -266,7 +284,7 @@ def test_kuratowski_flags_a_broken_operator(g7):
     from ck_spectra import SpecSpace
 
     pts = tuple(spec_points(g7))
-    broken = SpecSpace(pts, lambda xs: f(), "graph", "spec")  # drops everything
+    broken = SpecSpace(pts, lambda m: 0, "graph", "spec")  # drops everything
     rep = check_kuratowski(broken)
     assert not rep.ok
     assert any(kind == "extensive" for kind, _, _ in rep.failures)
@@ -276,7 +294,7 @@ def test_kuratowski_sweeps_many_points_without_recursion():
     from ck_spectra import SpecSpace
 
     pts = tuple(FRPoint(f"v{i}") for i in range(1500))
-    rep = check_kuratowski(SpecSpace(pts, None, "graph", "discrete", mask_closure=lambda m: m))
+    rep = check_kuratowski(SpecSpace(pts, lambda m: m, "graph", "discrete"))
     assert rep.ok and not rep.exhaustive
     assert rep.subsets_checked == 1502  # the empty set, everything and each singleton
 
@@ -287,7 +305,7 @@ def test_kuratowski_flags_a_non_additive_operator_when_sampling():
     pts = tuple(FRPoint(f"v{i}") for i in range(14))
     everything = (1 << 14) - 1
     # singletons are closed, anything larger closes to everything
-    spread = SpecSpace(pts, None, "graph", "spread", mask_closure=lambda m: m if m & (m - 1) == 0 else everything)
+    spread = SpecSpace(pts, lambda m: m if m & (m - 1) == 0 else everything, "graph", "spread")
     rep = check_kuratowski(spread)
     assert not rep.ok and not rep.exhaustive
     assert {kind for kind, _, _ in rep.failures} == {"additive"}
@@ -310,7 +328,7 @@ def test_kuratowski_names_each_failing_axiom(n, mask_closure, kinds):
     from ck_spectra import SpecSpace
 
     pts = tuple(FRPoint(f"v{i}") for i in range(n))
-    rep = check_kuratowski(SpecSpace(pts, None, "graph", "synthetic", mask_closure=mask_closure))
+    rep = check_kuratowski(SpecSpace(pts, mask_closure, "graph", "synthetic"))
     assert not rep.ok and rep.exhaustive
     assert {kind for kind, _, _ in rep.failures} == kinds
     assert len(rep.failures) <= 8
@@ -320,7 +338,7 @@ def test_kuratowski_report_keeps_the_first_failure_first():
     from ck_spectra import SpecSpace
 
     pts = tuple(FRPoint(f"v{i}") for i in range(4))
-    spread = SpecSpace(pts, None, "graph", "spread", mask_closure=lambda m: m if m & (m - 1) == 0 else 0b1111)
+    spread = SpecSpace(pts, lambda m: m if m & (m - 1) == 0 else 0b1111, "graph", "spread")
     rep = check_kuratowski(spread)
     # verify reports failures[0]: the sweep's first failure, at {v0, v1}
     assert rep.failures[0] == ("additive", f(pts[:2]), None)
@@ -331,9 +349,8 @@ def test_naive_closure_fails_kuratowski_here(g7):
     from ck_spectra import SpecSpace
 
     pts = tuple(spec_points(g7))
-    space = SpecSpace(
-        pts, lambda xs: naive_graph_closure(g7, xs, ambient=pts), "graph", "spec"
-    )
+    naive = lambda m: topology._mask_of(pts, naive_graph_closure(g7, topology._pick(pts, m), ambient=pts))
+    space = SpecSpace(pts, naive, "graph", "spec")
     assert not check_kuratowski(space).ok
 
 
@@ -441,7 +458,7 @@ def test_mask_kernels_and_separation_match_oracles(name):
             want = oracle_graph_closure(g, x, pts)
             assert topology._pick(pts, graph_side(mask)) == want, (name, x)
             assert topology._pick(pts, ideal_side(mask)) == oracle_ideal_closure(g, pts, x) == want
-        sep = separation_report(topology.SpecSpace(pts, None, "graph", "spec", graph_side))
+        sep = separation_report(topology.SpecSpace(pts, graph_side, "graph", "spec"))
         want = oracle_separation(pts, lambda x: oracle_graph_closure(g, x, pts))
         assert (sep.t0, sep.t1, sep.hausdorff, sep.specialization) == want
 
