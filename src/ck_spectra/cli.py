@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 verification counterexample, 2 parse error or
 argparse usage error, 3 precondition violation, 4 enumeration size limit
 (only ``ideals`` and ``verify``, whose outputs can have 2^n entries), 5
 internal error.
+
+A plain command line is read straight from the command table ``_COMMANDS``:
+the command words, then exact option strings with their values and the path.
+Anything else (help, ``--version``, abbreviations, ``--opt=value``, usage
+errors) goes to the argparse parser that :func:`build_parser` makes from it.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import __version__
 from .errors import (
     ConditionKRequired,
     InvalidPath,
@@ -452,95 +458,113 @@ def probability(text: str) -> float:
     return p
 
 
-class _AskTheFullParser(Exception):
-    """Help or a usage error, whose text lists every subcommand."""
+_FLAG = dict(action="store_true")
+_LIMIT_HELP = "vertex cap for enumerating saturated hereditary sets and admissible pairs"
+_LIMIT = dict(type=int, default=DEFAULT_ENUMERATION_LIMIT, help=_LIMIT_HELP)
+
+# In help order: (words, handler, help, takes the path, {flag: add_argument keywords}).
+# No handler groups the entries after it; found by name, a wrapped cmd_* is called.
+_COMMANDS = (
+    (("check",), "cmd_check", "structural predicates and vertex classes", True, {"--json": _FLAG}),
+    (("tails",), "cmd_tails", "maximal tails, clusters and finite-return vertices", True, {"--json": _FLAG}),
+    (("ideals",), "cmd_ideals", "admissible pairs with their classification", True, {
+        "--limit": _LIMIT, "--json": _FLAG,
+    }),
+    (("quotient",), "cmd_quotient", "quotient graph of an admissible pair", True, {
+        "--H": dict(default="", help="comma-separated saturated hereditary set"),
+        "--S": dict(default="", help="comma-separated kept breaking vertices"),
+        "--json": _FLAG, "--dot": _FLAG,
+    }),
+    (("spec",), "cmd_spec", "prime spectrum with its topology", True, {"--json": _FLAG}),
+    (("prim",), "cmd_prim", "primitive ideal space with its topology", True, {"--json": _FLAG}),
+    (("closure",), "cmd_closure", "closure of a point set along both routes", True, {
+        "--points": dict(default="", help="comma-separated point names (T1, FR:v, ...)"),
+        "--space": dict(choices=("spec", "prim"), default="spec"), "--json": _FLAG,
+    }),
+    (("verify",), "cmd_verify", "run the full property suite on one graph", True, {
+        "--limit": _LIMIT, "--exhaustive-limit": dict(type=int, default=12), "--seed": dict(type=int, default=0),
+    }),
+    (("gen",), None, "emit a generated graph as .gcg", False, {}),
+    (("gen", "fixture"), "cmd_gen", "the seven-vertex reference example", False, {}),
+    (("gen", "ea"), "cmd_gen", "subset graph on a ground set", False, {
+        "--set": dict(required=True, help="comma-separated ground elements"),
+        "--mult": dict(type=multiplicity, default="1", help="bundle multiplicity (count or inf)"),
+    }),
+    (("gen", "random"), "cmd_gen", "seeded random Condition-(K) graph", False, {
+        "--seed": dict(type=int, required=True), "--n": dict(type=vertex_count, required=True),
+        "--density": dict(type=probability, default=0.3), "--omega-prob": dict(type=probability, default=0.25),
+        "--allow-non-k": dict(action="store_true", help="skip the repair pass"),
+    }),
+    (("export",), "cmd_export", "emit a parsed graph as JSON or DOT", True, {"--json": _FLAG, "--dot": _FLAG}),
+)
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    def print_help(self, file=None):
-        raise _AskTheFullParser
-
-    def error(self, message):
-        raise _AskTheFullParser
-
-
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand; with ``only``, of that one, raising
-    :class:`_AskTheFullParser` where it would print help or a usage error."""
-    parser = (argparse.ArgumentParser if only is None else _OneCommandParser)(
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every entry of the command table."""
+    parser = argparse.ArgumentParser(
         prog="ck-spectra",
         description="Ideal lattices and prime/primitive spectra of graph algebras under Condition (K).",
     )
-    from . import __version__
-
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, *flags, limit=False):
-        """The subparser, with its path, ``--limit`` and store-true flags; None if unwanted."""
-        if only not in (None, name):
-            return None
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("path", help="input .gcg file, or - for stdin")
-        if limit:
-            p.add_argument(
-                "--limit",
-                type=int,
-                default=DEFAULT_ENUMERATION_LIMIT,
-                help="vertex cap for enumerating saturated hereditary sets and admissible pairs",
-            )
-        for flag in flags:
-            p.add_argument(flag, action="store_true")
-        p.set_defaults(func=fn)
-        return p
-
-    add("check", cmd_check, "structural predicates and vertex classes", "--json")
-    add("tails", cmd_tails, "maximal tails, clusters and finite-return vertices", "--json")
-    add("ideals", cmd_ideals, "admissible pairs with their classification", "--json", limit=True)
-    if p := add("quotient", cmd_quotient, "quotient graph of an admissible pair"):
-        p.add_argument("--H", default="", help="comma-separated saturated hereditary set")
-        p.add_argument("--S", default="", help="comma-separated kept breaking vertices")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--dot", action="store_true")
-    add("spec", cmd_spec, "prime spectrum with its topology", "--json")
-    add("prim", cmd_prim, "primitive ideal space with its topology", "--json")
-    if p := add("closure", cmd_closure, "closure of a point set along both routes"):
-        p.add_argument("--points", default="", help="comma-separated point names (T1, FR:v, ...)")
-        p.add_argument("--space", choices=("spec", "prim"), default="spec")
-        p.add_argument("--json", action="store_true")
-    if p := add("verify", cmd_verify, "run the full property suite on one graph", limit=True):
-        p.add_argument("--exhaustive-limit", type=int, default=12)
-        p.add_argument("--seed", type=int, default=0)
-    if only in (None, "gen"):
-        p = sub.add_parser("gen", help="emit a generated graph as .gcg")
-        gen_sub = p.add_subparsers(dest="kind", required=True)
-        pf = gen_sub.add_parser("fixture", help="the seven-vertex reference example")
-        pf.set_defaults(func=cmd_gen, kind="fixture")
-        pe = gen_sub.add_parser("ea", help="subset graph on a ground set")
-        pe.add_argument("--set", required=True, help="comma-separated ground elements")
-        pe.add_argument("--mult", type=multiplicity, default="1", help="bundle multiplicity (count or inf)")
-        pe.set_defaults(func=cmd_gen, kind="ea")
-        pr = gen_sub.add_parser("random", help="seeded random Condition-(K) graph")
-        pr.add_argument("--seed", type=int, required=True)
-        pr.add_argument("--n", type=vertex_count, required=True)
-        pr.add_argument("--density", type=probability, default=0.3)
-        pr.add_argument("--omega-prob", type=probability, default=0.25)
-        pr.add_argument("--allow-non-k", action="store_true", help="skip the repair pass")
-        pr.set_defaults(func=cmd_gen, kind="random")
-    add("export", cmd_export, "emit a parsed graph as JSON or DOT", "--json", "--dot")
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, handler, help_text, takes_path, options in _COMMANDS:
+        p = groups[words[:-1]].add_parser(words[-1], help=help_text)
+        if handler is None:
+            groups[words] = p.add_subparsers(dest="kind", required=True)
+            continue
+        if takes_path:
+            p.add_argument("path", help="input .gcg file, or - for stdin")
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=globals()[handler])
     return parser
 
 
+def _parse_exact(argv: list) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` for a plain spelling, whose one path is
+    ``-`` or does not start with ``-``; None for any other."""
+    for words, handler, _, takes_path, options in _COMMANDS:
+        if handler and tuple(argv[: len(words)]) == words:
+            break
+    else:
+        return None
+    given, paths = {}, []
+    tokens = iter(argv[len(words) :])
+    for token in tokens:
+        if token not in options:
+            if token.startswith("-") and token != "-":
+                return None
+            paths.append(token)
+        elif options[token].get("action"):
+            given[token] = True
+        elif (text := next(tokens, "-")).startswith("-"):
+            return None
+        else:
+            try:  # as argparse reads a value: its type, then its choices
+                given[token] = value = options[token].get("type", str)(text)
+            except (TypeError, ValueError):
+                return None
+            if value not in options[token].get("choices", (value,)):
+                return None
+    if len(paths) != takes_path:  # the one path, if the entry takes it
+        return None
+    ns = argparse.Namespace(command=words[0], func=globals()[handler], **dict(zip(("kind",), words[1:])))
+    vars(ns).update(zip(("path",), paths))  # the path, if the entry takes one
+    for flag, keywords in options.items():
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        elif isinstance(value := keywords.get("default", False if keywords.get("action") else None), str):
+            value = keywords.get("type", str)(value)  # as argparse reads a string default
+        setattr(ns, flag[2:].replace("-", "_"), value)
+    return ns
+
+
 def _parse(argv) -> argparse.Namespace:
-    """Parse with only the subparser that argv names; help, ``--version`` and
-    usage errors go to the full parser, whose text lists every subcommand."""
+    """Build the argparse parser only for what :func:`_parse_exact` declines."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and not argv[0].startswith("-"):
-        try:
-            return build_parser(argv[0]).parse_args(argv)
-        except _AskTheFullParser:
-            pass
-    return build_parser().parse_args(argv)
+    return _parse_exact(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -1,12 +1,18 @@
+import argparse
+import contextlib
 import inspect
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ck_spectra import VerificationFailure, emit_gcg, parse_graph, running_example
 from ck_spectra import cli, graph_core, ideals, tails, topology
@@ -561,7 +567,8 @@ def test_byte_identical_output_across_runs(fixture_path, capsys):
         assert first == second, cmd
 
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = ROOT / "tests" / "golden"
 
 
 def help_golden(name: str) -> bytes:
@@ -620,22 +627,134 @@ def test_usage_error_matches_its_golden_file(capsys, monkeypatch):
     assert out.err.encode("utf-8") == help_golden("usage-error")
 
 
-def test_main_builds_only_the_subparser_that_argv_names(fixture_path, capsys, monkeypatch):
-    built = []
-    real = cli.build_parser
+def test_plain_spellings_build_no_argparse_parser(fixture_path, capsys, monkeypatch):
+    made, built = [], []
+    real_init, real_build = argparse.ArgumentParser.__init__, cli.build_parser
 
-    def record(only=None):
-        built.append(only)
-        return real(only)
+    def record_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_parser", record)
+    def record_build():
+        built.append(True)
+        return real_build()
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", record_init)
+    monkeypatch.setattr(cli, "build_parser", record_build)
     assert run(capsys, "check", fixture_path)[0] == 0
     assert run(capsys, "gen", "random", "--seed", "3", "--n", "5")[0] == 0
-    assert built == ["check", "gen"]
-    # a usage error is reported by the full parser
-    with pytest.raises(SystemExit):
-        cli.main(["check", "--bogus", fixture_path])
-    assert built[2:] == ["check", None]
+    assert run(capsys, "verify", fixture_path)[0] == 0
+    assert (made, built) == ([], [])
+    # help and usage errors come from the full parser, which lists every subcommand
+    for argv in (["check", "--bogus", fixture_path], ["check", "--help"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    assert len(built) == 2 and made.count("ck-spectra") == 2
+    # a spelling the table does not read is still accepted, through argparse
+    code, out, _ = run(capsys, "verify", fixture_path, "--exhaustive-lim=4")
+    assert (code, out.endswith("all checks passed\n"), len(built)) == (0, True, 3)
+
+
+VALUES = (
+    "0", "3", "12", "-1", "-3", "1.5", "0.3", "1e0", "nan", "inf", "x", "", " 7 ", "0x10",
+    "1_000", "spec", "prim", "both", "a,b", "t,y,z", "-", "--", "--json",
+)
+GOOD_VALUES = ("0", "1", "3", "0.5", "inf", "a,b")
+STRAYS = ("-", "--", "-h", "--help", "--version", "--bogus", "-x", "g.gcg", "other.gcg", "")
+ENTRIES = [entry for entry in cli._COMMANDS if entry[1] is not None]
+
+
+def accepts(convert, text: str) -> bool:
+    try:
+        convert(text)
+    except ValueError:
+        return False
+    return True
+
+
+def command_lines(entry):
+    """Plain spellings of ``entry``, in any order, with a few tokens mixed in:
+    option strings, their abbreviations and --opt=value forms, stray flags and
+    paths, and values that each converter accepts or rejects."""
+    words, _, _, takes_path, options = entry
+    plain = [st.sampled_from([[["g.gcg"]], [["g.gcg"]], [["-"]], []] if takes_path else [[]])]
+    for flag, keywords in options.items():
+        if keywords.get("action"):
+            plain.append(st.sampled_from([[], [[flag]], [[flag], [flag]]]))
+        else:
+            good = [v for v in keywords.get("choices", GOOD_VALUES) if accepts(keywords.get("type", str), v)]
+            plain.append(st.sampled_from([[], *([[flag, v]] for v in good)]))
+    flags = st.sampled_from(sorted(options) or ["--json"])
+    value = st.sampled_from(VALUES)
+    piece = st.one_of(
+        flags.map(lambda f: [f]),
+        st.tuples(flags, value).map(list),
+        st.tuples(flags, st.integers(3, 12), value).map(lambda t: [t[0][: t[1]], t[2]]),
+        st.tuples(flags, value).map(lambda t: [f"{t[0]}={t[1]}"]),
+        st.sampled_from(STRAYS).map(lambda s: [s]),
+    )
+    noise = st.just([]) | piece.map(lambda p: [p]) | st.lists(piece, min_size=2, max_size=3)
+    parts = st.tuples(*plain, noise).map(lambda groups: [part for group in groups for part in group])
+    head = st.sampled_from([words, words, words, words[:1], (words[0][:-1], *words[1:])])
+    return st.tuples(head, parts.flatmap(st.permutations)).map(
+        lambda t: [*t[0], *(token for part in t[1] for token in part)]
+    )
+
+
+LINES = {entry[0]: command_lines(entry) for entry in ENTRIES}
+FULL_PARSER = cli.build_parser()
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda entry: "-".join(entry[0]))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_parser_agrees_with_argparse_or_declines(entry, data):
+    argv = data.draw(LINES[entry[0]])
+    exact = cli._parse_exact(argv)
+    if exact is not None:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                full = FULL_PARSER.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{argv}: argparse refuses what the exact parser read: {err.getvalue()}")
+        assert vars(exact) == vars(full), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"], ["check"], ["gen"], ["gen", "random", "--seed", "1"], ["chec", "g"],
+        ["check", "-h"], ["check", "--help"], ["check", "-x"], ["check", "--", "g"],
+        ["check", "--js", "g"], ["check", "--json=1", "g"], ["check", "g", "h"], ["gen", "fixture", "g"],
+        ["verify", "--exh", "3", "g"], ["verify", "--seed", "-1", "g"], ["verify", "--seed", "g"],
+        ["verify", "--seed", "x", "g"], ["verify", "g", "--limit"], ["closure", "--space", "both", "g"],
+        ["quotient", "--H", "-", "g"], ["gen", "ea", "--set", "a", "--mult", "0"],
+        ["gen", "random", "--seed", "1", "--n", "3", "--density", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_exact_parser_declines_help_abbreviations_and_rejected_values(argv):
+    assert cli._parse_exact(argv) is None
+
+
+def readme_command_lines():
+    """The ck-spectra calls of the README's "Command line" block."""
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```sh", 1)[1]
+    for line in block.split("```", 1)[0].strip().splitlines():
+        for call in line.split("#", 1)[0].split("|"):
+            words = shlex.split(call.split(">", 1)[0])
+            assert words[0] == "ck-spectra", line
+            yield words[1:]
+
+
+def test_benchmark_ops_and_readme_examples_take_the_exact_path():
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
+    readme = list(readme_command_lines())
+    assert readme
+    for argv in [op.split(" ") for op in expected] + readme:
+        exact = cli._parse_exact(argv)
+        assert exact is not None, argv
+        assert vars(exact) == vars(FULL_PARSER.parse_args(argv)), argv
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
