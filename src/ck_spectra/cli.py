@@ -528,13 +528,14 @@ def _parse_exact(argv: list) -> argparse.Namespace | None:
             break
     else:
         return None
-    given, paths = {}, []
+    found = {"kind": words[1]} if len(words) > 1 else {}  # the namespace, less command and func
+    given = {}
     tokens = iter(argv[len(words) :])
     for token in tokens:
         if token not in options:
-            if token.startswith("-") and token != "-":
+            if not takes_path or "path" in found or token.startswith("-") and token != "-":
                 return None
-            paths.append(token)
+            found["path"] = token
         elif options[token].get("action"):
             given[token] = True
         elif (text := next(tokens, "-")).startswith("-"):
@@ -546,10 +547,8 @@ def _parse_exact(argv: list) -> argparse.Namespace | None:
                 return None
             if value not in options[token].get("choices", (value,)):
                 return None
-    if len(paths) != takes_path:  # the one path, if the entry takes it
+    if takes_path and "path" not in found:
         return None
-    ns = argparse.Namespace(command=words[0], func=globals()[handler], **dict(zip(("kind",), words[1:])))
-    vars(ns).update(zip(("path",), paths))  # the path, if the entry takes one
     for flag, keywords in options.items():
         if flag in given:
             value = given[flag]
@@ -557,8 +556,8 @@ def _parse_exact(argv: list) -> argparse.Namespace | None:
             return None
         elif isinstance(value := keywords.get("default", False if keywords.get("action") else None), str):
             value = keywords.get("type", str)(value)  # as argparse reads a string default
-        setattr(ns, flag[2:].replace("-", "_"), value)
-    return ns
+        found[flag[2:].replace("-", "_")] = value
+    return argparse.Namespace(command=words[0], func=globals()[handler], **found)
 
 
 def _parse(argv) -> argparse.Namespace:
