@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification counterexample, 2 parse error or
 argparse usage error, 3 precondition violation, 4 enumeration size limit
 (only ``ideals`` and ``verify``, whose outputs can have 2^n entries), 5
-internal error.
+internal error, 141 (128 + SIGPIPE, as for a writer the signal ends) when
+stdout closes early, as under ``| head -1``; that case prints nothing.
 
 A plain command line is read straight from the command table ``_COMMANDS``:
 the command words, then exact option strings with their values and the path.
@@ -14,6 +15,7 @@ errors) goes to the argparse parser that :func:`build_parser` makes from it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -87,6 +89,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_SIZE = 4
 EXIT_INTERNAL = 5
+EXIT_CLOSED_PIPE = 141
 
 
 def _load(path: str) -> Graph:
@@ -569,7 +572,14 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone by now shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the flush at interpreter exit would fail again and print a traceback
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE

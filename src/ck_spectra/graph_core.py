@@ -10,8 +10,8 @@ Reachability, the simple-cycle classes behind Condition (K), and the MT3
 (downward directedness) and MT4 (countable separation) checks all come from
 one strongly connected condensation per graph, ``Graph.condensation``, so each
 costs O(n + m) big-int operations.  Its search, :func:`strong_components`,
-works on successor masks alone, so the quotient route in ``ideals`` runs it
-on quotient graphs that are never built as a :class:`Graph`.
+works on successor masks alone: the quotient route in ``ideals`` runs it
+once per saturated hereditary set H, then adds each pair's sink copies.
 
 Vertex subsets are plain ``frozenset`` objects at the API boundary; the
 implementation works on integer bitmasks indexed by declaration order, which

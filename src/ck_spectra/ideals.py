@@ -9,8 +9,10 @@ primitive, prime-but-not-primitive, or not prime in two independent ways:
 * :func:`classify_ideal` reads the answer off the complement of H directly
   (tail / cluster membership and the kept breaking vertices), and
 * :func:`classify_via_quotient` tests the quotient graph for primeness
-  (Condition (L) plus downward directedness) on the quotient's own vertex
-  bitmasks, built from the parent's bundles and breaking vertices alone.
+  (Condition (L) plus downward directedness) from the parent's bundles and
+  breaking vertices alone.  The complement of H is condensed once per H, as
+  a frame shared by all its pairs; each pair's sink copies are sinks, so
+  they join no cycle and are added as a few mask tests on that frame.
 
 The two must agree everywhere; the test suite uses that as its main oracle.
 Past the (K) check, the quotient route reads no reachability or tails.
@@ -372,78 +374,64 @@ def classify_via_quotient(g: Graph, pair: AdmissiblePair) -> IdealClass:
     return _quotient_verdict(g, *_check_admissible(g, pair))[0]
 
 
-class _Quotient(NamedTuple):
-    """:func:`quotient_graph` on bitmasks: the complement of H keeps its bits,
-    and the sink copy of the j-th kept breaking vertex is bit n + j."""
+class _QuotientFrame(NamedTuple):
+    """The quotient of (H, S) less its sink copies, which join no cycle: the
+    complement of H, with the parent's edges restricted to it, condensed."""
 
-    succ: list  # successor mask of each bit
-    vertices: int
-    one: int  # the vertices of total out-multiplicity one
-    kept: int  # the kept breaking vertices, B_H minus S, as parent bits
-    components: list  # the strongly connected components, as masks
+    exitless: list  # each exitless cycle, as its members' single unit-edge successors
+    terminal: list  # each terminal component, as the mask its members reach
 
 
 @per_graph
-def _unit_edges(g: Graph) -> list[int]:
-    """unit[i]: the mask of the vertices that i reaches along exactly one edge."""
-    return [sum(1 << j for j, m in row.items() if m == 1) for row in g.edge_mult]
+def _quotient_frame(g: Graph, hmask: int) -> _QuotientFrame:
+    """The frame of every quotient with this H, from the parent's bundles alone."""
+    rest, mult = g.full_mask & ~hmask, g.edge_mult
+    succ = [m & rest for m in g.succ_mask]
+    exitless, terminal = [], []
+    for c in strong_components(succ, rest)[0]:
+        out = one = 0  # what c reaches; its members with one edge, of multiplicity one
+        left = c  # bits walked inline, as in strong_components
+        while left:
+            bit = left & -left
+            left ^= bit
+            i = bit.bit_length() - 1
+            out |= succ[i]
+            if succ[i] and not succ[i] & succ[i] - 1 and mult[i][succ[i].bit_length() - 1] == 1:
+                one |= bit
+        if not out & ~c:
+            terminal.append(out)
+            # an exitless cycle leaves no edge out of its component, so it is terminal
+            if out and one == c:
+                exitless.append(out)
+    return _QuotientFrame(exitless, terminal)
 
 
-def _quotient_masks(g: Graph, hmask: int, smask: int) -> _Quotient:
-    """Build the quotient of an admissible pair from the parent's bundles and
-    breaking vertices alone: an edge into a kept breaking vertex also runs to its copy."""
-    kept = _breaking_masked(g, hmask) & ~smask
-    n, rest, unit, parent_succ = g.n, g.full_mask & ~hmask, _unit_edges(g), g.succ_mask
-    copy = {1 << i: 1 << n + j for j, i in enumerate(_bits(kept))}
-    succ = [0] * (n + len(copy))
-    one = 0
-    for i in _bits(rest):
-        out = parent_succ[i] & rest
-        if out & unit[i] & ~kept and not out & out - 1:
-            one |= 1 << i
-        if out & kept:
-            out |= sum(c for bit, c in copy.items() if out & bit)
-        succ[i] = out
-    vertices = rest | (1 << n + len(copy)) - (1 << n)
-    return _Quotient(succ, vertices, one, kept, strong_components(succ, vertices)[0])
+def _quotient_has_L(frame: _QuotientFrame, kept: int) -> bool:
+    """Condition (L) on the quotient: every cycle has an exit.  A member of an
+    exitless cycle whose one edge runs to a kept vertex also has an edge to
+    that vertex's copy, which is an exit."""
+    return all(succ & kept for succ in frame.exitless)
 
 
-def _quotient_condition_L(q: _Quotient) -> bool:
-    """Every cycle has an exit: no component inside the vertices of
-    out-multiplicity one carries a cycle (any member, say the last, has a
-    successor in it), for such a component is the vertex set of an exitless
-    cycle."""
-    for c in q.components:
-        if not c & ~q.one and q.succ[c.bit_length() - 1] & c:
-            return False
-    return True
-
-
-def _one_terminal_component(q: _Quotient) -> bool:
-    """Downward directedness of the whole quotient.
+def _quotient_one_terminal(frame: _QuotientFrame, kept: int) -> bool:
+    """Downward directedness of the quotient.
 
     In a finite digraph every vertex reaches a terminal component, so every
     two vertices reach a common vertex iff exactly one component is terminal.
+    Each copy is a terminal singleton, and a component with an edge into a
+    kept vertex reaches its copy, so it is no longer terminal.
     """
-    terminal = 0
-    for c in q.components:
-        out, rest = 0, c
-        while rest:
-            bit = rest & -rest
-            out |= q.succ[bit.bit_length() - 1]
-            rest ^= bit
-        if not out & ~c:
-            terminal += 1
-    return terminal == 1
+    return kept.bit_count() + sum(not out & kept for out in frame.terminal) == 1
 
 
 def _quotient_verdict(g: Graph, hmask: int, smask: int) -> tuple[IdealClass, bool]:
     """The verdict of :func:`classify_via_quotient` on an admissible pair, and
-    whether the quotient satisfies Condition (L), from one build of its masks."""
-    q = _quotient_masks(g, hmask, smask)
-    has_l = _quotient_condition_L(q)
-    if not (q.vertices and has_l and _one_terminal_component(q)):
+    whether the quotient satisfies Condition (L): the frame of H with the sink
+    copies of the kept breaking vertices, B_H minus S, added."""
+    frame, kept = _quotient_frame(g, hmask), _breaking_masked(g, hmask) & ~smask
+    has_l = _quotient_has_L(frame, kept)
+    if not (has_l and _quotient_one_terminal(frame, kept)):
         return IdealClass(IdealKind.NOT_PRIME), has_l
-    if q.kept and not q.kept & q.kept - 1:
-        return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=g.vertices[q.kept.bit_length() - 1]), has_l
+    if kept:  # one terminal component leaves room for one copy at most
+        return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=g.vertices[kept.bit_length() - 1]), has_l
     return IdealClass(IdealKind.PRIMITIVE_TAIL), has_l

@@ -307,7 +307,7 @@ def test_verify_validates_no_enumerated_pair(fixture_path, capsys):
     # an enumerated pair is admissible by construction and stays a pair of
     # masks, in `ideals` as in `verify`
     mask_body, check_body = graph_core.Graph.mask.__code__, inspect.unwrap(ideals._check_admissible).__code__
-    cores = {"_check_admissible", "_sat_her_scan", "_pair_scan", "_quotient_masks", "_direct_verdict"}
+    cores = {"_check_admissible", "_sat_her_scan", "_pair_scan", "_quotient_frame", "_direct_verdict"}
     for command in ("verify", "ideals"):
         callers, validated = Counter(), []
 
@@ -340,6 +340,25 @@ def test_ideals_without_condition_K_prints_one_line():
     assert result.stderr == "precondition violation: classification requires Condition (K)\n"
 
 
+def test_a_closed_stdout_exits_quietly(tmp_path, capsys):
+    # the reader takes one line and goes, as `| head -1` does; the rest of the
+    # output, megabytes of points, is far more than a pipe buffer holds
+    code, text, _ = run(capsys, "gen", "random", "--seed", "3", "--n", "1000", "--density", "0.001")
+    path = tmp_path / "sparse.gcg"
+    path.write_text(text)
+    with subprocess.Popen(
+        [sys.executable, "-m", "ck_spectra.cli", "spec", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ) as proc:
+        assert proc.stdout.readline() == b"points (596):\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert (code, proc.returncode, err) == (0, cli.EXIT_CLOSED_PIPE, b"")
+
+
 def test_ideals_limit_comes_before_condition_K(tmp_path, capsys):
     names = [f"v{i}" for i in range(21)]
     path = tmp_path / "loops.gcg"
@@ -366,16 +385,10 @@ def test_verify_catches_a_direct_route_that_ignores_MT3(fixture_path, capsys, mo
 
 
 def test_verify_catches_a_quotient_without_sink_copies(fixture_path, capsys, monkeypatch):
-    real = ideals._quotient_masks
-
-    def without_sinks(g, hmask, smask):
-        q = real(g, hmask, smask)
-        parent = g.full_mask
-        succ, vertices = [m & parent for m in q.succ], q.vertices & parent
-        components = graph_core.strong_components(succ, vertices)[0]
-        return ideals._Quotient(succ, vertices, q.one, q.kept, components)
-
-    monkeypatch.setattr(ideals, "_quotient_masks", without_sinks)
+    # both facts read off the frame as if no breaking vertex were kept
+    for name in ("_quotient_has_L", "_quotient_one_terminal"):
+        real = getattr(ideals, name)
+        monkeypatch.setattr(ideals, name, lambda frame, kept, real=real: real(frame, 0))
     code, out, err = run(capsys, "verify", fixture_path)
     assert code == 1 and "homeomorphism: ok" in out
     assert err.startswith("verification counterexample: classification routes disagree")
@@ -407,8 +420,10 @@ def test_verify_reports_a_quotient_without_condition_L(fixture_path, capsys, mon
     # The fault fires only on quotients that are not downward directed, which
     # are not prime either way: the two routes still agree, and only the (L)
     # check can see it.
-    real = ideals._quotient_condition_L
-    monkeypatch.setattr(ideals, "_quotient_condition_L", lambda q: real(q) and ideals._one_terminal_component(q))
+    real = ideals._quotient_has_L
+    monkeypatch.setattr(
+        ideals, "_quotient_has_L", lambda frame, kept: real(frame, kept) and ideals._quotient_one_terminal(frame, kept)
+    )
     code, out, err = run(capsys, "verify", fixture_path)
     assert code == 1 and "tail realization round-trip: ok" in out
     assert err == "verification counterexample: a quotient of a Condition-(K) graph violates (L)\n"
@@ -447,13 +462,13 @@ def test_verify_reports_primitive_points_that_are_not_dense(fixture_path, capsys
 
 
 def test_verify_checks_condition_L_once_per_graph(fixture_path, capsys):
-    # each quotient graph is checked once, for its verdict and the (L) line alike
-    body = ideals._quotient_condition_L.__code__
-    checked = []  # kept alive, so that no two of them share an id
+    # each H's frame is built once, for the verdicts and the (L) line of all its pairs
+    body = inspect.unwrap(ideals._quotient_frame).__code__
+    built = []
 
     def record(frame, event, arg):
         if event == "call" and frame.f_code is body:
-            checked.append(frame.f_locals["q"])
+            built.append(frame.f_locals["hmask"])
 
     sys.setprofile(record)
     try:
@@ -461,7 +476,7 @@ def test_verify_checks_condition_L_once_per_graph(fixture_path, capsys):
     finally:
         sys.setprofile(None)
     assert code == 0
-    assert len(checked) == 12 and len({id(q) for q in checked}) == len(checked)
+    assert sorted(built) == sorted(ideals._sat_her_scan(parse_graph(Path(fixture_path).read_text())))
 
 
 def test_spec_honours_a_limit_above_the_default(tmp_path, capsys):

@@ -43,8 +43,9 @@ from ck_spectra import ideals
 from ck_spectra.ideals import (
     _check_admissible,
     _classify_from_structure,
-    _one_terminal_component,
-    _quotient_masks,
+    _direct_verdict,
+    _quotient_frame,
+    _quotient_one_terminal,
     _quotient_verdict,
 )
 
@@ -600,7 +601,9 @@ def test_one_terminal_component_is_downward_directed(build):
         qg = quotient_graph(g, pair).graph
         if qg.vertices:
             named = oracle_downward_directed(qg, qg.vertices) is None
-            assert _one_terminal_component(_quotient_masks(g, *masks(g, pair))) == named, pair
+            hmask, smask = masks(g, pair)
+            kept = ideals._breaking_masked(g, hmask) & ~smask
+            assert _quotient_one_terminal(_quotient_frame(g, hmask), kept) == named, pair
 
 
 @pytest.mark.parametrize("build", ORACLE_GRAPHS)
@@ -619,3 +622,29 @@ def test_quotient_route_reads_nothing_of_the_direct_route(build, monkeypatch):
         assert _quotient_verdict(fresh, *masks(fresh, pair))[0] == verdict, pair
     assert not {"reach", "coreach", "condensation"} & fresh.__dict__.keys()
     assert not [slot for slot in fresh.__dict__ if slot.startswith("_cache:ck_spectra.tails.")]
+
+
+# -- both routes past the enumeration limit -------------------------------------------
+
+LARGE_SPARSE = CORPUS.parent / "large-sparse"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        *(f"chain20x{k}-s{s}" for k in (15, 20) for s in (1, 2, 3)),
+        *(f"chorded{n}-s{s}" for n in (300, 450) for s in (1, 2, 3)),
+        "chorded1500",
+    ],
+)
+def test_routes_agree_past_the_enumeration_limit(name):
+    # chains of strongly connected blocks and chorded cycles with a doubled
+    # edge: 300 to 1,500 vertices, but 21 or 2 pairs
+    g = parse_graph((LARGE_SPARSE / f"{name}.gcg").read_text())
+    assert g.n >= 300 and condition_K(g)
+    kinds = set()
+    for pair in ideals._pair_scan(g):
+        verdict = _direct_verdict(g, *pair)
+        assert _quotient_verdict(g, *pair) == (verdict, True), pair
+        kinds.add(verdict.kind)
+    assert kinds == {IdealKind.PRIMITIVE_TAIL, IdealKind.NOT_PRIME}
