@@ -153,7 +153,7 @@ def _parse_points(pts, spec: str) -> frozenset:
     tokens = _comma_set(spec)
     unknown = sorted(tokens - by_name.keys())
     if unknown:
-        raise UnknownVertex(f"unknown point {unknown[0]!r}; points are: {', '.join(names.values())}")
+        raise UnknownVertex(f"unknown point {unknown[0]!r}; points are: {', '.join(names.values()) or '(none)'}")
     return frozenset(by_name[t] for t in tokens)
 
 

@@ -2,13 +2,18 @@
 
 Every JSON payload carries a versioned top-level ``schema`` field and lists
 vertices and sets in the canonical declaration order, so output is
-byte-stable across runs.  DOT output renders OMEGA bundles with the label
-``∞`` and quotient sink copies with a prime suffix.
+byte-stable across runs.  ``emit_json`` writes the bytes of its oracle
+``json.dumps(payload, indent=2, ensure_ascii=False)`` (``tests/oracles.py``),
+whose ``indent`` runs the pure-Python encoder, but escapes each list of
+strings in one call to the C ``encode_basestring``.  Dicts with ``str`` keys,
+``str``, ``int``, ``bool``, ``None``, lists and tuples are accepted (no
+payload has a float); anything else raises ``TypeError``.  DOT output renders
+OMEGA bundles with the label ``∞`` and quotient sink copies with a prime suffix.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring as _quote
 
 from .graph_core import Graph, is_omega
 from .ideals import QuotientGraph
@@ -46,8 +51,28 @@ def pair_payload(g: Graph, hmask: int, smask: int) -> dict:
     return {"h": g.listing(hmask), "s": g.listing(smask)}
 
 
+def _write(o, pad: str) -> str:
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or type(o) is bool:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner, sep = pad + "  ", ",\n" + pad + "  "
+    if isinstance(o, dict):  # _quote raises TypeError on a key that is not a str
+        body = sep.join(_quote(k) + ": " + _write(v, inner) for k, v in o.items())
+        return f"{{\n{inner}{body}\n{pad}}}" if o else "{}"
+    if not isinstance(o, (list, tuple)):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    try:
+        body = sep.join(map(_quote, o))
+    except TypeError:  # not all strings: one call per element
+        body = sep.join(_write(v, inner) for v in o)
+    return f"[\n{inner}{body}\n{pad}]" if o else "[]"
+
+
 def emit_json(payload) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return _write(payload, "") + "\n"
 
 
 def _dot_label(b) -> str:

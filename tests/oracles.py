@@ -16,11 +16,13 @@ route on the named quotient graph, through the package's ``condition_L`` and
 ``is_downward_directed``, that the quotient's own masks replaced.  The
 vertex-class, breaking-vertex and finite-return oracles count edges bundle by
 bundle over ``g.bundles``, without the merged per-pair multiplicity table that
-the package reads.
+the package reads.  ``oracle_emit_json`` is the ``json.dumps`` call that the
+string-list writer in ``ck_spectra.render`` replaced.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -579,3 +581,8 @@ def oracle_parse_graph(src: str) -> Graph:
     """The reference parse: same graph, or the same error class, position and
     message, except that a count ``int()`` rejects raises ``ValueError``."""
     return _OracleParser(src).parse()
+
+
+def oracle_emit_json(payload) -> str:
+    """The reference JSON text: the stdlib encoder, indented by two spaces."""
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"

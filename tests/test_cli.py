@@ -196,6 +196,14 @@ def test_closure_names_the_first_unknown_point_in_sorted_order(fixture_path, cap
     assert err == "precondition violation: unknown point 'FR:q'; points are: T1, T2, T3, T4, FR:x\n"
 
 
+def test_closure_on_a_graph_without_points_says_none_are_known(tmp_path, capsys):
+    path = tmp_path / "empty.gcg"
+    path.write_text("")
+    code, out, err = run(capsys, "closure", "--points", "T1", str(path))
+    assert (code, out) == (3, "")
+    assert err == "precondition violation: unknown point 'T1'; points are: (none)\n"
+
+
 def test_closure_prim_space_and_empty_input(fixture_path, capsys):
     code, out, _ = run(capsys, "closure", "--space", "prim", "--points", "FR:x", fixture_path)
     assert code == 0 and "agreement: yes" in out
@@ -601,6 +609,10 @@ def help_golden(name: str) -> bytes:
         ("tails", "--json"),
         ("quotient", "--json", "--H", "t,y,z", "--S", "w"),
         ("closure", "--json", "--points", "T4,FR:x"),
+        ("ideals", "--json"),
+        ("spec", "--json"),
+        ("prim", "--json"),
+        ("export", "--json"),
     ],
     ids=lambda argv: argv[0],
 )
