@@ -15,12 +15,7 @@ from .errors import (
 )
 from .gcg import emit_gcg, parse_graph
 from .generators import (
-    GraphFixture,
-    PXModel,
     ea_graph,
-    phi,
-    px_closure,
-    px_model,
     random_condition_k_graph,
     random_graph,
     running_example,
@@ -33,16 +28,11 @@ from .graph_core import (
     CycleClass,
     Graph,
     Mult,
-    VertexClassification,
-    classify_vertices,
     condition_K,
     condition_L,
-    has_csp,
     is_downward_directed,
     is_omega,
     mult_sum,
-    reaches,
-    simple_cycle_class,
     upward_set,
 )
 from .ideals import (
@@ -51,17 +41,10 @@ from .ideals import (
     IdealKind,
     QuotientGraph,
     admissible_pair,
-    admissible_pairs,
-    breaking_vertex_discrepancies,
-    breaking_vertices,
     classify_ideal,
     classify_via_quotient,
-    ideal_leq,
-    is_hereditary,
-    is_saturated,
     meet,
     quotient_graph,
-    saturated_hereditary_sets,
 )
 from .render import emit_dot, emit_json, graph_payload, quotient_payload
 from .tails import (

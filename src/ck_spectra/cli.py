@@ -48,6 +48,7 @@ from .ideals import (
     _named,
     _pair_scan,
     _quotient_verdict,
+    _require_condition_k,
     _sat_her_scan,
     admissible_pair,
     quotient_graph,
@@ -238,8 +239,7 @@ def cmd_tails(args) -> int:
 def cmd_ideals(args) -> int:
     g = _load(args.path)
     require_enumerable(g, args.limit)
-    if not condition_K(g):
-        raise ConditionKRequired("classification requires Condition (K)")
+    _require_condition_k(g)
     sh, pairs = _sat_her_scan(g), _pair_scan(g)
     rows = [(pair, _direct_verdict(g, *pair), _quotient_verdict(g, *pair)[0]) for pair in pairs]
     if args.json:
@@ -414,7 +414,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.kind == "fixture":
-        g = running_example().graph
+        g = running_example()
     elif args.kind == "ea":
         try:
             g = ea_graph(_comma_set(args.set), args.mult)

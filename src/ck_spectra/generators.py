@@ -1,21 +1,19 @@
-"""Reference fixtures and seeded random graph generation.
+"""Reference graphs and seeded random graph generation.
 
-``running_example`` is the seven-vertex workhorse used throughout the tests:
-its tails, breaking vertices, finite-return vertex and full list of prime
-ideals are known in advance and recorded on the fixture.  ``ea_graph`` builds
-the subset graph on a small ground set, whose vertices are the nonempty
-subsets with one bundle for each strict inclusion; with OMEGA bundles every
-non-terminal vertex is an infinite emitter, which is the finite stand-in for
-the genuinely uncountable version of that construction.  ``px_model`` is the
-matching combinatorial model of its spectrum: points are nonempty subsets of
-the ground set with a finite-subset-containment closure, and ``phi`` maps a
-point to the cluster it represents.
+``running_example`` is the seven-vertex workhorse used throughout the tests,
+which record its tails, breaking vertices, finite-return vertex and prime
+ideals.  ``ea_graph`` builds the subset graph on a small ground set, whose
+vertices are the nonempty subsets with one bundle for each strict inclusion;
+with OMEGA bundles every non-terminal vertex is an infinite emitter, which is
+the finite stand-in for the genuinely uncountable version of that
+construction.  ``tests/oracles.py`` models its spectrum on the subsets of the
+ground set.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import SizeLimitExceeded
 from .graph_core import (
@@ -27,37 +25,16 @@ from .graph_core import (
     _bits,
     check_mult,
 )
-from .ideals import AdmissiblePair
 
 
-class RunningExampleFacts(NamedTuple):
-    """Expected values for the running-example fixture, aligned by index."""
-
-    tails: tuple  # maximal tails in canonical enumeration order
-    complements: tuple  # matching saturated hereditary complements
-    breaking: tuple  # matching breaking-vertex sets
-    finite_return: frozenset
-    prime_pairs: tuple  # every prime (= primitive) ideal
-    return_vertex: str
-    return_pair: AdmissiblePair  # the prime pair that keeps the return vertex
-    full_tail: frozenset  # the tail avoiding only the sink
-    full_tail_closure: frozenset  # pairs in the closure of that tail's point
-    notes: tuple = ()
-
-
-class GraphFixture(NamedTuple):
-    graph: Graph
-    expected: RunningExampleFacts
-
-
-def running_example() -> GraphFixture:
+def running_example() -> Graph:
     """Seven vertices, three infinite emitters, one finite-return vertex.
 
     The two loops d and e at z keep Condition (K); x keeps a single return
     bundle to u (labeled g) besides its loop f, so its return count is
     exactly two.
     """
-    g = Graph(
+    return Graph(
         "tuvwxyz",
         [
             Bundle("u", "t"),
@@ -75,42 +52,6 @@ def running_example() -> GraphFixture:
             Bundle("z", "z", label="e"),
         ],
     )
-    f = frozenset
-    tails = (f("w"), f("uvwx"), f("tuvwx"), f("uvwxyz"))
-    complements = (f("tuvxyz"), f("tyz"), f("yz"), f("t"))
-    breaking = (f(), f("wx"), f("wx"), f())
-    prime_pairs = (
-        AdmissiblePair(f("yz"), f("wx")),
-        AdmissiblePair(f("tyz"), f("wx")),
-        AdmissiblePair(f("tyz"), f("w")),
-        AdmissiblePair(f("tuvxyz"), f()),
-        AdmissiblePair(f("t"), f()),
-    )
-    facts = RunningExampleFacts(
-        tails=tails,
-        complements=complements,
-        breaking=breaking,
-        finite_return=f("x"),
-        prime_pairs=prime_pairs,
-        return_vertex="x",
-        return_pair=AdmissiblePair(f("tyz"), f("w")),
-        full_tail=f("uvwxyz"),
-        full_tail_closure=f(
-            {
-                AdmissiblePair(f("tyz"), f("wx")),
-                AdmissiblePair(f("tuvxyz"), f()),
-                AdmissiblePair(f("t"), f()),
-                AdmissiblePair(f("tyz"), f("w")),
-            }
-        ),
-        notes=(
-            "only x has finitely many returning edges: its loop f and the route "
-            "through g; u returns through infinitely many parallels, w not at all",
-            "t is the unique sink; every tail either contains it or avoids it "
-            "together with y and z",
-        ),
-    )
-    return GraphFixture(g, facts)
 
 
 # -- subset graphs -------------------------------------------------------------
@@ -149,46 +90,6 @@ def ea_graph(ground, mult: Mult = 1) -> Graph:
         if a < b
     ]
     return Graph(names, bundles)
-
-
-class PXModel(NamedTuple):
-    """Nonempty subsets of a ground set with finite-subset-containment closure."""
-
-    ground: tuple
-    points: tuple  # the nonempty subsets of ``ground``
-
-
-def px_model(ground) -> PXModel:
-    elems = tuple(sorted(set(ground)))
-    if len(elems) > 4:
-        raise SizeLimitExceeded(f"ground set of {len(elems)} elements is above the cap of 4")
-    return PXModel(elems, tuple(s for s in _all_subsets(elems) if s))
-
-
-def px_closure(model: PXModel, family: Iterable[frozenset]) -> frozenset:
-    """Points all of whose finite subsets fit inside some member of the family.
-
-    The quantifier is evaluated literally over every subset (all subsets are
-    finite here); the collapse to plain containment is a lemma the tests
-    check, not something this code assumes.
-    """
-    fam = [frozenset(s) for s in family]
-    for s in fam:
-        if s not in model.points:
-            raise ValueError(f"{sorted(s)} is not a point of the model")
-    out = []
-    for t in model.points:
-        if all(any(a <= s for s in fam) for a in _all_subsets(t)):
-            out.append(t)
-    return frozenset(out)
-
-
-def phi(model: PXModel, point: frozenset) -> frozenset:
-    """The cluster represented by a point: vertices of its nonempty subsets."""
-    point = frozenset(point)
-    if point not in model.points:
-        raise ValueError(f"{sorted(point)} is not a point of the model")
-    return frozenset(_subset_name(a) for a in _all_subsets(point) if a)
 
 
 # -- seeded random graphs --------------------------------------------------------

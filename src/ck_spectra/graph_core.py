@@ -128,16 +128,6 @@ class Check(NamedTuple):
         return self.holds
 
 
-class VertexClassification(NamedTuple):
-    sinks: frozenset
-    infinite_emitters: frozenset
-    regular: frozenset
-
-    @property
-    def singular(self) -> frozenset:
-        return self.sinks | self.infinite_emitters
-
-
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -380,7 +370,19 @@ class Graph:
 
     @cached_property
     def cycle_class(self) -> list[CycleClass]:
-        """cycle_class[i] = the simple cycles based at vertex i; see simple_cycle_class."""
+        """cycle_class[i] = the simple cycles based at vertex i, saturated at two.
+
+        A simple cycle is a first-return walk: it starts and ends at v and does
+        not pass through v in between (other vertices may repeat).  Parallel
+        edges count as distinct cycles.  Such a walk stays inside the strongly
+        connected component C of v, so the saturating sum of the multiplicities
+        of the bundles inside C decides the class: 0 gives ZERO; |C| means every
+        member has one internal edge of multiplicity one, so C is a plain cycle
+        and the class is ONE; anything more is TWO_OR_MORE, because an internal
+        edge e off the cycle through v (or a parallel copy of one on it) gives a
+        second first-return walk, from v through e and back to v.
+        ``tests/oracles.py::oracle_cycle_class`` counts the walks instead.
+        """
         masks, comp = self.condensation
         internal: list[Mult] = [0] * len(masks)
         for b in self.bundles:
@@ -427,14 +429,6 @@ def require_enumerable(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> None
         )
 
 
-# -- vertex classification --------------------------------------------------
-
-
-def classify_vertices(g: Graph) -> VertexClassification:
-    """Partition the vertices into sinks, infinite emitters and regular vertices."""
-    return VertexClassification(*map(g.names, g.class_masks))
-
-
 def _finite_edges(g: Graph, i: int, into: int) -> bool:
     """Whether vertex i has finitely many, and at least one, edges into the mask ``into``."""
     total = mult_sum(m for j, m in g.edge_mult[i].items() if into >> j & 1)
@@ -442,12 +436,6 @@ def _finite_edges(g: Graph, i: int, into: int) -> bool:
 
 
 # -- reachability ------------------------------------------------------------
-
-
-def reaches(g: Graph, u: str, v: str) -> bool:
-    """True iff a path (possibly of length zero) leads from u to v."""
-    iu, iv = g.require_vertex(u), g.require_vertex(v)
-    return bool(g.reach[iu] >> iv & 1)
 
 
 def upward_set(g: Graph, members: Iterable[str]) -> frozenset:
@@ -492,10 +480,10 @@ def _undirected_pair(g: Graph, mask: int, allowed: int) -> Optional[tuple[int, i
     return None
 
 
-def has_csp(g: Graph, members: Iterable[str]) -> tuple[bool, frozenset]:
-    """Countable separation property of a vertex set, with a minimal witness.
+def _csp_mask(g: Graph, mask: int) -> int:
+    """A minimal witness of the countable separation property of a vertex mask.
 
-    Every finite-vertex graph satisfies it.  The witness is what a greedy
+    Every finite vertex set has the property.  The witness is what a greedy
     shrink in declaration order keeps of the set (drop a member while every
     member still reaches the rest): members that reach each other form
     classes, a class is minimal when its members reach no other member, and
@@ -503,11 +491,6 @@ def has_csp(g: Graph, members: Iterable[str]) -> tuple[bool, frozenset]:
     witness is the highest-index member of each minimal class.
     ``tests/oracles.py::oracle_csp_witness`` is the literal shrink.
     """
-    return True, g.names(_csp_mask(g, g.mask(members)))
-
-
-def _csp_mask(g: Graph, mask: int) -> int:
-    """The :func:`has_csp` witness of a vertex mask, as a mask."""
     masks, comp = g.condensation
     reach = g.reach
     witness = 0
@@ -518,24 +501,7 @@ def _csp_mask(g: Graph, mask: int) -> int:
     return witness
 
 
-# -- simple cycles and the structural conditions ------------------------------
-
-
-def simple_cycle_class(g: Graph, v: str) -> CycleClass:
-    """Count the simple cycles based at v, saturated at two.
-
-    A simple cycle is a first-return walk: it starts and ends at v and does
-    not pass through v in between (other vertices may repeat).  Parallel
-    edges count as distinct cycles.  Such a walk stays inside the strongly
-    connected component C of v, so the saturating sum of the multiplicities
-    of the bundles inside C decides the class: 0 gives ZERO; |C| means every
-    member has one internal edge of multiplicity one, so C is a plain cycle
-    and the class is ONE; anything more is TWO_OR_MORE, because an internal
-    edge e off the cycle through v (or a parallel copy of one on it) gives a
-    second first-return walk, from v through e and back to v.
-    ``tests/oracles.py::oracle_cycle_class`` counts the walks instead.
-    """
-    return g.cycle_class[g.require_vertex(v)]
+# -- Conditions (K) and (L) ---------------------------------------------------
 
 
 @per_graph

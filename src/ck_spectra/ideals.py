@@ -19,8 +19,7 @@ Past the (K) check, the quotient route reads no reachability or tails.
 
 Breaking vertices are counted by *edges*: the saturating multiplicity sum of
 the bundles escaping H must be finite and nonzero.  Counting target vertices
-instead can disagree when an OMEGA bundle leaves H;
-:func:`breaking_vertex_discrepancies` reports exactly those vertices.
+instead would disagree exactly where an OMEGA bundle leaves H.
 
 Inside, a pair is ``(hmask, smask)``: enumeration, admissibility, breaking
 vertices and both verdicts work on vertex bitmasks, and a named pair from
@@ -32,20 +31,16 @@ outside is validated once.  Names appear only at the boundary:
 from __future__ import annotations
 
 import enum
-import warnings
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ConditionKRequired, NotSaturatedHereditary
 from .graph_core import (
-    DEFAULT_ENUMERATION_LIMIT,
     Bundle,
-    Check,
     Graph,
     _bits,
     _finite_edges,
     condition_K,
     per_graph,
-    require_enumerable,
     strong_components,
 )
 from .tails import _cluster_masks, _mt_faults
@@ -93,23 +88,7 @@ class IdealClass(NamedTuple):
         return "not prime"
 
 
-# -- hereditary / saturated predicates ----------------------------------------
-
-
-def is_hereditary(g: Graph, members) -> Check:
-    """Every bundle leaving the set stays inside it; witness is an escaping bundle."""
-    mask = g.mask(members)
-    i = _sat_her_faults(g, mask)[0]
-    if i is None:
-        return Check(True)
-    escaping = (b for b in g.out_bundles[g.vertices[i]] if not mask >> g.index[b.dst] & 1)
-    return Check(False, next(escaping))
-
-
-def is_saturated(g: Graph, members) -> Check:
-    """Regular vertices feeding entirely into the set belong to it; witness vertex."""
-    i = _sat_her_faults(g, g.mask(members))[1]
-    return Check(True) if i is None else Check(False, g.vertices[i])
+# -- saturated hereditary sets ------------------------------------------------
 
 
 def _sat_her_faults(g: Graph, mask: int) -> tuple:
@@ -118,12 +97,6 @@ def _sat_her_faults(g: Graph, mask: int) -> tuple:
     escapes = (i for i in _bits(mask) if succ[i] & ~mask)
     trapped = (i for i in _bits(g.class_masks[2] & ~mask) if not succ[i] & ~mask)
     return next(escapes, None), next(trapped, None)
-
-
-def saturated_hereditary_sets(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[frozenset]:
-    """All saturated hereditary subsets, in canonical bitmask order."""
-    require_enumerable(g, limit)
-    return [g.names(hmask) for hmask in _sat_her_scan(g)]
 
 
 @per_graph
@@ -158,22 +131,6 @@ def _require_sat_her(g: Graph, hmask: int) -> int:
     return hmask
 
 
-def breaking_vertices(g: Graph, members) -> frozenset:
-    """B_H for a saturated hereditary H, counting escaping edges with saturation."""
-    return g.names(_breaking_masked(g, _require_sat_her(g, g.mask(members))))
-
-
-def breaking_vertex_discrepancies(g: Graph, members) -> frozenset:
-    """Vertices where the edge count and the target-vertex count disagree.
-
-    On a finite-vertex graph the set of escape targets is always finite, so a
-    discrepancy happens exactly when some escaping bundle carries OMEGA.
-    """
-    hmask = _require_sat_her(g, g.mask(members))
-    vertex_side = sum(1 << i for i in _bits(g.class_masks[1]) if g.succ_mask[i] & ~hmask)
-    return g.names(vertex_side ^ _breaking_masked(g, hmask))
-
-
 @per_graph
 def _check_admissible(g: Graph, pair: AdmissiblePair) -> tuple[int, int]:
     return _check_masks(g, _require_sat_her(g, g.mask(pair.h)), g.mask(pair.s))
@@ -193,22 +150,6 @@ def admissible_pair(g: Graph, h, s=()) -> AdmissiblePair:
     pair = AdmissiblePair(frozenset(h), frozenset(s))
     _check_admissible(g, pair)
     return pair
-
-
-def admissible_pairs(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[AdmissiblePair]:
-    """Every (H, S with S a subset of B_H), canonically ordered.
-
-    Without Condition (K) the enumeration still makes sense but only covers
-    the gauge-invariant part of the ideal lattice; a warning is emitted.
-    """
-    require_enumerable(g, limit)
-    if not condition_K(g):
-        warnings.warn(
-            "graph violates Condition (K); admissible pairs describe only the "
-            "gauge-invariant ideals",
-            stacklevel=2,
-        )
-    return [_named(g, pair) for pair in _pair_scan(g)]
 
 
 @per_graph
@@ -245,11 +186,6 @@ def _meet_masks(g: Graph, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
         hmask &= ph
         keep &= ph | ps
     return hmask, keep & _breaking_masked(g, hmask)
-
-
-def ideal_leq(g: Graph, p: AdmissiblePair, q: AdmissiblePair) -> bool:
-    """Containment of the named ideals, expressed through the meet."""
-    return meet(g, (p, q)) == p
 
 
 # -- quotient graphs -----------------------------------------------------------

@@ -12,7 +12,8 @@ of maximal tails; MT1-MT2 the unions of maximal tails.  On finite-vertex
 graphs tails and clusters coincide, at most one per vertex: MT3 applied
 repeatedly inside a cluster gives a member w that every member reaches, so by
 MT1 the cluster is U(w), the set of vertices reaching w.  U(w) passes MT2
-exactly when w is singular or on a cycle.  Tails are the clusters passing MT4.
+exactly when w is singular or on a cycle.  Tails are the clusters, as MT4
+always holds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .graph_core import (
     _csp_mask,
     _finite_edges,
     _undirected_pair,
-    has_csp,
     per_graph,
     upward_set,
 )
@@ -43,21 +43,11 @@ class MtReport(NamedTuple):
     mt1_witness: Optional[tuple[str, str]] = None  # (v, w): v >= w in the set, v outside
     mt2_witness: Optional[str] = None  # regular member with no out-edge into the set
     mt3_witness: Optional[tuple[str, str]] = None  # pair with no common bound in the set
-    csp_witness: frozenset = frozenset()  # minimal separating subset (mt4 always holds)
-
-    @property
-    def union_axioms(self) -> bool:
-        return self.mt1 and self.mt2
-
-    @property
-    def tail_axioms(self) -> bool:
-        return self.mt1 and self.mt2 and self.mt3 and self.mt4
 
 
 def mt_report(g: Graph, members) -> MtReport:
-    """Evaluate MT1-MT4 for a vertex set."""
-    mask = g.mask(members)
-    mt1, mt2, mt3 = _mt_faults(g, mask)
+    """Evaluate MT1-MT4 for a vertex set; MT4 holds on every finite vertex set."""
+    mt1, mt2, mt3 = _mt_faults(g, g.mask(members))
     v = g.vertices
     return MtReport(
         mt1=mt1 is None,
@@ -67,7 +57,6 @@ def mt_report(g: Graph, members) -> MtReport:
         mt1_witness=None if mt1 is None else (v[mt1[0]], v[mt1[1]]),
         mt2_witness=None if mt2 is None else v[mt2],
         mt3_witness=None if mt3 is None else (v[mt3[0]], v[mt3[1]]),
-        csp_witness=g.names(_csp_mask(g, mask)),
     )
 
 
@@ -82,12 +71,9 @@ def _mt_faults(g: Graph, mask: int) -> tuple:
 
 
 def maximal_tails(g: Graph) -> list[frozenset]:
-    """All nonempty sets satisfying MT1-MT4: the clusters that pass MT4.
-
-    MT4 cannot fail on a finite-vertex graph, but it is still evaluated here,
-    the one place the enumeration checks it.
-    """
-    return [w for w in clusters(g) if has_csp(g, w)[0]]
+    """All nonempty sets satisfying MT1-MT4: the clusters, since MT4 holds on
+    every finite vertex set, which is its own countable separating subset."""
+    return clusters(g)
 
 
 @per_graph

@@ -4,11 +4,12 @@ Everything here deliberately avoids the package's bitmask machinery:
 reachability comes from repeated squaring of a numpy boolean matrix, cycle
 detection from networkx, and the subset predicates from literal quantifier
 evaluation over explicit sets.  The closure oracles are the exception: they
-are the frozenset formulas, over vertex names and through the public
-``breaking_vertices``, ``meet`` and ``ideal_leq``, that the point-index mask
-kernels in ``ck_spectra.topology`` must reproduce.  ``oracle_parse_graph`` is
-the character-at-a-time tokenizer and token-object parser that the
-regex scanner in ``ck_spectra.gcg`` replaced.  ``oracle_check_admissible``
+are the frozenset formulas, over vertex names, through
+``oracle_breaking_vertices`` and the package's ``meet`` (p lies below q when
+``meet(g, (p, q)) == p``), that the point-index mask kernels in
+``ck_spectra.topology`` must reproduce.  ``oracle_parse_graph`` is the
+character-at-a-time tokenizer and token-object parser that the regex scanner
+in ``ck_spectra.gcg`` replaced.  ``oracle_check_admissible``
 and ``oracle_classify_ideal`` are the name-based bodies that the mask cores
 of ``ck_spectra.ideals`` replaced, with the hereditary, saturated and MT
 tests read off explicit sets.  ``oracle_classify_quotient`` is the quotient
@@ -17,7 +18,11 @@ route on the named quotient graph, through the package's ``condition_L`` and
 vertex-class, breaking-vertex and finite-return oracles count edges bundle by
 bundle over ``g.bundles``, without the merged per-pair multiplicity table that
 the package reads.  ``oracle_emit_json`` is the ``json.dumps`` call that the
-string-list writer in ``ck_spectra.render`` replaced.
+string-list writer in ``ck_spectra.render`` replaced.  ``px_model``,
+``px_closure`` and ``phi`` model the spectrum of the subset graph
+``ck_spectra.ea_graph(ground, OMEGA)`` on the nonempty subsets of the ground
+set.  ``named_pairs`` is no oracle: it names the package's own enumeration,
+``_pair_scan``, for the tests that take pairs of vertex sets.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
@@ -37,8 +43,6 @@ from ck_spectra.graph_core import (
     Check,
     CycleClass,
     Graph,
-    VertexClassification,
-    classify_vertices,
     condition_L,
     is_downward_directed,
     is_omega,
@@ -51,9 +55,9 @@ from ck_spectra.ideals import (
     QuotientGraph,
     _breaking_masked,
     _classify_from_structure,
+    _named,
+    _pair_scan,
     _require_condition_k,
-    breaking_vertices,
-    ideal_leq,
     meet,
 )
 from ck_spectra.topology import ClusterPoint, FRPoint, h_map
@@ -259,10 +263,16 @@ def _oracle_finitely_many(count) -> bool:
     return not is_omega(count) and count > 0
 
 
-def oracle_vertex_classes(g: Graph) -> VertexClassification:
+class VertexClasses(NamedTuple):
+    sinks: frozenset
+    infinite_emitters: frozenset
+    regular: frozenset
+
+
+def oracle_vertex_classes(g: Graph) -> VertexClasses:
     """Sinks emit no edge, infinite emitters infinitely many, the rest are regular."""
     counts = {v: _oracle_edge_count(g, v, g.vertices) for v in g.vertices}
-    return VertexClassification(
+    return VertexClasses(
         frozenset(v for v, c in counts.items() if c == 0),
         frozenset(v for v, c in counts.items() if is_omega(c)),
         frozenset(v for v, c in counts.items() if _oracle_finitely_many(c)),
@@ -275,16 +285,6 @@ def oracle_breaking_vertices(g: Graph, h) -> frozenset:
     return frozenset(
         v for v in oracle_vertex_classes(g).infinite_emitters
         if v in rest and _oracle_finitely_many(_oracle_edge_count(g, v, rest))
-    )
-
-
-def oracle_breaking_vertex_discrepancies(g: Graph, h) -> frozenset:
-    """Infinite emitters where "some edge leaves H" and "breaks out of H" disagree."""
-    rest = frozenset(g.vertices) - frozenset(h)
-    breaking = oracle_breaking_vertices(g, h)
-    return frozenset(
-        v for v in oracle_vertex_classes(g).infinite_emitters
-        if any(b.src == v and b.dst in rest for b in g.bundles) != (v in breaking)
     )
 
 
@@ -309,7 +309,7 @@ def oracle_is_hereditary(g: Graph, members) -> Check:
 
 def oracle_is_saturated(g: Graph, members) -> Check:
     mask = g.mask(members)
-    regular = classify_vertices(g).regular
+    regular = oracle_vertex_classes(g).regular
     for v in g.vertices:
         i = g.index[v]
         if v in regular and not mask >> i & 1 and not g.succ_mask[i] & ~mask:
@@ -378,7 +378,7 @@ def vertex_set(g: Graph, p) -> frozenset:
 def _essential(g: Graph, p) -> frozenset:
     """Members of the point's set that do not break out of its complement (plus v for FR)."""
     w = vertex_set(g, p)
-    out = w - breaking_vertices(g, frozenset(g.vertices) - w)
+    out = w - oracle_breaking_vertices(g, frozenset(g.vertices) - w)
     return out | {p.vertex} if isinstance(p, FRPoint) else out
 
 
@@ -386,7 +386,7 @@ def oracle_graph_closure(g: Graph, points, ambient) -> frozenset:
     """Graph-side closure over vertex names: p is in it iff V(X) covers W_p and
     no vertex breaking out of the complement of V(X) is essential for both."""
     covered = frozenset().union(*(vertex_set(g, p) for p in points))
-    stray = breaking_vertices(g, frozenset(g.vertices) - covered)
+    stray = oracle_breaking_vertices(g, frozenset(g.vertices) - covered)
     stray -= frozenset().union(*(_essential(g, p) for p in points))
     return frozenset(
         p for p in ambient if vertex_set(g, p) <= covered and not stray & _essential(g, p)
@@ -396,7 +396,7 @@ def oracle_graph_closure(g: Graph, points, ambient) -> frozenset:
 def oracle_ideal_closure(g: Graph, ambient, points) -> frozenset:
     """Ideal-side closure through the public lattice operations on pairs."""
     bottom = meet(g, [h_map(g, p) for p in points])
-    return frozenset(p for p in ambient if ideal_leq(g, bottom, h_map(g, p)))
+    return frozenset(p for p in ambient if meet(g, (bottom, h_map(g, p))) == bottom)
 
 
 def oracle_separation(points, closure) -> tuple:
@@ -411,6 +411,57 @@ def oracle_separation(points, closure) -> tuple:
         all(min_open[p].isdisjoint(min_open[q]) for p, q in distinct),
         tuple((p, q) for p in points for q in points if q in cl[p]),
     )
+
+
+# -- the spectrum of the subset graph ---------------------------------------------
+
+
+class PXModel(NamedTuple):
+    """Nonempty subsets of a ground set with finite-subset-containment closure."""
+
+    ground: tuple
+    points: tuple  # the nonempty subsets of ``ground``
+
+
+def _subsets(t) -> list[frozenset]:
+    """Every subset of ``t``, in the order of the bitmasks over its sorted elements."""
+    elems = sorted(t)
+    return [frozenset(e for i, e in enumerate(elems) if m >> i & 1) for m in range(1 << len(elems))]
+
+
+def px_model(ground) -> PXModel:
+    elems = tuple(sorted(set(ground)))
+    return PXModel(elems, tuple(s for s in _subsets(elems) if s))
+
+
+def px_closure(model: PXModel, family) -> frozenset:
+    """Points all of whose finite subsets fit inside some member of the family.
+
+    The quantifier is evaluated literally over every subset (all subsets are
+    finite here); the collapse to plain containment is a lemma the tests
+    check, not something this code assumes.
+    """
+    fam = [frozenset(s) for s in family]
+    for s in fam:
+        if s not in model.points:
+            raise ValueError(f"{sorted(s)} is not a point of the model")
+    return frozenset(t for t in model.points if all(any(a <= s for s in fam) for a in _subsets(t)))
+
+
+def phi(model: PXModel, point) -> frozenset:
+    """The cluster represented by a point: the subset-graph vertices of its nonempty subsets."""
+    point = frozenset(point)
+    if point not in model.points:
+        raise ValueError(f"{sorted(point)} is not a point of the model")
+    return frozenset("v_" + "_".join(sorted(a)) for a in _subsets(point) if a)
+
+
+# -- the package's enumeration, named -------------------------------------------
+
+
+def named_pairs(g: Graph) -> list[AdmissiblePair]:
+    """Every admissible pair of ``_pair_scan``, in its order, as vertex sets."""
+    return [_named(g, pair) for pair in _pair_scan(g)]
 
 
 # -- the .gcg parser -----------------------------------------------------------

@@ -7,7 +7,6 @@ exact; the differential criteria admit zero counterexamples.
 
 import random as _random
 import time
-import warnings
 
 import pytest
 
@@ -15,12 +14,9 @@ from ck_spectra import (
     ClusterPoint,
     IdealKind,
     OMEGA,
-    admissible_pairs,
-    breaking_vertices,
     check_kuratowski,
     classify_ideal,
     classify_via_quotient,
-    classify_vertices,
     clusters,
     condition_K,
     condition_L,
@@ -29,34 +25,30 @@ from ck_spectra import (
     finite_return_vertices,
     graph_closure,
     h_map,
-    ideal_leq,
     is_downward_directed,
     maximal_tails,
+    meet,
     mt_report,
     parse_graph,
-    phi,
     prim_points,
     prim_space,
     prim_spec_density_check,
-    px_closure,
-    px_model,
     quotient_graph,
     random_condition_k_graph,
     random_graph,
     realize_as_tail,
     running_example,
-    saturated_hereditary_sets,
     separation_report,
-    simple_cycle_class,
     spec_points,
     spec_space,
     tail_of_boundary,
-    upward_set,
     verify_homeomorphism,
 )
 from ck_spectra import cli
-from ck_spectra.graph_core import CycleClass
-from ck_spectra.ideals import _classify_from_structure
+from ck_spectra.graph_core import CycleClass, _bits
+from ck_spectra.ideals import _breaking_masked, _classify_from_structure, _sat_her_scan
+
+from .oracles import named_pairs, phi, px_closure, px_model
 
 f = frozenset
 
@@ -80,21 +72,20 @@ class Timer:
         return False
 
 
-def test_criterion_1_running_example_regression():
+def test_criterion_1_running_example_regression(fixture):
     with Timer("criterion-1 running-example regression", 1.0):
-        fx = running_example()
-        g = fx.graph
-        e = fx.expected
+        g = running_example()
+        e = fixture.expected
 
         assert tuple(maximal_tails(g)) == e.tails
-        sat = saturated_hereditary_sets(g)
+        sat = _sat_her_scan(g)
         for tail, comp, br in zip(e.tails, e.complements, e.breaking):
             assert f(g.vertices) - tail == comp
-            assert comp in sat
-            assert breaking_vertices(g, comp) == br
+            assert g.mask(comp) in sat
+            assert g.names(_breaking_masked(g, g.mask(comp))) == br
         assert finite_return_vertices(g) == e.finite_return
 
-        verdicts = {p: classify_ideal(g, p) for p in admissible_pairs(g)}
+        verdicts = {p: classify_ideal(g, p) for p in named_pairs(g)}
         primes = {p for p, c in verdicts.items() if c.is_prime}
         assert primes == set(e.prime_pairs)
         assert len(primes) == 5
@@ -119,7 +110,7 @@ def test_criterion_2_subset_graph_family():
             g = ea_graph(model.ground, OMEGA)
             assert condition_K(g) and condition_L(g)
             assert is_downward_directed(g, g.vertices)
-            assert all(simple_cycle_class(g, v) is CycleClass.ZERO for v in g.vertices)
+            assert set(g.cycle_class) == {CycleClass.ZERO}
             assert finite_return_vertices(g) == f()
             clus = clusters(g)
             assert len(clus) == 2 ** len(ground) - 1
@@ -191,7 +182,7 @@ def test_criterion_3_differential_suite():
                 path = realize_as_tail(g, t)
                 assert tail_of_boundary(g, path) == t, (seed, t)
 
-            pairs = admissible_pairs(g)
+            pairs = named_pairs(g)
             checked_pairs += len(pairs)
             everything = f(g.vertices)
             for pair in pairs:
@@ -202,15 +193,16 @@ def test_criterion_3_differential_suite():
                 )
                 # (d) complements are unions of maximal tails
                 rep = mt_report(g, everything - pair.h)
-                assert rep.union_axioms, (seed, pair)
+                assert rep.mt1 and rep.mt2, (seed, pair)
                 # (i) condition (K) forces condition (L) on every quotient
                 assert condition_L(quotient_graph(g, pair).graph), (seed, pair)
 
             # (e) finite-return vertices are the breaking vertices of their tails
             fr = finite_return_vertices(g)
-            for v in classify_vertices(g).singular:
-                h = everything - upward_set(g, [v])
-                assert (v in fr) == (v in breaking_vertices(g, h)), (seed, v)
+            sinks, emitters, _ = g.class_masks
+            for i in _bits(sinks | emitters):
+                h = g.full_mask & ~g.coreach[i]
+                assert (g.vertices[i] in fr) == bool(_breaking_masked(g, h) >> i & 1), (seed, i)
 
             # (f) kuratowski axioms for both closure operators
             for side in ("graph", "ideal"):
@@ -231,7 +223,7 @@ def test_criterion_3_differential_suite():
                     for _ in range(1600)
                 ]
             for p, q in samples:
-                assert ideal_leq(g, p, q) == _leq_direct(p, q), (seed, p, q)
+                assert (meet(g, (p, q)) == p) == _leq_direct(p, q), (seed, p, q)
 
         assert checked_pairs > 500  # the corpus was not degenerate
 
@@ -242,9 +234,7 @@ def test_criterion_3_differential_suite():
             if condition_K(g):
                 continue
             negatives += 1
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                pairs = admissible_pairs(g)
+            pairs = named_pairs(g)
             assert any(
                 not condition_L(quotient_graph(g, p).graph) for p in pairs
             ), seed
@@ -257,11 +247,11 @@ def test_criterion_4_prime_not_primitive_stays_out_of_reach():
     with Timer("criterion-4 prime-not-primitive surrogate", 30.0):
         # on every supported instance the spectrum equals the primitive space
         # and the classifier never returns the prime-not-primitive verdict
-        graphs = [running_example().graph, ea_graph("abc", OMEGA)]
+        graphs = [running_example(), ea_graph("abc", OMEGA)]
         graphs += [random_condition_k_graph(seed, 2 + seed % 7) for seed in range(150)]
         for g in graphs:
             assert spec_points(g) == prim_points(g)
-            for pair in admissible_pairs(g):
+            for pair in named_pairs(g):
                 verdict = classify_ideal(g, pair)
                 assert verdict.kind is not IdealKind.PRIME_NOT_PRIMITIVE
                 assert classify_via_quotient(g, pair).kind is not IdealKind.PRIME_NOT_PRIMITIVE
@@ -275,7 +265,7 @@ def test_criterion_4_prime_not_primitive_stays_out_of_reach():
 def test_criterion_5_parser_emitter_and_exit_codes(tmp_path, capsys):
     with Timer("criterion-5 parser/emitter round trip", 30.0):
         fixtures = [
-            running_example().graph,
+            running_example(),
             ea_graph("ab", 1),
             ea_graph("abc", OMEGA),
         ]
@@ -300,7 +290,7 @@ def test_criterion_5_parser_emitter_and_exit_codes(tmp_path, capsys):
 
         # exit codes through the command surface
         good = tmp_path / "fixture.gcg"
-        good.write_text(emit_gcg(running_example().graph))
+        good.write_text(emit_gcg(running_example()))
         bad = tmp_path / "bad.gcg"
         bad.write_text("vertex a\n")
         loop = tmp_path / "loop.gcg"

@@ -21,7 +21,7 @@ from ck_spectra import cli, graph_core, ideals, tails, topology
 @pytest.fixture(scope="module")
 def fixture_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("gcg") / "fixture.gcg"
-    path.write_text(emit_gcg(running_example().graph))
+    path.write_text(emit_gcg(running_example()))
     return str(path)
 
 
@@ -274,7 +274,7 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
         sys.setprofile(None)
     assert code == 0
     # one sweep per side, one direct verdict per admissible pair
-    assert len(ideals.admissible_pairs(running_example().graph)) == 12
+    assert len(ideals._pair_scan(running_example())) == 12
     assert runs == {"kuratowski": 2, "classify": 12}
     # only the input graph is asked for a countable separating set
     assert csp_graphs and len({id(g) for g in csp_graphs}) == 1
@@ -533,7 +533,7 @@ edge e: z -> z;
 
 
 def test_fixture_gcg_golden_file():
-    assert emit_gcg(running_example().graph) == GOLDEN_FIXTURE_GCG
+    assert emit_gcg(running_example()) == GOLDEN_FIXTURE_GCG
 
 
 def test_output_stable_across_hash_seeds(fixture_path):
@@ -802,7 +802,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 def test_gen_fixture_round_trips(capsys):
     code, out, _ = run(capsys, "gen", "fixture")
     assert code == 0
-    assert parse_graph(out) == running_example().graph
+    assert parse_graph(out) == running_example()
 
 
 def test_gen_ea_and_random_parse_back(capsys):

@@ -184,7 +184,7 @@ def test_str_form_carries_position():
 
 
 def test_round_trip_fixture():
-    g = running_example().graph
+    g = running_example()
     assert parse_graph(emit_gcg(g)) == g
 
 

@@ -9,8 +9,7 @@ from ck_spectra import (
     ClusterPoint,
     OMEGA,
     SizeLimitExceeded,
-    breaking_vertices,
-    classify_vertices,
+    classify_ideal,
     clusters,
     condition_K,
     condition_L,
@@ -19,20 +18,19 @@ from ck_spectra import (
     graph_closure,
     is_downward_directed,
     maximal_tails,
-    phi,
+    mult_sum,
     prim_points,
-    px_closure,
-    px_model,
     random_condition_k_graph,
     random_graph,
     running_example,
-    saturated_hereditary_sets,
-    simple_cycle_class,
     spec_points,
 )
 from ck_spectra.gcg import emit_gcg
 from ck_spectra.generators import _repair_condition_k
 from ck_spectra.graph_core import CycleClass
+from ck_spectra.ideals import _breaking_masked, _sat_her_scan
+
+from .oracles import named_pairs, oracle_reaches, phi, px_closure, px_model
 
 seeds = st.integers(0, 10_000)
 f = frozenset
@@ -41,31 +39,25 @@ f = frozenset
 # -- the running example regression ------------------------------------------------
 
 
-def test_fixture_reproduces_every_expected_fact():
-    fx = running_example()
-    g = fx.graph
-    e = fx.expected
+def test_fixture_reproduces_every_expected_fact(fixture):
+    g = running_example()
+    assert g == fixture.graph
+    e = fixture.expected
     assert tuple(maximal_tails(g)) == e.tails
     for tail, comp, br in zip(e.tails, e.complements, e.breaking):
         assert f(g.vertices) - tail == comp
-        assert comp in saturated_hereditary_sets(g)
-        assert breaking_vertices(g, comp) == br
+        assert g.mask(comp) in _sat_her_scan(g)
+        assert g.names(_breaking_masked(g, g.mask(comp))) == br
     assert finite_return_vertices(g) == e.finite_return
-    from ck_spectra import admissible_pairs, classify_ideal
-
-    primes = {
-        p for p in admissible_pairs(g) if classify_ideal(g, p).is_prime
-    }
+    primes = {p for p in named_pairs(g) if classify_ideal(g, p).is_prime}
     assert primes == set(e.prime_pairs)
     verdict = classify_ideal(g, e.return_pair)
     assert verdict.v0 == e.return_vertex
 
 
 def test_fixture_return_edges_are_exactly_two():
-    from ck_spectra import mult_sum, reaches
-
-    g = running_example().graph
-    returning = [b for b in g.bundles if b.src == "x" and reaches(g, b.dst, "x")]
+    g = running_example()
+    returning = [b for b in g.bundles if b.src == "x" and oracle_reaches(g, b.dst, "x")]
     assert {b.label for b in returning} == {"f", "g"}
     assert mult_sum(b.mult for b in returning) == 2
 
@@ -87,8 +79,7 @@ def test_ea_graph_acyclic_downward_directed_all_mults():
         g = ea_graph(["a", "b", "c"], mult)
         assert condition_K(g) and condition_L(g)
         assert is_downward_directed(g, g.vertices)
-        for v in g.vertices:
-            assert simple_cycle_class(g, v) is CycleClass.ZERO
+        assert set(g.cycle_class) == {CycleClass.ZERO}
         assert finite_return_vertices(g) == f()
 
 
@@ -226,6 +217,6 @@ def test_repair_changes_something_sometimes():
 
 
 def test_vertex_classes_in_random_corpus():
-    kinds = [classify_vertices(random_condition_k_graph(s, 6)) for s in range(40)]
-    assert any(k.infinite_emitters for k in kinds)
-    assert any(k.sinks for k in kinds)
+    kinds = [random_condition_k_graph(s, 6).class_masks for s in range(40)]
+    assert any(emitters for _, emitters, _ in kinds)
+    assert any(sinks for sinks, _, _ in kinds)

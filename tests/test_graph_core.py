@@ -7,27 +7,25 @@ from ck_spectra import (
     Graph,
     OMEGA,
     UnknownVertex,
-    classify_vertices,
     condition_K,
     condition_L,
     ea_graph,
-    has_csp,
     is_downward_directed,
     is_omega,
     mult_sum,
     random_condition_k_graph,
     random_graph,
-    reaches,
-    simple_cycle_class,
     upward_set,
 )
-from ck_spectra.graph_core import CycleClass, check_mult
+from ck_spectra.graph_core import CycleClass, _csp_mask, check_mult
 
 from .oracles import (
     oracle_csp_witness,
     oracle_cycle_class,
     oracle_downward_directed,
+    oracle_reaches,
     oracle_upward_set,
+    oracle_vertex_classes,
     reach_matrix,
 )
 
@@ -97,41 +95,43 @@ def test_listing_reads_a_mask_in_declaration_order(mask):
 
 
 def test_classify_vertices_fixture(g7):
-    kinds = classify_vertices(g7)
-    assert kinds.sinks == {"t"}
-    assert kinds.infinite_emitters == {"u", "w", "x"}
-    assert kinds.regular == {"v", "y", "z"}
-    assert kinds.singular == {"t", "u", "w", "x"}
+    sinks, emitters, regular = map(g7.names, g7.class_masks)
+    assert sinks == {"t"}
+    assert emitters == {"u", "w", "x"}
+    assert regular == {"v", "y", "z"}
+    assert (sinks, emitters, regular) == oracle_vertex_classes(g7)
 
 
 def test_isolated_vertex_is_sink(single_sink):
-    assert classify_vertices(single_sink).sinks == {"a"}
+    assert single_sink.class_masks == (1, 0, 0)
 
 
 def test_ea_omega_all_nonterminal_vertices_emit_infinitely(ea3_omega):
-    kinds = classify_vertices(ea3_omega)
-    assert kinds.sinks == {"v_a_b_c"}
-    assert kinds.regular == frozenset()
-    assert len(kinds.infinite_emitters) == 6
+    sinks, emitters, regular = ea3_omega.class_masks
+    assert ea3_omega.names(sinks) == {"v_a_b_c"}
+    assert regular == 0
+    assert emitters.bit_count() == 6
 
 
 # -- reachability -----------------------------------------------------------------
 
 
 def test_reaches_fixture_facts(g7):
-    assert reaches(g7, "u", "t")
-    assert not reaches(g7, "y", "w")
-    for v in g7.vertices:
-        assert reaches(g7, v, v)
+    assert g7.names(g7.reach[g7.index["u"]]) == {"t", "u", "v", "x", "y", "z"}
+    assert oracle_reaches(g7, "u", "t")
+    assert not g7.reach[g7.index["y"]] >> g7.index["w"] & 1
+    assert not oracle_reaches(g7, "y", "w")
+    for i in range(g7.n):
+        assert g7.reach[i] >> i & 1
     with pytest.raises(UnknownVertex):
-        reaches(g7, "u", "nope")
+        g7.require_vertex("nope")
 
 
 def test_reaches_matches_matrix_squaring(g7):
     m = reach_matrix(g7)
     for u in g7.vertices:
         for v in g7.vertices:
-            assert reaches(g7, u, v) == m[g7.index[u], g7.index[v]]
+            assert bool(g7.reach[g7.index[u]] >> g7.index[v] & 1) == oracle_reaches(g7, u, v) == m[g7.index[u], g7.index[v]]
 
 
 @given(seed=seeds, n=st.integers(0, 30), per_vertex=st.sampled_from([1, 2, None]))
@@ -141,9 +141,8 @@ def test_reaches_matches_oracle_random(seed, n, per_vertex):
     density = 0.3 if per_vertex is None else per_vertex / max(n, 1)
     g = random_graph(seed, n, density)
     m = reach_matrix(g)
-    for u in g.vertices:
-        for v in g.vertices:
-            assert reaches(g, u, v) == m[g.index[u], g.index[v]]
+    for i in range(n):
+        assert g.reach[i] == sum(1 << j for j in range(n) if m[i, j])
     for j in range(n):
         assert g.coreach[j] == sum(1 << i for i in range(n) if m[i, j])
 
@@ -208,17 +207,15 @@ def test_downward_directed_witness_location_matters():
 
 
 def test_has_csp_always_true_with_minimal_witness(g7):
-    ok, witness = has_csp(g7, g7.vertices)
-    assert ok
-    assert witness <= {"t", "w", "z"}
-    assert witness == {"t", "z"}
+    witness = g7.names(_csp_mask(g7, g7.full_mask))
+    assert witness == {"t", "z"} == oracle_csp_witness(g7, g7.vertices)
     # witness really separates: everything reaches into it
     for v in g7.vertices:
-        assert any(reaches(g7, v, s) for s in witness)
+        assert any(oracle_reaches(g7, v, s) for s in witness)
 
 
 def test_has_csp_empty():
-    assert has_csp(Graph(["a"]), []) == (True, frozenset())
+    assert _csp_mask(Graph(["a"]), 0) == 0
 
 
 @given(
@@ -233,7 +230,7 @@ def test_mt3_and_mt4_witnesses_match_oracles(seed, n, repaired, density, picks):
     g = (random_condition_k_graph if repaired else random_graph)(seed, n, density)
     for pick in picks:
         members = sorted(g.names(pick & g.full_mask), reverse=True)
-        assert has_csp(g, members) == (True, oracle_csp_witness(g, members))
+        assert g.names(_csp_mask(g, g.mask(members))) == oracle_csp_witness(g, members)
         for inside in (True, False):
             verdict = is_downward_directed(g, members, witness_in_set=inside)
             failing = oracle_downward_directed(g, members, inside)
@@ -253,39 +250,37 @@ def test_cycle_class_fixture(g7):
         "y": CycleClass.ZERO,
         "z": CycleClass.TWO_OR_MORE,
     }
-    for v, want in expected.items():
-        assert simple_cycle_class(g7, v) is want, v
+    assert g7.cycle_class == list(expected.values())
 
 
 def test_cycle_class_single_loop(single_loop):
-    assert simple_cycle_class(single_loop, "a") is CycleClass.ONE
+    assert single_loop.cycle_class == [CycleClass.ONE]
 
 
 def test_cycle_class_subset_graph_acyclic(ea3_omega):
-    for v in ea3_omega.vertices:
-        assert simple_cycle_class(ea3_omega, v) is CycleClass.ZERO
+    assert set(ea3_omega.cycle_class) == {CycleClass.ZERO}
 
 
 def test_cycle_class_parallel_loop_counts():
     g = Graph(["a"], [Bundle("a", "a", 2)])
-    assert simple_cycle_class(g, "a") is CycleClass.TWO_OR_MORE
+    assert g.cycle_class == [CycleClass.TWO_OR_MORE]
     g = Graph(["a"], [Bundle("a", "a", OMEGA)])
-    assert simple_cycle_class(g, "a") is CycleClass.TWO_OR_MORE
+    assert g.cycle_class == [CycleClass.TWO_OR_MORE]
 
 
 def test_cycle_class_two_step_cycle():
     g = Graph(["a", "b"], [Bundle("a", "b"), Bundle("b", "a")])
-    assert simple_cycle_class(g, "a") is CycleClass.ONE
+    assert g.cycle_class == [CycleClass.ONE, CycleClass.ONE]
     assert condition_K(g).witness == "a"
 
 
 def test_cycle_class_on_a_cycle_longer_than_the_recursion_limit(long_cycle):
-    assert simple_cycle_class(long_cycle, "v0") is CycleClass.ONE
+    assert set(long_cycle.cycle_class) == {CycleClass.ONE}
 
 
 def test_cycle_class_matches_walk_oracle(g7):
     for v in g7.vertices:
-        assert simple_cycle_class(g7, v) is oracle_cycle_class(g7, v)
+        assert g7.cycle_class[g7.index[v]] is oracle_cycle_class(g7, v)
 
 
 @given(seed=seeds, n=st.integers(1, 8), density=st.sampled_from([0.15, 0.4]))
@@ -293,8 +288,7 @@ def test_cycle_class_matches_walk_oracle(g7):
 def test_cycle_class_matches_walk_oracle_random(seed, n, density):
     g = random_graph(seed, n, density)
     expected = [oracle_cycle_class(g, v) for v in g.vertices]
-    for v, want in zip(g.vertices, expected):
-        assert simple_cycle_class(g, v) is want, (seed, v)
+    assert g.cycle_class == expected, seed
     lonely = [v for v, want in zip(g.vertices, expected) if want is CycleClass.ONE]
     assert condition_K(g).witness == (lonely[0] if lonely else None)
 

@@ -1,5 +1,4 @@
 import random
-import warnings
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -17,40 +16,36 @@ from ck_spectra import (
     NotSaturatedHereditary,
     OMEGA,
     admissible_pair,
-    admissible_pairs,
-    breaking_vertex_discrepancies,
-    breaking_vertices,
     classify_ideal,
-    classify_vertices,
     classify_via_quotient,
     condition_K,
     condition_L,
     ea_graph,
     emit_gcg,
     finite_return_vertices,
-    ideal_leq,
-    is_hereditary,
-    is_saturated,
     meet,
     mt_report,
     parse_graph,
     quotient_graph,
     random_condition_k_graph,
     random_graph,
-    saturated_hereditary_sets,
 )
 from ck_spectra import ideals
 from ck_spectra.ideals import (
+    _breaking_masked,
     _check_admissible,
     _classify_from_structure,
     _direct_verdict,
     _quotient_frame,
     _quotient_one_terminal,
     _quotient_verdict,
+    _require_sat_her,
+    _sat_her_faults,
+    _sat_her_scan,
 )
 
 from .oracles import (
-    oracle_breaking_vertex_discrepancies,
+    named_pairs,
     oracle_breaking_vertices,
     oracle_check_admissible,
     oracle_classify_ideal,
@@ -71,35 +66,37 @@ f = frozenset
 
 
 def test_hereditary_saturated_fixture_sets(g7):
-    assert is_hereditary(g7, "yz") and is_saturated(g7, "yz")
+    assert oracle_is_hereditary(g7, "yz") and oracle_is_saturated(g7, "yz")
     for h in ((), g7.vertices):
-        assert is_hereditary(g7, h) and is_saturated(g7, h)
-    verdict = is_hereditary(g7, "y")
+        assert oracle_is_hereditary(g7, h) and oracle_is_saturated(g7, h)
+    verdict = oracle_is_hereditary(g7, "y")
     assert not verdict and verdict.witness == Bundle("y", "z")
+    assert _sat_her_faults(g7, g7.mask("y")) == (g7.index["y"], None)
 
 
 def test_saturation_failure_witness():
     g = Graph(["a", "b"], [Bundle("a", "b")])
-    verdict = is_saturated(g, "b")
+    verdict = oracle_is_saturated(g, "b")
     assert not verdict and verdict.witness == "a"
+    assert _sat_her_faults(g, g.mask("b")) == (None, g.index["a"])
 
 
 def test_saturated_hereditary_enumeration(fixture):
     g = fixture.graph
-    got = saturated_hereditary_sets(g)
+    got = _sat_her_scan(g)
     for h in fixture.expected.complements:
-        assert h in got
-    assert got == sorted(oracle_sat_her(g), key=lambda s: g.mask(s))
+        assert g.mask(h) in got
+    assert got == sorted(map(g.mask, oracle_sat_her(g)))
 
 
 def test_saturated_hereditary_no_edges():
     g = Graph(["a", "b", "c"])
-    assert len(saturated_hereditary_sets(g)) == 8
+    assert len(_sat_her_scan(g)) == 8
 
 
 def test_saturated_hereditary_subset_graph(ea2_omega):
     g = ea2_omega
-    got = set(saturated_hereditary_sets(g))
+    got = set(map(g.names, _sat_her_scan(g)))
     everything = f(g.vertices)
     complements_of_clusters = {
         everything - c
@@ -120,7 +117,7 @@ def test_saturated_hereditary_subset_graph(ea2_omega):
 @settings(max_examples=40, deadline=None)
 def test_saturated_hereditary_matches_oracle_random(seed, n, density, generate):
     g = generate(seed, n, density)
-    assert saturated_hereditary_sets(g) == sorted(oracle_sat_her(g), key=g.mask)
+    assert _sat_her_scan(g) == sorted(map(g.mask, oracle_sat_her(g)))
 
 
 # -- breaking vertices ------------------------------------------------------------
@@ -129,27 +126,29 @@ def test_saturated_hereditary_matches_oracle_random(seed, n, density, generate):
 def test_breaking_sets_fixture(fixture):
     g = fixture.graph
     for h, b in zip(fixture.expected.complements, fixture.expected.breaking):
-        assert breaking_vertices(g, h) == b
+        assert g.names(_breaking_masked(g, g.mask(h))) == b == oracle_breaking_vertices(g, h)
 
 
 def test_breaking_trivial_ends(g7):
-    assert breaking_vertices(g7, []) == frozenset()
-    assert breaking_vertices(g7, g7.vertices) == frozenset()
+    assert _breaking_masked(g7, 0) == 0
+    assert _breaking_masked(g7, g7.full_mask) == 0
 
 
 def test_breaking_requires_saturated_hereditary(g7):
     with pytest.raises(NotSaturatedHereditary):
-        breaking_vertices(g7, "y")
+        _require_sat_her(g7, g7.mask("y"))
 
 
 def test_breaking_count_uses_edges_not_targets(g7):
     # u, w, x all escape the empty set through an OMEGA bundle, so the edge
     # count says "not breaking" while the target count would say "breaking";
     # over {t, y, z} only u keeps an OMEGA escape (to v)
-    assert breaking_vertex_discrepancies(g7, []) == {"u", "w", "x"}
-    assert breaking_vertex_discrepancies(g7, "tyz") == {"u"}
-    assert breaking_vertex_discrepancies(g7, "yz") == {"u"}
-    assert breaking_vertex_discrepancies(g7, g7.vertices) == frozenset()
+    emitters = g7.class_masks[1]
+    for h, escaping, breaking in (("", "uwx", ""), ("tyz", "uwx", "wx"), ("yz", "uwx", "wx"), (g7.vertices, "", "")):
+        hmask = g7.mask(h)
+        targets = sum(1 << i for i in range(g7.n) if emitters >> i & 1 and g7.succ_mask[i] & ~hmask)
+        assert g7.names(targets) == f(escaping)
+        assert g7.names(_breaking_masked(g7, hmask)) == f(breaking) == oracle_breaking_vertices(g7, h)
 
 
 # -- admissible pairs ----------------------------------------------------------------
@@ -157,18 +156,16 @@ def test_breaking_count_uses_edges_not_targets(g7):
 
 def test_admissible_pairs_fixture_counts(fixture):
     g = fixture.graph
-    pairs = admissible_pairs(g)
+    pairs = named_pairs(g)
     for s in (f(), f("w"), f("x"), f("wx")):
         assert AdmissiblePair(f("tyz"), s) in pairs
-    total = sum(
-        2 ** len(breaking_vertices(g, h)) for h in saturated_hereditary_sets(g)
-    )
+    total = sum(2 ** _breaking_masked(g, h).bit_count() for h in _sat_her_scan(g))
     assert len(pairs) == total == 12
 
 
 def test_admissible_pairs_single_vertex():
     g = Graph(["a"])
-    assert admissible_pairs(g) == [
+    assert named_pairs(g) == [
         AdmissiblePair(f(), f()),
         AdmissiblePair(f("a"), f()),
     ]
@@ -176,7 +173,7 @@ def test_admissible_pairs_single_vertex():
 
 def test_admissible_pairs_row_finite_subset_graph():
     g = ea_graph(["a", "b"], 1)
-    assert all(p.s == f() for p in admissible_pairs(g))
+    assert all(smask == 0 for _, smask in ideals._pair_scan(g))
 
 
 def test_admissible_pair_validation(g7):
@@ -185,13 +182,6 @@ def test_admissible_pair_validation(g7):
         admissible_pair(g7, "y")
     with pytest.raises(NotSaturatedHereditary):
         admissible_pair(g7, "tyz", "u")  # u is not breaking for this H
-
-
-def test_non_k_graph_warns(single_loop):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        admissible_pairs(single_loop)
-    assert any("Condition (K)" in str(w.message) for w in caught)
 
 
 # -- meet and containment ---------------------------------------------------------------
@@ -205,7 +195,7 @@ def test_meet_idempotent(g7):
 
 def test_meet_with_zero_ideal(g7):
     zero = AdmissiblePair(f(), f())
-    for q in admissible_pairs(g7):
+    for q in named_pairs(g7):
         assert meet(g7, [zero, q]) == zero
 
 
@@ -220,7 +210,7 @@ def test_meet_empty_family_is_whole_algebra(g7):
 
 
 def test_meet_semilattice_laws(g7):
-    pairs = admissible_pairs(g7)
+    pairs = named_pairs(g7)
     for p in pairs:
         for q in pairs:
             pq = meet(g7, [p, q])
@@ -230,8 +220,13 @@ def test_meet_semilattice_laws(g7):
                 assert meet(g7, [pq, r]) == meet(g7, [p, q, r])
 
 
+def ideal_leq(g, p, q):
+    """Containment of the ideals of two pairs, through the meet."""
+    return meet(g, (p, q)) == p
+
+
 def test_ideal_leq_is_a_partial_order(g7):
-    pairs = admissible_pairs(g7)
+    pairs = named_pairs(g7)
     for p in pairs:
         assert ideal_leq(g7, p, p)
         for q in pairs:
@@ -245,7 +240,7 @@ def test_ideal_leq_is_a_partial_order(g7):
 def test_ideal_leq_bounds(g7):
     zero = AdmissiblePair(f(), f())
     top = AdmissiblePair(f(g7.vertices), f())
-    for p in admissible_pairs(g7):
+    for p in named_pairs(g7):
         assert ideal_leq(g7, zero, p)
         assert ideal_leq(g7, p, top)
 
@@ -262,7 +257,7 @@ def _direct_leq(p, q):
 
 
 def test_ideal_leq_matches_direct_criterion_fixture(g7):
-    pairs = admissible_pairs(g7)
+    pairs = named_pairs(g7)
     for p in pairs:
         for q in pairs:
             assert ideal_leq(g7, p, q) == _direct_leq(p, q)
@@ -272,9 +267,7 @@ def test_ideal_leq_matches_direct_criterion_fixture(g7):
 @settings(max_examples=30, deadline=None)
 def test_ideal_leq_matches_direct_criterion_random(seed):
     g = random_graph(seed, 5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # raw graphs may violate Condition (K)
-        pairs = admissible_pairs(g)
+    pairs = named_pairs(g)
     for p in pairs:
         for q in pairs:
             assert ideal_leq(g, p, q) == _direct_leq(p, q)
@@ -306,7 +299,7 @@ def test_quotient_with_sink_copy(g7):
 
 
 def test_primed_vertices_are_sinks_everywhere(g7):
-    for pair in admissible_pairs(g7):
+    for pair in named_pairs(g7):
         q = quotient_graph(g7, pair)
         for copy in q.primed.values():
             assert all(b.src != copy for b in q.graph.bundles)
@@ -343,7 +336,7 @@ def test_primed_label_collision_avoided():
 
 def test_fixture_prime_ideals_exact(fixture):
     g = fixture.graph
-    verdicts = {p: classify_ideal(g, p) for p in admissible_pairs(g)}
+    verdicts = {p: classify_ideal(g, p) for p in named_pairs(g)}
     primes = {p for p, c in verdicts.items() if c.is_prime}
     assert primes == set(fixture.expected.prime_pairs)
     ret = verdicts[fixture.expected.return_pair]
@@ -379,7 +372,7 @@ def test_classification_requires_condition_k(single_loop):
 
 
 def test_routes_agree_on_fixture(g7):
-    for pair in admissible_pairs(g7):
+    for pair in named_pairs(g7):
         assert classify_ideal(g7, pair) == classify_via_quotient(g7, pair)
 
 
@@ -394,9 +387,9 @@ def test_prime_not_primitive_code_path():
 
 
 def test_complements_are_unions_of_tails(g7):
-    for pair in admissible_pairs(g7):
+    for pair in named_pairs(g7):
         rep = mt_report(g7, f(g7.vertices) - pair.h)
-        assert rep.union_axioms
+        assert rep.mt1 and rep.mt2
 
 
 def test_primitive_return_iff_finite_return_vertex(g7, remark_graph):
@@ -404,14 +397,14 @@ def test_primitive_return_iff_finite_return_vertex(g7, remark_graph):
 
     for g in (g7, remark_graph):
         fr = finite_return_vertices(g)
-        for pair in admissible_pairs(g):
+        for pair in named_pairs(g):
             verdict = classify_ideal(g, pair)
             if verdict.kind is IdealKind.PRIMITIVE_RETURN:
                 assert verdict.v0 in fr
 
 
 def test_condition_k_iff_quotients_satisfy_l(g7):
-    for pair in admissible_pairs(g7):
+    for pair in named_pairs(g7):
         assert condition_L(quotient_graph(g7, pair).graph)
 
 
@@ -420,20 +413,17 @@ def test_condition_k_iff_quotients_satisfy_l(g7):
 def test_non_k_graphs_have_a_bad_quotient(seed):
     g = random_graph(seed, 4, density=0.5)
     if condition_K(g):
-        for pair in admissible_pairs(g):
+        for pair in named_pairs(g):
             assert condition_L(quotient_graph(g, pair).graph)
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pairs = admissible_pairs(g)
-        assert any(not condition_L(quotient_graph(g, p).graph) for p in pairs)
+        assert any(not condition_L(quotient_graph(g, p).graph) for p in named_pairs(g))
 
 
 @given(seed=seeds)
 @settings(max_examples=30, deadline=None)
 def test_routes_agree_random(seed):
     g = random_condition_k_graph(seed, 1 + seed % 7)
-    for pair in admissible_pairs(g):
+    for pair in named_pairs(g):
         assert classify_ideal(g, pair) == classify_via_quotient(g, pair), (seed, pair)
 
 
@@ -481,11 +471,11 @@ def test_labeled_graphs_draw_parallel_and_omega_bundles():
 @pytest.mark.parametrize("build", [*ORACLE_GRAPHS, *LABELED_GRAPHS])
 def test_edge_counts_match_their_literal_oracles(build):
     g = build()
-    assert classify_vertices(g) == oracle_vertex_classes(g)
+    assert tuple(map(g.names, g.class_masks)) == oracle_vertex_classes(g)
     assert finite_return_vertices(g) == oracle_finite_return_vertices(g)
-    for h in saturated_hereditary_sets(g):
-        assert breaking_vertices(g, h) == oracle_breaking_vertices(g, h), h
-        assert breaking_vertex_discrepancies(g, h) == oracle_breaking_vertex_discrepancies(g, h), h
+    for hmask in _sat_her_scan(g):
+        h = g.names(hmask)
+        assert g.names(_breaking_masked(g, hmask)) == oracle_breaking_vertices(g, h), h
 
 
 def outcome(fn, *args):
@@ -499,7 +489,7 @@ def outcome(fn, *args):
 @pytest.mark.parametrize("build", ORACLE_GRAPHS)
 def test_direct_route_matches_its_oracle_on_every_pair(build):
     g = build()
-    pairs = admissible_pairs(g)
+    pairs = named_pairs(g)
     assert pairs
     for pair in pairs:
         assert _check_admissible(g, pair) == oracle_check_admissible(g, pair)
@@ -522,18 +512,23 @@ def test_direct_route_rejects_as_its_oracle_does(g7):
         assert outcome(classify_ideal, g7, pair) == outcome(oracle_classify_ideal, g7, pair), pair
         if not pair.h | pair.s <= everything:
             kinds["unknown vertex"] += 1
-        elif not is_hereditary(g7, pair.h):
+        elif not oracle_is_hereditary(g7, pair.h):
             kinds["not hereditary"] += 1
-        elif not is_saturated(g7, pair.h):
+        elif not oracle_is_saturated(g7, pair.h):
             kinds["not saturated"] += 1
-        elif not pair.s <= breaking_vertices(g7, pair.h):
+        elif not pair.s <= oracle_breaking_vertices(g7, pair.h):
             kinds["S outside B_H"] += 1
         else:
             kinds["admissible"] += 1
     assert len(kinds) == 5, kinds
     for h in subsets:
-        assert is_hereditary(g7, h) == oracle_is_hereditary(g7, h)
-        assert is_saturated(g7, h) == oracle_is_saturated(g7, h)
+        # the first member with an edge out, and the first regular non-member
+        # with every edge in, are where the oracles' witnesses sit
+        escaping, trapped = oracle_is_hereditary(g7, h).witness, oracle_is_saturated(g7, h).witness
+        assert _sat_her_faults(g7, g7.mask(h)) == (
+            None if escaping is None else g7.index[escaping.src],
+            None if trapped is None else g7.index[trapped],
+        )
 
 
 # -- the quotient route on masks against the named quotient graph ---------------------
@@ -560,12 +555,6 @@ QUOTIENT_GRAPHS = [
 ]
 
 
-def _quiet_pairs(g):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the (K) warning of graphs without it
-        return admissible_pairs(g)
-
-
 def masks(g, pair):
     """The ``(hmask, smask)`` that the mask cores take."""
     return g.mask(pair.h), g.mask(pair.s)
@@ -574,7 +563,7 @@ def masks(g, pair):
 @pytest.mark.parametrize("build", QUOTIENT_GRAPHS)
 def test_quotient_route_matches_the_named_quotient(build):
     g = build()
-    for pair in _quiet_pairs(g):
+    for pair in named_pairs(g):
         q = quotient_graph(g, pair)
         named = (oracle_classify_quotient(q), condition_L(q.graph).holds)
         assert _quotient_verdict(g, *masks(g, pair)) == named, pair
@@ -586,7 +575,7 @@ def test_quotient_route_meets_every_verdict_and_both_L_flags():
     for make in (random_condition_k_graph, random_graph):
         for s in range(12):
             g = make(s, 1 + s % 8, 0.5)
-            for pair in _quiet_pairs(g):
+            for pair in named_pairs(g):
                 verdict, has_l = _quotient_verdict(g, *masks(g, pair))
                 seen.add((verdict.kind, has_l))
     kinds = {kind for kind, _ in seen}
@@ -597,7 +586,7 @@ def test_quotient_route_meets_every_verdict_and_both_L_flags():
 @pytest.mark.parametrize("build", QUOTIENT_GRAPHS)
 def test_one_terminal_component_is_downward_directed(build):
     g = build()
-    for pair in _quiet_pairs(g):
+    for pair in named_pairs(g):
         qg = quotient_graph(g, pair).graph
         if qg.vertices:
             named = oracle_downward_directed(qg, qg.vertices) is None
@@ -610,7 +599,7 @@ def test_one_terminal_component_is_downward_directed(build):
 def test_quotient_route_reads_nothing_of_the_direct_route(build, monkeypatch):
     text = emit_gcg(build())
     g, fresh = parse_graph(text), parse_graph(text)
-    pairs = admissible_pairs(g)
+    pairs = named_pairs(g)
     verdicts = [classify_ideal(g, pair) for pair in pairs]
 
     def forbidden(*args):

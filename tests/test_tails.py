@@ -9,7 +9,7 @@ from ck_spectra import (
     InvalidPath,
     NotAMaximalTail,
     OMEGA,
-    breaking_vertices,
+    SizeLimitExceeded,
     clusters,
     ea_graph,
     finite_return_vertices,
@@ -17,14 +17,14 @@ from ck_spectra import (
     mt_report,
     random_condition_k_graph,
     random_graph,
-    reaches,
     realize_as_tail,
     tail_of_boundary,
-    upward_set,
+    verify_homeomorphism,
 )
-from ck_spectra.graph_core import classify_vertices
+from ck_spectra.graph_core import _bits
+from ck_spectra.ideals import _breaking_masked
 
-from .oracles import oracle_tails
+from .oracles import oracle_reaches, oracle_tails
 
 seeds = st.integers(0, 10_000)
 
@@ -45,14 +45,14 @@ def test_mt_report_empty_set_vacuous(g7):
 
 def test_mt_report_on_a_tail(g7):
     rep = mt_report(g7, "uvwx")
-    assert rep.tail_axioms
+    assert rep.mt1 and rep.mt2 and rep.mt3 and rep.mt4
 
 
 def test_mt_report_mt1_failure_with_witness(g7):
     rep = mt_report(g7, "wx")
     assert not rep.mt1
     v, w = rep.mt1_witness
-    assert w in {"w", "x"} and v not in {"w", "x"} and reaches(g7, v, w)
+    assert w in {"w", "x"} and v not in {"w", "x"} and oracle_reaches(g7, v, w)
 
 
 def test_mt_report_mt2_failure():
@@ -105,24 +105,24 @@ def test_enumeration_matches_literal_oracle_random(seed, n, density, generate):
 
 def test_union_of_tails_but_not_cluster(three_chain):
     everything = frozenset(three_chain.vertices)
-    assert mt_report(three_chain, everything).union_axioms
+    rep = mt_report(three_chain, everything)
+    assert rep.mt1 and rep.mt2 and not rep.mt3
     assert everything not in clusters(three_chain)
     assert set(maximal_tails(three_chain)) == {frozenset("ab"), frozenset("bc")}
 
 
 def test_union_examples(g7):
-    assert mt_report(g7, []).union_axioms
-    assert not mt_report(g7, "yz").union_axioms  # x reaches y from outside
+    rep = mt_report(g7, [])
+    assert rep.mt1 and rep.mt2
+    assert not mt_report(g7, "yz").mt1  # x reaches y from outside
 
 
 def test_enumeration_respects_size_limit():
-    from ck_spectra import SizeLimitExceeded, saturated_hereditary_sets
-
     # one tail per vertex needs no cap; the 2^21 saturated hereditary sets do
     g = Graph([f"v{i}" for i in range(21)])
     assert clusters(g) == [frozenset({v}) for v in g.vertices]
     with pytest.raises(SizeLimitExceeded):
-        saturated_hereditary_sets(g)
+        verify_homeomorphism(g)
 
 
 # -- boundary paths ----------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_every_tail_is_downward_directed_and_mt(g7):
     # forward direction: any tail built from a boundary path passes all axioms
     for t in maximal_tails(g7):
         rep = mt_report(g7, t)
-        assert rep.tail_axioms
+        assert rep.mt1 and rep.mt2 and rep.mt3 and rep.mt4
 
 
 # -- finite-return vertices --------------------------------------------------------------
@@ -237,19 +237,21 @@ def test_omega_returner_is_not_finite_return():
     assert finite_return_vertices(g) == frozenset()
 
 
+def finite_return_iff_breaking(g):
+    """Each infinite emitter v is a finite-return vertex iff it breaks out of
+    the complement of its own tail U(v)."""
+    fr = finite_return_vertices(g)
+    for i in _bits(g.class_masks[1]):
+        h = g.full_mask & ~g.coreach[i]
+        assert (g.vertices[i] in fr) == bool(_breaking_masked(g, h) >> i & 1)
+
+
 def test_finite_return_iff_breaking_for_own_tail(g7, remark_graph):
     for g in (g7, remark_graph):
-        fr = finite_return_vertices(g)
-        for v in classify_vertices(g).infinite_emitters:
-            h = frozenset(g.vertices) - upward_set(g, [v])
-            assert (v in fr) == (v in breaking_vertices(g, h))
+        finite_return_iff_breaking(g)
 
 
 @given(seed=seeds)
 @settings(max_examples=40, deadline=None)
 def test_finite_return_iff_breaking_random(seed):
-    g = random_graph(seed, 6)
-    fr = finite_return_vertices(g)
-    for v in classify_vertices(g).infinite_emitters:
-        h = frozenset(g.vertices) - upward_set(g, [v])
-        assert (v in fr) == (v in breaking_vertices(g, h))
+    finite_return_iff_breaking(random_graph(seed, 6))

@@ -38,7 +38,7 @@ from ck_spectra import (
 from ck_spectra import cli, topology
 from ck_spectra.graph_core import is_omega, mult_sum
 
-from .oracles import oracle_graph_closure, oracle_ideal_closure, oracle_separation, vertex_set
+from .oracles import named_pairs, oracle_graph_closure, oracle_ideal_closure, oracle_separation, vertex_set
 
 seeds = st.integers(0, 10_000)
 f = frozenset
@@ -209,14 +209,10 @@ def test_h_map_fixture_values(g7):
 
 
 def test_h_map_image_is_exactly_the_primes(g7):
-    from ck_spectra import admissible_pairs
-
     pts = spec_points(g7)
     image = {h_map(g7, p) for p in pts}
     assert len(image) == len(pts)
-    primes = {
-        p for p in admissible_pairs(g7) if classify_ideal(g7, p).is_prime
-    }
+    primes = {p for p in named_pairs(g7) if classify_ideal(g7, p).is_prime}
     assert image == primes
 
 
@@ -244,7 +240,7 @@ def test_verify_homeomorphism_remark_graph(remark_graph):
 
 
 def test_cached_results_do_not_keep_the_graph_alive():
-    g = running_example().graph
+    g = running_example()
     verify_homeomorphism(g)
     ref = weakref.ref(g)
     del g
@@ -410,10 +406,10 @@ def test_density_failure_raises(monkeypatch, tmp_path, capsys):
     message = "primitive ideal space differs from the prime spectrum"
     for check in (prim_spec_density_check, verify_homeomorphism):
         with pytest.raises(VerificationFailure, match=message):
-            check(running_example().graph)
+            check(running_example())
 
     path = tmp_path / "fixture.gcg"
-    path.write_text(emit_gcg(running_example().graph))
+    path.write_text(emit_gcg(running_example()))
     code = cli.main(["verify", str(path)])
     out, err = capsys.readouterr()
     assert code == 1
@@ -439,7 +435,7 @@ LATTICE_RICH = sorted(
     (Path(__file__).parents[1] / "perfbench" / "corpus" / "lattice-rich").glob("*.gcg")
 )
 KERNEL_GRAPHS = {
-    "fixture": lambda: running_example().graph,
+    "fixture": lambda: running_example(),
     "ea3_omega": lambda: ea_graph(["a", "b", "c"], OMEGA),
     **{f"lattice-rich/{p.stem}": (lambda p=p: parse_graph(p.read_text())) for p in LATTICE_RICH},
     **{f"random-{seed}": (lambda seed=seed: random_condition_k_graph(seed, 1 + seed % 9)) for seed in range(18)},
@@ -473,7 +469,7 @@ def test_planted_ideal_kernel_fault_fails_verify(tmp_path, capsys, monkeypatch):
         topology, "_ideal_kernel", lambda g, pts: lambda m: kernel(g, pts)(m) & ~1
     )
     path = tmp_path / "fixture.gcg"
-    path.write_text(emit_gcg(running_example().graph))
+    path.write_text(emit_gcg(running_example()))
     assert cli.main(["verify", str(path)]) == 1
     assert "closures disagree" in capsys.readouterr().err
 
