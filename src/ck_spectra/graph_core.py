@@ -119,7 +119,8 @@ class CycleClass(enum.IntEnum):
 
 
 class Check(NamedTuple):
-    """Boolean predicate result carrying a witness for failures."""
+    """Boolean predicate result carrying a witness: of a failure, or for
+    :func:`has_csp` of the property itself."""
 
     holds: bool
     witness: object = None
@@ -313,14 +314,8 @@ class Graph:
 
     @cached_property
     def class_masks(self) -> tuple[int, int, int]:
-        """The sinks, the infinite emitters and the regular vertices, as masks."""
-        sinks = emitters = 0
-        for i, total in enumerate(self.out_mult.values()):
-            if total == 0:
-                sinks |= 1 << i
-            elif is_omega(total):
-                emitters |= 1 << i
-        return sinks, emitters, self.full_mask & ~(sinks | emitters)
+        """:func:`classify_vertices`, computed once per graph."""
+        return classify_vertices(self)
 
     @cached_property
     def edge_mult(self) -> list[dict[int, Mult]]:
@@ -370,34 +365,8 @@ class Graph:
 
     @cached_property
     def cycle_class(self) -> list[CycleClass]:
-        """cycle_class[i] = the simple cycles based at vertex i, saturated at two.
-
-        A simple cycle is a first-return walk: it starts and ends at v and does
-        not pass through v in between (other vertices may repeat).  Parallel
-        edges count as distinct cycles.  Such a walk stays inside the strongly
-        connected component C of v, so the saturating sum of the multiplicities
-        of the bundles inside C decides the class: 0 gives ZERO; |C| means every
-        member has one internal edge of multiplicity one, so C is a plain cycle
-        and the class is ONE; anything more is TWO_OR_MORE, because an internal
-        edge e off the cycle through v (or a parallel copy of one on it) gives a
-        second first-return walk, from v through e and back to v.
-        ``tests/oracles.py::oracle_cycle_class`` counts the walks instead.
-        """
-        masks, comp = self.condensation
-        internal: list[Mult] = [0] * len(masks)
-        for b in self.bundles:
-            c = comp[self.index[b.src]]
-            if c == comp[self.index[b.dst]]:
-                internal[c] += b.mult
-        classes = [
-            CycleClass.ZERO
-            if total == 0
-            else CycleClass.ONE
-            if total == members.bit_count()
-            else CycleClass.TWO_OR_MORE
-            for total, members in zip(internal, masks)
-        ]
-        return [classes[c] for c in comp]
+        """:func:`simple_cycle_class`, computed once per graph."""
+        return simple_cycle_class(self)
 
 
 def per_graph(fn: Callable) -> Callable:
@@ -420,6 +389,51 @@ def per_graph(fn: Callable) -> Callable:
         return out
 
     return cached
+
+
+# -- vertex classes and simple cycles ------------------------------------------
+
+
+def classify_vertices(g: Graph) -> tuple[int, int, int]:
+    """The sinks, the infinite emitters and the regular vertices of g, as masks."""
+    sinks = emitters = 0
+    for i, total in enumerate(g.out_mult.values()):
+        if total == 0:
+            sinks |= 1 << i
+        elif is_omega(total):
+            emitters |= 1 << i
+    return sinks, emitters, g.full_mask & ~(sinks | emitters)
+
+
+def simple_cycle_class(g: Graph) -> list[CycleClass]:
+    """The simple cycles based at each vertex of g, by index, saturated at two.
+
+    A simple cycle is a first-return walk: it starts and ends at v and does
+    not pass through v in between (other vertices may repeat).  Parallel
+    edges count as distinct cycles.  Such a walk stays inside the strongly
+    connected component C of v, so the saturating sum of the multiplicities
+    of the bundles inside C decides the class: 0 gives ZERO; |C| means every
+    member has one internal edge of multiplicity one, so C is a plain cycle
+    and the class is ONE; anything more is TWO_OR_MORE, because an internal
+    edge e off the cycle through v (or a parallel copy of one on it) gives a
+    second first-return walk, from v through e and back to v.
+    ``tests/oracles.py::oracle_cycle_class`` counts the walks instead.
+    """
+    masks, comp = g.condensation
+    internal: list[Mult] = [0] * len(masks)
+    for b in g.bundles:
+        c = comp[g.index[b.src]]
+        if c == comp[g.index[b.dst]]:
+            internal[c] += b.mult
+    classes = [
+        CycleClass.ZERO
+        if total == 0
+        else CycleClass.ONE
+        if total == members.bit_count()
+        else CycleClass.TWO_OR_MORE
+        for total, members in zip(internal, masks)
+    ]
+    return [classes[c] for c in comp]
 
 
 def require_enumerable(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> None:
@@ -480,8 +494,8 @@ def _undirected_pair(g: Graph, mask: int, allowed: int) -> Optional[tuple[int, i
     return None
 
 
-def _csp_mask(g: Graph, mask: int) -> int:
-    """A minimal witness of the countable separation property of a vertex mask.
+def has_csp(g: Graph, mask: int) -> Check:
+    """The countable separation property of a vertex mask, with a minimal witness mask.
 
     Every finite vertex set has the property.  The witness is what a greedy
     shrink in declaration order keeps of the set (drop a member while every
@@ -498,7 +512,7 @@ def _csp_mask(g: Graph, mask: int) -> int:
         same = masks[comp[i]]
         if not reach[i] & mask & ~same:
             witness |= 1 << (mask & same).bit_length() - 1
-    return witness
+    return Check(True, witness)
 
 
 # -- Conditions (K) and (L) ---------------------------------------------------

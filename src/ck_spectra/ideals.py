@@ -100,7 +100,7 @@ def _sat_her_faults(g: Graph, mask: int) -> tuple:
 
 
 @per_graph
-def _sat_her_scan(g: Graph) -> list[int]:
+def saturated_hereditary_sets(g: Graph) -> list[int]:
     """Masks of the complements of the unions of tails, in increasing order.
 
     H is saturated hereditary exactly when its complement C satisfies MT1 and
@@ -153,11 +153,11 @@ def admissible_pair(g: Graph, h, s=()) -> AdmissiblePair:
 
 
 @per_graph
-def _pair_scan(g: Graph) -> list[tuple[int, int]]:
+def admissible_pairs(g: Graph) -> list[tuple[int, int]]:
     """Every pair as ``(hmask, smask)``, admissible by construction: each
     saturated hereditary H with each subset of its breaking vertices."""
     pairs = []
-    for hmask in _sat_her_scan(g):
+    for hmask in saturated_hereditary_sets(g):
         subsets = [0]
         for i in _bits(_breaking_masked(g, hmask)):
             subsets += [smask | 1 << i for smask in subsets]
@@ -186,6 +186,16 @@ def _meet_masks(g: Graph, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
         hmask &= ph
         keep &= ph | ps
     return hmask, keep & _breaking_masked(g, hmask)
+
+
+def ideal_leq(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """Containment of the ideals of two admissible ``(hmask, smask)`` pairs.
+
+    (H, S) lies below (H', S') iff H is in H' and S in H' | S'.  This is
+    ``_meet_masks(g, (p, q)) == p``: given H in H', the meet keeps of S
+    exactly what lies in H' | S', as S is inside B_H, which misses H.
+    """
+    return not p[0] & ~q[0] and not p[1] & ~(q[0] | q[1])
 
 
 # -- quotient graphs -----------------------------------------------------------

@@ -25,9 +25,9 @@ from .graph_core import (
     Bundle,
     Graph,
     _bits,
-    _csp_mask,
     _finite_edges,
     _undirected_pair,
+    has_csp,
     per_graph,
     upward_set,
 )
@@ -180,7 +180,7 @@ def realize_as_tail(g: Graph, members) -> BoundaryPath:
     base = g.vertices[next(_bits(mask))]
     current = base
     bundles: list[Bundle] = []
-    for x in _bits(_csp_mask(g, mask)):  # the witness lies inside the set
+    for x in _bits(has_csp(g, mask).witness):  # the witness lies inside the set
         # common lower bound of x and the walk head, inside the set (MT3);
         # MT1 keeps every vertex of the connecting route inside the set.
         common = g.reach[x] & g.reach[g.index[current]] & mask

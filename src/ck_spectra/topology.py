@@ -16,9 +16,10 @@ different points).  The same space is materialized along two routes:
   and the closure of X is everything containing the meet of the pairs of X.
 
 On a finite vertex set MT4 holds vacuously, so the primitive points are
-the prime points, in the same order.  :func:`verify_homeomorphism` decides
-that first, through :func:`prim_spec_density_check`; the checks after it
-concern the one space.  It then matches the points with the prime and the
+the prime points, in the same order: :func:`prim_points` is
+:func:`spec_points`.  :func:`verify_homeomorphism` first checks that they are
+dense, through :func:`prim_spec_density_check`; the checks after it concern
+the one space.  It then matches the points with the prime and the
 primitive pairs and sweeps the subsets once, comparing the two closures.
 :func:`check_kuratowski` tests the closure axioms of a space; ``verify``
 runs it once per side on the spectrum.
@@ -54,9 +55,10 @@ from .ideals import (
     _direct_verdict,
     _meet_masks,
     _named,
-    _pair_scan,
+    admissible_pairs,
+    ideal_leq,
 )
-from .tails import clusters, finite_return_vertices, maximal_tails
+from .tails import clusters, finite_return_vertices
 
 
 class ClusterPoint(NamedTuple):
@@ -80,23 +82,21 @@ class FRPoint(NamedTuple):
 SpecPoint = Union[ClusterPoint, FRPoint]
 
 
-def _points(g: Graph, tails_of: Callable[[Graph], list]) -> list[SpecPoint]:
-    """A point per set of ``tails_of(g)``, then per finite-return vertex; needs (K)."""
+def spec_points(g: Graph) -> list[SpecPoint]:
+    """Points of the prime spectrum: clusters, then finite-return vertices; needs (K)."""
     if not condition_K(g):
         raise ConditionKRequired("spectrum computations require Condition (K)")
-    pts: list[SpecPoint] = [ClusterPoint(c) for c in tails_of(g)]
+    pts: list[SpecPoint] = [ClusterPoint(c) for c in clusters(g)]
     pts += [FRPoint(v) for v in g.listing(g.mask(finite_return_vertices(g)))]
     return pts
 
 
-def spec_points(g: Graph) -> list[SpecPoint]:
-    """Points of the prime spectrum: clusters, then finite-return vertices."""
-    return _points(g, clusters)
-
-
 def prim_points(g: Graph) -> list[SpecPoint]:
-    """Points of the primitive ideal space: maximal tails, then return vertices."""
-    return _points(g, maximal_tails)
+    """Points of the primitive ideal space: maximal tails, then return vertices.
+
+    These are the prime points, as the maximal tails are the clusters.
+    """
+    return spec_points(g)
 
 
 @per_graph
@@ -198,9 +198,9 @@ def _ideal_kernel(g: Graph, pts: tuple) -> Callable[[int], int]:
 
     @cache
     def above(bottom: tuple[int, int]) -> int:
-        """Mask of the points whose pair contains ``bottom``: meet(bottom, q) == bottom."""
+        """Mask of the points whose pair contains ``bottom``."""
         _check_masks(g, *bottom)
-        return sum(1 << i for i, q in enumerate(pairs) if _meet_masks(g, (bottom, q)) == bottom)
+        return sum(1 << i for i, q in enumerate(pairs) if ideal_leq(bottom, q))
 
     @cache
     def closure(xmask: int) -> int:
@@ -321,9 +321,9 @@ def verify_homeomorphism(
 ) -> HomeomorphismReport:
     """Check that the graph-side and ideal-side spaces are the same space.
 
-    First decides that the primitive points are the prime points
-    (:func:`prim_spec_density_check`), so the primitive subspace is the
-    spectrum itself.  Then establishes that the point-to-pair map is
+    First checks that the primitive points are dense
+    (:func:`prim_spec_density_check`); they are the prime points, so the
+    primitive subspace is the spectrum itself.  Then establishes that the point-to-pair map is
     injective, that its image is exactly the prime-classified admissible
     pairs and also exactly the primitive ones, and that the two closure
     operators agree on every swept subset.  Raises
@@ -336,7 +336,7 @@ def verify_homeomorphism(
     if len(image) != len(pts):
         raise VerificationFailure("point-to-ideal map is not injective", pts)
     require_enumerable(g, limit)
-    verdicts = {pair: _direct_verdict(g, *pair) for pair in _pair_scan(g)}
+    verdicts = {pair: _direct_verdict(g, *pair) for pair in admissible_pairs(g)}
     prime_pairs = {pair for pair, c in verdicts.items() if c.is_prime}
     primitive_pairs = {pair for pair, c in verdicts.items() if c.is_primitive}
     named = lambda pairs: {_named(g, pair) for pair in pairs}
@@ -453,14 +453,9 @@ def separation_report(space: SpecSpace) -> SeparationReport:
 
 
 def prim_spec_density_check(g: Graph) -> DensityReport:
-    """Primitive points must be the prime points, in order, and be dense."""
+    """Primitive points must be dense in the prime spectrum."""
     spec_pts = tuple(spec_points(g))
     prim_pts = tuple(prim_points(g))
-    if spec_pts != prim_pts:
-        raise VerificationFailure(
-            "primitive ideal space differs from the prime spectrum",
-            (spec_pts, prim_pts),
-        )
     closure = graph_closure(g, prim_pts, ambient=spec_pts)
     if closure != frozenset(spec_pts):
         raise VerificationFailure("primitive points are not dense", closure)

@@ -22,7 +22,7 @@ string-list writer in ``ck_spectra.render`` replaced.  ``px_model``,
 ``px_closure`` and ``phi`` model the spectrum of the subset graph
 ``ck_spectra.ea_graph(ground, OMEGA)`` on the nonempty subsets of the ground
 set.  ``named_pairs`` is no oracle: it names the package's own enumeration,
-``_pair_scan``, for the tests that take pairs of vertex sets.
+``admissible_pairs``, for the tests that take pairs of vertex sets.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from ck_spectra.ideals import (
     _breaking_masked,
     _classify_from_structure,
     _named,
-    _pair_scan,
+    admissible_pairs,
     _require_condition_k,
     meet,
 )
@@ -460,8 +460,8 @@ def phi(model: PXModel, point) -> frozenset:
 
 
 def named_pairs(g: Graph) -> list[AdmissiblePair]:
-    """Every admissible pair of ``_pair_scan``, in its order, as vertex sets."""
-    return [_named(g, pair) for pair in _pair_scan(g)]
+    """Every admissible pair of ``admissible_pairs``, in its order, as vertex sets."""
+    return [_named(g, pair) for pair in admissible_pairs(g)]
 
 
 # -- the .gcg parser -----------------------------------------------------------

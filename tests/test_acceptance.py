@@ -46,7 +46,7 @@ from ck_spectra import (
 )
 from ck_spectra import cli
 from ck_spectra.graph_core import CycleClass, _bits
-from ck_spectra.ideals import _breaking_masked, _classify_from_structure, _sat_her_scan
+from ck_spectra.ideals import _breaking_masked, _classify_from_structure, saturated_hereditary_sets
 
 from .oracles import named_pairs, phi, px_closure, px_model
 
@@ -78,7 +78,7 @@ def test_criterion_1_running_example_regression(fixture):
         e = fixture.expected
 
         assert tuple(maximal_tails(g)) == e.tails
-        sat = _sat_her_scan(g)
+        sat = saturated_hereditary_sets(g)
         for tail, comp, br in zip(e.tails, e.complements, e.breaking):
             assert f(g.vertices) - tail == comp
             assert g.mask(comp) in sat

@@ -231,8 +231,8 @@ def test_verify_runs_each_whole_graph_scan_once(fixture_path, capsys):
         inspect.unwrap(fn).__code__: name
         for name, fn in (
             ("mt", tails._cluster_masks),
-            ("sat_her", ideals._sat_her_scan),
-            ("pairs", ideals._pair_scan),
+            ("sat_her", ideals.saturated_hereditary_sets),
+            ("pairs", ideals.admissible_pairs),
         )
     }
     runs = Counter()
@@ -255,7 +255,7 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
         inspect.unwrap(fn).__code__: name
         for name, fn in (("kuratowski", topology.check_kuratowski), ("classify", ideals._direct_verdict))
     }
-    csp_body = graph_core._csp_mask.__code__
+    csp_body = graph_core.has_csp.__code__
     runs = Counter()
     csp_graphs = []  # kept alive, so that no two of them share an id
 
@@ -274,7 +274,7 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
         sys.setprofile(None)
     assert code == 0
     # one sweep per side, one direct verdict per admissible pair
-    assert len(ideals._pair_scan(running_example())) == 12
+    assert len(ideals.admissible_pairs(running_example())) == 12
     assert runs == {"kuratowski": 2, "classify": 12}
     # only the input graph is asked for a countable separating set
     assert csp_graphs and len({id(g) for g in csp_graphs}) == 1
@@ -290,7 +290,12 @@ def test_verify_keeps_pairs_and_points_as_masks(fixture_path, capsys):
             todo += [c for c in code.co_consts if inspect.iscode(c)]
         return found
 
-    cores = (ideals._direct_verdict, ideals._quotient_verdict, ideals._pair_scan, ideals._sat_her_scan)
+    cores = (
+        ideals._direct_verdict,
+        ideals._quotient_verdict,
+        ideals.admissible_pairs,
+        ideals.saturated_hereditary_sets,
+    )
     inside = set().union(*map(bodies, cores)) | bodies(topology._ideal_kernel) | bodies(topology.check_kuratowski)
     names_body = graph_core.Graph.names.__code__
     callers = Counter()
@@ -315,7 +320,13 @@ def test_verify_validates_no_enumerated_pair(fixture_path, capsys):
     # an enumerated pair is admissible by construction and stays a pair of
     # masks, in `ideals` as in `verify`
     mask_body, check_body = graph_core.Graph.mask.__code__, inspect.unwrap(ideals._check_admissible).__code__
-    cores = {"_check_admissible", "_sat_her_scan", "_pair_scan", "_quotient_frame", "_direct_verdict"}
+    cores = {
+        "_check_admissible",
+        "saturated_hereditary_sets",
+        "admissible_pairs",
+        "_quotient_frame",
+        "_direct_verdict",
+    }
     for command in ("verify", "ideals"):
         callers, validated = Counter(), []
 
@@ -484,7 +495,7 @@ def test_verify_checks_condition_L_once_per_graph(fixture_path, capsys):
     finally:
         sys.setprofile(None)
     assert code == 0
-    assert sorted(built) == sorted(ideals._sat_her_scan(parse_graph(Path(fixture_path).read_text())))
+    assert sorted(built) == sorted(ideals.saturated_hereditary_sets(parse_graph(Path(fixture_path).read_text())))
 
 
 def test_spec_honours_a_limit_above_the_default(tmp_path, capsys):

@@ -28,7 +28,7 @@ from ck_spectra import (
 from ck_spectra.gcg import emit_gcg
 from ck_spectra.generators import _repair_condition_k
 from ck_spectra.graph_core import CycleClass
-from ck_spectra.ideals import _breaking_masked, _sat_her_scan
+from ck_spectra.ideals import _breaking_masked, saturated_hereditary_sets
 
 from .oracles import named_pairs, oracle_reaches, phi, px_closure, px_model
 
@@ -46,7 +46,7 @@ def test_fixture_reproduces_every_expected_fact(fixture):
     assert tuple(maximal_tails(g)) == e.tails
     for tail, comp, br in zip(e.tails, e.complements, e.breaking):
         assert f(g.vertices) - tail == comp
-        assert g.mask(comp) in _sat_her_scan(g)
+        assert g.mask(comp) in saturated_hereditary_sets(g)
         assert g.names(_breaking_masked(g, g.mask(comp))) == br
     assert finite_return_vertices(g) == e.finite_return
     primes = {p for p in named_pairs(g) if classify_ideal(g, p).is_prime}

@@ -17,7 +17,7 @@ from ck_spectra import (
     random_graph,
     upward_set,
 )
-from ck_spectra.graph_core import CycleClass, _csp_mask, check_mult
+from ck_spectra.graph_core import CycleClass, check_mult, has_csp
 
 from .oracles import (
     oracle_csp_witness,
@@ -207,7 +207,7 @@ def test_downward_directed_witness_location_matters():
 
 
 def test_has_csp_always_true_with_minimal_witness(g7):
-    witness = g7.names(_csp_mask(g7, g7.full_mask))
+    witness = g7.names(has_csp(g7, g7.full_mask).witness)
     assert witness == {"t", "z"} == oracle_csp_witness(g7, g7.vertices)
     # witness really separates: everything reaches into it
     for v in g7.vertices:
@@ -215,7 +215,7 @@ def test_has_csp_always_true_with_minimal_witness(g7):
 
 
 def test_has_csp_empty():
-    assert _csp_mask(Graph(["a"]), 0) == 0
+    assert has_csp(Graph(["a"]), 0) == (True, 0)
 
 
 @given(
@@ -230,7 +230,7 @@ def test_mt3_and_mt4_witnesses_match_oracles(seed, n, repaired, density, picks):
     g = (random_condition_k_graph if repaired else random_graph)(seed, n, density)
     for pick in picks:
         members = sorted(g.names(pick & g.full_mask), reverse=True)
-        assert g.names(_csp_mask(g, g.mask(members))) == oracle_csp_witness(g, members)
+        assert g.names(has_csp(g, g.mask(members)).witness) == oracle_csp_witness(g, members)
         for inside in (True, False):
             verdict = is_downward_directed(g, members, witness_in_set=inside)
             failing = oracle_downward_directed(g, members, inside)

@@ -41,7 +41,7 @@ from ck_spectra.ideals import (
     _quotient_verdict,
     _require_sat_her,
     _sat_her_faults,
-    _sat_her_scan,
+    saturated_hereditary_sets,
 )
 
 from .oracles import (
@@ -83,7 +83,7 @@ def test_saturation_failure_witness():
 
 def test_saturated_hereditary_enumeration(fixture):
     g = fixture.graph
-    got = _sat_her_scan(g)
+    got = saturated_hereditary_sets(g)
     for h in fixture.expected.complements:
         assert g.mask(h) in got
     assert got == sorted(map(g.mask, oracle_sat_her(g)))
@@ -91,12 +91,12 @@ def test_saturated_hereditary_enumeration(fixture):
 
 def test_saturated_hereditary_no_edges():
     g = Graph(["a", "b", "c"])
-    assert len(_sat_her_scan(g)) == 8
+    assert len(saturated_hereditary_sets(g)) == 8
 
 
 def test_saturated_hereditary_subset_graph(ea2_omega):
     g = ea2_omega
-    got = set(map(g.names, _sat_her_scan(g)))
+    got = set(map(g.names, saturated_hereditary_sets(g)))
     everything = f(g.vertices)
     complements_of_clusters = {
         everything - c
@@ -117,7 +117,7 @@ def test_saturated_hereditary_subset_graph(ea2_omega):
 @settings(max_examples=40, deadline=None)
 def test_saturated_hereditary_matches_oracle_random(seed, n, density, generate):
     g = generate(seed, n, density)
-    assert _sat_her_scan(g) == sorted(map(g.mask, oracle_sat_her(g)))
+    assert saturated_hereditary_sets(g) == sorted(map(g.mask, oracle_sat_her(g)))
 
 
 # -- breaking vertices ------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_admissible_pairs_fixture_counts(fixture):
     pairs = named_pairs(g)
     for s in (f(), f("w"), f("x"), f("wx")):
         assert AdmissiblePair(f("tyz"), s) in pairs
-    total = sum(2 ** _breaking_masked(g, h).bit_count() for h in _sat_her_scan(g))
+    total = sum(2 ** _breaking_masked(g, h).bit_count() for h in saturated_hereditary_sets(g))
     assert len(pairs) == total == 12
 
 
@@ -173,7 +173,7 @@ def test_admissible_pairs_single_vertex():
 
 def test_admissible_pairs_row_finite_subset_graph():
     g = ea_graph(["a", "b"], 1)
-    assert all(smask == 0 for _, smask in ideals._pair_scan(g))
+    assert all(smask == 0 for _, smask in ideals.admissible_pairs(g))
 
 
 def test_admissible_pair_validation(g7):
@@ -252,15 +252,16 @@ def test_ideal_leq_fixture_closure_fact(g7):
     assert not ideal_leq(g7, hi, lo)
 
 
-def _direct_leq(p, q):
-    return p.h <= q.h and p.s <= q.h | q.s
+def _direct_leq(g, p, q):
+    """The package's direct criterion, H <= H' and S <= H' | S', on masks."""
+    return ideals.ideal_leq((g.mask(p.h), g.mask(p.s)), (g.mask(q.h), g.mask(q.s)))
 
 
 def test_ideal_leq_matches_direct_criterion_fixture(g7):
     pairs = named_pairs(g7)
     for p in pairs:
         for q in pairs:
-            assert ideal_leq(g7, p, q) == _direct_leq(p, q)
+            assert ideal_leq(g7, p, q) == _direct_leq(g7, p, q)
 
 
 @given(seed=seeds)
@@ -270,7 +271,7 @@ def test_ideal_leq_matches_direct_criterion_random(seed):
     pairs = named_pairs(g)
     for p in pairs:
         for q in pairs:
-            assert ideal_leq(g, p, q) == _direct_leq(p, q)
+            assert ideal_leq(g, p, q) == _direct_leq(g, p, q)
 
 
 # -- quotient graphs ----------------------------------------------------------------------
@@ -473,7 +474,7 @@ def test_edge_counts_match_their_literal_oracles(build):
     g = build()
     assert tuple(map(g.names, g.class_masks)) == oracle_vertex_classes(g)
     assert finite_return_vertices(g) == oracle_finite_return_vertices(g)
-    for hmask in _sat_her_scan(g):
+    for hmask in saturated_hereditary_sets(g):
         h = g.names(hmask)
         assert g.names(_breaking_masked(g, hmask)) == oracle_breaking_vertices(g, h), h
 
@@ -632,7 +633,7 @@ def test_routes_agree_past_the_enumeration_limit(name):
     g = parse_graph((LARGE_SPARSE / f"{name}.gcg").read_text())
     assert g.n >= 300 and condition_K(g)
     kinds = set()
-    for pair in ideals._pair_scan(g):
+    for pair in ideals.admissible_pairs(g):
         verdict = _direct_verdict(g, *pair)
         assert _quotient_verdict(g, *pair) == (verdict, True), pair
         kinds.add(verdict.kind)

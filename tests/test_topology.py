@@ -400,10 +400,11 @@ def test_density_two_loop_vertex():
 
 
 def test_density_failure_raises(monkeypatch, tmp_path, capsys):
-    # planted fault: the primitive side loses its last maximal tail
-    real = topology.maximal_tails
-    monkeypatch.setattr(topology, "maximal_tails", lambda g: real(g)[:-1])
-    message = "primitive ideal space differs from the prime spectrum"
+    # planted fault: the primitive side loses {t, u, v, w, x}, which lies in
+    # the closure of no other point
+    real = topology.prim_points
+    monkeypatch.setattr(topology, "prim_points", lambda g: [p for p in real(g) if p != cluster("tuvwx")])
+    message = "primitive points are not dense"
     for check in (prim_spec_density_check, verify_homeomorphism):
         with pytest.raises(VerificationFailure, match=message):
             check(running_example())
