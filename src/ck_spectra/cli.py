@@ -63,20 +63,18 @@ from .render import (
 from .tails import (
     BoundaryPath,
     _cluster_masks,
-    finite_return_vertices,
+    _finite_return_mask,
     maximal_tails,
     mt_report,
     realize_as_tail,
     tail_of_boundary,
 )
 from .topology import (
-    ClusterPoint,
     _h_masks,
-    _point_mask,
+    _spec_masks,
     check_kuratowski,
     graph_closure,
     ideal_closure,
-    prim_points,
     prim_space,
     separation_report,
     spec_points,
@@ -136,20 +134,16 @@ def _comma_set(text: str) -> frozenset:
     return frozenset(t.strip() for t in text.split(",") if t.strip())
 
 
-def _point_names(pts) -> dict:
-    names = {}
-    counter = 0
-    for p in pts:
-        if isinstance(p, ClusterPoint):
-            counter += 1
-            names[p] = f"T{counter}"
-        else:
-            names[p] = f"FR:{p.vertex}"
-    return names
+def _point_names(g: Graph) -> dict:
+    """Each point's name: T1, T2, ... for the clusters, which come first, and FR:v
+    for the return vertex v."""
+    return {
+        p: f"FR:{g.listing(r)[0]}" if r else f"T{i}"
+        for i, (p, (_, r)) in enumerate(zip(spec_points(g), _spec_masks(g)), 1)
+    }
 
 
-def _parse_points(pts, spec: str) -> frozenset:
-    names = _point_names(pts)
+def _parse_points(names: dict, spec: str) -> frozenset:
     by_name = {v: k for k, v in names.items()}
     tokens = _comma_set(spec)
     unknown = sorted(tokens - by_name.keys())
@@ -209,8 +203,7 @@ def cmd_check(args) -> int:
 def cmd_tails(args) -> int:
     g = _load(args.path)
     # the maximal tails are the clusters, named in the order of their masks
-    tails, masks = maximal_tails(g), _cluster_masks(g)
-    fr = g.mask(finite_return_vertices(g))
+    tails, masks, fr = maximal_tails(g), _cluster_masks(g), _finite_return_mask(g)
     if args.json:
         listed = [g.listing(m) for m in masks]
         payload = {
@@ -284,8 +277,10 @@ def cmd_quotient(args) -> int:
 
 
 def _space_listing(g: Graph, space, json_mode: bool) -> int:
-    pts = space.points
-    names = _point_names(pts)
+    """Print the space's points, each from its vertex mask, return-vertex bit
+    and pair, with their closures and separation verdicts."""
+    pts, names = space.points, _point_names(g)
+    rows = list(zip(pts, _spec_masks(g), _h_masks(g)))
     sep = separation_report(space)
     closure_of = {p: [] for p in pts}
     for p, q in sep.specialization:
@@ -296,12 +291,12 @@ def _space_listing(g: Graph, space, json_mode: bool) -> int:
             "points": [
                 {
                     "name": names[p],
-                    "kind": "cluster" if isinstance(p, ClusterPoint) else "finite-return",
-                    "vertices": g.listing(_point_mask(g, p)) if isinstance(p, ClusterPoint) else [p.vertex],
-                    "ideal": pair_payload(g, *_h_masks(g, p)),
+                    "kind": "finite-return" if r else "cluster",
+                    "vertices": g.listing(r or w),
+                    "ideal": pair_payload(g, *pair),
                     "closure": sorted(names[q] for q in closure_of[p]),
                 }
-                for p in pts
+                for p, (w, r), pair in rows
             ],
             "specialization": [
                 [names[p], names[q]] for p, q in sep.specialization if p != q
@@ -314,9 +309,9 @@ def _space_listing(g: Graph, space, json_mode: bool) -> int:
         sys.stdout.write(emit_json(payload))
         return EXIT_OK
     print(f"points ({len(pts)}):")
-    for p in pts:
-        print(f"  {names[p]} = {p.label(g)}")
-        print(f"       ideal: {_fmt_pair(g, *_h_masks(g, p))}")
+    for p, (w, r), pair in rows:
+        print(f"  {names[p]} = {f'return vertex {g.listing(r)[0]}' if r else _fmt_set(g, w)}")
+        print(f"       ideal: {_fmt_pair(g, *pair)}")
         print(f"       closure: {{{', '.join(sorted(names[q] for q in closure_of[p]))}}}")
     arrows = [(p, q) for p, q in sep.specialization if p != q]
     print("specialization (p -> q means q lies in the closure of {p}):")
@@ -341,11 +336,9 @@ def cmd_prim(args) -> int:
 
 def cmd_closure(args) -> int:
     g = _load(args.path)
-    pts = tuple(spec_points(g) if args.space == "spec" else prim_points(g))
-    names = _point_names(pts)
-    xs = _parse_points(pts, args.points)
-    left = graph_closure(g, xs, ambient=pts)
-    right = ideal_closure(g, pts, xs)
+    names = _point_names(g)
+    xs = _parse_points(names, args.points)
+    left, right = graph_closure(g, xs), ideal_closure(g, xs)
     if args.json:
         payload = {
             "schema": "ck-spectra/closure/1",
@@ -463,7 +456,7 @@ def probability(text: str) -> float:
 
 _FLAG = dict(action="store_true")
 _LIMIT_HELP = "vertex cap for enumerating saturated hereditary sets and admissible pairs"
-_LIMIT = dict(type=int, default=DEFAULT_ENUMERATION_LIMIT, help=_LIMIT_HELP)
+_LIMIT = dict(type=vertex_count, default=DEFAULT_ENUMERATION_LIMIT, help=_LIMIT_HELP)
 
 # In help order: (words, handler, help, takes the path, {flag: add_argument keywords}).
 # No handler groups the entries after it; found by name, a wrapped cmd_* is called.

@@ -254,32 +254,6 @@ def quotient_graph(g: Graph, pair: AdmissiblePair) -> QuotientGraph:
 # -- classification ------------------------------------------------------------
 
 
-def _classify_from_structure(
-    kept_breakers: tuple,
-    complement_is_tail: bool,
-    complement_is_cluster: bool,
-    complement_is_return_tail: bool,
-) -> IdealClass:
-    """Decision table shared by the direct route; inputs are plain booleans.
-
-    With the full breaking set kept out of S the verdict depends on whether
-    the complement is a maximal tail (primitive), merely a cluster (prime but
-    not primitive; impossible on finite-vertex graphs but part of the
-    contract), or neither.  Exactly one kept breaking vertex is primitive
-    precisely when the complement is that vertex's tail; two or more kept
-    breaking vertices always fail (the quotient would hold two sinks).
-    """
-    if not kept_breakers:
-        if complement_is_tail:
-            return IdealClass(IdealKind.PRIMITIVE_TAIL)
-        if complement_is_cluster:
-            return IdealClass(IdealKind.PRIME_NOT_PRIMITIVE)
-        return IdealClass(IdealKind.NOT_PRIME)
-    if len(kept_breakers) == 1 and complement_is_return_tail:
-        return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=kept_breakers[0])
-    return IdealClass(IdealKind.NOT_PRIME)
-
-
 def _require_condition_k(g: Graph) -> None:
     if not condition_K(g):
         raise ConditionKRequired("classification requires Condition (K)")
@@ -293,18 +267,24 @@ def classify_ideal(g: Graph, pair: AdmissiblePair) -> IdealClass:
 
 @per_graph
 def _direct_verdict(g: Graph, hmask: int, smask: int) -> IdealClass:
-    """:func:`classify_ideal` on masks: MT1-MT3 are evaluated on the complement
-    (MT4 holds on every finite vertex set) rather than looked up."""
+    """:func:`classify_ideal` on masks, read off the complement of H.
+
+    With every breaking vertex in S the ideal is primitive exactly when the
+    complement is a maximal tail: MT1-MT3 are evaluated on it, and MT4 holds
+    on every finite vertex set, so no complement is a cluster without being a
+    tail and no verdict is prime but not primitive.  Exactly one kept
+    breaking vertex is primitive precisely when the complement is that
+    vertex's tail; two or more always fail (the quotient would hold two
+    sinks).
+    """
     kept = _breaking_masked(g, hmask) & ~smask
     complement = g.full_mask & ~hmask
-
-    is_tail = is_cluster = is_return_tail = False
     if not kept:
-        is_cluster = is_tail = complement != 0 and _mt_faults(g, complement) == (None, None, None)
-    elif not kept & (kept - 1):
-        is_return_tail = complement == g.coreach[kept.bit_length() - 1]
-    kept_names = tuple(g.vertices[i] for i in _bits(kept))
-    return _classify_from_structure(kept_names, is_tail, is_cluster, is_return_tail)
+        if complement and _mt_faults(g, complement) == (None, None, None):
+            return IdealClass(IdealKind.PRIMITIVE_TAIL)
+    elif not kept & kept - 1 and complement == g.coreach[kept.bit_length() - 1]:
+        return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=g.vertices[kept.bit_length() - 1])
+    return IdealClass(IdealKind.NOT_PRIME)
 
 
 def classify_via_quotient(g: Graph, pair: AdmissiblePair) -> IdealClass:

@@ -204,10 +204,17 @@ def realize_as_tail(g: Graph, members) -> BoundaryPath:
 
 @per_graph
 def finite_return_vertices(g: Graph) -> frozenset:
-    """Infinite emitters with finitely many (but at least one) returning edges.
+    """Infinite emitters with finitely many (but at least one) returning edges,
+    as named by :func:`_finite_return_mask`."""
+    return g.names(_finite_return_mask(g))
+
+
+@per_graph
+def _finite_return_mask(g: Graph) -> int:
+    """The finite-return vertices as a mask.
 
     An edge returns when its target can reach back to the source, that is
     when it runs into U(v).
     """
     emitters, coreach = g.class_masks[1], g.coreach
-    return g.names(sum(1 << i for i in _bits(emitters) if _finite_edges(g, i, coreach[i])))
+    return sum(1 << i for i in _bits(emitters) if _finite_edges(g, i, coreach[i]))

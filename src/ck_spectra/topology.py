@@ -24,12 +24,16 @@ primitive pairs and sweeps the subsets once, comparing the two closures.
 :func:`check_kuratowski` tests the closure axioms of a space; ``verify``
 runs it once per side on the spectrum.
 
-Both closures, the sweeps and the separation report run on point-index
-bitmasks (bit i stands for the i-th point of the ambient tuple).  On a finite
-space an additive closure is the down-set closure of its specialization
-preorder (Alexandrov 1937), so one int holds any closed set.  Point objects
-and vertex names appear only at the API and CLI boundary: the arguments and
-results of :func:`graph_closure`, :func:`ideal_closure` and
+The spectrum is built once per graph as one table of point masks, ``(vertex
+mask, return-vertex bit or 0)`` in point order, straight from the cluster
+masks and the finite-return mask; the point objects, both closure kernels and
+the point-to-pair map are read from it.  Both closures, the sweeps and the
+separation report run on point-index bitmasks (bit i stands for the i-th
+point of the spectrum).  On a finite space an additive closure is the
+down-set closure of its specialization preorder (Alexandrov 1937), so one int
+holds any closed set.  Point objects and vertex names appear only at the API
+and CLI boundary: the arguments and results of :func:`graph_closure` and
+:func:`ideal_closure`, which close within the spectrum, of :func:`h_map` and
 :meth:`SpecSpace.closure`, and the counterexamples in the reports.
 """
 
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import ConditionKRequired, VerificationFailure
 from .graph_core import (
@@ -58,7 +62,7 @@ from .ideals import (
     admissible_pairs,
     ideal_leq,
 )
-from .tails import clusters, finite_return_vertices
+from .tails import _cluster_masks, _finite_return_mask
 
 
 class ClusterPoint(NamedTuple):
@@ -66,29 +70,31 @@ class ClusterPoint(NamedTuple):
 
     members: frozenset
 
-    def label(self, g: Graph) -> str:
-        return "{" + ", ".join(g.listing(_point_mask(g, self))) + "}"
-
 
 class FRPoint(NamedTuple):
     """A point of the spectrum given by a finite-return vertex."""
 
     vertex: str
 
-    def label(self, g: Graph) -> str:
-        return f"return vertex {self.vertex}"
-
 
 SpecPoint = Union[ClusterPoint, FRPoint]
 
 
-def spec_points(g: Graph) -> list[SpecPoint]:
-    """Points of the prime spectrum: clusters, then finite-return vertices; needs (K)."""
+@per_graph
+def _spec_masks(g: Graph) -> list[tuple[int, int]]:
+    """The spectrum as ``(vertex mask, return-vertex bit or 0)`` in point order:
+    each cluster, then U(v) with the bit of v for each finite-return vertex v."""
     if not condition_K(g):
         raise ConditionKRequired("spectrum computations require Condition (K)")
-    pts: list[SpecPoint] = [ClusterPoint(c) for c in clusters(g)]
-    pts += [FRPoint(v) for v in g.listing(g.mask(finite_return_vertices(g)))]
-    return pts
+    table = [(m, 0) for m in _cluster_masks(g)]
+    return table + [(g.coreach[i], 1 << i) for i in _bits(_finite_return_mask(g))]
+
+
+@per_graph
+def spec_points(g: Graph) -> list[SpecPoint]:
+    """Points of the prime spectrum: clusters, then finite-return vertices; needs (K)."""
+    v = g.vertices
+    return [FRPoint(v[r.bit_length() - 1]) if r else ClusterPoint(g.names(w)) for w, r in _spec_masks(g)]
 
 
 def prim_points(g: Graph) -> list[SpecPoint]:
@@ -100,46 +106,33 @@ def prim_points(g: Graph) -> list[SpecPoint]:
 
 
 @per_graph
-def _point_mask(g: Graph, p: SpecPoint) -> int:
-    """Mask of the vertex set carried by a point (the tail U(v) for return points)."""
-    if isinstance(p, ClusterPoint):
-        return g.mask(p.members)
-    return g.coreach[g.require_vertex(p.vertex)]
+def _point_index(g: Graph) -> dict:
+    return {p: i for i, p in enumerate(spec_points(g))}
 
 
-def _essential_mask(g: Graph, p: SpecPoint) -> int:
-    """Vertices of the point's set that stay essential for ideal containment.
-
-    These are the members that do not break out of the complement of the
-    point's vertex set; for a return point the return vertex itself is kept
-    essential even though it breaks.
-    """
-    w = _point_mask(g, p)
-    m = w & ~_breaking_masked(g, g.full_mask & ~w)
-    if isinstance(p, FRPoint):
-        m |= 1 << g.index[p.vertex]
-    return m
-
-
-def _mask_of(pts: tuple, xs: Iterable[SpecPoint]) -> int:
-    """Point-index mask of ``xs`` (bit i for ``pts[i]``); foreign points are rejected."""
-    index = {p: i for i, p in enumerate(pts)}
+def _mask_of(index: dict, xs: Iterable[SpecPoint]) -> int:
+    """Point-index mask of ``xs`` (bit ``index[p]`` for p); foreign points are rejected."""
     xs = set(xs)
     foreign = xs - index.keys()
     if foreign:
-        raise ValueError(f"points outside the ambient space: {sorted(map(str, foreign))}")
+        raise ValueError(f"points outside the space: {sorted(map(str, foreign))}")
     return sum(1 << index[p] for p in xs)
 
 
-def _pick(points: tuple, mask: int) -> frozenset:
+def _pick(points: Sequence[SpecPoint], mask: int) -> frozenset:
     return frozenset(points[i] for i in _bits(mask))
 
 
 @per_graph
-def _graph_kernel(g: Graph, pts: tuple) -> Callable[[int], int]:
-    """Graph-side closure on point-index masks over ``pts``, from the per-point
-    vertex and essential masks and the breaking vertices out of V(X)'s complement."""
-    table = [(_point_mask(g, p), _essential_mask(g, p)) for p in pts]
+def _graph_kernel(g: Graph) -> Callable[[int], int]:
+    """Graph-side closure on point-index masks, from each point's vertex mask
+    W_p and essential mask and the breaking vertices out of V(X)'s complement.
+
+    The essential vertices of a point are the members of W_p that do not
+    break out of its complement; for a return point the return vertex itself
+    is kept essential even though it breaks.
+    """
+    table = [(w, w & ~_breaking_masked(g, g.full_mask & ~w) | r) for w, r in _spec_masks(g)]
 
     @cache
     def closure(xmask: int) -> int:
@@ -157,44 +150,37 @@ def _graph_kernel(g: Graph, pts: tuple) -> Callable[[int], int]:
     return closure
 
 
-def graph_closure(
-    g: Graph,
-    points: Iterable[SpecPoint],
-    ambient: Optional[Iterable[SpecPoint]] = None,
-) -> frozenset:
-    """Closure of a point set, computed from the graph alone.
-
-    ``ambient`` defaults to the full prime spectrum; passing the primitive
-    points restricts to the subspace closure.
-    """
-    pts = tuple(ambient) if ambient is not None else tuple(spec_points(g))
-    return _pick(pts, _graph_kernel(g, pts)(_mask_of(pts, points)))
+def graph_closure(g: Graph, points: Iterable[SpecPoint]) -> frozenset:
+    """Closure of a set of spectrum points, computed from the graph alone."""
+    return _pick(spec_points(g), _graph_kernel(g)(_mask_of(_point_index(g), points)))
 
 
 def h_map(g: Graph, p: SpecPoint) -> AdmissiblePair:
-    """The admissible pair named by a point.
+    """The admissible pair named by a point of the spectrum.
 
     A cluster C maps to (complement of C, all its breaking vertices); a
     return vertex v to (complement of U(v), breaking vertices minus v).
     """
-    return _named(g, _h_masks(g, p))
+    index = _point_index(g)
+    _mask_of(index, [p])  # a point outside the spectrum is rejected
+    return _named(g, _h_masks(g)[index[p]])
 
 
 @per_graph
-def _h_masks(g: Graph, p: SpecPoint) -> tuple[int, int]:
-    """:func:`h_map` as ``(hmask, smask)``."""
-    hmask = g.full_mask & ~_point_mask(g, p)
-    smask = _breaking_masked(g, hmask)
-    if isinstance(p, FRPoint):
-        smask &= ~(1 << g.index[p.vertex])
-    return hmask, smask
+def _h_masks(g: Graph) -> list[tuple[int, int]]:
+    """:func:`h_map` of every point as ``(hmask, smask)``, in point order."""
+    pairs = []
+    for w, r in _spec_masks(g):
+        hmask = g.full_mask & ~w
+        pairs.append((hmask, _breaking_masked(g, hmask) & ~r))
+    return pairs
 
 
 @per_graph
-def _ideal_kernel(g: Graph, pts: tuple) -> Callable[[int], int]:
-    """Ideal-side closure on point-index masks over ``pts``, from the :func:`h_map`
-    pairs and the meet formula; each pair and each meet is validated as admissible."""
-    pairs = [_check_masks(g, *_h_masks(g, p)) for p in pts]
+def _ideal_kernel(g: Graph) -> Callable[[int], int]:
+    """Ideal-side closure on point-index masks, from the :func:`h_map` pairs
+    and the meet formula; each pair and each meet is validated as admissible."""
+    pairs = [_check_masks(g, *pair) for pair in _h_masks(g)]
 
     @cache
     def above(bottom: tuple[int, int]) -> int:
@@ -209,19 +195,14 @@ def _ideal_kernel(g: Graph, pts: tuple) -> Callable[[int], int]:
     return closure
 
 
-def ideal_closure(
-    g: Graph,
-    ambient: Iterable[SpecPoint],
-    points: Iterable[SpecPoint],
-) -> frozenset:
-    """Closure of a point set through the ideal lattice.
+def ideal_closure(g: Graph, points: Iterable[SpecPoint]) -> frozenset:
+    """Closure of a set of spectrum points through the ideal lattice.
 
     Maps the points through :func:`h_map`, meets the pairs (the empty family
     meets to the whole-algebra pair, so the empty set is closed), and keeps
-    the ambient points whose pair contains the meet.
+    the points whose pair contains the meet.
     """
-    pts = tuple(ambient)
-    return _pick(pts, _ideal_kernel(g, pts)(_mask_of(pts, points)))
+    return _pick(spec_points(g), _ideal_kernel(g)(_mask_of(_point_index(g), points)))
 
 
 # -- spaces -------------------------------------------------------------------
@@ -241,25 +222,28 @@ class SpecSpace:
         self.name = name
 
     def closure(self, xs: Iterable[SpecPoint]) -> frozenset:
-        return _pick(self.points, self.mask_closure(_mask_of(self.points, xs)))
+        index = {p: i for i, p in enumerate(self.points)}
+        return _pick(self.points, self.mask_closure(_mask_of(index, xs)))
 
     def __repr__(self) -> str:
         return f"SpecSpace({self.name}/{self.side}, {len(self.points)} points)"
 
 
 def spec_space(g: Graph, side: str = "graph") -> SpecSpace:
-    return _space(g, tuple(spec_points(g)), side, "spec")
+    return _space(g, side, "spec")
 
 
 def prim_space(g: Graph, side: str = "graph") -> SpecSpace:
-    return _space(g, tuple(prim_points(g)), side, "prim")
+    return _space(g, side, "prim")
 
 
-def _space(g: Graph, pts: tuple, side: str, name: str) -> SpecSpace:
+def _space(g: Graph, side: str, name: str) -> SpecSpace:
+    """The spectrum with one side's closure; the primitive space is the same space."""
     kernels = {"graph": _graph_kernel, "ideal": _ideal_kernel}
+    pts = spec_points(g)
     if side not in kernels:
         raise ValueError(f"side must be 'graph' or 'ideal', got {side!r}")
-    return SpecSpace(pts, kernels[side](g, pts), side, name)
+    return SpecSpace(pts, kernels[side](g), side, name)
 
 
 # -- verification reports ------------------------------------------------------
@@ -332,7 +316,7 @@ def verify_homeomorphism(
     prim_spec_density_check(g)
     pts = tuple(spec_points(g))
 
-    image = {_h_masks(g, p) for p in pts}
+    image = set(_h_masks(g))
     if len(image) != len(pts):
         raise VerificationFailure("point-to-ideal map is not injective", pts)
     require_enumerable(g, limit)
@@ -352,7 +336,7 @@ def verify_homeomorphism(
         )
 
     masks, exhaustive = _subset_pool(len(pts), exhaustive_limit, seed, samples)
-    left, right = _graph_kernel(g, pts), _ideal_kernel(g, pts)
+    left, right = _graph_kernel(g), _ideal_kernel(g)
     for m in masks:
         if left(m) != right(m):
             xs = _pick(pts, m)
@@ -454,9 +438,8 @@ def separation_report(space: SpecSpace) -> SeparationReport:
 
 def prim_spec_density_check(g: Graph) -> DensityReport:
     """Primitive points must be dense in the prime spectrum."""
-    spec_pts = tuple(spec_points(g))
-    prim_pts = tuple(prim_points(g))
-    closure = graph_closure(g, prim_pts, ambient=spec_pts)
+    spec_pts, prim_pts = spec_points(g), prim_points(g)
+    closure = graph_closure(g, prim_pts)
     if closure != frozenset(spec_pts):
         raise VerificationFailure("primitive points are not dense", closure)
     return DensityReport(len(spec_pts), len(prim_pts))

@@ -54,7 +54,6 @@ from ck_spectra.ideals import (
     IdealKind,
     QuotientGraph,
     _breaking_masked,
-    _classify_from_structure,
     _named,
     admissible_pairs,
     _require_condition_k,
@@ -344,14 +343,14 @@ def oracle_classify_ideal(g: Graph, pair: AdmissiblePair) -> IdealClass:
     kept = tuple(v for i, v in enumerate(g.vertices) if breakers >> i & 1)
     complement = g.names(g.full_mask & ~hmask)
 
-    is_tail = is_cluster = is_return_tail = False
     if not kept:
+        # a nonempty complement passing MT1-MT3 is a cluster, and a tail by MT4
         axioms = oracle_mt1(g, complement) and oracle_mt2(g, complement) and oracle_mt3(g, complement)
-        is_cluster = bool(complement) and axioms
-        is_tail = is_cluster
-    elif len(kept) == 1:
-        is_return_tail = complement == upward_set(g, kept)
-    return _classify_from_structure(kept, is_tail, is_cluster, is_return_tail)
+        if complement and axioms:
+            return IdealClass(IdealKind.PRIMITIVE_TAIL)
+    elif len(kept) == 1 and complement == upward_set(g, kept):
+        return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=kept[0])
+    return IdealClass(IdealKind.NOT_PRIME)
 
 
 def oracle_classify_quotient(q: QuotientGraph) -> IdealClass:

@@ -46,7 +46,7 @@ from ck_spectra import (
 )
 from ck_spectra import cli
 from ck_spectra.graph_core import CycleClass, _bits
-from ck_spectra.ideals import _breaking_masked, _classify_from_structure, saturated_hereditary_sets
+from ck_spectra.ideals import _breaking_masked, saturated_hereditary_sets
 
 from .oracles import named_pairs, phi, px_closure, px_model
 
@@ -92,8 +92,7 @@ def test_criterion_1_running_example_regression(fixture):
         ret = verdicts[e.return_pair]
         assert ret.kind is IdealKind.PRIMITIVE_RETURN and ret.v0 == e.return_vertex
 
-        pts = tuple(spec_points(g))
-        closure = graph_closure(g, [ClusterPoint(e.full_tail)], ambient=pts)
+        closure = graph_closure(g, [ClusterPoint(e.full_tail)])
         assert len(closure) == 4
         assert {h_map(g, p) for p in closure} == set(e.full_tail_closure)
 
@@ -117,17 +116,12 @@ def test_criterion_2_subset_graph_family():
             images = {phi(model, p) for p in model.points}
             assert len(images) == len(model.points) and images == set(clus)
 
-            ambient = tuple(spec_points(g))
             for mask in range(1 << len(model.points)):
                 fam = [p for i, p in enumerate(model.points) if mask >> i & 1]
                 lhs = {phi(model, t) for t in px_closure(model, fam)}
                 rhs = {
                     p.members
-                    for p in graph_closure(
-                        g,
-                        [ClusterPoint(phi(model, s)) for s in fam],
-                        ambient=ambient,
-                    )
+                    for p in graph_closure(g, [ClusterPoint(phi(model, s)) for s in fam])
                 }
                 assert lhs == rhs, (ground, fam)
 
@@ -139,7 +133,6 @@ def test_criterion_2_subset_graph_family():
         assert len(clus) == 15
         images = {phi(model, p) for p in model.points}
         assert images == set(clus)
-        ambient = tuple(spec_points(g))
         rng = _random.Random(20260810)
         masks = {0, (1 << 15) - 1}
         masks.update(1 << i for i in range(15))
@@ -148,12 +141,7 @@ def test_criterion_2_subset_graph_family():
         for mask in sorted(masks):
             fam = [p for i, p in enumerate(model.points) if mask >> i & 1]
             lhs = {phi(model, t) for t in px_closure(model, fam)}
-            rhs = {
-                p.members
-                for p in graph_closure(
-                    g, [ClusterPoint(phi(model, s)) for s in fam], ambient=ambient
-                )
-            }
+            rhs = {p.members for p in graph_closure(g, [ClusterPoint(phi(model, s)) for s in fam])}
             assert lhs == rhs, mask
 
 
@@ -255,11 +243,6 @@ def test_criterion_4_prime_not_primitive_stays_out_of_reach():
                 verdict = classify_ideal(g, pair)
                 assert verdict.kind is not IdealKind.PRIME_NOT_PRIMITIVE
                 assert classify_via_quotient(g, pair).kind is not IdealKind.PRIME_NOT_PRIMITIVE
-
-        # the code path itself still exists and is reachable by construction
-        verdict = _classify_from_structure((), False, True, False)
-        assert verdict.kind is IdealKind.PRIME_NOT_PRIMITIVE
-        assert verdict.is_prime and not verdict.is_primitive
 
 
 def test_criterion_5_parser_emitter_and_exit_codes(tmp_path, capsys):

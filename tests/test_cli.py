@@ -101,6 +101,17 @@ def test_size_limit_exits_four(tmp_path, capsys):
     assert code == 4 and "limit" in err
 
 
+@pytest.mark.parametrize("limit", [["--limit", "-1"], ["--limit=-1"]], ids=" ".join)
+@pytest.mark.parametrize("command", ["ideals", "verify"])
+def test_negative_limit_is_a_usage_error(command, limit, fixture_path, capsys):
+    argv = [command, *limit, fixture_path]
+    assert cli._parse_exact(argv) is None
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 2
+    assert "argument --limit: invalid vertex_count value: '-1'" in capsys.readouterr().err
+
+
 def test_verification_failure_exits_one(fixture_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise VerificationFailure("forced", counterexample=())
@@ -316,6 +327,27 @@ def test_verify_keeps_pairs_and_points_as_masks(fixture_path, capsys):
     assert set(callers) == {"elsewhere"}, callers
 
 
+@pytest.mark.parametrize(
+    "argv", [["spec"], ["prim", "--json"], ["closure", "--points", "T4"], ["tails", "--json"]], ids=" ".join
+)
+def test_point_commands_turn_no_names_back_into_masks(argv, fixture_path, capsys):
+    # the points are read from one table of vertex masks, so no command
+    # builds a mask from vertex names after parsing
+    mask_body, calls = graph_core.Graph.mask.__code__, Counter()
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is mask_body:
+            calls[frame.f_back.f_code.co_name] += 1
+
+    sys.setprofile(watch)
+    try:
+        code, _, _ = run(capsys, *argv, fixture_path)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert not calls, calls
+
+
 def test_verify_validates_no_enumerated_pair(fixture_path, capsys):
     # an enumerated pair is admissible by construction and stays a pair of
     # masks, in `ideals` as in `verify`
@@ -449,7 +481,8 @@ def test_verify_reports_a_quotient_without_condition_L(fixture_path, capsys, mon
 
 
 def test_verify_reports_a_point_map_that_is_not_injective(fixture_path, capsys, monkeypatch):
-    monkeypatch.setattr(topology, "_h_masks", lambda g, p: (0, 0))
+    # every point maps to the same pair
+    monkeypatch.setattr(topology, "_h_masks", lambda g: [(0, 0)] * len(topology.spec_points(g)))
     code, _, err = run(capsys, "verify", fixture_path)
     assert (code, err) == (1, "verification counterexample: point-to-ideal map is not injective\n")
 
@@ -473,9 +506,7 @@ def test_verify_reports_primitive_points_that_match_no_primitive_pair(fixture_pa
 
 def test_verify_reports_primitive_points_that_are_not_dense(fixture_path, capsys, monkeypatch):
     real = topology.graph_closure
-    monkeypatch.setattr(
-        topology, "graph_closure", lambda g, xs, ambient=None: real(g, xs, ambient) - {ambient[0]}
-    )
+    monkeypatch.setattr(topology, "graph_closure", lambda g, xs: real(g, xs) - {topology.spec_points(g)[0]})
     code, _, err = run(capsys, "verify", fixture_path)
     assert (code, err) == (1, "verification counterexample: primitive points are not dense\n")
 

@@ -151,16 +151,10 @@ def test_phi_transports_the_closure():
     for ground in (["a", "b"], ["a", "b", "c"]):
         model = px_model(ground)
         g = ea_graph(model.ground, OMEGA)
-        ambient = tuple(spec_points(g))
         for mask in range(1 << len(model.points)):
             fam = [p for i, p in enumerate(model.points) if mask >> i & 1]
             lhs = {phi(model, t) for t in px_closure(model, fam)}
-            rhs = {
-                p.members
-                for p in graph_closure(
-                    g, [ClusterPoint(phi(model, s)) for s in fam], ambient=ambient
-                )
-            }
+            rhs = {p.members for p in graph_closure(g, [ClusterPoint(phi(model, s)) for s in fam])}
             assert lhs == rhs
 
 

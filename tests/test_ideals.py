@@ -34,7 +34,6 @@ from ck_spectra import ideals
 from ck_spectra.ideals import (
     _breaking_masked,
     _check_admissible,
-    _classify_from_structure,
     _direct_verdict,
     _quotient_frame,
     _quotient_one_terminal,
@@ -375,16 +374,6 @@ def test_classification_requires_condition_k(single_loop):
 def test_routes_agree_on_fixture(g7):
     for pair in named_pairs(g7):
         assert classify_ideal(g7, pair) == classify_via_quotient(g7, pair)
-
-
-def test_prime_not_primitive_code_path():
-    # unreachable through finite graphs, exercised directly
-    verdict = _classify_from_structure((), False, True, False)
-    assert verdict.kind is IdealKind.PRIME_NOT_PRIMITIVE
-    assert verdict.is_prime and not verdict.is_primitive
-    assert _classify_from_structure((), True, True, False).kind is IdealKind.PRIMITIVE_TAIL
-    assert _classify_from_structure(("x",), False, False, True).v0 == "x"
-    assert _classify_from_structure(("x", "y"), False, False, True).kind is IdealKind.NOT_PRIME
 
 
 def test_complements_are_unions_of_tails(g7):

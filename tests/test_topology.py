@@ -14,7 +14,6 @@ from ck_spectra import (
     FRPoint,
     Graph,
     OMEGA,
-    UnknownVertex,
     VerificationFailure,
     check_kuratowski,
     classify_ideal,
@@ -113,40 +112,36 @@ def test_cluster_and_return_vertex_are_distinct_points(remark_graph):
 
 
 def test_closure_of_full_tail_point_has_four_points(g7, fixture):
-    pts = tuple(spec_points(g7))
     x = f([cluster(fixture.expected.full_tail)])
-    left = graph_closure(g7, x, ambient=pts)
-    right = ideal_closure(g7, pts, x)
+    left = graph_closure(g7, x)
+    right = ideal_closure(g7, x)
     assert left == right
     assert len(left) == 4
     assert {h_map(g7, p) for p in left} == set(fixture.expected.full_tail_closure)
 
 
 def test_closure_of_empty_set_is_empty(g7):
-    pts = tuple(spec_points(g7))
-    assert graph_closure(g7, [], ambient=pts) == f()
-    assert ideal_closure(g7, pts, []) == f()
+    assert graph_closure(g7, []) == f()
+    assert ideal_closure(g7, []) == f()
 
 
 def test_closure_of_everything_is_everything(g7):
-    pts = tuple(spec_points(g7))
-    assert ideal_closure(g7, pts, pts) == f(pts)
-    assert graph_closure(g7, pts, ambient=pts) == f(pts)
+    pts = spec_points(g7)
+    assert ideal_closure(g7, pts) == f(pts)
+    assert graph_closure(g7, pts) == f(pts)
 
 
 def test_subset_graph_two_singletons_closure(ea2_omega):
-    pts = tuple(spec_points(ea2_omega))
     x = f([cluster(["v_a"]), cluster(["v_b"])])
-    assert graph_closure(ea2_omega, x, ambient=pts) == x
-    assert ideal_closure(ea2_omega, pts, x) == x
+    assert graph_closure(ea2_omega, x) == x
+    assert ideal_closure(ea2_omega, x) == x
 
 
 def test_closures_are_extensive_on_fixture(g7):
-    pts = tuple(spec_points(g7))
-    for p in pts:
+    for p in spec_points(g7):
         x = f([p])
-        assert x <= graph_closure(g7, x, ambient=pts)
-        assert x <= ideal_closure(g7, pts, x)
+        assert x <= graph_closure(g7, x)
+        assert x <= ideal_closure(g7, x)
 
 
 def test_naive_closure_diverges_at_return_points(g7):
@@ -154,9 +149,9 @@ def test_naive_closure_diverges_at_return_points(g7):
     # cluster whose ideal does not actually contain the intersection
     pts = tuple(spec_points(g7))
     x = f([FRPoint("x")])
-    corrected = graph_closure(g7, x, ambient=pts)
+    corrected = graph_closure(g7, x)
     naive = naive_graph_closure(g7, x, ambient=pts)
-    assert corrected == ideal_closure(g7, pts, x) == f([FRPoint("x"), cluster("uvwx")])
+    assert corrected == ideal_closure(g7, x) == f([FRPoint("x"), cluster("uvwx")])
     assert naive == f([cluster("uvwx"), cluster("w")])
     assert not x <= naive
 
@@ -165,9 +160,7 @@ def test_naive_closure_agrees_without_breaking_vertices(ea3_omega):
     pts = tuple(spec_points(ea3_omega))
     for mask in range(1 << len(pts)):
         x = f(p for i, p in enumerate(pts) if mask >> i & 1)
-        assert naive_graph_closure(ea3_omega, x, ambient=pts) == graph_closure(
-            ea3_omega, x, ambient=pts
-        )
+        assert naive_graph_closure(ea3_omega, x, ambient=pts) == graph_closure(ea3_omega, x)
 
 
 def test_simple_union_formula_on_row_finite_graphs():
@@ -179,24 +172,31 @@ def test_simple_union_formula_on_row_finite_graphs():
             x = [p for i, p in enumerate(pts) if mask >> i & 1]
             covered = f().union(*(vertex_set(g, p) for p in x))
             simple = f(ClusterPoint(c) for c in clus if c <= covered)
-            assert graph_closure(g, x, ambient=pts) == simple
+            assert graph_closure(g, x) == simple
 
 
-def test_point_labels_list_vertices_in_declaration_order(g7):
+def test_spec_lists_point_vertices_in_declaration_order(tmp_path, capsys):
     # the fixture declares t, u, v, w, x, y, z
-    assert [p.label(g7) for p in spec_points(g7)] == [
-        "{w}",
-        "{u, v, w, x}",
-        "{t, u, v, w, x}",
-        "{u, v, w, x, y, z}",
-        "return vertex x",
+    path = tmp_path / "fixture.gcg"
+    path.write_text(emit_gcg(running_example()))
+    assert cli.main(["spec", str(path)]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines() if " = " in line] == [
+        "  T1 = {w}",
+        "  T2 = {u, v, w, x}",
+        "  T3 = {t, u, v, w, x}",
+        "  T4 = {u, v, w, x, y, z}",
+        "  FR:x = return vertex x",
     ]
-    assert cluster("zyxwvu").label(g7) == "{u, v, w, x, y, z}"
 
 
-def test_cluster_label_rejects_an_unknown_vertex(g7):
-    with pytest.raises(UnknownVertex):
-        ClusterPoint(f({"w", "nope"})).label(g7)
+def test_points_outside_the_spectrum_are_rejected(g7):
+    # a set of vertices that is no cluster, and a vertex that does not return
+    for p in (ClusterPoint(f({"w", "nope"})), FRPoint("w")):
+        for call in (graph_closure, ideal_closure):
+            with pytest.raises(ValueError, match="points outside the space"):
+                call(g7, [cluster("w"), p])
+        with pytest.raises(ValueError, match="points outside the space"):
+            h_map(g7, p)
 
 
 # -- the h map ---------------------------------------------------------------------
@@ -345,7 +345,8 @@ def test_naive_closure_fails_kuratowski_here(g7):
     from ck_spectra import SpecSpace
 
     pts = tuple(spec_points(g7))
-    naive = lambda m: topology._mask_of(pts, naive_graph_closure(g7, topology._pick(pts, m), ambient=pts))
+    index = {p: i for i, p in enumerate(pts)}
+    naive = lambda m: topology._mask_of(index, naive_graph_closure(g7, topology._pick(pts, m), ambient=pts))
     space = SpecSpace(pts, naive, "graph", "spec")
     assert not check_kuratowski(space).ok
 
@@ -418,20 +419,6 @@ def test_density_failure_raises(monkeypatch, tmp_path, capsys):
     assert "kuratowski" not in out
 
 
-# -- subspace behaviour ---------------------------------------------------------------------
-
-
-def test_prim_restriction_is_subspace_closure(g7):
-    spec_pts = tuple(spec_points(g7))
-    prim_pts = tuple(prim_points(g7))
-    prim_set = f(prim_pts)
-    for mask in range(1 << len(prim_pts)):
-        x = f(p for i, p in enumerate(prim_pts) if mask >> i & 1)
-        full = graph_closure(g7, x, ambient=spec_pts)
-        restricted = graph_closure(g7, x, ambient=prim_pts)
-        assert restricted == full & prim_set
-
-
 LATTICE_RICH = sorted(
     (Path(__file__).parents[1] / "perfbench" / "corpus" / "lattice-rich").glob("*.gcg")
 )
@@ -447,17 +434,16 @@ KERNEL_GRAPHS = {
 def test_mask_kernels_and_separation_match_oracles(name):
     # every subset up to 12 points; above that, the subsets verify sweeps
     g = KERNEL_GRAPHS[name]()
-    for pts in {tuple(spec_points(g)), tuple(prim_points(g))}:
-        graph_side = topology._graph_kernel(g, pts)
-        ideal_side = topology._ideal_kernel(g, pts)
-        for mask in topology._subset_pool(len(pts), 12, 0, 256)[0]:
-            x = f(p for i, p in enumerate(pts) if mask >> i & 1)
-            want = oracle_graph_closure(g, x, pts)
-            assert topology._pick(pts, graph_side(mask)) == want, (name, x)
-            assert topology._pick(pts, ideal_side(mask)) == oracle_ideal_closure(g, pts, x) == want
-        sep = separation_report(topology.SpecSpace(pts, graph_side, "graph", "spec"))
-        want = oracle_separation(pts, lambda x: oracle_graph_closure(g, x, pts))
-        assert (sep.t0, sep.t1, sep.hausdorff, sep.specialization) == want
+    pts = tuple(spec_points(g))
+    graph_side, ideal_side = topology._graph_kernel(g), topology._ideal_kernel(g)
+    for mask in topology._subset_pool(len(pts), 12, 0, 256)[0]:
+        x = f(p for i, p in enumerate(pts) if mask >> i & 1)
+        want = oracle_graph_closure(g, x, pts)
+        assert topology._pick(pts, graph_side(mask)) == want, (name, x)
+        assert topology._pick(pts, ideal_side(mask)) == oracle_ideal_closure(g, pts, x) == want
+    sep = separation_report(topology.SpecSpace(pts, graph_side, "graph", "spec"))
+    want = oracle_separation(pts, lambda x: oracle_graph_closure(g, x, pts))
+    assert (sep.t0, sep.t1, sep.hausdorff, sep.specialization) == want
 
 
 def test_lattice_rich_corpus_is_present():
@@ -467,7 +453,7 @@ def test_lattice_rich_corpus_is_present():
 def test_planted_ideal_kernel_fault_fails_verify(tmp_path, capsys, monkeypatch):
     kernel = topology._ideal_kernel
     monkeypatch.setattr(
-        topology, "_ideal_kernel", lambda g, pts: lambda m: kernel(g, pts)(m) & ~1
+        topology, "_ideal_kernel", lambda g: lambda m: kernel(g)(m) & ~1
     )
     path = tmp_path / "fixture.gcg"
     path.write_text(emit_gcg(running_example()))
