@@ -31,7 +31,7 @@ outside is validated once.  Names appear only at the boundary:
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ConditionKRequired, NotSaturatedHereditary
 from .graph_core import (
@@ -88,15 +88,20 @@ class IdealClass(NamedTuple):
         return "not prime"
 
 
+_NOT_PRIME = IdealClass(IdealKind.NOT_PRIME)  # the one verdict shared by every non-prime pair
+
+
 # -- saturated hereditary sets ------------------------------------------------
 
 
 def _sat_her_faults(g: Graph, mask: int) -> tuple:
     """The first member with a successor outside, the first regular non-member with none; or None."""
-    succ = g.succ_mask
-    escapes = (i for i in _bits(mask) if succ[i] & ~mask)
-    trapped = (i for i in _bits(g.class_masks[2] & ~mask) if not succ[i] & ~mask)
-    return next(escapes, None), next(trapped, None)
+    succ, pred, rest = g.succ_mask, g.pred_mask, g.full_mask & ~mask
+    escapes = 0  # the members with an edge out, read off the complement's predecessors
+    for i in _bits(rest):
+        escapes |= pred[i] & mask
+    trapped = (i for i in _bits(g.class_masks[2] & rest) if not succ[i] & rest)
+    return (escapes & -escapes).bit_length() - 1 if escapes else None, next(trapped, None)
 
 
 @per_graph
@@ -175,16 +180,22 @@ def meet(g: Graph, pairs: Iterable[AdmissiblePair]) -> AdmissiblePair:
     breaking material cut back down to B_H.  The empty family yields the
     whole-algebra pair (all vertices, no breaking vertices).
     """
-    hmask, smask = _meet_masks(g, (_check_admissible(g, p) for p in pairs))
-    return AdmissiblePair(g.names(hmask), g.names(smask))
+    checked = [_check_admissible(g, p) for p in pairs]
+    return _named(g, _meet_masks(g, *_meet_fold(g, checked, (1 << len(checked)) - 1)))
 
 
-def _meet_masks(g: Graph, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """:func:`meet` on ``(hmask, smask)`` pairs that are already validated."""
+def _meet_fold(g: Graph, pairs: Sequence[tuple[int, int]], xmask: int) -> tuple[int, int]:
+    """The fold of :func:`meet` over the validated pairs at the bits of ``xmask``:
+    the intersections of their H and of their H | S parts."""
     hmask = keep = g.full_mask
-    for ph, ps in pairs:
-        hmask &= ph
-        keep &= ph | ps
+    while xmask:
+        ph, ps = pairs[(xmask & -xmask).bit_length() - 1]
+        hmask, keep, xmask = hmask & ph, keep & (ph | ps), xmask & xmask - 1
+    return hmask, keep
+
+
+def _meet_masks(g: Graph, hmask: int, keep: int) -> tuple[int, int]:
+    """:func:`meet` from its fold, as ``(hmask, smask)``: the kept material cut down to B_H."""
     return hmask, keep & _breaking_masked(g, hmask)
 
 
@@ -192,8 +203,9 @@ def ideal_leq(p: tuple[int, int], q: tuple[int, int]) -> bool:
     """Containment of the ideals of two admissible ``(hmask, smask)`` pairs.
 
     (H, S) lies below (H', S') iff H is in H' and S in H' | S'.  This is
-    ``_meet_masks(g, (p, q)) == p``: given H in H', the meet keeps of S
-    exactly what lies in H' | S', as S is inside B_H, which misses H.
+    "the meet of p and q is p": given H in H', the fold of the two keeps of S
+    exactly what lies in H' | S', and the cut to B_H keeps all of it, as S is
+    inside B_H, which misses H.
     """
     return not p[0] & ~q[0] and not p[1] & ~(q[0] | q[1])
 
@@ -284,7 +296,7 @@ def _direct_verdict(g: Graph, hmask: int, smask: int) -> IdealClass:
             return IdealClass(IdealKind.PRIMITIVE_TAIL)
     elif not kept & kept - 1 and complement == g.coreach[kept.bit_length() - 1]:
         return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=g.vertices[kept.bit_length() - 1])
-    return IdealClass(IdealKind.NOT_PRIME)
+    return _NOT_PRIME
 
 
 def classify_via_quotient(g: Graph, pair: AdmissiblePair) -> IdealClass:
@@ -357,7 +369,7 @@ def _quotient_verdict(g: Graph, hmask: int, smask: int) -> tuple[IdealClass, boo
     frame, kept = _quotient_frame(g, hmask), _breaking_masked(g, hmask) & ~smask
     has_l = _quotient_has_L(frame, kept)
     if not (has_l and _quotient_one_terminal(frame, kept)):
-        return IdealClass(IdealKind.NOT_PRIME), has_l
+        return _NOT_PRIME, has_l
     if kept:  # one terminal component leaves room for one copy at most
         return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=g.vertices[kept.bit_length() - 1]), has_l
     return IdealClass(IdealKind.PRIMITIVE_TAIL), has_l

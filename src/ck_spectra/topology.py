@@ -27,14 +27,17 @@ runs it once per side on the spectrum.
 The spectrum is built once per graph as one table of point masks, ``(vertex
 mask, return-vertex bit or 0)`` in point order, straight from the cluster
 masks and the finite-return mask; the point objects, both closure kernels and
-the point-to-pair map are read from it.  Both closures, the sweeps and the
-separation report run on point-index bitmasks (bit i stands for the i-th
-point of the spectrum).  On a finite space an additive closure is the
-down-set closure of its specialization preorder (Alexandrov 1937), so one int
-holds any closed set.  Point objects and vertex names appear only at the API
-and CLI boundary: the arguments and results of :func:`graph_closure` and
-:func:`ideal_closure`, which close within the spectrum, of :func:`h_map` and
-:meth:`SpecSpace.closure`, and the counterexamples in the reports.
+the point-to-pair map are read from it.  Closures are memoised once per
+distinct union or meet, not once per subset: the graph side's scan on V(X)
+with its essential mask, the ideal side's on the fold of the meet.  Both
+closures, the sweeps and the separation report run on point-index bitmasks
+(bit i stands for the i-th point of the spectrum).  On a finite space an
+additive closure is the down-set closure of its specialization preorder
+(Alexandrov 1937), so one int holds any closed set.  Point objects and
+vertex names appear only at the API and CLI boundary: the arguments and
+results of :func:`graph_closure` and :func:`ideal_closure`, which close
+within the spectrum, of :func:`h_map` and :meth:`SpecSpace.closure`, and the
+counterexamples in the reports.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .ideals import (
     _breaking_masked,
     _check_masks,
     _direct_verdict,
+    _meet_fold,
     _meet_masks,
     _named,
     admissible_pairs,
@@ -130,22 +134,29 @@ def _graph_kernel(g: Graph) -> Callable[[int], int]:
 
     The essential vertices of a point are the members of W_p that do not
     break out of its complement; for a return point the return vertex itself
-    is kept essential even though it breaks.
+    is kept essential even though it breaks.  The closure depends on X only
+    through V(X) and the union of its points' essential masks, kept together
+    in one int, so the scan runs once per distinct value of that int.
     """
-    table = [(w, w & ~_breaking_masked(g, g.full_mask & ~w) | r) for w, r in _spec_masks(g)]
+    n, full = g.n, g.full_mask
+    # each point as one int: W_p in the low n bits, its essential mask above them
+    table = [w | (w & ~_breaking_masked(g, full & ~w) | r) << n for w, r in _spec_masks(g)]
 
     @cache
-    def closure(xmask: int) -> int:
-        vmask = essential = 0
-        while xmask:
-            w, e = table[(xmask & -xmask).bit_length() - 1]
-            vmask, essential, xmask = vmask | w, essential | e, xmask & xmask - 1
-        smask = _breaking_masked(g, g.full_mask & ~vmask) & ~essential
+    def scan(key: int) -> int:
+        """The closure of every X whose points' masks join to ``key``."""
+        smask = _breaking_masked(g, full & ~key) & ~(key >> n)
         out = 0
-        for i, (w, e) in enumerate(table):
-            if not w & ~vmask and not smask & e:
+        for i, p in enumerate(table):
+            if not p & full & ~key and not smask & p >> n:
                 out |= 1 << i
         return out
+
+    def closure(xmask: int) -> int:
+        key = 0
+        while xmask:
+            key, xmask = key | table[(xmask & -xmask).bit_length() - 1], xmask & xmask - 1
+        return scan(key)
 
     return closure
 
@@ -179,20 +190,18 @@ def _h_masks(g: Graph) -> list[tuple[int, int]]:
 @per_graph
 def _ideal_kernel(g: Graph) -> Callable[[int], int]:
     """Ideal-side closure on point-index masks, from the :func:`h_map` pairs
-    and the meet formula; each pair and each meet is validated as admissible."""
+    and the meet formula; each pair and each meet is validated as admissible.
+    The closure depends on X only through the fold of the meet, so the cut to
+    B_H and the containment scan run once per distinct fold."""
     pairs = [_check_masks(g, *pair) for pair in _h_masks(g)]
 
     @cache
-    def above(bottom: tuple[int, int]) -> int:
-        """Mask of the points whose pair contains ``bottom``."""
-        _check_masks(g, *bottom)
+    def above(hmask: int, keep: int) -> int:
+        """Mask of the points whose pair contains the meet with this fold."""
+        bottom = _check_masks(g, *_meet_masks(g, hmask, keep))
         return sum(1 << i for i, q in enumerate(pairs) if ideal_leq(bottom, q))
 
-    @cache
-    def closure(xmask: int) -> int:
-        return above(_meet_masks(g, [pairs[i] for i in _bits(xmask)]))
-
-    return closure
+    return lambda xmask: above(*_meet_fold(g, pairs, xmask))
 
 
 def ideal_closure(g: Graph, points: Iterable[SpecPoint]) -> frozenset:
@@ -383,13 +392,17 @@ def check_kuratowski(
             failures.append(("extensive", _pick(pts, m), None))
         if cl(c) != c:
             failures.append(("idempotent", _pick(pts, m), None))
-        chain = [m]  # down through m & (m - 1) to a known union, then back up
-        while chain[-1] not in unions:
-            chain.append(chain[-1] & chain[-1] - 1)
-        for k in reversed(chain[:-1]):
-            unions[k] = unions[k & k - 1] | cl(k & -k)
-        if m and c != unions[m]:  # a nonempty cl(0) is the "empty" failure
-            failures.append(("additive", _pick(pts, m), None))
+        parent = m & m - 1
+        if parent not in unions:  # down through k & (k - 1) to a known union, then back up
+            chain = [parent]
+            while chain[-1] not in unions:
+                chain.append(chain[-1] & chain[-1] - 1)
+            for k in reversed(chain[:-1]):
+                unions[k] = unions[k & k - 1] | cl(k & -k)
+        if m:  # a nonempty cl(0) is the "empty" failure
+            unions[m] = unions[parent] | cl(m & -m)
+            if c != unions[m]:
+                failures.append(("additive", _pick(pts, m), None))
 
     if n <= _UNION_PAIR_LIMIT:
         pair_masks = [(a, b) for a in range(1 << n) for b in range(1 << n)]

@@ -12,7 +12,8 @@ character-at-a-time tokenizer and token-object parser that the regex scanner
 in ``ck_spectra.gcg`` replaced.  ``oracle_check_admissible``
 and ``oracle_classify_ideal`` are the name-based bodies that the mask cores
 of ``ck_spectra.ideals`` replaced, with the hereditary, saturated and MT
-tests read off explicit sets.  ``oracle_classify_quotient`` is the quotient
+tests read off explicit sets; ``oracle_sat_her_faults`` is the member walk
+that ``ideals._sat_her_faults`` replaced with a read of the complement.  ``oracle_classify_quotient`` is the quotient
 route on the named quotient graph, through the package's ``condition_L`` and
 ``is_downward_directed``, that the quotient's own masks replaced.  The
 vertex-class, breaking-vertex and finite-return oracles count edges bundle by
@@ -314,6 +315,16 @@ def oracle_is_saturated(g: Graph, members) -> Check:
         if v in regular and not mask >> i & 1 and not g.succ_mask[i] & ~mask:
             return Check(False, v)
     return Check(True)
+
+
+def oracle_sat_her_faults(g: Graph, mask: int) -> tuple:
+    """The member walk that the heredity test of ``ideals._sat_her_faults``
+    replaced: the first member with a successor outside, the first regular
+    non-member with none; or None."""
+    succ = g.succ_mask
+    escapes = (i for i in range(g.n) if mask >> i & 1 and succ[i] & ~mask)
+    trapped = (i for i in range(g.n) if g.class_masks[2] >> i & 1 and not mask >> i & 1 and not succ[i] & ~mask)
+    return next(escapes, None), next(trapped, None)
 
 
 def _oracle_require_sat_her(g: Graph, members) -> int:

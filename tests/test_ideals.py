@@ -54,6 +54,7 @@ from .oracles import (
     oracle_is_hereditary,
     oracle_is_saturated,
     oracle_sat_her,
+    oracle_sat_her_faults,
     oracle_vertex_classes,
 )
 
@@ -519,6 +520,25 @@ def test_direct_route_rejects_as_its_oracle_does(g7):
             None if escaping is None else g7.index[escaping.src],
             None if trapped is None else g7.index[trapped],
         )
+
+
+@given(
+    seed=seeds,
+    generate=st.sampled_from([random_graph, random_condition_k_graph]),
+    raw=st.integers(0, (1 << 9) - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_heredity_from_the_complement_matches_the_member_walk(seed, generate, raw):
+    # a random mask, mostly neither hereditary nor saturated, its hereditary
+    # hull, and the complement of each: the same two witnesses as the old walk
+    g = generate(seed, 1 + seed % 9, 0.3)
+    mask = raw & g.full_mask
+    hull = 0
+    for i in range(g.n):
+        if mask >> i & 1:
+            hull |= g.reach[i]
+    for m in (mask, hull, g.full_mask & ~mask, g.full_mask & ~hull):
+        assert _sat_her_faults(g, m) == oracle_sat_her_faults(g, m), sorted(g.names(m))
 
 
 # -- the quotient route on masks against the named quotient graph ---------------------

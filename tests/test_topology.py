@@ -446,6 +446,26 @@ def test_mask_kernels_and_separation_match_oracles(name):
     assert (sep.t0, sep.t1, sep.hausdorff, sep.specialization) == want
 
 
+@given(seed=seeds, rng=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_memoised_kernels_answer_each_query_in_any_order(seed, rng):
+    # the graph kernel's memo keys on V(X) with its essential mask and the ideal
+    # kernel's on the fold of the meet: every subset queried twice on each
+    # side, in random order, must get the closure of its own subset
+    g = random_condition_k_graph(seed, 1 + seed % 9)
+    pts = tuple(spec_points(g))
+    kernels = {"graph": topology._graph_kernel(g), "ideal": topology._ideal_kernel(g)}
+    oracles = {
+        "graph": lambda x: oracle_graph_closure(g, x, pts),
+        "ideal": lambda x: oracle_ideal_closure(g, pts, x),
+    }
+    queries = [(side, m) for side in kernels for m in topology._subset_pool(len(pts), 7, seed, 64)[0]] * 2
+    rng.shuffle(queries)
+    for side, mask in queries:
+        x = topology._pick(pts, mask)
+        assert topology._pick(pts, kernels[side](mask)) == oracles[side](x), (side, sorted(map(str, x)))
+
+
 def test_lattice_rich_corpus_is_present():
     assert len(LATTICE_RICH) == 18
 
