@@ -32,7 +32,6 @@ from .graph_core import (
     condition_L,
     is_downward_directed,
     is_omega,
-    mult_sum,
     upward_set,
 )
 from .ideals import (

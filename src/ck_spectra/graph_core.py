@@ -10,8 +10,8 @@ Reachability, the simple-cycle classes behind Condition (K), and the MT3
 (downward directedness) and MT4 (countable separation) checks all come from
 one strongly connected condensation per graph, ``Graph.condensation``, so each
 costs O(n + m) big-int operations.  Its search, :func:`strong_components`,
-works on successor masks alone: the quotient route in ``ideals`` runs it
-once per saturated hereditary set H, then adds each pair's sink copies.
+works on successor masks alone: the quotient route in ``ideals`` runs its own
+search once per graph and reads every quotient's frame off that table.
 
 Vertex subsets are plain ``frozenset`` objects at the API boundary; the
 implementation works on integer bitmasks indexed by declaration order, which
@@ -91,16 +91,6 @@ def check_mult(m: Mult) -> Mult:
     return m
 
 
-def mult_sum(ms: Iterable[Mult]) -> Mult:
-    """Saturating sum; OMEGA absorbs."""
-    total: Mult = 0
-    for m in ms:
-        if is_omega(m):
-            return OMEGA
-        total += m
-    return total
-
-
 class Bundle(NamedTuple):
     """A family of parallel edges src -> dst with the given multiplicity."""
 
@@ -146,8 +136,8 @@ def strong_components(succ: list[int], vertices: int) -> tuple[list[int], list[i
     Tarjan's algorithm (SIAM J. Comput. 1, 1972), kept on explicit stacks so
     that a cycle longer than the recursion limit is fine.  A component comes
     after every component it reaches.  Bits are walked inline, not with
-    ``_bits``: the quotient route condenses thousands of small graphs, where
-    a generator per vertex costs more than the search.
+    ``_bits``: on graphs of thousands of vertices a generator per vertex
+    costs more than the search.
     """
     size = vertices.bit_length()
     found = [-1] * size  # discovery time
@@ -305,6 +295,15 @@ class Graph:
         return masks
 
     @cached_property
+    def omega_succ(self) -> list[int]:
+        """omega_succ[i] = mask of the vertices that an OMEGA bundle from i runs into."""
+        masks = [0] * self.n
+        for b in self.bundles:
+            if is_omega(b.mult):
+                masks[self.index[b.src]] |= 1 << self.index[b.dst]
+        return masks
+
+    @cached_property
     def out_mult(self) -> dict[str, Mult]:
         """Total out-multiplicity of each vertex; ``+`` saturates at OMEGA."""
         out: dict[str, Mult] = dict.fromkeys(self.vertices, 0)
@@ -329,7 +328,7 @@ class Graph:
     @cached_property
     def condensation(self) -> tuple[list[int], list[int]]:
         """Strongly connected components: masks, sinks first, and comp[i]; the
-        quotient route runs :func:`strong_components` on its own masks instead."""
+        quotient route keeps a table of its own from :func:`strong_components`."""
         return strong_components(self.succ_mask, self.full_mask)
 
     def _closure(self, step: list[int], order: Iterable[int]) -> list[int]:
@@ -444,9 +443,8 @@ def require_enumerable(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> None
 
 
 def _finite_edges(g: Graph, i: int, into: int) -> bool:
-    """Whether vertex i has finitely many, and at least one, edges into the mask ``into``."""
-    total = mult_sum(m for j, m in g.edge_mult[i].items() if into >> j & 1)
-    return total != 0 and not is_omega(total)
+    """Whether vertex i has finitely many, and some, edges into ``into``: a successor, no OMEGA bundle."""
+    return not g.omega_succ[i] & into and g.succ_mask[i] & into != 0
 
 
 # -- reachability ------------------------------------------------------------

@@ -10,16 +10,16 @@ primitive, prime-but-not-primitive, or not prime in two independent ways:
   (tail / cluster membership and the kept breaking vertices), and
 * :func:`classify_via_quotient` tests the quotient graph for primeness
   (Condition (L) plus downward directedness) from the parent's bundles and
-  breaking vertices alone.  The complement of H is condensed once per H, as
-  a frame shared by all its pairs; each pair's sink copies are sinks, so
+  breaking vertices alone.  One condensation of the parent gives each H's
+  frame, shared by all its pairs; each pair's sink copies are sinks, so
   they join no cycle and are added as a few mask tests on that frame.
 
 The two must agree everywhere; the test suite uses that as its main oracle.
 Past the (K) check, the quotient route reads no reachability or tails.
 
-Breaking vertices are counted by *edges*: the saturating multiplicity sum of
-the bundles escaping H must be finite and nonzero.  Counting target vertices
-instead would disagree exactly where an OMEGA bundle leaves H.
+Breaking vertices are counted by *edges*: the edges escaping H must be
+finitely many and at least one, so no OMEGA bundle may leave H.  Counting
+target vertices instead would disagree exactly where an OMEGA bundle leaves H.
 
 Inside, a pair is ``(hmask, smask)``: enumeration, admissibility, breaking
 vertices and both verdicts work on vertex bitmasks, and a named pair from
@@ -321,25 +321,32 @@ class _QuotientFrame(NamedTuple):
 
 
 @per_graph
-def _quotient_frame(g: Graph, hmask: int) -> _QuotientFrame:
-    """The frame of every quotient with this H, from the parent's bundles alone."""
-    rest, mult = g.full_mask & ~hmask, g.edge_mult
-    succ = [m & rest for m in g.succ_mask]
-    exitless, terminal = [], []
-    for c in strong_components(succ, rest)[0]:
-        out = one = 0  # what c reaches; its members with one edge, of multiplicity one
-        left = c  # bits walked inline, as in strong_components
-        while left:
-            bit = left & -left
-            left ^= bit
-            i = bit.bit_length() - 1
+def _components(g: Graph) -> list[tuple[int, int, bool]]:
+    """Each strongly connected component of g: its members, what they reach in one
+    step, and whether it is a plain cycle (each member one edge inside, of multiplicity one)."""
+    succ, mult = g.succ_mask, g.edge_mult
+    table = []
+    for c in strong_components(succ, g.full_mask)[0]:
+        out, plain = 0, True  # what c reaches; whether it is a plain cycle
+        for i in _bits(c):
             out |= succ[i]
-            if succ[i] and not succ[i] & succ[i] - 1 and mult[i][succ[i].bit_length() - 1] == 1:
-                one |= bit
-        if not out & ~c:
+            plain = plain and [m for j, m in mult[i].items() if c >> j & 1] == [1]
+        table.append((c, out, plain))
+    return table
+
+
+@per_graph
+def _quotient_frame(g: Graph, hmask: int) -> _QuotientFrame:
+    """The frame of every quotient with this H, filtered from :func:`_components`: the
+    complement of a hereditary H is a union of the parent's components, and one
+    terminal in it keeps all its members' edges left in the quotient inside itself."""
+    rest = g.full_mask & ~hmask
+    exitless, terminal = [], []
+    for c, out, plain in _components(g):
+        out &= rest
+        if not c & hmask and not out & ~c:
             terminal.append(out)
-            # an exitless cycle leaves no edge out of its component, so it is terminal
-            if out and one == c:
+            if plain:  # each member's edge inside c is its only one left
                 exitless.append(out)
     return _QuotientFrame(exitless, terminal)
 

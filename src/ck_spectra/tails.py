@@ -120,12 +120,17 @@ class BoundaryPath(NamedTuple):
         return frozenset(seen)
 
 
+@per_graph
+def _bundle_set(g: Graph) -> frozenset:
+    return frozenset(g.bundles)
+
+
 def validate_boundary_path(g: Graph, path: BoundaryPath) -> None:
     """Raise InvalidPath unless the path is a boundary path of g."""
     g.require_vertex(path.base)
-    at = path.base
+    at, bundles = path.base, _bundle_set(g)
     for b in path.prefix + path.cycle:
-        if b not in g.bundles:
+        if b not in bundles:
             raise InvalidPath(f"bundle {b} is not part of the graph")
         if b.src != at:
             raise InvalidPath(f"bundle {b} does not continue the path at {at!r}")
@@ -151,16 +156,19 @@ def _shortest_route(g: Graph, src: str, dst: str) -> tuple[Bundle, ...]:
     """A shortest bundle walk src -> dst; deterministic via canonical bundle order."""
     if src == dst:
         return ()
-    best: dict[str, tuple[Bundle, ...]] = {src: ()}
+    parent: dict[str, Optional[Bundle]] = {src: None}  # the bundle each vertex was found by
     frontier = [src]
     while frontier:
         nxt: list[str] = []
         for u in frontier:
             for b in g.out_bundles[u]:
-                if b.dst not in best:
-                    best[b.dst] = best[u] + (b,)
+                if b.dst not in parent:
+                    parent[b.dst] = b
                     if b.dst == dst:
-                        return best[dst]
+                        route = [b]
+                        while route[-1].src != src:
+                            route.append(parent[route[-1].src])
+                        return tuple(reversed(route))
                     nxt.append(b.dst)
         frontier = nxt
     raise InvalidPath(f"no path from {src!r} to {dst!r}")

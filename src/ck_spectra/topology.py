@@ -27,8 +27,9 @@ runs it once per side on the spectrum.
 The spectrum is built once per graph as one table of point masks, ``(vertex
 mask, return-vertex bit or 0)`` in point order, straight from the cluster
 masks and the finite-return mask; the point objects, both closure kernels and
-the point-to-pair map are read from it.  Closures are memoised once per
-distinct union or meet, not once per subset: the graph side's scan on V(X)
+the point-to-pair map are read from it.  Each kernel memoises its closure
+per subset, for the sweep and both Kuratowski passes of ``verify``, and its
+expensive part per distinct union or meet: the graph side's scan on V(X)
 with its essential mask, the ideal side's on the fold of the meet.  Both
 closures, the sweeps and the separation report run on point-index bitmasks
 (bit i stands for the i-th point of the spectrum).  On a finite space an
@@ -152,6 +153,7 @@ def _graph_kernel(g: Graph) -> Callable[[int], int]:
                 out |= 1 << i
         return out
 
+    @cache
     def closure(xmask: int) -> int:
         key = 0
         while xmask:
@@ -201,7 +203,7 @@ def _ideal_kernel(g: Graph) -> Callable[[int], int]:
         bottom = _check_masks(g, *_meet_masks(g, hmask, keep))
         return sum(1 << i for i, q in enumerate(pairs) if ideal_leq(bottom, q))
 
-    return lambda xmask: above(*_meet_fold(g, pairs, xmask))
+    return cache(lambda xmask: above(*_meet_fold(g, pairs, xmask)))
 
 
 def ideal_closure(g: Graph, points: Iterable[SpecPoint]) -> frozenset:
@@ -375,11 +377,12 @@ def check_kuratowski(
     swept subset and through the literal pairwise union axiom on all pairs of
     subsets when the space is small enough (seeded samples otherwise).  The
     report keeps the first failure of each axiom, then the earliest others,
-    eight at most, in sweep order.
+    eight at most, in sweep order.  It keeps no memo of its own: the spaces
+    of :func:`spec_space` share theirs with :func:`verify_homeomorphism`.
     """
     pts = space.points
     n = len(pts)
-    cl = cache(space.mask_closure)
+    cl = space.mask_closure
 
     unions = {0: 0}  # m -> the union of the closures of m's singletons
     failures = []

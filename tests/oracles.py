@@ -15,10 +15,15 @@ of ``ck_spectra.ideals`` replaced, with the hereditary, saturated and MT
 tests read off explicit sets; ``oracle_sat_her_faults`` is the member walk
 that ``ideals._sat_her_faults`` replaced with a read of the complement.  ``oracle_classify_quotient`` is the quotient
 route on the named quotient graph, through the package's ``condition_L`` and
-``is_downward_directed``, that the quotient's own masks replaced.  The
-vertex-class, breaking-vertex and finite-return oracles count edges bundle by
-bundle over ``g.bundles``, without the merged per-pair multiplicity table that
-the package reads.  ``oracle_emit_json`` is the ``json.dumps`` call that the
+``is_downward_directed``, that the quotient's own masks replaced, and
+``oracle_quotient_frame`` the Tarjan search per H that a filter over one
+per-graph component table replaced.  ``mult_sum`` and ``oracle_finite_edges``
+are the multiplicity sums that the mask test of ``graph_core._finite_edges``
+replaced; ``oracle_breaking_masked`` and ``oracle_finite_return_mask`` run
+the breaking-vertex and finite-return masks through them.  The
+vertex-class, breaking-vertex and finite-return oracles over vertex names
+count edges bundle by bundle over ``g.bundles``, without the merged per-pair
+multiplicity table.  ``oracle_emit_json`` is the ``json.dumps`` call that the
 string-list writer in ``ck_spectra.render`` replaced.  ``px_model``,
 ``px_closure`` and ``phi`` model the spectrum of the subset graph
 ``ck_spectra.ea_graph(ground, OMEGA)`` on the nonempty subsets of the ground
@@ -44,9 +49,11 @@ from ck_spectra.graph_core import (
     Check,
     CycleClass,
     Graph,
+    Mult,
     condition_L,
     is_downward_directed,
     is_omega,
+    strong_components,
     upward_set,
 )
 from ck_spectra.ideals import (
@@ -54,6 +61,7 @@ from ck_spectra.ideals import (
     IdealClass,
     IdealKind,
     QuotientGraph,
+    _QuotientFrame,
     _breaking_masked,
     _named,
     admissible_pairs,
@@ -250,6 +258,56 @@ def oracle_sat_her(g: Graph) -> set:
         if hereditary and saturated:
             out.add(members)
     return out
+
+
+def mult_sum(ms) -> Mult:
+    """Saturating sum; OMEGA absorbs."""
+    total: Mult = 0
+    for m in ms:
+        if is_omega(m):
+            return OMEGA
+        total += m
+    return total
+
+
+def oracle_finite_edges(g: Graph, i: int, into: int) -> bool:
+    """The multiplicity sum that ``graph_core._finite_edges`` replaced with
+    mask tests: whether vertex i has finitely many, and at least one, edges
+    into the mask ``into``, summed over the merged per-pair multiplicities."""
+    total = mult_sum(m for j, m in g.edge_mult[i].items() if into >> j & 1)
+    return total != 0 and not is_omega(total)
+
+
+def oracle_breaking_masked(g: Graph, hmask: int) -> int:
+    """``ideals._breaking_masked`` through :func:`oracle_finite_edges`."""
+    rest = g.full_mask & ~hmask
+    return sum(1 << i for i in range(g.n) if (g.class_masks[1] & rest) >> i & 1 and oracle_finite_edges(g, i, rest))
+
+
+def oracle_finite_return_mask(g: Graph) -> int:
+    """``tails._finite_return_mask`` through :func:`oracle_finite_edges`."""
+    return sum(1 << i for i in range(g.n) if g.class_masks[1] >> i & 1 and oracle_finite_edges(g, i, g.coreach[i]))
+
+
+def oracle_quotient_frame(g: Graph, hmask: int) -> _QuotientFrame:
+    """The frame of ``ideals._quotient_frame`` from its own search: one Tarjan
+    run on the complement of H with the parent's edges restricted to it."""
+    rest, mult = g.full_mask & ~hmask, g.edge_mult
+    succ = [m & rest for m in g.succ_mask]
+    exitless, terminal = [], []
+    for c in strong_components(succ, rest)[0]:
+        out = one = 0  # what c reaches; its members with one edge, of multiplicity one
+        for i in range(g.n):
+            if c >> i & 1:
+                out |= succ[i]
+                if succ[i] and not succ[i] & succ[i] - 1 and mult[i][succ[i].bit_length() - 1] == 1:
+                    one |= 1 << i
+        if not out & ~c:
+            terminal.append(out)
+            # an exitless cycle leaves no edge out of its component, so it is terminal
+            if out and one == c:
+                exitless.append(out)
+    return _QuotientFrame(exitless, terminal)
 
 
 def _oracle_edge_count(g: Graph, src: str, into) -> object:

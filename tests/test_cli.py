@@ -529,6 +529,30 @@ def test_verify_checks_condition_L_once_per_graph(fixture_path, capsys):
     assert sorted(built) == sorted(ideals.saturated_hereditary_sets(parse_graph(Path(fixture_path).read_text())))
 
 
+def test_verify_folds_each_swept_subset_once_per_side(capsys):
+    # the homeomorphism sweep and both Kuratowski passes read one closure
+    # memo per kernel, so each subset is folded into its key once per side
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "lattice-rich" / "dag8-s1.gcg"
+    g = parse_graph(path.read_text())
+    assert len(topology.spec_points(g)) == 12
+    folds = {inspect.unwrap(topology._graph_kernel(g)).__code__: "graph", ideals._meet_fold.__code__: "ideal"}
+    seen = {"graph": Counter(), "ideal": Counter()}
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code in folds:
+            seen[folds[frame.f_code]][frame.f_locals["xmask"]] += 1
+
+    sys.setprofile(record)
+    try:
+        code, out, _ = run(capsys, "verify", str(path))
+    finally:
+        sys.setprofile(None)
+    assert code == 0 and "kuratowski spec/ideal: ok (subsets=4096, union pairs=256)" in out
+    for side, counts in seen.items():
+        assert set(counts) == set(range(1 << 12)), side
+        assert set(counts.values()) == {1}, side
+
+
 def test_spec_honours_a_limit_above_the_default(tmp_path, capsys):
     names = [f"v{i}" for i in range(21)]  # above the ideals/verify default of 20
     path = tmp_path / "chain.gcg"

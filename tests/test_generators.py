@@ -18,7 +18,6 @@ from ck_spectra import (
     graph_closure,
     is_downward_directed,
     maximal_tails,
-    mult_sum,
     prim_points,
     random_condition_k_graph,
     random_graph,
@@ -30,7 +29,7 @@ from ck_spectra.generators import _repair_condition_k
 from ck_spectra.graph_core import CycleClass
 from ck_spectra.ideals import _breaking_masked, saturated_hereditary_sets
 
-from .oracles import named_pairs, oracle_reaches, phi, px_closure, px_model
+from .oracles import mult_sum, named_pairs, oracle_reaches, phi, px_closure, px_model
 
 seeds = st.integers(0, 10_000)
 f = frozenset

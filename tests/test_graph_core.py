@@ -12,7 +12,6 @@ from ck_spectra import (
     ea_graph,
     is_downward_directed,
     is_omega,
-    mult_sum,
     random_condition_k_graph,
     random_graph,
     upward_set,
@@ -20,6 +19,7 @@ from ck_spectra import (
 from ck_spectra.graph_core import CycleClass, check_mult, has_csp
 
 from .oracles import (
+    mult_sum,
     oracle_csp_witness,
     oracle_cycle_class,
     oracle_downward_directed,

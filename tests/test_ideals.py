@@ -42,17 +42,21 @@ from ck_spectra.ideals import (
     _sat_her_faults,
     saturated_hereditary_sets,
 )
+from ck_spectra.tails import _finite_return_mask
 
 from .oracles import (
     named_pairs,
+    oracle_breaking_masked,
     oracle_breaking_vertices,
     oracle_check_admissible,
     oracle_classify_ideal,
     oracle_classify_quotient,
     oracle_downward_directed,
+    oracle_finite_return_mask,
     oracle_finite_return_vertices,
     oracle_is_hereditary,
     oracle_is_saturated,
+    oracle_quotient_frame,
     oracle_sat_her,
     oracle_sat_her_faults,
     oracle_vertex_classes,
@@ -603,6 +607,32 @@ def test_one_terminal_component_is_downward_directed(build):
             hmask, smask = masks(g, pair)
             kept = ideals._breaking_masked(g, hmask) & ~smask
             assert _quotient_one_terminal(_quotient_frame(g, hmask), kept) == named, pair
+
+
+@st.composite
+def multigraphs(draw) -> Graph:
+    """Up to 7 vertices and 20 bundles, loops included, of multiplicity 1, 2
+    or OMEGA; a labeled bundle may run beside another between the same pair."""
+    n = draw(st.integers(1, 7))
+    names = [f"v{i}" for i in range(n)]
+    ends, mults = st.integers(0, n - 1), st.sampled_from([1, 1, 2, OMEGA])
+    drawn = draw(st.lists(st.tuples(ends, ends, mults, st.booleans()), max_size=20))
+    return Graph(names, [Bundle(names[a], names[b], m, f"e{k}" if labeled else None)
+                         for k, (a, b, m, labeled) in enumerate(drawn)])
+
+
+@given(g=multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_frames_and_breaking_vertices_match_their_per_H_oracles(g):
+    # every quotient frame filtered from the one component table against a
+    # Tarjan search of its own, and the breaking vertices and finite-return
+    # vertices read off masks against the multiplicity sums
+    assert _finite_return_mask(g) == oracle_finite_return_mask(g)
+    for hmask in saturated_hereditary_sets(g):
+        frame, expected = _quotient_frame(g, hmask), oracle_quotient_frame(g, hmask)
+        assert sorted(frame.exitless) == sorted(expected.exitless), sorted(g.names(hmask))
+        assert sorted(frame.terminal) == sorted(expected.terminal), sorted(g.names(hmask))
+        assert _breaking_masked(g, hmask) == oracle_breaking_masked(g, hmask), sorted(g.names(hmask))
 
 
 @pytest.mark.parametrize("build", ORACLE_GRAPHS)

@@ -1,5 +1,7 @@
 import gc
 import weakref
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -35,9 +37,9 @@ from ck_spectra import (
     verify_homeomorphism,
 )
 from ck_spectra import cli, topology
-from ck_spectra.graph_core import is_omega, mult_sum
+from ck_spectra.graph_core import is_omega
 
-from .oracles import named_pairs, oracle_graph_closure, oracle_ideal_closure, oracle_separation, vertex_set
+from .oracles import mult_sum, named_pairs, oracle_graph_closure, oracle_ideal_closure, oracle_separation, vertex_set
 
 seeds = st.integers(0, 10_000)
 f = frozenset
@@ -339,6 +341,27 @@ def test_kuratowski_report_keeps_the_first_failure_first():
     # verify reports failures[0]: the sweep's first failure, at {v0, v1}
     assert rep.failures[0] == ("additive", f(pts[:2]), None)
     assert len(rep.failures) == 8 and rep.failures[-1][0] == "union"
+
+
+@pytest.mark.parametrize("side", ["graph", "ideal"])
+def test_kuratowski_reports_the_same_failures_without_a_memo(g7, side):
+    # check_kuratowski keeps no memo of its own: a planted closure that
+    # recomputes every answer gets the report of its memoised copy
+    from ck_spectra import SpecSpace
+
+    pts, kernel = tuple(spec_points(g7)), spec_space(g7, side).mask_closure
+    asked = Counter()
+
+    def planted(m):
+        asked[m] += 1
+        c = kernel(m)
+        return c & c - 1 if m.bit_count() == 2 else c  # a pair's closure loses its lowest point
+
+    bare = check_kuratowski(SpecSpace(pts, planted, side, "spec"))
+    assert max(asked.values()) > 1  # some subsets were asked for again
+    memoised = check_kuratowski(SpecSpace(pts, cache(planted), side, "spec"))
+    assert bare == memoised and not bare.ok
+    assert {kind for kind, _, _ in bare.failures} == {"extensive", "idempotent", "additive", "union"}
 
 
 def test_naive_closure_fails_kuratowski_here(g7):
