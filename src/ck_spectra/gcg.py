@@ -37,7 +37,7 @@ import re
 from typing import NoReturn
 
 from .errors import DuplicateLabel, ParseError, UndeclaredVertex
-from .graph_core import OMEGA, Bundle, Graph, Mult, is_omega
+from .graph_core import OMEGA, Bundle, Graph, Mult
 
 _KEYWORDS = {"vertex", "edge", "inf"}
 _PUNCT = {",", ";", ":", "*", "->"}
@@ -228,9 +228,7 @@ def emit_gcg(g: Graph) -> str:
     for b in g.bundles:
         head = f"edge {b.label}: " if b.label else "edge "
         stmt = f"{head}{b.src} -> {b.dst}"
-        if is_omega(b.mult):
-            stmt += " * inf"
-        elif b.mult != 1:
+        if b.mult != 1:  # OMEGA prints as inf
             stmt += f" * {b.mult}"
         lines.append(stmt + ";")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,8 +1,10 @@
 """Directed multigraphs with edge multiplicities in {1, 2, ...} ∪ {ω}.
 
 Edges are stored as *bundles*: a bundle (src, dst, mult, label) stands for
-``mult`` parallel edges, where ``mult`` may be the symbol ``OMEGA`` for a
-countably infinite family.  All structural predicates used elsewhere in the
+``mult`` parallel edges, where ``mult`` may be ``OMEGA`` for a countably
+infinite family.  ``OMEGA`` is the float ``math.inf`` and prints as ``inf``:
+it absorbs ``+``, lies above every int and equals only itself, so merged
+multiplicities are plain sums.  All structural predicates used elsewhere in the
 package (Condition (K), Condition (L), downward directedness, the countable
 separation property) live here, together with bitmask reachability.
 
@@ -23,6 +25,7 @@ printed or rendered vertex set comes from it.
 from __future__ import annotations
 
 import enum
+import math
 from functools import cached_property, wraps
 from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
@@ -32,52 +35,13 @@ from .errors import SizeLimitExceeded, UnknownVertex
 DEFAULT_ENUMERATION_LIMIT = 20
 
 
-class _Omega:
-    """Countably infinite multiplicity; absorbing under + and *, above every int."""
+OMEGA = math.inf
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "OMEGA"
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-    __mul__ = __add__
-    __rmul__ = __add__
-
-    def __eq__(self, other):
-        return isinstance(other, _Omega)
-
-    def __hash__(self):
-        return hash("_Omega")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _Omega)
-
-    def __gt__(self, other):
-        return not isinstance(other, _Omega)
-
-    def __ge__(self, other):
-        return True
-
-
-OMEGA = _Omega()
-
-Mult = Union[int, _Omega]
+Mult = Union[int, float]
 
 
 def is_omega(m: Mult) -> bool:
-    return isinstance(m, _Omega)
+    return m == OMEGA
 
 
 def check_mult(m: Mult) -> Mult:
@@ -304,14 +268,6 @@ class Graph:
         return masks
 
     @cached_property
-    def out_mult(self) -> dict[str, Mult]:
-        """Total out-multiplicity of each vertex; ``+`` saturates at OMEGA."""
-        out: dict[str, Mult] = dict.fromkeys(self.vertices, 0)
-        for b in self.bundles:
-            out[b.src] += b.mult
-        return out
-
-    @cached_property
     def class_masks(self) -> tuple[int, int, int]:
         """:func:`classify_vertices`, computed once per graph."""
         return classify_vertices(self)
@@ -396,10 +352,10 @@ def per_graph(fn: Callable) -> Callable:
 def classify_vertices(g: Graph) -> tuple[int, int, int]:
     """The sinks, the infinite emitters and the regular vertices of g, as masks."""
     sinks = emitters = 0
-    for i, total in enumerate(g.out_mult.values()):
-        if total == 0:
+    for i, row in enumerate(g.edge_mult):
+        if not row:
             sinks |= 1 << i
-        elif is_omega(total):
+        elif OMEGA in row.values():
             emitters |= 1 << i
     return sinks, emitters, g.full_mask & ~(sinks | emitters)
 
@@ -458,27 +414,24 @@ def upward_set(g: Graph, members: Iterable[str]) -> frozenset:
     return g.names(m)
 
 
-def is_downward_directed(g: Graph, members: Iterable[str], *, witness_in_set: bool = True) -> Check:
-    """Whether every two members share a vertex both can reach.
+def is_downward_directed(g: Graph, members: Iterable[str]) -> Check:
+    """Whether every two members share a vertex both can reach, inside the set.
 
-    With ``witness_in_set`` (the default) the common vertex must itself lie in
-    the given set, which is the reading used for the MT3 axiom; pass False to
-    allow the witness anywhere in the graph.  Fails with the first violating
-    pair in declaration order.
+    This is the MT3 axiom.  Fails with the first violating pair in
+    declaration order.
 
-    A vertex every member reaches settles it at once; with the witness in the
-    set that is also necessary (a common bound x of u and v is a member, so x
-    and w have one too, and so on).  Only otherwise are the pairs scanned.
+    A member every member reaches settles it at once, and is also necessary
+    (a common bound x of u and v is a member, so x and w have one too, and so
+    on).  Only otherwise are the pairs scanned.
     """
-    mask = g.mask(members)
-    pair = _undirected_pair(g, mask, mask if witness_in_set else g.full_mask)
+    pair = _undirected_pair(g, g.mask(members))
     return Check(True) if pair is None else Check(False, (g.vertices[pair[0]], g.vertices[pair[1]]))
 
 
-def _undirected_pair(g: Graph, mask: int, allowed: int) -> Optional[tuple[int, int]]:
+def _undirected_pair(g: Graph, mask: int) -> Optional[tuple[int, int]]:
     """:func:`is_downward_directed` on masks: the first failing pair of indices, or None."""
     reach = g.reach
-    common = allowed
+    common = mask
     for i in _bits(mask):
         common &= reach[i]
     if common:
@@ -487,7 +440,7 @@ def _undirected_pair(g: Graph, mask: int, allowed: int) -> Optional[tuple[int, i
     for a, i in enumerate(idx):
         ri = reach[i]
         for j in idx[a:]:
-            if not ri & reach[j] & allowed:
+            if not ri & reach[j] & mask:
                 return i, j
     return None
 
@@ -533,8 +486,8 @@ def condition_L(g: Graph) -> Check:
     out-multiplicity one, so it suffices to chase the out-degree-one
     subgraph.  The witness is the vertex sequence of an exitless cycle.
     """
-    out, succ, names = g.out_mult, g.succ_mask, g.vertices
-    next_vertex = {v: names[succ[i].bit_length() - 1] for i, v in enumerate(names) if out[v] == 1}
+    names = g.vertices
+    next_vertex = {names[i]: names[j] for i, row in enumerate(g.edge_mult) for j in row if row == {j: 1}}
 
     cleared: set[str] = set()
     for start in g.vertices:

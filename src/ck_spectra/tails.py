@@ -60,6 +60,7 @@ def mt_report(g: Graph, members) -> MtReport:
     )
 
 
+@per_graph
 def _mt_faults(g: Graph, mask: int) -> tuple:
     """MT1-MT3 on a vertex mask, each as its first failure in indices or None: (v, w)
     with v outside reaching w inside; a regular member with no successor inside;
@@ -67,7 +68,7 @@ def _mt_faults(g: Graph, mask: int) -> tuple:
     coreach, succ = g.coreach, g.succ_mask
     escapes = ((next(_bits(coreach[w] & ~mask)), w) for w in _bits(mask) if coreach[w] & ~mask)
     trapped = (i for i in _bits(mask & g.class_masks[2]) if not succ[i] & mask)
-    return next(escapes, None), next(trapped, None), _undirected_pair(g, mask, mask)
+    return next(escapes, None), next(trapped, None), _undirected_pair(g, mask)
 
 
 def maximal_tails(g: Graph) -> list[frozenset]:
@@ -100,10 +101,6 @@ class BoundaryPath(NamedTuple):
     base: str
     prefix: tuple[Bundle, ...] = ()
     cycle: tuple[Bundle, ...] = ()
-
-    @property
-    def kind(self) -> str:
-        return "eventually-periodic" if self.cycle else "finite"
 
     @property
     def end(self) -> str:

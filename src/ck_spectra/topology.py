@@ -232,10 +232,6 @@ class SpecSpace:
         self.side = side
         self.name = name
 
-    def closure(self, xs: Iterable[SpecPoint]) -> frozenset:
-        index = {p: i for i, p in enumerate(self.points)}
-        return _pick(self.points, self.mask_closure(_mask_of(index, xs)))
-
     def __repr__(self) -> str:
         return f"SpecSpace({self.name}/{self.side}, {len(self.points)} points)"
 

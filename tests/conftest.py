@@ -1,3 +1,4 @@
+import random
 from typing import NamedTuple
 
 import pytest
@@ -107,3 +108,18 @@ def ea2_omega():
 @pytest.fixture(scope="session")
 def ea3_omega():
     return ea_graph(["a", "b", "c"], OMEGA)
+
+
+@pytest.fixture(scope="session")
+def chain200():
+    """200 strongly connected blocks, each a 2-cycle with one doubled edge, and
+    each joined to the next at random: ``chain_text(200, 2, 1)`` of
+    ``perfbench/make_corpus.py``.  It has 200 points and 201 pairs."""
+    rng = random.Random(1)
+    blocks = [[f"s{b}_{i}" for i in range(2)] for b in range(200)]
+    bundles = []
+    for b, (u, v) in enumerate(blocks):
+        bundles += [Bundle(u, v, 2), Bundle(v, u)]
+        if b + 1 < len(blocks):
+            bundles.append(Bundle(rng.choice((u, v)), rng.choice(blocks[b + 1])))
+    return Graph([v for block in blocks for v in block], bundles)

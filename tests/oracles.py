@@ -185,18 +185,13 @@ def oracle_csp_witness(g: Graph, members) -> frozenset:
     return frozenset(witness)
 
 
-def oracle_downward_directed(g: Graph, members, witness_in_set: bool = True):
-    """The first pair in declaration order with no common lower bound, or None.
-
-    The bound is looked for among the members, or among all vertices when
-    ``witness_in_set`` is False.
-    """
+def oracle_downward_directed(g: Graph, members):
+    """The first pair in declaration order with no common lower bound among the members, or None."""
     m = reach_matrix(g)
     keep = set(members)
     order = [v for v in g.vertices if v in keep]
-    bounds = order if witness_in_set else g.vertices
     for u, w in combinations(order, 2):
-        if not any(m[g.index[u], g.index[c]] and m[g.index[w], g.index[c]] for c in bounds):
+        if not any(m[g.index[u], g.index[c]] and m[g.index[w], g.index[c]] for c in order):
             return (u, w)
     return None
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,10 +49,18 @@ def test_omega_is_absorbing_and_maximal():
     assert not OMEGA < OMEGA
 
 
-@pytest.mark.parametrize("bad", [0, -1, 1.5, True, "inf"])
+@pytest.mark.parametrize("bad", [0, -1, 1.5, 2.0, float("nan"), -OMEGA, True, "inf"])
 def test_multiplicity_validation(bad):
     with pytest.raises(ValueError):
         check_mult(bad)
+    with pytest.raises(ValueError):
+        Graph(["a"], [Bundle("a", "a", bad)])
+
+
+def test_omega_is_the_float_infinity():
+    assert OMEGA == math.inf and check_mult(float("inf")) == OMEGA
+    g = Graph(["a", "b"], [Bundle("a", "b", float("inf")), Bundle("a", "b", 2)])
+    assert g.bundles == (Bundle("a", "b", OMEGA),) and g.class_masks[1] == 0b01
 
 
 # -- graph construction --------------------------------------------------------
@@ -196,13 +206,6 @@ def test_downward_directed_singleton(g7):
     assert is_downward_directed(g7, ["z"])
 
 
-def test_downward_directed_witness_location_matters():
-    # a and b both feed c; only the loose reading accepts {a, b}
-    g = Graph(["a", "b", "c"], [Bundle("a", "c", OMEGA), Bundle("b", "c", OMEGA)])
-    assert not is_downward_directed(g, ["a", "b"])
-    assert is_downward_directed(g, ["a", "b"], witness_in_set=False)
-
-
 # -- countable separation -----------------------------------------------------------
 
 
@@ -231,10 +234,9 @@ def test_mt3_and_mt4_witnesses_match_oracles(seed, n, repaired, density, picks):
     for pick in picks:
         members = sorted(g.names(pick & g.full_mask), reverse=True)
         assert g.names(has_csp(g, g.mask(members)).witness) == oracle_csp_witness(g, members)
-        for inside in (True, False):
-            verdict = is_downward_directed(g, members, witness_in_set=inside)
-            failing = oracle_downward_directed(g, members, inside)
-            assert (verdict.holds, verdict.witness) == (failing is None, failing)
+        verdict = is_downward_directed(g, members)
+        failing = oracle_downward_directed(g, members)
+        assert (verdict.holds, verdict.witness) == (failing is None, failing)
 
 
 # -- simple cycles -------------------------------------------------------------------

@@ -677,3 +677,16 @@ def test_routes_agree_past_the_enumeration_limit(name):
         assert _quotient_verdict(g, *pair) == (verdict, True), pair
         kinds.add(verdict.kind)
     assert kinds == {IdealKind.PRIMITIVE_TAIL, IdealKind.NOT_PRIME}
+
+
+def test_routes_agree_on_a_200_block_chain(chain200):
+    # 200 points, so every pair but the full H is a primitive tail
+    pairs = ideals.admissible_pairs(chain200)
+    assert len(pairs) == 201
+    for pair in pairs:
+        verdict = _direct_verdict(chain200, *pair)
+        assert _quotient_verdict(chain200, *pair) == (verdict, True), pair
+    assert Counter(_direct_verdict(chain200, *pair).kind for pair in pairs) == {
+        IdealKind.PRIMITIVE_TAIL: 200,
+        IdealKind.NOT_PRIME: 1,
+    }

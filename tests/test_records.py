@@ -18,7 +18,7 @@ RECORDS = [
     (
         Bundle("u", "v", OMEGA),
         ("u", "v", OMEGA, None),
-        "Bundle(src='u', dst='v', mult=OMEGA, label=None)",
+        "Bundle(src='u', dst='v', mult=inf, label=None)",
     ),
     (
         Bundle("x", "u", 2, "g"),

@@ -136,7 +136,7 @@ def test_tail_of_length_zero_path_at_emitter(g7, fixture):
 def test_tail_of_periodic_path_at_z(g7, fixture):
     e_loop = bundle_of(g7, "z", "z", "e")
     path = BoundaryPath("z", (), (e_loop,))
-    assert path.kind == "eventually-periodic"
+    assert path.cycle
     assert tail_of_boundary(g7, path) == fixture.expected.full_tail
 
 
@@ -168,7 +168,7 @@ def test_vertex_trace():
 
 def test_realize_singleton_tail_is_length_zero(g7):
     path = realize_as_tail(g7, ["w"])
-    assert path.kind == "finite" and path.base == "w" and not path.prefix
+    assert not path.cycle and path.base == "w" and not path.prefix
 
 
 def test_realize_t2_round_trips(g7):
@@ -179,7 +179,7 @@ def test_realize_t2_round_trips(g7):
 def test_realize_subset_graph_singleton():
     g = ea_graph(["a"], OMEGA)
     path = realize_as_tail(g, ["v_a"])
-    assert path.base == "v_a" and path.kind == "finite"
+    assert path.base == "v_a" and not path.cycle
 
 
 def test_realize_rejects_non_tails(g7):

@@ -401,7 +401,7 @@ def test_specialization_matches_singleton_closures(g7):
     space = spec_space(g7)
     sep = separation_report(space)
     for p, q in sep.specialization:
-        assert q in space.closure([p])
+        assert q in graph_closure(g7, [p])
 
 
 # -- density -----------------------------------------------------------------------------
@@ -487,6 +487,18 @@ def test_memoised_kernels_answer_each_query_in_any_order(seed, rng):
     for side, mask in queries:
         x = topology._pick(pts, mask)
         assert topology._pick(pts, kernels[side](mask)) == oracles[side](x), (side, sorted(map(str, x)))
+
+
+def test_kernels_agree_on_a_200_block_chain(chain200):
+    # point i is the tail of the first i + 1 blocks, so its closure is the
+    # points of the tails inside it: points 0 to i
+    n = len(spec_points(chain200))
+    assert n == 200
+    graph_side, ideal_side = topology._graph_kernel(chain200), topology._ideal_kernel(chain200)
+    assert graph_side(0) == ideal_side(0) == 0
+    for i in range(n):
+        assert graph_side(1 << i) == ideal_side(1 << i) == (1 << i + 1) - 1, i
+    assert graph_side((1 << n) - 1) == ideal_side((1 << n) - 1) == (1 << n) - 1
 
 
 def test_lattice_rich_corpus_is_present():
