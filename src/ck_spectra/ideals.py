@@ -31,7 +31,7 @@ outside is validated once.  Names appear only at the boundary:
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ConditionKRequired, NotSaturatedHereditary
 from .graph_core import (
@@ -180,23 +180,60 @@ def meet(g: Graph, pairs: Iterable[AdmissiblePair]) -> AdmissiblePair:
     breaking material cut back down to B_H.  The empty family yields the
     whole-algebra pair (all vertices, no breaking vertices).
     """
-    checked = [_check_admissible(g, p) for p in pairs]
-    return _named(g, _meet_masks(g, *_meet_fold(g, checked, (1 << len(checked)) - 1)))
+    entries = [_meet_entry(g, *_check_admissible(g, p)) for p in pairs]
+    return _named(g, _meet_masks(g, _unions(entries)([(1 << len(entries)) - 1])[0]))
 
 
-def _meet_fold(g: Graph, pairs: Sequence[tuple[int, int]], xmask: int) -> tuple[int, int]:
-    """The fold of :func:`meet` over the validated pairs at the bits of ``xmask``:
-    the intersections of their H and of their H | S parts."""
-    hmask = keep = g.full_mask
-    while xmask:
-        ph, ps = pairs[(xmask & -xmask).bit_length() - 1]
-        hmask, keep, xmask = hmask & ph, keep & (ph | ps), xmask & xmask - 1
-    return hmask, keep
+def _meet_entry(g: Graph, hmask: int, smask: int) -> int:
+    """A validated pair as one int for the fold of :func:`meet`: the complements of
+    H and of H | S side by side, so that a union of entries holds the complements
+    of the intersections the meet needs."""
+    return g.full_mask & ~hmask | (g.full_mask & ~(hmask | smask)) << g.n
 
 
-def _meet_masks(g: Graph, hmask: int, keep: int) -> tuple[int, int]:
-    """:func:`meet` from its fold, as ``(hmask, smask)``: the kept material cut down to B_H."""
-    return hmask, keep & _breaking_masked(g, hmask)
+def _meet_masks(g: Graph, fold: int) -> tuple[int, int]:
+    """:func:`meet` as ``(hmask, smask)`` from the union of its pairs' entries: H is
+    the complement of its low half, and S that of its high half cut down to B_H."""
+    hmask = g.full_mask & ~fold
+    return hmask, g.full_mask & ~(fold >> g.n) & _breaking_masked(g, hmask)
+
+
+def _unions(table: Sequence[int]) -> Callable[[Sequence[int]], list[int]]:
+    """A function that maps index masks, in bulk, to the union of ``table[i]`` over
+    the bits i of each mask.
+
+    The unions of the masks below 2^k sit in a list indexed by mask.  A range of
+    masks grows it by doubling: each new mask takes its parent's union (the mask
+    less its highest bit) with one more entry, so an exhaustive pool is folded in
+    one step per subset.  A mask beyond the list joins the unions of its 8-bit
+    blocks, each table of 256 built the same way.
+    """
+
+    def doubled(unions: list[int], entries: Sequence[int]) -> list[int]:
+        for e in entries:
+            unions += [u | e for u in unions]
+        return unions
+
+    power = [0]
+    blocks = [doubled([0], table[j : j + 8]) for j in range(0, len(table), 8)]
+
+    def union(m: int) -> int:
+        key = 0
+        while m:
+            j = (m & -m).bit_length() - 1 >> 3
+            key, m = key | blocks[j][m >> 8 * j & 255], m & ~(255 << 8 * j)
+        return key
+
+    def unions(masks: Sequence[int]) -> list[int]:
+        if isinstance(masks, range) and masks.step == 1 and masks.stop <= 1 << len(table):
+            doubled(power, table[len(power).bit_length() - 1 : (masks.stop - 1).bit_length()])
+            return power[masks.start : masks.stop]
+        size = len(power)
+        if max(masks, default=0) < size:
+            return list(map(power.__getitem__, masks))
+        return [power[m] if m < size else union(m) for m in masks]
+
+    return unions
 
 
 def ideal_leq(p: tuple[int, int], q: tuple[int, int]) -> bool:

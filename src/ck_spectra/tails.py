@@ -29,7 +29,6 @@ from .graph_core import (
     _undirected_pair,
     has_csp,
     per_graph,
-    upward_set,
 )
 
 
@@ -145,8 +144,16 @@ def validate_boundary_path(g: Graph, path: BoundaryPath) -> None:
 
 def tail_of_boundary(g: Graph, path: BoundaryPath) -> frozenset:
     """T_alpha: everything that can reach the path's vertex trace."""
+    return g.names(_tail_mask(g, path))
+
+
+def _tail_mask(g: Graph, path: BoundaryPath) -> int:
+    """:func:`tail_of_boundary` as a mask."""
     validate_boundary_path(g, path)
-    return upward_set(g, path.vertex_trace)
+    out = 0
+    for v in path.vertex_trace:
+        out |= g.coreach[g.index[v]]
+    return out
 
 
 def _shortest_route(g: Graph, src: str, dst: str) -> tuple[Bundle, ...]:
@@ -178,7 +185,11 @@ def realize_as_tail(g: Graph, members) -> BoundaryPath:
     countable separating subset into a descending chain inside the set, then
     extend through MT2 until the walk hits a singular vertex or repeats.
     """
-    mask = g.mask(members)
+    return _realize_mask(g, g.mask(members))
+
+
+def _realize_mask(g: Graph, mask: int) -> BoundaryPath:
+    """:func:`realize_as_tail` on a vertex mask."""
     if mask == 0 or _mt_faults(g, mask) != (None, None, None):  # MT4 always holds
         raise NotAMaximalTail(f"{sorted(g.names(mask))} does not satisfy MT1-MT4 or is empty")
 

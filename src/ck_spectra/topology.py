@@ -27,27 +27,27 @@ runs it once per side on the spectrum.
 The spectrum is built once per graph as one table of point masks, ``(vertex
 mask, return-vertex bit or 0)`` in point order, straight from the cluster
 masks and the finite-return mask; the point objects, both closure kernels and
-the point-to-pair map are read from it.  Each kernel memoises its closure
-per subset, for the sweep and both Kuratowski passes of ``verify``, and its
-expensive part per distinct union or meet: the graph side's scan on V(X)
-with its essential mask, the ideal side's on the fold of the meet.  Both
-closures, the sweeps and the separation report run on point-index bitmasks
-(bit i stands for the i-th point of the spectrum).  On a finite space an
-additive closure is the down-set closure of its specialization preorder
-(Alexandrov 1937), so one int holds any closed set.  Point objects and
-vertex names appear only at the API and CLI boundary: the arguments and
-results of :func:`graph_closure` and :func:`ideal_closure`, which close
-within the spectrum, of :func:`h_map` and :meth:`SpecSpace.closure`, and the
-counterexamples in the reports.
+the point-to-pair map are read from it.  Each kernel closes a whole sequence
+of point-index bitmasks (bit i stands for the i-th point) in one call: an
+exhaustive pool's unions fill one list indexed by mask, each from its
+parent's, and each distinct union is scanned once (the graph side's V(X)
+with its essential mask, the ideal side's fold of the meet).  The sweep and
+both Kuratowski passes of ``verify`` read closure lists from these calls, on
+one pool of subsets drawn per graph.  On a finite space an additive closure
+is the down-set closure of its specialization preorder (Alexandrov 1937), so
+one int holds any closed set.  Point objects and vertex names appear only at
+the API and CLI boundary: the arguments and results of :func:`graph_closure`
+and :func:`ideal_closure`, which close within the spectrum, and of
+:func:`h_map`, and the counterexamples in the reports.
 """
 
 from __future__ import annotations
 
 import random
-from functools import cache
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import ConditionKRequired, VerificationFailure
+from .errors import ConditionKRequired, SizeLimitExceeded, VerificationFailure
 from .graph_core import (
     DEFAULT_ENUMERATION_LIMIT,
     Graph,
@@ -61,9 +61,10 @@ from .ideals import (
     _breaking_masked,
     _check_masks,
     _direct_verdict,
-    _meet_fold,
+    _meet_entry,
     _meet_masks,
     _named,
+    _unions,
     admissible_pairs,
     ideal_leq,
 )
@@ -128,10 +129,26 @@ def _pick(points: Sequence[SpecPoint], mask: int) -> frozenset:
     return frozenset(points[i] for i in _bits(mask))
 
 
+def _fold_kernel(table: Sequence[int], scan: Callable[[int], int]) -> Callable[[Sequence[int]], list[int]]:
+    """Map point-index masks in bulk to ``scan`` of their :func:`_unions` of
+    ``table``, scanning each distinct union once."""
+    unions, scanned = _unions(table), {}
+
+    def answers(masks: Sequence[int]) -> list[int]:
+        keys = unions(masks)
+        try:
+            return list(map(scanned.__getitem__, keys))
+        except KeyError:  # a union not scanned yet
+            scanned.update((key, scan(key)) for key in set(keys).difference(scanned))
+        return list(map(scanned.__getitem__, keys))
+
+    return answers
+
+
 @per_graph
-def _graph_kernel(g: Graph) -> Callable[[int], int]:
-    """Graph-side closure on point-index masks, from each point's vertex mask
-    W_p and essential mask and the breaking vertices out of V(X)'s complement.
+def _graph_kernel(g: Graph) -> Callable[[Sequence[int]], list[int]]:
+    """Graph-side closures of point-index masks, in bulk, from each point's vertex
+    mask W_p and essential mask and the breaking vertices out of V(X)'s complement.
 
     The essential vertices of a point are the members of W_p that do not
     break out of its complement; for a return point the return vertex itself
@@ -143,7 +160,6 @@ def _graph_kernel(g: Graph) -> Callable[[int], int]:
     # each point as one int: W_p in the low n bits, its essential mask above them
     table = [w | (w & ~_breaking_masked(g, full & ~w) | r) << n for w, r in _spec_masks(g)]
 
-    @cache
     def scan(key: int) -> int:
         """The closure of every X whose points' masks join to ``key``."""
         smask = _breaking_masked(g, full & ~key) & ~(key >> n)
@@ -153,19 +169,12 @@ def _graph_kernel(g: Graph) -> Callable[[int], int]:
                 out |= 1 << i
         return out
 
-    @cache
-    def closure(xmask: int) -> int:
-        key = 0
-        while xmask:
-            key, xmask = key | table[(xmask & -xmask).bit_length() - 1], xmask & xmask - 1
-        return scan(key)
-
-    return closure
+    return _fold_kernel(table, scan)
 
 
 def graph_closure(g: Graph, points: Iterable[SpecPoint]) -> frozenset:
     """Closure of a set of spectrum points, computed from the graph alone."""
-    return _pick(spec_points(g), _graph_kernel(g)(_mask_of(_point_index(g), points)))
+    return _pick(spec_points(g), _graph_kernel(g)([_mask_of(_point_index(g), points)])[0])
 
 
 def h_map(g: Graph, p: SpecPoint) -> AdmissiblePair:
@@ -190,20 +199,18 @@ def _h_masks(g: Graph) -> list[tuple[int, int]]:
 
 
 @per_graph
-def _ideal_kernel(g: Graph) -> Callable[[int], int]:
-    """Ideal-side closure on point-index masks, from the :func:`h_map` pairs
-    and the meet formula; each pair and each meet is validated as admissible.
-    The closure depends on X only through the fold of the meet, so the cut to
-    B_H and the containment scan run once per distinct fold."""
+def _ideal_kernel(g: Graph) -> Callable[[Sequence[int]], list[int]]:
+    """Ideal-side closures of point-index masks, in bulk, from the :func:`h_map`
+    pairs and :func:`meet`'s fold; each pair and each meet is validated as
+    admissible.  The cut to B_H and the containment scan run once per fold."""
     pairs = [_check_masks(g, *pair) for pair in _h_masks(g)]
 
-    @cache
-    def above(hmask: int, keep: int) -> int:
+    def above(fold: int) -> int:
         """Mask of the points whose pair contains the meet with this fold."""
-        bottom = _check_masks(g, *_meet_masks(g, hmask, keep))
+        bottom = _check_masks(g, *_meet_masks(g, fold))
         return sum(1 << i for i, q in enumerate(pairs) if ideal_leq(bottom, q))
 
-    return cache(lambda xmask: above(*_meet_fold(g, pairs, xmask)))
+    return _fold_kernel([_meet_entry(g, *pair) for pair in pairs], above)
 
 
 def ideal_closure(g: Graph, points: Iterable[SpecPoint]) -> frozenset:
@@ -213,7 +220,7 @@ def ideal_closure(g: Graph, points: Iterable[SpecPoint]) -> frozenset:
     meets to the whole-algebra pair, so the empty set is closed), and keeps
     the points whose pair contains the meet.
     """
-    return _pick(spec_points(g), _ideal_kernel(g)(_mask_of(_point_index(g), points)))
+    return _pick(spec_points(g), _ideal_kernel(g)([_mask_of(_point_index(g), points)])[0])
 
 
 # -- spaces -------------------------------------------------------------------
@@ -222,15 +229,19 @@ def ideal_closure(g: Graph, points: Iterable[SpecPoint]) -> frozenset:
 class SpecSpace:
     """A finite point set together with a closure operator.
 
-    The operator runs on point-index masks: ``mask_closure`` maps the mask of
-    X (bit i for ``points[i]``) to the mask of its closure.
+    The operator runs on point-index masks, in bulk: ``closures`` maps a
+    sequence of masks of sets X (bit i for ``points[i]``) to the list of the
+    masks of their closures.  ``pool(exhaustive_limit, seed, samples)`` draws
+    the subsets and the union pairs that :func:`check_kuratowski` sweeps, as
+    :func:`_subset_pool` does.
     """
 
-    def __init__(self, points: Iterable[SpecPoint], mask_closure: Callable[[int], int], side: str, name: str):
+    def __init__(self, points: Iterable[SpecPoint], closures: Callable[[Sequence[int]], list], side: str, name: str):
         self.points = tuple(points)
-        self.mask_closure = mask_closure
+        self.closures = closures
         self.side = side
         self.name = name
+        self.pool = partial(_subset_pool, len(self.points))
 
     def __repr__(self) -> str:
         return f"SpecSpace({self.name}/{self.side}, {len(self.points)} points)"
@@ -250,7 +261,9 @@ def _space(g: Graph, side: str, name: str) -> SpecSpace:
     pts = spec_points(g)
     if side not in kernels:
         raise ValueError(f"side must be 'graph' or 'ideal', got {side!r}")
-    return SpecSpace(pts, kernels[side](g), side, name)
+    space = SpecSpace(pts, kernels[side](g), side, name)
+    space.pool = partial(_pool, g)  # one draw per graph for both sides and the sweep
+    return space
 
 
 # -- verification reports ------------------------------------------------------
@@ -286,20 +299,36 @@ class DensityReport(NamedTuple):
     prim_point_count: int
 
 
-def _subset_pool(n: int, exhaustive_limit: int, seed: int, samples: int):
-    """Subset masks to sweep: everything when small, else a seeded selection."""
+# Largest space whose 4^n pairs of subsets all get the literal union axiom.
+_UNION_PAIR_LIMIT = 6
+
+
+def _subset_pool(n: int, exhaustive_limit: int, seed: int, samples: int) -> tuple:
+    """Subset masks to sweep, ascending, and pairs of subsets for the union axiom,
+    as the left and the right masks: everything when small, else a seeded
+    selection.  The last item says whether the subsets are all of them."""
+    if 20 < n <= exhaustive_limit:  # each kernel would hold a union per subset
+        raise SizeLimitExceeded(f"an exhaustive sweep of {n} points is 2^{n} subsets, above 2^20")
+    if n <= _UNION_PAIR_LIMIT:
+        lefts, rights = [a for a in range(1 << n) for _ in range(1 << n)], list(range(1 << n)) * (1 << n)
+    else:
+        rng = random.Random(seed + 1)
+        pairs = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(samples)]
+        lefts, rights = [a for a, _ in pairs], [b for _, b in pairs]
     if n <= exhaustive_limit:
-        return list(range(1 << n)), True
+        return range(1 << n), lefts, rights, True
     rng = random.Random(seed)
     pool = {0, (1 << n) - 1}
     pool.update(1 << i for i in range(n))
     while len(pool) < min(samples, 1 << n):
         pool.add(rng.randrange(1 << n))
-    return sorted(pool), False
+    return sorted(pool), lefts, rights, False
 
 
-# Largest space whose 4^n pairs of subsets all get the literal union axiom.
-_UNION_PAIR_LIMIT = 6
+@per_graph
+def _pool(g: Graph, exhaustive_limit: int, seed: int, samples: int) -> tuple:
+    """:func:`_subset_pool` on the spectrum, drawn once per graph and arguments."""
+    return _subset_pool(len(_spec_masks(g)), exhaustive_limit, seed, samples)
 
 
 def verify_homeomorphism(
@@ -322,6 +351,7 @@ def verify_homeomorphism(
     """
     prim_spec_density_check(g)
     pts = tuple(spec_points(g))
+    masks, *_, exhaustive = _pool(g, exhaustive_limit, seed, samples)
 
     image = set(_h_masks(g))
     if len(image) != len(pts):
@@ -342,12 +372,10 @@ def verify_homeomorphism(
             (named(image), named(primitive_pairs)),
         )
 
-    masks, exhaustive = _subset_pool(len(pts), exhaustive_limit, seed, samples)
-    left, right = _graph_kernel(g), _ideal_kernel(g)
-    for m in masks:
-        if left(m) != right(m):
-            xs = _pick(pts, m)
-            raise VerificationFailure(f"closures disagree on {sorted(str(x) for x in xs)}", xs)
+    left, right = _graph_kernel(g)(masks), _ideal_kernel(g)(masks)
+    if left != right:
+        xs = _pick(pts, next(m for m, a, b in zip(masks, left, right) if a != b))
+        raise VerificationFailure(f"closures disagree on {sorted(str(x) for x in xs)}", xs)
 
     return HomeomorphismReport(
         points=len(pts),
@@ -373,46 +401,38 @@ def check_kuratowski(
     swept subset and through the literal pairwise union axiom on all pairs of
     subsets when the space is small enough (seeded samples otherwise).  The
     report keeps the first failure of each axiom, then the earliest others,
-    eight at most, in sweep order.  It keeps no memo of its own: the spaces
-    of :func:`spec_space` share theirs with :func:`verify_homeomorphism`.
+    eight at most, in sweep order.  Closures come from bulk calls on the pool,
+    its closures, the singletons and the union pairs; the spaces of
+    :func:`spec_space` share their kernels and pool with :func:`verify_homeomorphism`.
     """
     pts = space.points
     n = len(pts)
-    cl = space.mask_closure
+    cl = space.closures
 
-    unions = {0: 0}  # m -> the union of the closures of m's singletons
     failures = []
-    masks, exhaustive = _subset_pool(n, exhaustive_limit, seed, samples)
-    if cl(0):
+    masks, lefts, rights, exhaustive = space.pool(exhaustive_limit, seed, samples)
+    closed, empty = cl(masks), cl([0])[0]
+    again = cl(closed)
+    singles = cl([1 << i for i in range(n)])
+    spread = _unions(singles)(masks)  # the unions of singleton closures
+    if empty:
         failures.append(("empty", frozenset(), None))
-    for m in masks:
-        c = cl(m)
-        if m & ~c:
-            failures.append(("extensive", _pick(pts, m), None))
-        if cl(c) != c:
-            failures.append(("idempotent", _pick(pts, m), None))
-        parent = m & m - 1
-        if parent not in unions:  # down through k & (k - 1) to a known union, then back up
-            chain = [parent]
-            while chain[-1] not in unions:
-                chain.append(chain[-1] & chain[-1] - 1)
-            for k in reversed(chain[:-1]):
-                unions[k] = unions[k & k - 1] | cl(k & -k)
-        if m:  # a nonempty cl(0) is the "empty" failure
-            unions[m] = unions[parent] | cl(m & -m)
-            if c != unions[m]:
+    # all pass when the closure is additive, idempotent and keeps each singleton
+    if spread != closed or again != closed or any(not c >> i & 1 for i, c in enumerate(singles)):
+        for m, c, cc, u in zip(masks, closed, again, spread):
+            if m & ~c:
+                failures.append(("extensive", _pick(pts, m), None))
+            if cc != c:
+                failures.append(("idempotent", _pick(pts, m), None))
+            if m and c != u:  # a nonempty cl(0) is the "empty" failure
                 failures.append(("additive", _pick(pts, m), None))
 
-    if n <= _UNION_PAIR_LIMIT:
-        pair_masks = [(a, b) for a in range(1 << n) for b in range(1 << n)]
-    else:
-        rng = random.Random(seed + 1)
-        pair_masks = [
-            (rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(samples)
-        ]
-    for a, b in pair_masks:
-        if cl(a | b) != cl(a) | cl(b):
-            failures.append(("union", _pick(pts, a), _pick(pts, b)))
+    joined = cl(list(map(int.__or__, lefts, rights)))
+    apart = list(map(int.__or__, cl(lefts), cl(rights)))
+    if joined != apart:
+        for a, b, c, u in zip(lefts, rights, joined, apart):
+            if c != u:
+                failures.append(("union", _pick(pts, a), _pick(pts, b)))
 
     firsts = {kind: i for i, (kind, *_) in reversed(list(enumerate(failures)))}.values()
     fill = [i for i in range(len(failures)) if i not in firsts][: 8 - len(firsts)]
@@ -420,7 +440,7 @@ def check_kuratowski(
         ok=not failures,
         failures=tuple(failures[i] for i in sorted({*firsts, *fill})),
         subsets_checked=len(masks),
-        union_pairs_checked=len(pair_masks),
+        union_pairs_checked=len(lefts),
         exhaustive=exhaustive,
     )
 
@@ -435,7 +455,7 @@ def separation_report(space: SpecSpace) -> SeparationReport:
     the space is Hausdorff iff no singleton closure holds two points.
     """
     pts = space.points
-    cl = [space.mask_closure(1 << i) for i in range(len(pts))]
+    cl = space.closures([1 << i for i in range(len(pts))])
     specialization = tuple((p, pts[j]) for p, c in zip(pts, cl) for j in _bits(c))
     t0 = not any(j != i and cl[j] >> i & 1 for i, c in enumerate(cl) for j in _bits(c))
     non_closed = tuple(p for i, (p, c) in enumerate(zip(pts, cl)) if c != 1 << i)

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -450,7 +451,7 @@ def test_verify_catches_a_quotient_without_sink_copies(fixture_path, capsys, mon
 
 def test_verify_reports_a_kuratowski_failure(fixture_path, capsys, monkeypatch):
     def empty_closure(g, side="graph"):
-        return topology.SpecSpace(topology.spec_points(g), lambda m: 0, side, "spec")
+        return topology.SpecSpace(topology.spec_points(g), lambda masks: [0] * len(masks), side, "spec")
 
     monkeypatch.setattr(cli, "spec_space", empty_closure)
     code, out, err = run(capsys, "verify", fixture_path)
@@ -462,7 +463,7 @@ def test_verify_reports_a_kuratowski_failure(fixture_path, capsys, monkeypatch):
 
 
 def test_verify_reports_a_realization_that_does_not_round_trip(fixture_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "tail_of_boundary", lambda g, path: frozenset())
+    monkeypatch.setattr(cli, "_tail_mask", lambda g, path: 0)
     code, _, err = run(capsys, "verify", fixture_path)
     assert (code, err) == (1, "verification counterexample: realization does not round-trip\n")
 
@@ -529,28 +530,63 @@ def test_verify_checks_condition_L_once_per_graph(fixture_path, capsys):
     assert sorted(built) == sorted(ideals.saturated_hereditary_sets(parse_graph(Path(fixture_path).read_text())))
 
 
-def test_verify_folds_each_swept_subset_once_per_side(capsys):
+def test_verify_folds_each_swept_subset_once_per_side(capsys, monkeypatch):
     # the homeomorphism sweep and both Kuratowski passes read one closure
-    # memo per kernel, so each subset is folded into its key once per side
+    # table per kernel: each of the 4,096 subsets is folded once per side, from
+    # its parent's union, and each distinct union is scanned once
     path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "lattice-rich" / "dag8-s1.gcg"
     g = parse_graph(path.read_text())
     assert len(topology.spec_points(g)) == 12
-    folds = {inspect.unwrap(topology._graph_kernel(g)).__code__: "graph", ideals._meet_fold.__code__: "ideal"}
-    seen = {"graph": Counter(), "ideal": Counter()}
+    kernels = {side: inspect.getclosurevars(getattr(topology, f"_{side}_kernel")(g)).nonlocals for side in ("graph", "ideal")}
+    scans = {k["scan"].__code__: side for side, k in kernels.items()}
+    folds = {side: inspect.getclosurevars(k["unions"]).nonlocals for side, k in kernels.items()}
+    from_bits = folds["graph"]["union"].__code__
+    seen = {"graph": Counter(), "ideal": Counter(), "from bits": Counter()}
 
     def record(frame, event, arg):
-        if event == "call" and frame.f_code in folds:
-            seen[folds[frame.f_code]][frame.f_locals["xmask"]] += 1
+        if event == "call" and frame.f_code in scans:
+            seen[scans[frame.f_code]][frame.f_locals.get("key", frame.f_locals.get("fold"))] += 1
+        elif event == "call" and frame.f_code is from_bits:
+            seen["from bits"][frame.f_locals["m"]] += 1
 
+    monkeypatch.setattr(cli, "_load", lambda p: g)
     sys.setprofile(record)
     try:
         code, out, _ = run(capsys, "verify", str(path))
     finally:
         sys.setprofile(None)
     assert code == 0 and "kuratowski spec/ideal: ok (subsets=4096, union pairs=256)" in out
-    for side, counts in seen.items():
-        assert set(counts) == set(range(1 << 12)), side
-        assert set(counts.values()) == {1}, side
+    for side, k in folds.items():
+        power, table = k["power"], k["table"]
+        assert len(power) == 4096, side  # a list indexed by mask, so one union per subset
+        assert all(power[m] == power[m & m - 1] | table[(m & -m).bit_length() - 1] for m in range(1, 4096)), side
+        assert len(seen[side]) == 114 and set(seen[side].values()) == {1}, side
+    # only the density check's closure of every point, asked before the sweep
+    assert seen["from bits"] == {4095: 1}
+
+
+def test_verify_refuses_an_exhaustive_sweep_above_2_to_the_20_subsets(tmp_path, capsys):
+    # 60 points: a chain of 60 two-vertex blocks, perfbench/make_corpus.py's chain_text(60, 2, 1)
+    rng = random.Random(1)
+    blocks = [(f"s{b}_0", f"s{b}_1") for b in range(60)]
+    lines = ["vertex " + ", ".join(v for block in blocks for v in block) + ";"]
+    for b, (u, v) in enumerate(blocks):
+        lines += [f"edge {u} -> {v} * 2;", f"edge {v} -> {u};"]
+        if b + 1 < len(blocks):
+            lines.append(f"edge {rng.choice((u, v))} -> {rng.choice(blocks[b + 1])};")
+    path = tmp_path / "chain60.gcg"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "verify", "--limit", "5000", "--exhaustive-limit", "100", str(path))
+    assert (code, out) == (4, "")
+    assert err == "size limit: an exhaustive sweep of 60 points is 2^60 subsets, above 2^20\n"
+
+
+def test_verify_sweeps_every_subset_of_17_points(capsys):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "lattice-rich" / "dag12-s2.gcg"
+    code, out, _ = run(capsys, "verify", "--exhaustive-limit", "30", str(path))
+    assert code == 0
+    assert "(points=17, prime pairs=17, spec subsets=131072, prim subsets=131072)" in out
+    assert "kuratowski prim/ideal: ok (subsets=131072, union pairs=256)" in out
 
 
 def test_spec_honours_a_limit_above_the_default(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import weakref
 from collections import Counter
 from functools import cache
@@ -47,6 +48,11 @@ f = frozenset
 
 def cluster(chars) -> ClusterPoint:
     return ClusterPoint(f(chars))
+
+
+def bulk(mask_closure):
+    """A space's bulk closure operator from a closure of one mask."""
+    return lambda masks: [mask_closure(m) for m in masks]
 
 
 def naive_graph_closure(g, points, ambient) -> frozenset:
@@ -282,7 +288,7 @@ def test_kuratowski_flags_a_broken_operator(g7):
     from ck_spectra import SpecSpace
 
     pts = tuple(spec_points(g7))
-    broken = SpecSpace(pts, lambda m: 0, "graph", "spec")  # drops everything
+    broken = SpecSpace(pts, bulk(lambda m: 0), "graph", "spec")  # drops everything
     rep = check_kuratowski(broken)
     assert not rep.ok
     assert any(kind == "extensive" for kind, _, _ in rep.failures)
@@ -292,7 +298,7 @@ def test_kuratowski_sweeps_many_points_without_recursion():
     from ck_spectra import SpecSpace
 
     pts = tuple(FRPoint(f"v{i}") for i in range(1500))
-    rep = check_kuratowski(SpecSpace(pts, lambda m: m, "graph", "discrete"))
+    rep = check_kuratowski(SpecSpace(pts, bulk(lambda m: m), "graph", "discrete"))
     assert rep.ok and not rep.exhaustive
     assert rep.subsets_checked == 1502  # the empty set, everything and each singleton
 
@@ -303,40 +309,52 @@ def test_kuratowski_flags_a_non_additive_operator_when_sampling():
     pts = tuple(FRPoint(f"v{i}") for i in range(14))
     everything = (1 << 14) - 1
     # singletons are closed, anything larger closes to everything
-    spread = SpecSpace(pts, lambda m: m if m & (m - 1) == 0 else everything, "graph", "spread")
+    spread = SpecSpace(pts, bulk(lambda m: m if m & (m - 1) == 0 else everything), "graph", "spread")
     rep = check_kuratowski(spread)
     assert not rep.ok and not rep.exhaustive
     assert {kind for kind, _, _ in rep.failures} == {"additive"}
 
 
-@pytest.mark.parametrize(
-    "n, mask_closure, kinds",
-    [
-        # a nonempty closure of the empty set is reported once, as "empty"
-        (2, lambda m: m | 1, {"empty"}),
-        (3, lambda m: m | (m << 1) & 0b111, {"idempotent"}),
-        # singletons are closed, anything larger closes to everything
-        (3, lambda m: m if m & (m - 1) == 0 else 0b111, {"additive", "union"}),
-        # on 4 points the 10 additive failures alone would fill the report
-        (4, lambda m: m if m & (m - 1) == 0 else 0b1111, {"additive", "union"}),
-    ],
-    ids=["empty", "idempotent", "union", "union-4"],
-)
+FAILING_AXIOMS = [
+    # a nonempty closure of the empty set is reported once, as "empty"
+    (2, lambda m: m | 1, {"empty"}),
+    (3, lambda m: m | (m << 1) & 0b111, {"idempotent"}),
+    # singletons are closed, anything larger closes to everything
+    (3, lambda m: m if m & (m - 1) == 0 else 0b111, {"additive", "union"}),
+    # on 4 points the 10 additive failures alone would fill the report
+    (4, lambda m: m if m & (m - 1) == 0 else 0b1111, {"additive", "union"}),
+    # drops everything
+    (5, lambda m: 0, {"extensive"}),
+]
+
+
+@pytest.mark.parametrize("n, mask_closure, kinds", FAILING_AXIOMS[:4], ids=["empty", "idempotent", "union", "union-4"])
 def test_kuratowski_names_each_failing_axiom(n, mask_closure, kinds):
     from ck_spectra import SpecSpace
 
     pts = tuple(FRPoint(f"v{i}") for i in range(n))
-    rep = check_kuratowski(SpecSpace(pts, mask_closure, "graph", "synthetic"))
+    rep = check_kuratowski(SpecSpace(pts, bulk(mask_closure), "graph", "synthetic"))
     assert not rep.ok and rep.exhaustive
     assert {kind for kind, _, _ in rep.failures} == kinds
     assert len(rep.failures) <= 8
+
+
+@pytest.mark.parametrize("n, mask_closure, kinds", FAILING_AXIOMS, ids=["empty", "idempotent", "union", "union-4", "drop-all"])
+def test_kuratowski_names_the_same_failures_on_a_sampled_pool(n, mask_closure, kinds):
+    from ck_spectra import SpecSpace
+
+    pts = tuple(FRPoint(f"v{i}") for i in range(n))
+    space = SpecSpace(pts, bulk(mask_closure), "graph", "synthetic")
+    exhaustive, sampled = check_kuratowski(space), check_kuratowski(space, 1, samples=3 + n)
+    assert exhaustive.exhaustive and not sampled.exhaustive and not sampled.ok
+    assert {kind for kind, _, _ in exhaustive.failures} == {kind for kind, _, _ in sampled.failures} == kinds
 
 
 def test_kuratowski_report_keeps_the_first_failure_first():
     from ck_spectra import SpecSpace
 
     pts = tuple(FRPoint(f"v{i}") for i in range(4))
-    spread = SpecSpace(pts, lambda m: m if m & (m - 1) == 0 else 0b1111, "graph", "spread")
+    spread = SpecSpace(pts, bulk(lambda m: m if m & (m - 1) == 0 else 0b1111), "graph", "spread")
     rep = check_kuratowski(spread)
     # verify reports failures[0]: the sweep's first failure, at {v0, v1}
     assert rep.failures[0] == ("additive", f(pts[:2]), None)
@@ -349,17 +367,17 @@ def test_kuratowski_reports_the_same_failures_without_a_memo(g7, side):
     # recomputes every answer gets the report of its memoised copy
     from ck_spectra import SpecSpace
 
-    pts, kernel = tuple(spec_points(g7)), spec_space(g7, side).mask_closure
+    pts, kernel = tuple(spec_points(g7)), spec_space(g7, side).closures
     asked = Counter()
 
     def planted(m):
         asked[m] += 1
-        c = kernel(m)
+        (c,) = kernel([m])
         return c & c - 1 if m.bit_count() == 2 else c  # a pair's closure loses its lowest point
 
-    bare = check_kuratowski(SpecSpace(pts, planted, side, "spec"))
+    bare = check_kuratowski(SpecSpace(pts, bulk(planted), side, "spec"))
     assert max(asked.values()) > 1  # some subsets were asked for again
-    memoised = check_kuratowski(SpecSpace(pts, cache(planted), side, "spec"))
+    memoised = check_kuratowski(SpecSpace(pts, bulk(cache(planted)), side, "spec"))
     assert bare == memoised and not bare.ok
     assert {kind for kind, _, _ in bare.failures} == {"extensive", "idempotent", "additive", "union"}
 
@@ -370,7 +388,7 @@ def test_naive_closure_fails_kuratowski_here(g7):
     pts = tuple(spec_points(g7))
     index = {p: i for i, p in enumerate(pts)}
     naive = lambda m: topology._mask_of(index, naive_graph_closure(g7, topology._pick(pts, m), ambient=pts))
-    space = SpecSpace(pts, naive, "graph", "spec")
+    space = SpecSpace(pts, bulk(naive), "graph", "spec")
     assert not check_kuratowski(space).ok
 
 
@@ -459,11 +477,12 @@ def test_mask_kernels_and_separation_match_oracles(name):
     g = KERNEL_GRAPHS[name]()
     pts = tuple(spec_points(g))
     graph_side, ideal_side = topology._graph_kernel(g), topology._ideal_kernel(g)
-    for mask in topology._subset_pool(len(pts), 12, 0, 256)[0]:
+    masks = topology._subset_pool(len(pts), 12, 0, 256)[0]
+    for mask, left, right in zip(masks, graph_side(masks), ideal_side(masks)):
         x = f(p for i, p in enumerate(pts) if mask >> i & 1)
         want = oracle_graph_closure(g, x, pts)
-        assert topology._pick(pts, graph_side(mask)) == want, (name, x)
-        assert topology._pick(pts, ideal_side(mask)) == oracle_ideal_closure(g, pts, x) == want
+        assert topology._pick(pts, left) == want, (name, x)
+        assert topology._pick(pts, right) == oracle_ideal_closure(g, pts, x) == want
     sep = separation_report(topology.SpecSpace(pts, graph_side, "graph", "spec"))
     want = oracle_separation(pts, lambda x: oracle_graph_closure(g, x, pts))
     assert (sep.t0, sep.t1, sep.hausdorff, sep.specialization) == want
@@ -472,9 +491,10 @@ def test_mask_kernels_and_separation_match_oracles(name):
 @given(seed=seeds, rng=st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_memoised_kernels_answer_each_query_in_any_order(seed, rng):
-    # the graph kernel's memo keys on V(X) with its essential mask and the ideal
-    # kernel's on the fold of the meet: every subset queried twice on each
-    # side, in random order, must get the closure of its own subset
+    # each kernel keeps the union of every folded mask and the scan of every
+    # distinct union: bulk queries of shuffled and repeated masks, mixed with
+    # single-mask calls and with power sets given as a range, must each get
+    # the closure of their own subset, whatever was folded before
     g = random_condition_k_graph(seed, 1 + seed % 9)
     pts = tuple(spec_points(g))
     kernels = {"graph": topology._graph_kernel(g), "ideal": topology._ideal_kernel(g)}
@@ -482,11 +502,20 @@ def test_memoised_kernels_answer_each_query_in_any_order(seed, rng):
         "graph": lambda x: oracle_graph_closure(g, x, pts),
         "ideal": lambda x: oracle_ideal_closure(g, pts, x),
     }
-    queries = [(side, m) for side in kernels for m in topology._subset_pool(len(pts), 7, seed, 64)[0]] * 2
-    rng.shuffle(queries)
-    for side, mask in queries:
-        x = topology._pick(pts, mask)
-        assert topology._pick(pts, kernels[side](mask)) == oracles[side](x), (side, sorted(map(str, x)))
+    masks = list(topology._subset_pool(len(pts), 7, seed, 64)[0])
+    for side, kernel in kernels.items():
+        queries = masks * 2
+        rng.shuffle(queries)
+        batches = []
+        while queries:
+            cut = rng.randint(1, 8)
+            batches += [queries[:cut], [queries[0]], range(1 << rng.randint(0, len(pts)))]
+            queries = queries[cut:]
+        rng.shuffle(batches)
+        for batch in batches:
+            for mask, c in zip(batch, kernel(batch)):
+                x = topology._pick(pts, mask)
+                assert topology._pick(pts, c) == oracles[side](x), (side, sorted(map(str, x)))
 
 
 def test_kernels_agree_on_a_200_block_chain(chain200):
@@ -495,10 +524,9 @@ def test_kernels_agree_on_a_200_block_chain(chain200):
     n = len(spec_points(chain200))
     assert n == 200
     graph_side, ideal_side = topology._graph_kernel(chain200), topology._ideal_kernel(chain200)
-    assert graph_side(0) == ideal_side(0) == 0
-    for i in range(n):
-        assert graph_side(1 << i) == ideal_side(1 << i) == (1 << i + 1) - 1, i
-    assert graph_side((1 << n) - 1) == ideal_side((1 << n) - 1) == (1 << n) - 1
+    masks = [0, *(1 << i for i in range(n)), (1 << n) - 1]
+    want = [0, *((1 << i + 1) - 1 for i in range(n)), (1 << n) - 1]
+    assert graph_side(masks) == ideal_side(masks) == want
 
 
 def test_lattice_rich_corpus_is_present():
@@ -508,12 +536,27 @@ def test_lattice_rich_corpus_is_present():
 def test_planted_ideal_kernel_fault_fails_verify(tmp_path, capsys, monkeypatch):
     kernel = topology._ideal_kernel
     monkeypatch.setattr(
-        topology, "_ideal_kernel", lambda g: lambda m: kernel(g)(m) & ~1
+        topology, "_ideal_kernel", lambda g: lambda masks: [c & ~1 for c in kernel(g)(masks)]
     )
     path = tmp_path / "fixture.gcg"
     path.write_text(emit_gcg(running_example()))
     assert cli.main(["verify", str(path)]) == 1
     assert "closures disagree" in capsys.readouterr().err
+
+
+def test_planted_parent_fold_fails_verify(capsys, monkeypatch):
+    # the graph side's union of {p1}, the parent of every subset of p1 and
+    # points after it, forgets p1: the sweep copies it into all of them
+    g = running_example()
+    kernel = topology._graph_kernel(g)
+    kernel(range(4))  # the unions of the subsets of the first two points
+    power = inspect.getclosurevars(inspect.getclosurevars(kernel).nonlocals["unions"]).nonlocals["power"]
+    power[2] = power[0]
+    monkeypatch.setattr(cli, "_load", lambda path: g)
+    assert cli.main(["verify", "fixture.gcg"]) == 1
+    assert capsys.readouterr().err == (
+        f"verification counterexample: closures disagree on {[str(spec_points(g)[1])]}\n"
+    )
 
 
 @given(seed=seeds)
