@@ -64,6 +64,7 @@ from .tails import (
     BoundaryPath,
     _cluster_masks,
     _finite_return_mask,
+    _mt_faults,
     _realize_mask,
     _tail_mask,
     maximal_tails,
@@ -365,8 +366,9 @@ def cmd_verify(args) -> int:
         f"homeomorphism: ok (points={hom.points}, prime pairs={hom.prime_pairs}, "
         f"spec subsets={hom.spec_subsets_checked}, prim subsets={hom.prim_subsets_checked})"
     )
-    # the primitive points are the prime points (verify_homeomorphism decided
-    # it), so the prim lines report the sweeps of the one space
+    # every prime ideal of a separable C*-algebra is primitive (Dixmier), so
+    # the primitive points are the prime points and the prim lines report the
+    # sweeps of the one space
     lines = []
     for side in ("graph", "ideal"):
         rep = check_kuratowski(spec_space(g, side), args.exhaustive_limit, seed=args.seed)
@@ -379,8 +381,12 @@ def cmd_verify(args) -> int:
     for line in lines:
         print(f"kuratowski prim/{line}")
     print(f"primitive = prime points: ok ({hom.points} points)")
-    # maximal tails are the clusters, as MT4 holds on every finite vertex set
+    # a cluster is a maximal tail when it satisfies MT1-MT3, as MT4 holds on
+    # every finite vertex set; _direct_verdict has evaluated each already
     tails = _cluster_masks(g)
+    for t in tails:
+        if _mt_faults(g, t) != (None, None, None):
+            raise VerificationFailure("a cluster is not a maximal tail", g.names(t))
     print(f"tails equal clusters: ok ({len(tails)})")
 
     # verify_homeomorphism enumerated the pairs under the same limit

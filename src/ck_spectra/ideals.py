@@ -4,7 +4,9 @@ An admissible pair (H, S) - a saturated hereditary vertex set H plus a set S
 of its breaking vertices - names a gauge-invariant ideal of the graph
 algebra.  Under Condition (K) these are all the ideals, the lattice meet is
 given by an explicit intersection formula, and each ideal is classified as
-primitive, prime-but-not-primitive, or not prime in two independent ways:
+primitive or not prime in two independent ways.  A finite vertex set makes
+the algebra separable, and there every prime ideal is primitive (Dixmier
+1960), so no third verdict arises:
 
 * :func:`classify_ideal` reads the answer off the complement of H directly
   (tail / cluster membership and the kept breaking vertices), and
@@ -31,7 +33,7 @@ outside is validated once.  Names appear only at the boundary:
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ConditionKRequired, NotSaturatedHereditary
 from .graph_core import (
@@ -60,7 +62,6 @@ def _named(g: Graph, pair: tuple[int, int]) -> AdmissiblePair:
 class IdealKind(enum.Enum):
     PRIMITIVE_TAIL = "primitive-tail"
     PRIMITIVE_RETURN = "primitive-return"
-    PRIME_NOT_PRIMITIVE = "prime-not-primitive"
     NOT_PRIME = "not-prime"
 
 
@@ -74,17 +75,11 @@ class IdealClass(NamedTuple):
     def is_prime(self) -> bool:
         return self.kind is not IdealKind.NOT_PRIME
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.kind in (IdealKind.PRIMITIVE_TAIL, IdealKind.PRIMITIVE_RETURN)
-
     def describe(self) -> str:
         if self.kind is IdealKind.PRIMITIVE_TAIL:
             return "primitive (maximal-tail complement)"
         if self.kind is IdealKind.PRIMITIVE_RETURN:
             return f"primitive (finite-return vertex {self.v0})"
-        if self.kind is IdealKind.PRIME_NOT_PRIMITIVE:
-            return "prime, not primitive"
         return "not prime"
 
 
@@ -180,8 +175,10 @@ def meet(g: Graph, pairs: Iterable[AdmissiblePair]) -> AdmissiblePair:
     breaking material cut back down to B_H.  The empty family yields the
     whole-algebra pair (all vertices, no breaking vertices).
     """
-    entries = [_meet_entry(g, *_check_admissible(g, p)) for p in pairs]
-    return _named(g, _meet_masks(g, _unions(entries)([(1 << len(entries)) - 1])[0]))
+    fold = 0
+    for p in pairs:
+        fold |= _meet_entry(g, *_check_admissible(g, p))
+    return _named(g, _meet_masks(g, fold))
 
 
 def _meet_entry(g: Graph, hmask: int, smask: int) -> int:
@@ -196,44 +193,6 @@ def _meet_masks(g: Graph, fold: int) -> tuple[int, int]:
     the complement of its low half, and S that of its high half cut down to B_H."""
     hmask = g.full_mask & ~fold
     return hmask, g.full_mask & ~(fold >> g.n) & _breaking_masked(g, hmask)
-
-
-def _unions(table: Sequence[int]) -> Callable[[Sequence[int]], list[int]]:
-    """A function that maps index masks, in bulk, to the union of ``table[i]`` over
-    the bits i of each mask.
-
-    The unions of the masks below 2^k sit in a list indexed by mask.  A range of
-    masks grows it by doubling: each new mask takes its parent's union (the mask
-    less its highest bit) with one more entry, so an exhaustive pool is folded in
-    one step per subset.  A mask beyond the list joins the unions of its 8-bit
-    blocks, each table of 256 built the same way.
-    """
-
-    def doubled(unions: list[int], entries: Sequence[int]) -> list[int]:
-        for e in entries:
-            unions += [u | e for u in unions]
-        return unions
-
-    power = [0]
-    blocks = [doubled([0], table[j : j + 8]) for j in range(0, len(table), 8)]
-
-    def union(m: int) -> int:
-        key = 0
-        while m:
-            j = (m & -m).bit_length() - 1 >> 3
-            key, m = key | blocks[j][m >> 8 * j & 255], m & ~(255 << 8 * j)
-        return key
-
-    def unions(masks: Sequence[int]) -> list[int]:
-        if isinstance(masks, range) and masks.step == 1 and masks.stop <= 1 << len(table):
-            doubled(power, table[len(power).bit_length() - 1 : (masks.stop - 1).bit_length()])
-            return power[masks.start : masks.stop]
-        size = len(power)
-        if max(masks, default=0) < size:
-            return list(map(power.__getitem__, masks))
-        return [power[m] if m < size else union(m) for m in masks]
-
-    return unions
 
 
 def ideal_leq(p: tuple[int, int], q: tuple[int, int]) -> bool:

@@ -488,21 +488,27 @@ def test_verify_reports_a_point_map_that_is_not_injective(fixture_path, capsys, 
     assert (code, err) == (1, "verification counterexample: point-to-ideal map is not injective\n")
 
 
-def test_verify_reports_primitive_points_that_match_no_primitive_pair(fixture_path, capsys, monkeypatch):
-    real = topology._direct_verdict
+def test_verify_reports_a_cluster_that_is_not_a_maximal_tail(fixture_path, capsys, monkeypatch):
+    # only verify's own MT1-MT3 check sees the fault: the direct route still
+    # evaluates the real axioms, so the homeomorphism and the sweeps pass
+    g = parse_graph(Path(fixture_path).read_text())
+    planted = g.mask("tuvwx")
+    assert planted in tails._cluster_masks(g)
+    real = tails._mt_faults
+    monkeypatch.setattr(cli, "_mt_faults", lambda g, mask: (None, 0, None) if mask == planted else real(g, mask))
+    code, out, err = run(capsys, "verify", fixture_path)
+    assert (code, err) == (1, "verification counterexample: a cluster is not a maximal tail\n")
+    assert "primitive = prime points: ok" in out and "tails equal clusters" not in out
 
-    def demoted(g, hmask, smask):
-        verdict = real(g, hmask, smask)
-        if verdict.kind is ideals.IdealKind.PRIMITIVE_TAIL:
-            return ideals.IdealClass(ideals.IdealKind.PRIME_NOT_PRIMITIVE)
-        return verdict
 
-    monkeypatch.setattr(topology, "_direct_verdict", demoted)
-    code, _, err = run(capsys, "verify", fixture_path)
-    assert (code, err) == (
-        1,
-        "verification counterexample: primitive points do not match the primitive-classified pairs\n",
-    )
+def test_verify_counterexample_names_the_cluster_that_is_not_a_maximal_tail(fixture_path, monkeypatch):
+    g = parse_graph(Path(fixture_path).read_text())
+    planted = g.mask("tuvwx")
+    real = tails._mt_faults
+    monkeypatch.setattr(cli, "_mt_faults", lambda g, mask: (None, None, (0, 1)) if mask == planted else real(g, mask))
+    with pytest.raises(VerificationFailure, match="a cluster is not a maximal tail") as failure:
+        cli.cmd_verify(cli._parse(["verify", fixture_path]))
+    assert failure.value.counterexample == frozenset("tuvwx")
 
 
 def test_verify_reports_primitive_points_that_are_not_dense(fixture_path, capsys, monkeypatch):

@@ -77,9 +77,3 @@ def test_check_is_truthy_exactly_when_it_holds():
 def test_points_of_different_kinds_never_compare_equal():
     assert ClusterPoint(frozenset({"v"})) != FRPoint("v")
     assert len({ClusterPoint(frozenset({"v"})), FRPoint("v")}) == 2
-
-
-def test_prime_not_primitive_is_prime_and_not_primitive():
-    # no finite graph gets this verdict, but the kind stays public
-    verdict = IdealClass(IdealKind.PRIME_NOT_PRIMITIVE)
-    assert verdict.is_prime and not verdict.is_primitive

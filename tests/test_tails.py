@@ -23,6 +23,7 @@ from ck_spectra import (
 )
 from ck_spectra.graph_core import _bits
 from ck_spectra.ideals import _breaking_masked
+from ck_spectra.tails import _cluster_masks, _mt_faults
 
 from .oracles import oracle_reaches, oracle_tails
 
@@ -210,6 +211,15 @@ def test_every_tail_is_downward_directed_and_mt(g7):
     for t in maximal_tails(g7):
         rep = mt_report(g7, t)
         assert rep.mt1 and rep.mt2 and rep.mt3 and rep.mt4
+
+
+@given(seed=seeds, n=st.integers(1, 9), generate=st.sampled_from([random_graph, random_condition_k_graph]))
+@settings(max_examples=40, deadline=None)
+def test_every_cluster_mask_has_no_mt_fault_random(seed, n, generate):
+    # what verify's "tails equal clusters" check asks of each cluster
+    g = generate(seed, n)
+    for mask in _cluster_masks(g):
+        assert _mt_faults(g, mask) == (None, None, None), sorted(g.names(mask))
 
 
 # -- finite-return vertices --------------------------------------------------------------

@@ -261,8 +261,10 @@ def test_verify_homeomorphism_requires_condition_k(single_loop):
         verify_homeomorphism(single_loop)
 
 
-def test_verify_homeomorphism_sampling_path(g7):
-    rep = verify_homeomorphism(g7, exhaustive_limit=2, samples=20)
+def test_verify_homeomorphism_sampling_path(monkeypatch):
+    # a fresh graph, as the pool is drawn once per graph and sweep arguments
+    monkeypatch.setattr(topology, "_SAMPLES", 20)
+    rep = verify_homeomorphism(running_example(), exhaustive_limit=2)
     assert not rep.exhaustive
     assert rep.spec_subsets_checked == 20
 
@@ -340,12 +342,14 @@ def test_kuratowski_names_each_failing_axiom(n, mask_closure, kinds):
 
 
 @pytest.mark.parametrize("n, mask_closure, kinds", FAILING_AXIOMS, ids=["empty", "idempotent", "union", "union-4", "drop-all"])
-def test_kuratowski_names_the_same_failures_on_a_sampled_pool(n, mask_closure, kinds):
+def test_kuratowski_names_the_same_failures_on_a_sampled_pool(n, mask_closure, kinds, monkeypatch):
     from ck_spectra import SpecSpace
 
     pts = tuple(FRPoint(f"v{i}") for i in range(n))
     space = SpecSpace(pts, bulk(mask_closure), "graph", "synthetic")
-    exhaustive, sampled = check_kuratowski(space), check_kuratowski(space, 1, samples=3 + n)
+    exhaustive = check_kuratowski(space)
+    monkeypatch.setattr(topology, "_SAMPLES", 3 + n)
+    sampled = check_kuratowski(space, 1)
     assert exhaustive.exhaustive and not sampled.exhaustive and not sampled.ok
     assert {kind for kind, _, _ in exhaustive.failures} == {kind for kind, _, _ in sampled.failures} == kinds
 
@@ -426,19 +430,19 @@ def test_specialization_matches_singleton_closures(g7):
 
 
 def test_density_fixture(g7):
-    rep = prim_spec_density_check(g7)
-    assert rep.spec_point_count == rep.prim_point_count == 5
+    prim_spec_density_check(g7)
+    assert len(spec_points(g7)) == 5
 
 
 def test_density_subset_graph(ea3_omega):
-    rep = prim_spec_density_check(ea3_omega)
-    assert rep.spec_point_count == 7
+    prim_spec_density_check(ea3_omega)
+    assert len(spec_points(ea3_omega)) == 7
 
 
 def test_density_two_loop_vertex():
     g = Graph(["a"], [Bundle("a", "a", 2)])
-    rep = prim_spec_density_check(g)
-    assert rep.spec_point_count == 1
+    prim_spec_density_check(g)
+    assert len(spec_points(g)) == 1
 
 
 def test_density_failure_raises(monkeypatch, tmp_path, capsys):
@@ -477,7 +481,7 @@ def test_mask_kernels_and_separation_match_oracles(name):
     g = KERNEL_GRAPHS[name]()
     pts = tuple(spec_points(g))
     graph_side, ideal_side = topology._graph_kernel(g), topology._ideal_kernel(g)
-    masks = topology._subset_pool(len(pts), 12, 0, 256)[0]
+    masks = topology._subset_pool(len(pts), 12, 0)[0]
     for mask, left, right in zip(masks, graph_side(masks), ideal_side(masks)):
         x = f(p for i, p in enumerate(pts) if mask >> i & 1)
         want = oracle_graph_closure(g, x, pts)
@@ -502,7 +506,9 @@ def test_memoised_kernels_answer_each_query_in_any_order(seed, rng):
         "graph": lambda x: oracle_graph_closure(g, x, pts),
         "ideal": lambda x: oracle_ideal_closure(g, pts, x),
     }
-    masks = list(topology._subset_pool(len(pts), 7, seed, 64)[0])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(topology, "_SAMPLES", 64)
+        masks = list(topology._subset_pool(len(pts), 7, seed)[0])
     for side, kernel in kernels.items():
         queries = masks * 2
         rng.shuffle(queries)
