@@ -64,7 +64,7 @@ from .tails import (
     BoundaryPath,
     _cluster_masks,
     _finite_return_mask,
-    _mt_faults,
+    _mt_holds,
     _realize_mask,
     _tail_mask,
     maximal_tails,
@@ -382,10 +382,10 @@ def cmd_verify(args) -> int:
         print(f"kuratowski prim/{line}")
     print(f"primitive = prime points: ok ({hom.points} points)")
     # a cluster is a maximal tail when it satisfies MT1-MT3, as MT4 holds on
-    # every finite vertex set; _direct_verdict has evaluated each already
+    # every finite vertex set; _direct_verdict has decided each already
     tails = _cluster_masks(g)
     for t in tails:
-        if _mt_faults(g, t) != (None, None, None):
+        if not _mt_holds(g, t):
             raise VerificationFailure("a cluster is not a maximal tail", g.names(t))
     print(f"tails equal clusters: ok ({len(tails)})")
 

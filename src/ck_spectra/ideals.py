@@ -8,13 +8,18 @@ primitive or not prime in two independent ways.  A finite vertex set makes
 the algebra separable, and there every prime ideal is primitive (Dixmier
 1960), so no third verdict arises:
 
-* :func:`classify_ideal` reads the answer off the complement of H directly
-  (tail / cluster membership and the kept breaking vertices), and
+* :func:`classify_ideal` reads the answer off the complement of H directly:
+  whether it passes MT1-MT3, decided on the whole mask in one pass by
+  ``tails._mt_holds`` (pairwise common bounds in a finite set give one
+  common bound, so MT3 is one AND of reach masks), and which breaking
+  vertices are kept, and
 * :func:`classify_via_quotient` tests the quotient graph for primeness
   (Condition (L) plus downward directedness) from the parent's bundles and
   breaking vertices alone.  One condensation of the parent gives each H's
   frame, shared by all its pairs; each pair's sink copies are sinks, so
-  they join no cycle and are added as a few mask tests on that frame.
+  they join no cycle and are added as a few mask tests on that frame.  The
+  frame carries the AND of its terminal components' out-masks, so one
+  terminal component is left after the copies in constant time.
 
 The two must agree everywhere; the test suite uses that as its main oracle.
 Past the (K) check, the quotient route reads no reachability or tails.
@@ -35,7 +40,7 @@ from __future__ import annotations
 import enum
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import ConditionKRequired, NotSaturatedHereditary
+from .errors import ConditionKRequired, NotSaturatedHereditary, SizeLimitExceeded
 from .graph_core import (
     Bundle,
     Graph,
@@ -45,7 +50,7 @@ from .graph_core import (
     per_graph,
     strong_components,
 )
-from .tails import _cluster_masks, _mt_faults
+from .tails import _cluster_masks, _mt_holds
 
 
 class AdmissiblePair(NamedTuple):
@@ -88,6 +93,8 @@ _NOT_PRIME = IdealClass(IdealKind.NOT_PRIME)  # the one verdict shared by every 
 
 # -- saturated hereditary sets ------------------------------------------------
 
+_MAX_SETS = 1 << 20
+
 
 def _sat_her_faults(g: Graph, mask: int) -> tuple:
     """The first member with a successor outside, the first regular non-member with none; or None."""
@@ -107,10 +114,20 @@ def saturated_hereditary_sets(g: Graph) -> list[int]:
     MT2.  Every union of tails does; conversely, following MT2 inside C from
     any member ends at a singular vertex or on a cycle, at some w whose tail
     U(w) holds that member and lies in C by MT1.
+
+    Raises SizeLimitExceeded once the unions number more than 2^20, as
+    many as ``verify``'s exhaustive sweep may hold subsets (k disjoint tails
+    have 2^k unions); they are added one at a time, so no more are held.
     """
-    unions = {0}
-    for m in _cluster_masks(g):
-        unions |= {u | m for u in unions}
+    unions, tails = {0}, _cluster_masks(g)
+    for k, m in enumerate(tails, 1):
+        for u in list(unions):
+            unions.add(u | m)
+            if len(unions) > _MAX_SETS:
+                raise SizeLimitExceeded(
+                    f"the unions of the first {k} of {len(tails)} tails number more than 2^20, "
+                    "and so do the saturated hereditary sets"
+                )
     return [g.full_mask ^ u for u in sorted(unions, reverse=True)]
 
 
@@ -278,9 +295,11 @@ def _direct_verdict(g: Graph, hmask: int, smask: int) -> IdealClass:
     """:func:`classify_ideal` on masks, read off the complement of H.
 
     With every breaking vertex in S the ideal is primitive exactly when the
-    complement is a maximal tail: MT1-MT3 are evaluated on it, and MT4 holds
-    on every finite vertex set, so no complement is a cluster without being a
-    tail and no verdict is prime but not primitive.  Exactly one kept
+    complement is a maximal tail: MT1-MT3 are decided on its whole mask in one
+    pass by :func:`tails._mt_holds` (MT3 as one AND of reach masks, since
+    pairwise common bounds in a finite set give one common bound), and MT4
+    holds on every finite vertex set, so no complement is a cluster without
+    being a tail and no verdict is prime but not primitive.  Exactly one kept
     breaking vertex is primitive precisely when the complement is that
     vertex's tail; two or more always fail (the quotient would hold two
     sinks).
@@ -288,7 +307,7 @@ def _direct_verdict(g: Graph, hmask: int, smask: int) -> IdealClass:
     kept = _breaking_masked(g, hmask) & ~smask
     complement = g.full_mask & ~hmask
     if not kept:
-        if complement and _mt_faults(g, complement) == (None, None, None):
+        if complement and _mt_holds(g, complement):
             return IdealClass(IdealKind.PRIMITIVE_TAIL)
     elif not kept & kept - 1 and complement == g.coreach[kept.bit_length() - 1]:
         return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=g.vertices[kept.bit_length() - 1])
@@ -314,6 +333,7 @@ class _QuotientFrame(NamedTuple):
 
     exitless: list  # each exitless cycle, as its members' single unit-edge successors
     terminal: list  # each terminal component, as the mask its members reach
+    common: int  # the AND of the terminal masks, starting from the complement of H
 
 
 @per_graph
@@ -336,15 +356,16 @@ def _quotient_frame(g: Graph, hmask: int) -> _QuotientFrame:
     """The frame of every quotient with this H, filtered from :func:`_components`: the
     complement of a hereditary H is a union of the parent's components, and one
     terminal in it keeps all its members' edges left in the quotient inside itself."""
-    rest = g.full_mask & ~hmask
+    common = rest = g.full_mask & ~hmask
     exitless, terminal = [], []
     for c, out, plain in _components(g):
         out &= rest
         if not c & hmask and not out & ~c:
             terminal.append(out)
+            common &= out
             if plain:  # each member's edge inside c is its only one left
                 exitless.append(out)
-    return _QuotientFrame(exitless, terminal)
+    return _QuotientFrame(exitless, terminal, common)
 
 
 def _quotient_has_L(frame: _QuotientFrame, kept: int) -> bool:
@@ -360,9 +381,16 @@ def _quotient_one_terminal(frame: _QuotientFrame, kept: int) -> bool:
     In a finite digraph every vertex reaches a terminal component, so every
     two vertices reach a common vertex iff exactly one component is terminal.
     Each copy is a terminal singleton, and a component with an edge into a
-    kept vertex reaches its copy, so it is no longer terminal.
+    kept vertex reaches its copy, so it is no longer terminal: the count is
+    the kept vertices plus the terminal components with no edge into one.
+    The count is 1 in two cases, each read in constant time: no kept vertex
+    and one terminal component, or one kept vertex that every terminal
+    component has an edge into, that is, one in ``frame.common``.  Two kept
+    vertices are two terminal copies already.
     """
-    return kept.bit_count() + sum(not out & kept for out in frame.terminal) == 1
+    if not kept:
+        return len(frame.terminal) == 1
+    return not kept & kept - 1 and kept & frame.common != 0
 
 
 def _quotient_verdict(g: Graph, hmask: int, smask: int) -> tuple[IdealClass, bool]:

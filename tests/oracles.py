@@ -17,7 +17,9 @@ that ``ideals._sat_her_faults`` replaced with a read of the complement.  ``oracl
 route on the named quotient graph, through the package's ``condition_L`` and
 ``is_downward_directed``, that the quotient's own masks replaced, and
 ``oracle_quotient_frame`` the Tarjan search per H that a filter over one
-per-graph component table replaced.  ``mult_sum`` and ``oracle_finite_edges``
+per-graph component table replaced.  ``oracle_one_terminal`` is the count of
+terminal components after the sink copies that the constant-time test of
+``ideals._quotient_one_terminal`` replaced.  ``mult_sum`` and ``oracle_finite_edges``
 are the multiplicity sums that the mask test of ``graph_core._finite_edges``
 replaced; ``oracle_breaking_masked`` and ``oracle_finite_return_mask`` run
 the breaking-vertex and finite-return masks through them.  The
@@ -290,6 +292,7 @@ def oracle_quotient_frame(g: Graph, hmask: int) -> _QuotientFrame:
     rest, mult = g.full_mask & ~hmask, g.edge_mult
     succ = [m & rest for m in g.succ_mask]
     exitless, terminal = [], []
+    common = rest
     for c in strong_components(succ, rest)[0]:
         out = one = 0  # what c reaches; its members with one edge, of multiplicity one
         for i in range(g.n):
@@ -299,10 +302,18 @@ def oracle_quotient_frame(g: Graph, hmask: int) -> _QuotientFrame:
                     one |= 1 << i
         if not out & ~c:
             terminal.append(out)
+            common &= out
             # an exitless cycle leaves no edge out of its component, so it is terminal
             if out and one == c:
                 exitless.append(out)
-    return _QuotientFrame(exitless, terminal)
+    return _QuotientFrame(exitless, terminal, common)
+
+
+def oracle_one_terminal(frame: _QuotientFrame, kept: int) -> bool:
+    """Whether one component of the quotient is terminal, counted: each kept
+    vertex's copy, and each terminal component of the frame with no edge into
+    a kept vertex."""
+    return kept.bit_count() + sum(not out & kept for out in frame.terminal) == 1
 
 
 def _oracle_edge_count(g: Graph, src: str, into) -> object:

@@ -268,8 +268,11 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
         for name, fn in (("kuratowski", topology.check_kuratowski), ("classify", ideals._direct_verdict))
     }
     csp_body = graph_core.has_csp.__code__
+    mt_fn = inspect.unwrap(tails._mt_holds)
+    mt_cache = tails._mt_holds.__code__  # the memo lookup, shared by every per_graph function
     runs = Counter()
     csp_graphs = []  # kept alive, so that no two of them share an id
+    mt_masks, mt_callers = [], set()
 
     def count(frame, event, arg):
         if event != "call":
@@ -278,6 +281,10 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
             runs[bodies[frame.f_code]] += 1
         elif frame.f_code is csp_body:
             csp_graphs.append(frame.f_locals["g"])
+        elif frame.f_code is mt_fn.__code__:
+            mt_masks.append(frame.f_locals["mask"])
+        elif frame.f_code is mt_cache and frame.f_locals["fn"] is mt_fn:
+            mt_callers.add(frame.f_back.f_code.co_name)
 
     sys.setprofile(count)
     try:
@@ -290,6 +297,18 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
     assert runs == {"kuratowski": 2, "classify": 12}
     # only the input graph is asked for a countable separating set
     assert csp_graphs and len({id(g) for g in csp_graphs}) == 1
+    # MT1-MT3 are decided once per distinct mask, for the direct route, the
+    # cluster check and realization alike: each cluster is the complement of
+    # an H whose pair keeps no breaking vertex, so its test is already made
+    g = running_example()
+    complements = {
+        g.full_mask & ~h
+        for h, s in ideals.admissible_pairs(g)
+        if h != g.full_mask and s == ideals._breaking_masked(g, h)
+    }
+    assert set(tails._cluster_masks(g)) < complements
+    assert sorted(mt_masks) == sorted(complements)
+    assert mt_callers == {"_direct_verdict", "cmd_verify", "_realize_mask"}
 
 
 def test_verify_keeps_pairs_and_points_as_masks(fixture_path, capsys):
@@ -419,6 +438,21 @@ def test_ideals_limit_comes_before_condition_K(tmp_path, capsys):
     assert (code, out) == (4, "") and err.startswith("size limit: ")
 
 
+def test_ideals_past_two_to_the_twenty_saturated_hereditary_sets_exits_four(tmp_path, capsys):
+    # 21 disjoint double-loop vertices are 21 tails with 2^21 unions, each
+    # the complement of a saturated hereditary set; the union closure stops
+    # past 2^20 instead of running out of memory
+    names = [f"v{i}" for i in range(21)]
+    path = tmp_path / "loops.gcg"
+    path.write_text(f"vertex {', '.join(names)};\n" + "".join(f"edge {v} -> {v} * 2;\n" for v in names))
+    code, out, err = run(capsys, "ideals", "--limit", "21", str(path))
+    assert (code, out) == (4, "")
+    assert err == (
+        "size limit: the unions of the first 21 of 21 tails number more than 2^20, "
+        "and so do the saturated hereditary sets\n"
+    )
+
+
 # -- planted faults: the two classification routes stay independent -----------------
 
 
@@ -428,7 +462,7 @@ def test_verify_catches_a_direct_route_that_ignores_MT3(fixture_path, capsys, mo
     # that looked its complements up instead of evaluating them would not
     # notice this fault, and verify would pass.
     real = tails._mt_faults
-    monkeypatch.setattr(ideals, "_mt_faults", lambda g, mask: (*real(g, mask)[:2], None))
+    monkeypatch.setattr(ideals, "_mt_holds", lambda g, mask: real(g, mask)[:2] == (None, None))
     code, out, _ = run(capsys, "ideals", fixture_path)
     assert code == 0 and "[DISAGREE]" in out
     code, out, err = run(capsys, "verify", fixture_path)
@@ -441,6 +475,19 @@ def test_verify_catches_a_quotient_without_sink_copies(fixture_path, capsys, mon
     for name in ("_quotient_has_L", "_quotient_one_terminal"):
         real = getattr(ideals, name)
         monkeypatch.setattr(ideals, name, lambda frame, kept, real=real: real(frame, 0))
+    code, out, err = run(capsys, "verify", fixture_path)
+    assert code == 1 and "homeomorphism: ok" in out
+    assert err.startswith("verification counterexample: classification routes disagree")
+
+
+def test_verify_catches_a_one_terminal_test_that_accepts_two_kept_vertices(fixture_path, capsys, monkeypatch):
+    # the constant-time test without its one-kept-vertex check: H = {t, y, z}
+    # keeping w and x passes, as x lies in the frame's one terminal component
+    monkeypatch.setattr(
+        ideals,
+        "_quotient_one_terminal",
+        lambda frame, kept: kept & frame.common != 0 if kept else len(frame.terminal) == 1,
+    )
     code, out, err = run(capsys, "verify", fixture_path)
     assert code == 1 and "homeomorphism: ok" in out
     assert err.startswith("verification counterexample: classification routes disagree")
@@ -494,8 +541,8 @@ def test_verify_reports_a_cluster_that_is_not_a_maximal_tail(fixture_path, capsy
     g = parse_graph(Path(fixture_path).read_text())
     planted = g.mask("tuvwx")
     assert planted in tails._cluster_masks(g)
-    real = tails._mt_faults
-    monkeypatch.setattr(cli, "_mt_faults", lambda g, mask: (None, 0, None) if mask == planted else real(g, mask))
+    real = tails._mt_holds
+    monkeypatch.setattr(cli, "_mt_holds", lambda g, mask: mask != planted and real(g, mask))
     code, out, err = run(capsys, "verify", fixture_path)
     assert (code, err) == (1, "verification counterexample: a cluster is not a maximal tail\n")
     assert "primitive = prime points: ok" in out and "tails equal clusters" not in out
@@ -504,8 +551,8 @@ def test_verify_reports_a_cluster_that_is_not_a_maximal_tail(fixture_path, capsy
 def test_verify_counterexample_names_the_cluster_that_is_not_a_maximal_tail(fixture_path, monkeypatch):
     g = parse_graph(Path(fixture_path).read_text())
     planted = g.mask("tuvwx")
-    real = tails._mt_faults
-    monkeypatch.setattr(cli, "_mt_faults", lambda g, mask: (None, None, (0, 1)) if mask == planted else real(g, mask))
+    real = tails._mt_holds
+    monkeypatch.setattr(cli, "_mt_holds", lambda g, mask: mask != planted and real(g, mask))
     with pytest.raises(VerificationFailure, match="a cluster is not a maximal tail") as failure:
         cli.cmd_verify(cli._parse(["verify", fixture_path]))
     assert failure.value.counterexample == frozenset("tuvwx")

@@ -15,6 +15,7 @@ from ck_spectra import (
     IdealKind,
     NotSaturatedHereditary,
     OMEGA,
+    SizeLimitExceeded,
     admissible_pair,
     classify_ideal,
     classify_via_quotient,
@@ -30,7 +31,7 @@ from ck_spectra import (
     random_condition_k_graph,
     random_graph,
 )
-from ck_spectra import ideals
+from ck_spectra import ideals, tails
 from ck_spectra.ideals import (
     _breaking_masked,
     _check_admissible,
@@ -56,6 +57,7 @@ from .oracles import (
     oracle_finite_return_vertices,
     oracle_is_hereditary,
     oracle_is_saturated,
+    oracle_one_terminal,
     oracle_quotient_frame,
     oracle_sat_her,
     oracle_sat_her_faults,
@@ -110,6 +112,21 @@ def test_saturated_hereditary_subset_graph(ea2_omega):
     # {v_a, v_b}, which satisfies MT1-MT2 without being downward directed
     expected = complements_of_clusters | {everything, f(), f({"v_a_b"})}
     assert got == expected == oracle_sat_her(g)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_saturated_hereditary_sets_stop_just_past_their_limit(seed, monkeypatch):
+    # the limit is 2^20 (test_cli's 21 disjoint loops pass it); cut down to
+    # the exact count, every set comes out, and one below, none does
+    def build():
+        return random_condition_k_graph(seed, 2 + seed % 8, 0.3)
+
+    expected = sorted(map(build().mask, oracle_sat_her(build())))
+    monkeypatch.setattr(ideals, "_MAX_SETS", len(expected))
+    assert saturated_hereditary_sets(build()) == expected
+    monkeypatch.setattr(ideals, "_MAX_SETS", len(expected) - 1)
+    with pytest.raises(SizeLimitExceeded, match="tails number more than"):
+        saturated_hereditary_sets(build())
 
 
 @given(
@@ -632,7 +649,26 @@ def test_frames_and_breaking_vertices_match_their_per_H_oracles(g):
         frame, expected = _quotient_frame(g, hmask), oracle_quotient_frame(g, hmask)
         assert sorted(frame.exitless) == sorted(expected.exitless), sorted(g.names(hmask))
         assert sorted(frame.terminal) == sorted(expected.terminal), sorted(g.names(hmask))
+        assert frame.common == expected.common, sorted(g.names(hmask))
         assert _breaking_masked(g, hmask) == oracle_breaking_masked(g, hmask), sorted(g.names(hmask))
+
+
+@given(
+    seed=seeds,
+    n=st.integers(1, 8),
+    density=st.sampled_from([0.15, 0.3, 0.5]),
+    omega_prob=st.sampled_from([0.2, 0.5]),
+    generate=st.sampled_from([random_graph, random_condition_k_graph]),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_terminal_test_matches_the_terminal_count_random(seed, n, density, omega_prob, generate):
+    # every kept subset of B_H of every saturated hereditary H (its pairs keep
+    # each subset once), against the count over a frame of its own search
+    g = generate(seed, n, density, omega_prob)
+    for hmask, smask in ideals.admissible_pairs(g):
+        kept = _breaking_masked(g, hmask) & ~smask
+        expected = oracle_one_terminal(oracle_quotient_frame(g, hmask), kept)
+        assert _quotient_one_terminal(_quotient_frame(g, hmask), kept) == expected, (hmask, kept)
 
 
 @pytest.mark.parametrize("build", ORACLE_GRAPHS)
@@ -645,7 +681,8 @@ def test_quotient_route_reads_nothing_of_the_direct_route(build, monkeypatch):
     def forbidden(*args):
         raise AssertionError("the quotient route reads the tails")
 
-    monkeypatch.setattr(ideals, "_mt_faults", forbidden)
+    monkeypatch.setattr(ideals, "_mt_holds", forbidden)
+    monkeypatch.setattr(tails, "_mt_faults", forbidden)
     monkeypatch.setattr(ideals, "_cluster_masks", forbidden)
     for pair, verdict in zip(pairs, verdicts):
         assert _quotient_verdict(fresh, *masks(fresh, pair))[0] == verdict, pair

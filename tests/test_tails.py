@@ -23,7 +23,7 @@ from ck_spectra import (
 )
 from ck_spectra.graph_core import _bits
 from ck_spectra.ideals import _breaking_masked
-from ck_spectra.tails import _cluster_masks, _mt_faults
+from ck_spectra.tails import _cluster_masks, _mt_faults, _mt_holds
 
 from .oracles import oracle_reaches, oracle_tails
 
@@ -220,6 +220,21 @@ def test_every_cluster_mask_has_no_mt_fault_random(seed, n, generate):
     g = generate(seed, n)
     for mask in _cluster_masks(g):
         assert _mt_faults(g, mask) == (None, None, None), sorted(g.names(mask))
+
+
+@given(
+    seed=seeds,
+    n=st.integers(1, 7),
+    density=st.sampled_from([0.15, 0.3, 0.5]),
+    generate=st.sampled_from([random_graph, random_condition_k_graph]),
+)
+@settings(max_examples=60, deadline=None)
+def test_whole_mask_mt_test_matches_the_witness_search_random(seed, n, density, generate):
+    # on every vertex mask, not only on complements of saturated hereditary
+    # sets, where MT1 and MT2 always hold
+    g = generate(seed, n, density)
+    for mask in range(1 << g.n):
+        assert _mt_holds(g, mask) == (_mt_faults(g, mask) == (None, None, None)), sorted(g.names(mask))
 
 
 # -- finite-return vertices --------------------------------------------------------------
