@@ -44,9 +44,8 @@ from .graph_core import (
     require_enumerable,
 )
 from .ideals import (
-    _direct_verdict,
+    _classified,
     _named,
-    _quotient_verdict,
     _require_condition_k,
     admissible_pair,
     admissible_pairs,
@@ -235,8 +234,8 @@ def cmd_ideals(args) -> int:
     g = _load(args.path)
     require_enumerable(g, args.limit)
     _require_condition_k(g)
-    sh, pairs = saturated_hereditary_sets(g), admissible_pairs(g)
-    rows = [(pair, _direct_verdict(g, *pair), _quotient_verdict(g, *pair)[0]) for pair in pairs]
+    sh, pairs, table = saturated_hereditary_sets(g), admissible_pairs(g), _classified(g)
+    rows = zip(pairs, table.direct, table.quotient)
     if args.json:
         payload = {
             "schema": "ck-spectra/ideals/1",
@@ -258,8 +257,7 @@ def cmd_ideals(args) -> int:
     for pair, direct, quotient in rows:
         agree = "agree" if direct == quotient else "DISAGREE"
         print(f"  {_fmt_pair(g, *pair)} -> {direct.describe()} [{agree}]")
-    prime = sum(1 for _, d, _q in rows if d.is_prime)
-    print(f"prime ideals: {prime}")
+    print(f"prime ideals: {sum(d.is_prime for d in table.direct)}")
     return EXIT_OK
 
 
@@ -382,7 +380,7 @@ def cmd_verify(args) -> int:
         print(f"kuratowski prim/{line}")
     print(f"primitive = prime points: ok ({hom.points} points)")
     # a cluster is a maximal tail when it satisfies MT1-MT3, as MT4 holds on
-    # every finite vertex set; _direct_verdict has decided each already
+    # every finite vertex set; the direct route has decided each already
     tails = _cluster_masks(g)
     for t in tails:
         if not _mt_holds(g, t):
@@ -390,13 +388,11 @@ def cmd_verify(args) -> int:
     print(f"tails equal clusters: ok ({len(tails)})")
 
     # verify_homeomorphism enumerated the pairs under the same limit
-    quotients = [(pair, *_quotient_verdict(g, *pair)) for pair in admissible_pairs(g)]
-    disagreements = [pair for pair, verdict, _ in quotients if _direct_verdict(g, *pair) != verdict]
-    bad = [pair for pair, _, has_l in quotients if not has_l]
+    pairs, table = admissible_pairs(g), _classified(g)
+    disagreements = [pair for pair, d, q in zip(pairs, table.direct, table.quotient) if d != q]
+    bad = [pair for pair, has_l in zip(pairs, table.has_l) if not has_l]
     if disagreements:
-        raise VerificationFailure(
-            "classification routes disagree", _named(g, disagreements[0])
-        )
+        raise VerificationFailure("classification routes disagree", _named(g, disagreements[0]))
     print("classification agreement: ok")
 
     for t in tails:

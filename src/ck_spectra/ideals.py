@@ -6,20 +6,16 @@ algebra.  Under Condition (K) these are all the ideals, the lattice meet is
 given by an explicit intersection formula, and each ideal is classified as
 primitive or not prime in two independent ways.  A finite vertex set makes
 the algebra separable, and there every prime ideal is primitive (Dixmier
-1960), so no third verdict arises:
+1960), so no third verdict arises.  One per-graph table, :func:`_classified`,
+holds both verdicts on every enumerated pair:
 
 * :func:`classify_ideal` reads the answer off the complement of H directly:
-  whether it passes MT1-MT3, decided on the whole mask in one pass by
-  ``tails._mt_holds`` (pairwise common bounds in a finite set give one
-  common bound, so MT3 is one AND of reach masks), and which breaking
-  vertices are kept, and
+  whether it is a maximal tail, and which breaking vertices are kept, and
 * :func:`classify_via_quotient` tests the quotient graph for primeness
   (Condition (L) plus downward directedness) from the parent's bundles and
   breaking vertices alone.  One condensation of the parent gives each H's
   frame, shared by all its pairs; each pair's sink copies are sinks, so
-  they join no cycle and are added as a few mask tests on that frame.  The
-  frame carries the AND of its terminal components' out-masks, so one
-  terminal component is left after the copies in constant time.
+  they join no cycle and are added as a few mask tests on that frame.
 
 The two must agree everywhere; the test suite uses that as its main oracle.
 Past the (K) check, the quotient route reads no reachability or tails.
@@ -89,6 +85,7 @@ class IdealClass(NamedTuple):
 
 
 _NOT_PRIME = IdealClass(IdealKind.NOT_PRIME)  # the one verdict shared by every non-prime pair
+_TAIL = IdealClass(IdealKind.PRIMITIVE_TAIL)  # and the one shared by every maximal-tail complement
 
 
 # -- saturated hereditary sets ------------------------------------------------
@@ -169,17 +166,9 @@ def admissible_pair(g: Graph, h, s=()) -> AdmissiblePair:
     return pair
 
 
-@per_graph
 def admissible_pairs(g: Graph) -> list[tuple[int, int]]:
-    """Every pair as ``(hmask, smask)``, admissible by construction: each
-    saturated hereditary H with each subset of its breaking vertices."""
-    pairs = []
-    for hmask in saturated_hereditary_sets(g):
-        subsets = [0]
-        for i in _bits(_breaking_masked(g, hmask)):
-            subsets += [smask | 1 << i for smask in subsets]
-        pairs += [(hmask, smask) for smask in subsets]
-    return pairs
+    """Every pair as ``(hmask, smask)``, admissible by construction: the pair column of :func:`_classified`."""
+    return _classified(g).pairs
 
 
 # -- lattice operations --------------------------------------------------------
@@ -268,9 +257,7 @@ def quotient_graph(g: Graph, pair: AdmissiblePair) -> QuotientGraph:
             continue
         provenance[b] = b
         if b.dst in primed:
-            label = None
-            if b.label is not None:
-                label = _fresh_name(f"{b.label}_prime", labels)
+            label = None if b.label is None else _fresh_name(f"{b.label}_prime", labels)
             provenance[Bundle(b.src, primed[b.dst], b.mult, label)] = b
 
     return QuotientGraph(Graph(vertices, provenance), primed, provenance)
@@ -287,28 +274,23 @@ def _require_condition_k(g: Graph) -> None:
 def classify_ideal(g: Graph, pair: AdmissiblePair) -> IdealClass:
     """Classify the ideal of (H, S) from the complement of H: see :func:`_direct_verdict`."""
     _require_condition_k(g)
-    return _direct_verdict(g, *_check_admissible(g, pair))
+    hmask, smask = _check_admissible(g, pair)
+    return _direct_verdict(g, hmask, _breaking_masked(g, hmask) & ~smask)
 
 
-@per_graph
-def _direct_verdict(g: Graph, hmask: int, smask: int) -> IdealClass:
-    """:func:`classify_ideal` on masks, read off the complement of H.
+def _direct_verdict(g: Graph, hmask: int, kept: int) -> IdealClass:
+    """:func:`classify_ideal` on H and its kept breaking vertices, B_H minus S, as masks.
 
-    With every breaking vertex in S the ideal is primitive exactly when the
-    complement is a maximal tail: MT1-MT3 are decided on its whole mask in one
-    pass by :func:`tails._mt_holds` (MT3 as one AND of reach masks, since
-    pairwise common bounds in a finite set give one common bound), and MT4
-    holds on every finite vertex set, so no complement is a cluster without
-    being a tail and no verdict is prime but not primitive.  Exactly one kept
-    breaking vertex is primitive precisely when the complement is that
-    vertex's tail; two or more always fail (the quotient would hold two
-    sinks).
+    With no kept vertex the ideal is primitive exactly when the complement is
+    a maximal tail, decided by :func:`tails._mt_holds` (MT4 holds on every
+    finite vertex set).  Exactly one kept breaking vertex is primitive
+    precisely when the complement is that vertex's tail; two or more always
+    fail (the quotient would hold two sinks).
     """
-    kept = _breaking_masked(g, hmask) & ~smask
     complement = g.full_mask & ~hmask
     if not kept:
         if complement and _mt_holds(g, complement):
-            return IdealClass(IdealKind.PRIMITIVE_TAIL)
+            return _TAIL
     elif not kept & kept - 1 and complement == g.coreach[kept.bit_length() - 1]:
         return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=g.vertices[kept.bit_length() - 1])
     return _NOT_PRIME
@@ -318,13 +300,13 @@ def classify_via_quotient(g: Graph, pair: AdmissiblePair) -> IdealClass:
     """Classify through the quotient graph, tested for primeness on its masks.
 
     The quotient algebra is prime iff the quotient graph satisfies Condition
-    (L) and is downward directed.  Primitivity additionally needs the
-    countable separation property, which every finite vertex set has, so a
-    prime quotient is primitive.  The empty quotient (H is everything) is the
-    zero algebra and counts as not prime.
+    (L) and is downward directed, and then primitive, as every finite vertex
+    set has the countable separation property.  The empty quotient (H is
+    everything) is the zero algebra and counts as not prime.
     """
     _require_condition_k(g)
-    return _quotient_verdict(g, *_check_admissible(g, pair))[0]
+    hmask, smask = _check_admissible(g, pair)
+    return _quotient_verdict(g, _quotient_frame(g, hmask), _breaking_masked(g, hmask) & ~smask)[0]
 
 
 class _QuotientFrame(NamedTuple):
@@ -332,8 +314,8 @@ class _QuotientFrame(NamedTuple):
     complement of H, with the parent's edges restricted to it, condensed."""
 
     exitless: list  # each exitless cycle, as its members' single unit-edge successors
-    terminal: list  # each terminal component, as the mask its members reach
-    common: int  # the AND of the terminal masks, starting from the complement of H
+    terminal: int  # how many components are terminal
+    common: int  # the AND of the terminal components' out-masks, starting from the complement of H
 
 
 @per_graph
@@ -351,17 +333,16 @@ def _components(g: Graph) -> list[tuple[int, int, bool]]:
     return table
 
 
-@per_graph
 def _quotient_frame(g: Graph, hmask: int) -> _QuotientFrame:
     """The frame of every quotient with this H, filtered from :func:`_components`: the
     complement of a hereditary H is a union of the parent's components, and one
     terminal in it keeps all its members' edges left in the quotient inside itself."""
     common = rest = g.full_mask & ~hmask
-    exitless, terminal = [], []
+    exitless, terminal = [], 0
     for c, out, plain in _components(g):
         out &= rest
         if not c & hmask and not out & ~c:
-            terminal.append(out)
+            terminal += 1
             common &= out
             if plain:  # each member's edge inside c is its only one left
                 exitless.append(out)
@@ -389,18 +370,45 @@ def _quotient_one_terminal(frame: _QuotientFrame, kept: int) -> bool:
     vertices are two terminal copies already.
     """
     if not kept:
-        return len(frame.terminal) == 1
+        return frame.terminal == 1
     return not kept & kept - 1 and kept & frame.common != 0
 
 
-def _quotient_verdict(g: Graph, hmask: int, smask: int) -> tuple[IdealClass, bool]:
+def _quotient_verdict(g: Graph, frame: _QuotientFrame, kept: int) -> tuple[IdealClass, bool]:
     """The verdict of :func:`classify_via_quotient` on an admissible pair, and
     whether the quotient satisfies Condition (L): the frame of H with the sink
     copies of the kept breaking vertices, B_H minus S, added."""
-    frame, kept = _quotient_frame(g, hmask), _breaking_masked(g, hmask) & ~smask
     has_l = _quotient_has_L(frame, kept)
     if not (has_l and _quotient_one_terminal(frame, kept)):
         return _NOT_PRIME, has_l
     if kept:  # one terminal component leaves room for one copy at most
         return IdealClass(IdealKind.PRIMITIVE_RETURN, v0=g.vertices[kept.bit_length() - 1]), has_l
-    return IdealClass(IdealKind.PRIMITIVE_TAIL), has_l
+    return _TAIL, has_l
+
+
+class _Classified(NamedTuple):
+    pairs: list  # each admissible pair, H by H with each subset of B_H, as (hmask, smask)
+    direct: list  # each pair's verdict from the complement of H
+    quotient: list  # and from its quotient graph
+    has_l: list  # whether each pair's quotient satisfies Condition (L)
+
+
+@per_graph
+def _classified(g: Graph) -> _Classified:
+    """The pairs and their verdicts, reading each H's breaking vertices and frame once.
+    Raises SizeLimitExceeded before an H's 2^|B_H| pairs take the total past 2^20."""
+    pairs, direct, quotient, has_l = table = _Classified([], [], [], [])
+    sets = saturated_hereditary_sets(g)
+    for k, hmask in enumerate(sets, 1):
+        breaking = _breaking_masked(g, hmask)
+        if len(pairs) + (1 << breaking.bit_count()) > _MAX_SETS:
+            raise SizeLimitExceeded(f"the first {k} of {len(sets)} saturated hereditary sets have over 2^20 pairs")
+        frame, kept_sets = _quotient_frame(g, hmask), [breaking]  # B_H minus S, S from empty up
+        for i in _bits(breaking):
+            kept_sets += [kept & ~(1 << i) for kept in kept_sets]
+        quotients = [_quotient_verdict(g, frame, kept) for kept in kept_sets]
+        pairs += [(hmask, breaking ^ kept) for kept in kept_sets]
+        direct += [_direct_verdict(g, hmask, kept) for kept in kept_sets]
+        quotient += [verdict for verdict, _ in quotients]
+        has_l += [flag for _, flag in quotients]
+    return table

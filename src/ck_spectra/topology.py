@@ -61,7 +61,7 @@ from .ideals import (
     AdmissiblePair,
     _breaking_masked,
     _check_masks,
-    _direct_verdict,
+    _classified,
     _meet_entry,
     _meet_masks,
     _named,
@@ -229,11 +229,8 @@ def h_map(g: Graph, p: SpecPoint) -> AdmissiblePair:
 @per_graph
 def _h_masks(g: Graph) -> list[tuple[int, int]]:
     """:func:`h_map` of every point as ``(hmask, smask)``, in point order."""
-    pairs = []
-    for w, r in _spec_masks(g):
-        hmask = g.full_mask & ~w
-        pairs.append((hmask, _breaking_masked(g, hmask) & ~r))
-    return pairs
+    full = g.full_mask
+    return [(full & ~w, _breaking_masked(g, full & ~w) & ~r) for w, r in _spec_masks(g)]
 
 
 @per_graph
@@ -386,8 +383,7 @@ def verify_homeomorphism(
     if len(image) != len(pts):
         raise VerificationFailure("point-to-ideal map is not injective", pts)
     require_enumerable(g, limit)
-    verdicts = {pair: _direct_verdict(g, *pair) for pair in admissible_pairs(g)}
-    prime_pairs = {pair for pair, c in verdicts.items() if c.is_prime}
+    prime_pairs = {pair for pair, c in zip(admissible_pairs(g), _classified(g).direct) if c.is_prime}
     if image != prime_pairs:
         named = lambda pairs: {_named(g, pair) for pair in pairs}
         raise VerificationFailure(

@@ -30,7 +30,8 @@ string-list writer in ``ck_spectra.render`` replaced.  ``px_model``,
 ``px_closure`` and ``phi`` model the spectrum of the subset graph
 ``ck_spectra.ea_graph(ground, OMEGA)`` on the nonempty subsets of the ground
 set.  ``named_pairs`` is no oracle: it names the package's own enumeration,
-``admissible_pairs``, for the tests that take pairs of vertex sets.
+``admissible_pairs``, for the tests that take pairs of vertex sets, and
+``bundle_chain`` is the graph family that the pair-limit tests share.
 """
 
 from __future__ import annotations
@@ -286,13 +287,13 @@ def oracle_finite_return_mask(g: Graph) -> int:
     return sum(1 << i for i in range(g.n) if g.class_masks[1] >> i & 1 and oracle_finite_edges(g, i, g.coreach[i]))
 
 
-def oracle_quotient_frame(g: Graph, hmask: int) -> _QuotientFrame:
-    """The frame of ``ideals._quotient_frame`` from its own search: one Tarjan
-    run on the complement of H with the parent's edges restricted to it."""
+def _oracle_frame_components(g: Graph, hmask: int) -> tuple[list, list]:
+    """One Tarjan run on the complement of H with the parent's edges restricted
+    to it: its exitless cycles and its terminal components, each as the mask
+    its members reach."""
     rest, mult = g.full_mask & ~hmask, g.edge_mult
     succ = [m & rest for m in g.succ_mask]
     exitless, terminal = [], []
-    common = rest
     for c in strong_components(succ, rest)[0]:
         out = one = 0  # what c reaches; its members with one edge, of multiplicity one
         for i in range(g.n):
@@ -302,18 +303,27 @@ def oracle_quotient_frame(g: Graph, hmask: int) -> _QuotientFrame:
                     one |= 1 << i
         if not out & ~c:
             terminal.append(out)
-            common &= out
             # an exitless cycle leaves no edge out of its component, so it is terminal
             if out and one == c:
                 exitless.append(out)
-    return _QuotientFrame(exitless, terminal, common)
+    return exitless, terminal
 
 
-def oracle_one_terminal(frame: _QuotientFrame, kept: int) -> bool:
-    """Whether one component of the quotient is terminal, counted: each kept
-    vertex's copy, and each terminal component of the frame with no edge into
-    a kept vertex."""
-    return kept.bit_count() + sum(not out & kept for out in frame.terminal) == 1
+def oracle_quotient_frame(g: Graph, hmask: int) -> _QuotientFrame:
+    """The frame of ``ideals._quotient_frame`` from its own search: the exitless
+    cycles, the count of terminal components and the AND of their masks."""
+    exitless, terminal = _oracle_frame_components(g, hmask)
+    common = g.full_mask & ~hmask
+    for out in terminal:
+        common &= out
+    return _QuotientFrame(exitless, len(terminal), common)
+
+
+def oracle_one_terminal(g: Graph, hmask: int, kept: int) -> bool:
+    """Whether one component of the quotient is terminal, counted over a search
+    of its own: each kept vertex's copy, and each terminal component of the
+    frame with no edge into a kept vertex."""
+    return kept.bit_count() + sum(not out & kept for out in _oracle_frame_components(g, hmask)[1]) == 1
 
 
 def _oracle_edge_count(g: Graph, src: str, into) -> object:
@@ -536,6 +546,15 @@ def phi(model: PXModel, point) -> frozenset:
 def named_pairs(g: Graph) -> list[AdmissiblePair]:
     """Every admissible pair of ``admissible_pairs``, in its order, as vertex sets."""
     return [_named(g, pair) for pair in admissible_pairs(g)]
+
+
+def bundle_chain(k: int) -> Graph:
+    """A chain v0 -> ... -> v{k-1} -> w with a double loop at w and an OMEGA
+    bundle from each v_i to a sink h: H = {h} has the k chain vertices as its
+    breaking vertices, and so 2^k pairs."""
+    chain = [f"v{i}" for i in range(k)] + ["w"]
+    bundles = [Bundle(a, b, 1) for a, b in zip(chain, chain[1:])] + [Bundle("w", "w", 2)]
+    return Graph([*chain, "h"], bundles + [Bundle(v, "h", OMEGA) for v in chain[:-1]])
 
 
 # -- the .gcg parser -----------------------------------------------------------

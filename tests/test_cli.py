@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from ck_spectra import VerificationFailure, emit_gcg, parse_graph, running_example
 from ck_spectra import cli, graph_core, ideals, tails, topology
 
+from .oracles import bundle_chain
+
 
 @pytest.fixture(scope="module")
 def fixture_path(tmp_path_factory):
@@ -244,7 +246,7 @@ def test_verify_runs_each_whole_graph_scan_once(fixture_path, capsys):
         for name, fn in (
             ("mt", tails._cluster_masks),
             ("sat_her", ideals.saturated_hereditary_sets),
-            ("pairs", ideals.admissible_pairs),
+            ("table", ideals._classified),
         )
     }
     runs = Counter()
@@ -259,7 +261,7 @@ def test_verify_runs_each_whole_graph_scan_once(fixture_path, capsys):
     finally:
         sys.setprofile(None)
     assert code == 0
-    assert runs == {"mt": 1, "sat_her": 1, "pairs": 1}
+    assert runs == {"mt": 1, "sat_her": 1, "table": 1}
 
 
 def test_verify_decides_each_fact_once(fixture_path, capsys):
@@ -322,6 +324,7 @@ def test_verify_keeps_pairs_and_points_as_masks(fixture_path, capsys):
         return found
 
     cores = (
+        ideals._classified,
         ideals._direct_verdict,
         ideals._quotient_verdict,
         ideals.admissible_pairs,
@@ -376,6 +379,7 @@ def test_verify_validates_no_enumerated_pair(fixture_path, capsys):
         "_check_admissible",
         "saturated_hereditary_sets",
         "admissible_pairs",
+        "_classified",
         "_quotient_frame",
         "_direct_verdict",
     }
@@ -453,6 +457,36 @@ def test_ideals_past_two_to_the_twenty_saturated_hereditary_sets_exits_four(tmp_
     )
 
 
+@pytest.mark.parametrize("command", ["ideals", "verify"])
+def test_past_two_to_the_twenty_admissible_pairs_exits_four(command, tmp_path, capsys):
+    # 26 vertices and 28 saturated hereditary sets, but H = {h} of the chain
+    # has 24 breaking vertices and so 2^24 pairs: the running total stops
+    # before they are expanded instead of running out of memory
+    path = tmp_path / "chain24.gcg"
+    path.write_text(emit_gcg(bundle_chain(24)))
+    code, out, err = run(capsys, command, "--limit", "100", str(path))
+    assert (code, out) == (4, "")
+    assert err == "size limit: the first 3 of 28 saturated hereditary sets have over 2^20 pairs\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "ideals"])
+def test_enumeration_keeps_one_table_and_no_per_pair_or_per_H_verdicts(command, capsys, monkeypatch):
+    # 12 disjoint double-loop vertices: 2^12 saturated hereditary sets, one
+    # pair each.  Both verdicts of every pair sit in one classified table; no
+    # verdict is memoised per pair, and no quotient frame per H.
+    names = [f"v{i}" for i in range(12)]
+    g = parse_graph(f"vertex {', '.join(names)};\n" + "".join(f"edge {v} -> {v} * 2;\n" for v in names))
+    monkeypatch.setattr(cli, "_load", lambda path: g)
+    code, _, _ = run(capsys, command, "loops.gcg")
+    assert code == 0
+    slots = {slot.rpartition(".")[2] for slot in g.__dict__ if slot.startswith("_cache:")}
+    assert "_classified" in slots and not {"_direct_verdict", "_quotient_frame", "_quotient_verdict"} & slots
+    table = ideals._classified(g)
+    assert ideals.admissible_pairs(g) is table.pairs
+    assert table.pairs == [(h, 0) for h in ideals.saturated_hereditary_sets(g)]
+    assert len(table.pairs) == len(table.direct) == len(table.quotient) == len(table.has_l) == 2**12
+
+
 # -- planted faults: the two classification routes stay independent -----------------
 
 
@@ -486,7 +520,7 @@ def test_verify_catches_a_one_terminal_test_that_accepts_two_kept_vertices(fixtu
     monkeypatch.setattr(
         ideals,
         "_quotient_one_terminal",
-        lambda frame, kept: kept & frame.common != 0 if kept else len(frame.terminal) == 1,
+        lambda frame, kept: kept & frame.common != 0 if kept else frame.terminal == 1,
     )
     code, out, err = run(capsys, "verify", fixture_path)
     assert code == 1 and "homeomorphism: ok" in out

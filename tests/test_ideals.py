@@ -1,7 +1,9 @@
+import contextlib
 import random
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,6 @@ from ck_spectra import ideals, tails
 from ck_spectra.ideals import (
     _breaking_masked,
     _check_admissible,
-    _direct_verdict,
     _quotient_frame,
     _quotient_one_terminal,
     _quotient_verdict,
@@ -46,6 +47,7 @@ from ck_spectra.ideals import (
 from ck_spectra.tails import _finite_return_mask
 
 from .oracles import (
+    bundle_chain,
     named_pairs,
     oracle_breaking_masked,
     oracle_breaking_vertices,
@@ -195,6 +197,40 @@ def test_admissible_pairs_single_vertex():
 def test_admissible_pairs_row_finite_subset_graph():
     g = ea_graph(["a", "b"], 1)
     assert all(smask == 0 for _, smask in ideals.admissible_pairs(g))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(pytest.param(lambda k=k: bundle_chain(k), id=f"chain-{k}") for k in range(1, 7)),
+        *(pytest.param(lambda s=s: random_condition_k_graph(s, 2 + s % 8, 0.3, 0.5), id=f"random-{s}") for s in range(12)),
+    ],
+)
+def test_admissible_pairs_stop_just_past_their_limit(build, monkeypatch):
+    # the running total is checked before each H's 2^|B_H| subsets are
+    # expanded: cut down to the exact count, every pair comes out, H by H, and
+    # one below, none does.  The saturated hereditary sets are cached first,
+    # under the real limit, so that only the pairs can stop.
+    def fresh():
+        g = build()
+        saturated_hereditary_sets(g)
+        return g
+
+    g, again = fresh(), fresh()
+    expected = [
+        (g.mask(h), g.mask(s))
+        for h in oracle_sat_her(g)
+        for b in [sorted(oracle_breaking_vertices(g, h))]
+        for k in range(len(b) + 1)
+        for s in combinations(b, k)
+    ]
+    monkeypatch.setattr(ideals, "_MAX_SETS", len(expected))
+    pairs = ideals.admissible_pairs(g)
+    assert sorted(pairs) == sorted(expected)
+    assert list(dict.fromkeys(h for h, _ in pairs)) == saturated_hereditary_sets(g)
+    monkeypatch.setattr(ideals, "_MAX_SETS", len(expected) - 1)
+    with pytest.raises(SizeLimitExceeded, match=r"saturated hereditary sets have over 2\^20 pairs"):
+        ideals.admissible_pairs(again)
 
 
 def test_admissible_pair_validation(g7):
@@ -587,8 +623,14 @@ QUOTIENT_GRAPHS = [
 
 
 def masks(g, pair):
-    """The ``(hmask, smask)`` that the mask cores take."""
+    """The ``(hmask, smask)`` of a named pair."""
     return g.mask(pair.h), g.mask(pair.s)
+
+
+def quotient_verdict(g, pair):
+    """``_quotient_verdict`` on a named pair: its H's frame and its kept breaking vertices."""
+    hmask, smask = masks(g, pair)
+    return _quotient_verdict(g, _quotient_frame(g, hmask), _breaking_masked(g, hmask) & ~smask)
 
 
 @pytest.mark.parametrize("build", QUOTIENT_GRAPHS)
@@ -597,7 +639,7 @@ def test_quotient_route_matches_the_named_quotient(build):
     for pair in named_pairs(g):
         q = quotient_graph(g, pair)
         named = (oracle_classify_quotient(q), condition_L(q.graph).holds)
-        assert _quotient_verdict(g, *masks(g, pair)) == named, pair
+        assert quotient_verdict(g, pair) == named, pair
 
 
 def test_quotient_route_meets_every_verdict_and_both_L_flags():
@@ -607,7 +649,7 @@ def test_quotient_route_meets_every_verdict_and_both_L_flags():
         for s in range(12):
             g = make(s, 1 + s % 8, 0.5)
             for pair in named_pairs(g):
-                verdict, has_l = _quotient_verdict(g, *masks(g, pair))
+                verdict, has_l = quotient_verdict(g, pair)
                 seen.add((verdict.kind, has_l))
     kinds = {kind for kind, _ in seen}
     assert kinds == {IdealKind.PRIMITIVE_TAIL, IdealKind.PRIMITIVE_RETURN, IdealKind.NOT_PRIME}
@@ -648,9 +690,30 @@ def test_frames_and_breaking_vertices_match_their_per_H_oracles(g):
     for hmask in saturated_hereditary_sets(g):
         frame, expected = _quotient_frame(g, hmask), oracle_quotient_frame(g, hmask)
         assert sorted(frame.exitless) == sorted(expected.exitless), sorted(g.names(hmask))
-        assert sorted(frame.terminal) == sorted(expected.terminal), sorted(g.names(hmask))
+        assert frame.terminal == expected.terminal, sorted(g.names(hmask))
         assert frame.common == expected.common, sorted(g.names(hmask))
         assert _breaking_masked(g, hmask) == oracle_breaking_masked(g, hmask), sorted(g.names(hmask))
+
+
+@given(g=multigraphs())
+@settings(max_examples=200, deadline=None)
+def test_every_classified_row_matches_both_classifiers(g):
+    # each row of the one table against the public classifiers on its named
+    # pair, which build their own kept set and frame, and against Condition
+    # (L) on the named quotient graph.  Without Condition (K) the classifiers
+    # refuse, and the rows match them with that guard lifted.
+    table = ideals._classified(g)
+    guard = contextlib.nullcontext()
+    if not condition_K(g):
+        with pytest.raises(ConditionKRequired):
+            classify_ideal(g, ideals._named(g, table.pairs[0]))
+        guard = mock.patch.object(ideals, "_require_condition_k", lambda g: None)
+    with guard:
+        for pair, direct, quotient, has_l in zip(*table):
+            named = ideals._named(g, pair)
+            assert classify_ideal(g, named) == direct, named
+            assert classify_via_quotient(g, named) == quotient, named
+            assert condition_L(quotient_graph(g, named).graph).holds == has_l, named
 
 
 @given(
@@ -667,7 +730,7 @@ def test_one_terminal_test_matches_the_terminal_count_random(seed, n, density, o
     g = generate(seed, n, density, omega_prob)
     for hmask, smask in ideals.admissible_pairs(g):
         kept = _breaking_masked(g, hmask) & ~smask
-        expected = oracle_one_terminal(oracle_quotient_frame(g, hmask), kept)
+        expected = oracle_one_terminal(g, hmask, kept)
         assert _quotient_one_terminal(_quotient_frame(g, hmask), kept) == expected, (hmask, kept)
 
 
@@ -685,7 +748,7 @@ def test_quotient_route_reads_nothing_of_the_direct_route(build, monkeypatch):
     monkeypatch.setattr(tails, "_mt_faults", forbidden)
     monkeypatch.setattr(ideals, "_cluster_masks", forbidden)
     for pair, verdict in zip(pairs, verdicts):
-        assert _quotient_verdict(fresh, *masks(fresh, pair))[0] == verdict, pair
+        assert quotient_verdict(fresh, pair)[0] == verdict, pair
     assert not {"reach", "coreach", "condensation"} & fresh.__dict__.keys()
     assert not [slot for slot in fresh.__dict__ if slot.startswith("_cache:ck_spectra.tails.")]
 
@@ -708,22 +771,19 @@ def test_routes_agree_past_the_enumeration_limit(name):
     # edge: 300 to 1,500 vertices, but 21 or 2 pairs
     g = parse_graph((LARGE_SPARSE / f"{name}.gcg").read_text())
     assert g.n >= 300 and condition_K(g)
-    kinds = set()
-    for pair in ideals.admissible_pairs(g):
-        verdict = _direct_verdict(g, *pair)
-        assert _quotient_verdict(g, *pair) == (verdict, True), pair
-        kinds.add(verdict.kind)
-    assert kinds == {IdealKind.PRIMITIVE_TAIL, IdealKind.NOT_PRIME}
+    table = ideals._classified(g)
+    for pair, direct, quotient, has_l in zip(*table):
+        assert (quotient, has_l) == (direct, True), pair
+    assert {verdict.kind for verdict in table.direct} == {IdealKind.PRIMITIVE_TAIL, IdealKind.NOT_PRIME}
 
 
 def test_routes_agree_on_a_200_block_chain(chain200):
     # 200 points, so every pair but the full H is a primitive tail
-    pairs = ideals.admissible_pairs(chain200)
-    assert len(pairs) == 201
-    for pair in pairs:
-        verdict = _direct_verdict(chain200, *pair)
-        assert _quotient_verdict(chain200, *pair) == (verdict, True), pair
-    assert Counter(_direct_verdict(chain200, *pair).kind for pair in pairs) == {
+    table = ideals._classified(chain200)
+    assert len(table.pairs) == 201
+    for pair, direct, quotient, has_l in zip(*table):
+        assert (quotient, has_l) == (direct, True), pair
+    assert Counter(verdict.kind for verdict in table.direct) == {
         IdealKind.PRIMITIVE_TAIL: 200,
         IdealKind.NOT_PRIME: 1,
     }
