@@ -36,6 +36,7 @@ from .graph_core import (
     OMEGA,
     Graph,
     Mult,
+    _require_condition_k,
     check_mult,
     condition_K,
     condition_L,
@@ -44,11 +45,10 @@ from .graph_core import (
     require_enumerable,
 )
 from .ideals import (
-    _classified,
     _named,
-    _require_condition_k,
+    _verify_record,
+    _walk,
     admissible_pair,
-    admissible_pairs,
     quotient_graph,
     saturated_hereditary_sets,
 )
@@ -63,7 +63,6 @@ from .tails import (
     BoundaryPath,
     _cluster_masks,
     _finite_return_mask,
-    _mt_holds,
     _realize_mask,
     _tail_mask,
     maximal_tails,
@@ -140,7 +139,7 @@ def _point_names(g: Graph) -> dict:
     for the return vertex v."""
     return {
         p: f"FR:{g.listing(r)[0]}" if r else f"T{i}"
-        for i, (p, (_, r)) in enumerate(zip(spec_points(g), _spec_masks(g)), 1)
+        for i, (p, (_, r, _)) in enumerate(zip(spec_points(g), _spec_masks(g)), 1)
     }
 
 
@@ -234,30 +233,30 @@ def cmd_ideals(args) -> int:
     g = _load(args.path)
     require_enumerable(g, args.limit)
     _require_condition_k(g)
-    sh, pairs, table = saturated_hereditary_sets(g), admissible_pairs(g), _classified(g)
-    rows = zip(pairs, table.direct, table.quotient)
+    sh = saturated_hereditary_sets(g)
+    # the whole walk before any output, so a size limit prints nothing
+    rows = [(*pair, direct, direct == quotient) for pair, direct, quotient, _ in _walk(g)]
     if args.json:
         payload = {
             "schema": "ck-spectra/ideals/1",
             "saturated_hereditary_sets": [g.listing(h) for h in sh],
             "pairs": [
                 {
-                    **pair_payload(g, *pair),
+                    **pair_payload(g, hmask, smask),
                     "class": direct.kind.value,
                     "v0": direct.v0,
-                    "quotient_route_agrees": direct == quotient,
+                    "quotient_route_agrees": agree,
                 }
-                for pair, direct, quotient in rows
+                for hmask, smask, direct, agree in rows
             ],
         }
         sys.stdout.write(emit_json(payload))
         return EXIT_OK
     print(f"saturated hereditary sets: {len(sh)}")
-    print(f"admissible pairs: {len(pairs)}")
-    for pair, direct, quotient in rows:
-        agree = "agree" if direct == quotient else "DISAGREE"
-        print(f"  {_fmt_pair(g, *pair)} -> {direct.describe()} [{agree}]")
-    print(f"prime ideals: {sum(d.is_prime for d in table.direct)}")
+    print(f"admissible pairs: {len(rows)}")
+    for hmask, smask, direct, agree in rows:
+        print(f"  {_fmt_pair(g, hmask, smask)} -> {direct.describe()} [{'agree' if agree else 'DISAGREE'}]")
+    print(f"prime ideals: {sum(row[2].is_prime for row in rows)}")
     return EXIT_OK
 
 
@@ -296,7 +295,7 @@ def _space_listing(g: Graph, space, json_mode: bool) -> int:
                     "ideal": pair_payload(g, *pair),
                     "closure": sorted(names[q] for q in closure_of[p]),
                 }
-                for p, (w, r), pair in rows
+                for p, (w, r, _), pair in rows
             ],
             "specialization": [
                 [names[p], names[q]] for p, q in sep.specialization if p != q
@@ -309,7 +308,7 @@ def _space_listing(g: Graph, space, json_mode: bool) -> int:
         sys.stdout.write(emit_json(payload))
         return EXIT_OK
     print(f"points ({len(pts)}):")
-    for p, (w, r), pair in rows:
+    for p, (w, r, _), pair in rows:
         print(f"  {names[p]} = {f'return vertex {g.listing(r)[0]}' if r else _fmt_set(g, w)}")
         print(f"       ideal: {_fmt_pair(g, *pair)}")
         print(f"       closure: {{{', '.join(sorted(names[q] for q in closure_of[p]))}}}")
@@ -379,20 +378,14 @@ def cmd_verify(args) -> int:
     for line in lines:
         print(f"kuratowski prim/{line}")
     print(f"primitive = prime points: ok ({hom.points} points)")
-    # a cluster is a maximal tail when it satisfies MT1-MT3, as MT4 holds on
-    # every finite vertex set; the direct route has decided each already
-    tails = _cluster_masks(g)
-    for t in tails:
-        if not _mt_holds(g, t):
-            raise VerificationFailure("a cluster is not a maximal tail", g.names(t))
+    # MT4 holds on every finite vertex set, so the direct route has decided each cluster
+    record, tails = _verify_record(g), _cluster_masks(g)
+    if missing := [t for t in tails if t not in record.tails]:
+        raise VerificationFailure("a cluster is not a maximal tail", g.names(missing[0]))
     print(f"tails equal clusters: ok ({len(tails)})")
 
-    # verify_homeomorphism enumerated the pairs under the same limit
-    pairs, table = admissible_pairs(g), _classified(g)
-    disagreements = [pair for pair, d, q in zip(pairs, table.direct, table.quotient) if d != q]
-    bad = [pair for pair, has_l in zip(pairs, table.has_l) if not has_l]
-    if disagreements:
-        raise VerificationFailure("classification routes disagree", _named(g, disagreements[0]))
+    if record.disagree is not None:
+        raise VerificationFailure("classification routes disagree", _named(g, record.disagree))
     print("classification agreement: ok")
 
     for t in tails:
@@ -400,8 +393,8 @@ def cmd_verify(args) -> int:
             raise VerificationFailure("realization does not round-trip", g.names(t))
     print("tail realization round-trip: ok")
 
-    if bad:
-        raise VerificationFailure("a quotient of a Condition-(K) graph violates (L)", _named(g, bad[0]))
+    if record.without_l is not None:
+        raise VerificationFailure("a quotient of a Condition-(K) graph violates (L)", _named(g, record.without_l))
     print("quotients satisfy condition L: ok")
     print("all checks passed")
     return EXIT_OK

@@ -20,7 +20,8 @@ class NotAMaximalTail(CkSpectraError):
 
 
 class SizeLimitExceeded(CkSpectraError):
-    """An exhaustive enumeration was requested on a graph above the configured vertex limit."""
+    """A size cap was passed: the vertex limit, 2^20 saturated hereditary sets,
+    2^20 pairs, 2^20 swept subsets, or 4 elements of a ``gen ea`` ground set."""
 
 
 class NotSaturatedHereditary(CkSpectraError):

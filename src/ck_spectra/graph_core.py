@@ -30,7 +30,7 @@ from functools import cached_property, wraps
 from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .errors import SizeLimitExceeded, UnknownVertex
+from .errors import ConditionKRequired, SizeLimitExceeded, UnknownVertex
 
 DEFAULT_ENUMERATION_LIMIT = 20
 
@@ -476,6 +476,12 @@ def condition_K(g: Graph) -> Check:
     if CycleClass.ONE in classes:
         return Check(False, g.vertices[classes.index(CycleClass.ONE)])
     return Check(True)
+
+
+def _require_condition_k(g: Graph) -> None:
+    """Raise ConditionKRequired, naming the vertex that ``check`` names, unless (K) holds."""
+    if not (k := condition_K(g)):
+        raise ConditionKRequired(f"Condition (K) fails: vertex {k.witness} has exactly one simple cycle")
 
 
 @per_graph

@@ -6,8 +6,8 @@ algebra.  Under Condition (K) these are all the ideals, the lattice meet is
 given by an explicit intersection formula, and each ideal is classified as
 primitive or not prime in two independent ways.  A finite vertex set makes
 the algebra separable, and there every prime ideal is primitive (Dixmier
-1960), so no third verdict arises.  One per-graph table, :func:`_classified`,
-holds both verdicts on every enumerated pair:
+1960), so no third verdict arises.  One walk over the pairs, :func:`_walk`,
+yields both verdicts of each, H by H, and keeps nothing per H:
 
 * :func:`classify_ideal` reads the answer off the complement of H directly:
   whether it is a maximal tail, and which breaking vertices are kept, and
@@ -19,6 +19,7 @@ holds both verdicts on every enumerated pair:
 
 The two must agree everywhere; the test suite uses that as its main oracle.
 Past the (K) check, the quotient route reads no reachability or tails.
+``ideals`` lists the walk's rows; ``verify`` keeps only :func:`_verify_record`.
 
 Breaking vertices are counted by *edges*: the edges escaping H must be
 finitely many and at least one, so no OMEGA bundle may leave H.  Counting
@@ -34,15 +35,15 @@ outside is validated once.  Names appear only at the boundary:
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import ConditionKRequired, NotSaturatedHereditary, SizeLimitExceeded
+from .errors import NotSaturatedHereditary, SizeLimitExceeded
 from .graph_core import (
     Bundle,
     Graph,
     _bits,
     _finite_edges,
-    condition_K,
+    _require_condition_k,
     per_graph,
     strong_components,
 )
@@ -131,7 +132,6 @@ def saturated_hereditary_sets(g: Graph) -> list[int]:
 # -- breaking vertices ---------------------------------------------------------
 
 
-@per_graph
 def _breaking_masked(g: Graph, hmask: int) -> int:
     """Mask of infinite emitters with a finite, nonzero edge count escaping hmask."""
     rest = g.full_mask & ~hmask
@@ -147,15 +147,10 @@ def _require_sat_her(g: Graph, hmask: int) -> int:
 
 @per_graph
 def _check_admissible(g: Graph, pair: AdmissiblePair) -> tuple[int, int]:
-    return _check_masks(g, _require_sat_her(g, g.mask(pair.h)), g.mask(pair.s))
-
-
-def _check_masks(g: Graph, hmask: int, smask: int) -> tuple[int, int]:
-    """Raise unless ``(hmask, smask)`` is admissible, naming the offending set."""
-    if smask & ~_breaking_masked(g, _require_sat_her(g, hmask)):
-        raise NotSaturatedHereditary(
-            f"S = {sorted(g.names(smask))} is not contained in the breaking vertices of H"
-        )
+    """A named pair as ``(hmask, smask)``; raises unless it is admissible, naming the offending set."""
+    hmask, smask = _require_sat_her(g, g.mask(pair.h)), g.mask(pair.s)  # H is rejected before S is read
+    if smask & ~_breaking_masked(g, hmask):
+        raise NotSaturatedHereditary(f"S = {sorted(g.names(smask))} is not contained in the breaking vertices of H")
     return hmask, smask
 
 
@@ -167,8 +162,8 @@ def admissible_pair(g: Graph, h, s=()) -> AdmissiblePair:
 
 
 def admissible_pairs(g: Graph) -> list[tuple[int, int]]:
-    """Every pair as ``(hmask, smask)``, admissible by construction: the pair column of :func:`_classified`."""
-    return _classified(g).pairs
+    """Every pair as ``(hmask, smask)``, admissible by construction: the pairs of :func:`_walk`."""
+    return [pair for pair, *_ in _walk(g)]
 
 
 # -- lattice operations --------------------------------------------------------
@@ -196,8 +191,9 @@ def _meet_entry(g: Graph, hmask: int, smask: int) -> int:
 
 def _meet_masks(g: Graph, fold: int) -> tuple[int, int]:
     """:func:`meet` as ``(hmask, smask)`` from the union of its pairs' entries: H is
-    the complement of its low half, and S that of its high half cut down to B_H."""
-    hmask = g.full_mask & ~fold
+    the complement of its low half, validated as saturated hereditary, and S that
+    of its high half cut down to B_H, so the pair is admissible."""
+    hmask = _require_sat_her(g, g.full_mask & ~fold)
     return hmask, g.full_mask & ~(fold >> g.n) & _breaking_masked(g, hmask)
 
 
@@ -264,11 +260,6 @@ def quotient_graph(g: Graph, pair: AdmissiblePair) -> QuotientGraph:
 
 
 # -- classification ------------------------------------------------------------
-
-
-def _require_condition_k(g: Graph) -> None:
-    if not condition_K(g):
-        raise ConditionKRequired("classification requires Condition (K)")
 
 
 def classify_ideal(g: Graph, pair: AdmissiblePair) -> IdealClass:
@@ -386,29 +377,41 @@ def _quotient_verdict(g: Graph, frame: _QuotientFrame, kept: int) -> tuple[Ideal
     return _TAIL, has_l
 
 
-class _Classified(NamedTuple):
-    pairs: list  # each admissible pair, H by H with each subset of B_H, as (hmask, smask)
-    direct: list  # each pair's verdict from the complement of H
-    quotient: list  # and from its quotient graph
-    has_l: list  # whether each pair's quotient satisfies Condition (L)
-
-
-@per_graph
-def _classified(g: Graph) -> _Classified:
-    """The pairs and their verdicts, reading each H's breaking vertices and frame once.
-    Raises SizeLimitExceeded before an H's 2^|B_H| pairs take the total past 2^20."""
-    pairs, direct, quotient, has_l = table = _Classified([], [], [], [])
-    sets = saturated_hereditary_sets(g)
+def _walk(g: Graph) -> Iterator[tuple[tuple[int, int], IdealClass, IdealClass, bool]]:
+    """Each admissible pair, H by H with each subset of B_H, with its direct and quotient
+    verdicts and whether its quotient has Condition (L), reading each H's breaking vertices
+    and frame once.  Raises SizeLimitExceeded before an H's 2^|B_H| pairs take the total past 2^20."""
+    sets, total = saturated_hereditary_sets(g), 0
     for k, hmask in enumerate(sets, 1):
         breaking = _breaking_masked(g, hmask)
-        if len(pairs) + (1 << breaking.bit_count()) > _MAX_SETS:
+        total += 1 << breaking.bit_count()
+        if total > _MAX_SETS:
             raise SizeLimitExceeded(f"the first {k} of {len(sets)} saturated hereditary sets have over 2^20 pairs")
         frame, kept_sets = _quotient_frame(g, hmask), [breaking]  # B_H minus S, S from empty up
         for i in _bits(breaking):
             kept_sets += [kept & ~(1 << i) for kept in kept_sets]
-        quotients = [_quotient_verdict(g, frame, kept) for kept in kept_sets]
-        pairs += [(hmask, breaking ^ kept) for kept in kept_sets]
-        direct += [_direct_verdict(g, hmask, kept) for kept in kept_sets]
-        quotient += [verdict for verdict, _ in quotients]
-        has_l += [flag for _, flag in quotients]
-    return table
+        for kept in kept_sets:
+            yield (hmask, breaking ^ kept), _direct_verdict(g, hmask, kept), *_quotient_verdict(g, frame, kept)
+
+
+class _VerifyRecord(NamedTuple):  # what verify keeps of the walk: no row per pair, nothing per H
+    prime: set  # the pairs the direct route finds prime
+    tails: set  # the complements of H that it finds to be maximal tails
+    disagree: Optional[tuple]  # the first pair on which the two routes disagree, or None
+    without_l: Optional[tuple]  # the first pair whose quotient fails Condition (L), or None
+
+
+@per_graph
+def _verify_record(g: Graph) -> _VerifyRecord:
+    """One walk over the pairs, kept as ``verify`` reads it: its prime pairs and first failures."""
+    prime, tails, disagree, without_l = set(), set(), None, None
+    for pair, direct, quotient, has_l in _walk(g):
+        if direct.is_prime:
+            prime.add(pair)
+            if direct.kind is IdealKind.PRIMITIVE_TAIL:
+                tails.add(g.full_mask & ~pair[0])
+        if disagree is None and direct != quotient:
+            disagree = pair
+        if without_l is None and not has_l:
+            without_l = pair
+    return _VerifyRecord(prime, tails, disagree, without_l)

@@ -16,15 +16,16 @@ exactly when w is singular or on a cycle.  Tails are the clusters, as MT4
 always holds.
 
 :func:`_mt_holds` decides MT1-MT3 on a whole mask in one pass over its
-members, and the direct classification, ``verify``'s cluster check and
-realization all read it.  MT1 holds iff each member's predecessors lie in the
-set, as a path into the set enters it through a predecessor of a member.
-MT3 holds iff some member is reached from every member: in a finite set,
-pairwise common bounds give one common bound, since a common bound of the
-first two members and the third member have a common bound, which all three
-reach, and so on.  So the AND of the members' reach masks meets the set
-exactly when MT3 holds, and no pair need be named.  Only :func:`mt_report`,
-which names a witness for each failing axiom, walks the pairs.
+members, for the direct classification and :func:`realize_as_tail`; ``verify``
+reads the direct route's verdicts on the clusters.  MT1 holds iff each
+member's predecessors lie in the set, as a path into the set enters it
+through a predecessor of a member.  MT3 holds iff some member is reached from
+every member: in a finite set, pairwise common bounds give one common bound,
+since a common bound of the first two members and the third member have a
+common bound, which all three reach, and so on.  So the AND of the members'
+reach masks meets the set exactly when MT3 holds, and no pair need be named.
+Only :func:`mt_report`, which names a witness for each failing axiom, walks
+the pairs.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ def _mt_faults(g: Graph, mask: int) -> tuple:
     return next(escapes, None), next(trapped, None), _undirected_pair(g, mask)
 
 
-@per_graph
 def _mt_holds(g: Graph, mask: int) -> bool:
     """Whether MT1-MT3 hold on a vertex mask, as ``_mt_faults(g, mask) == (None,
     None, None)``, in one pass: each member's predecessors lie in the mask, each
@@ -209,14 +209,14 @@ def realize_as_tail(g: Graph, members) -> BoundaryPath:
     countable separating subset into a descending chain inside the set, then
     extend through MT2 until the walk hits a singular vertex or repeats.
     """
-    return _realize_mask(g, g.mask(members))
+    mask = g.mask(members)
+    if mask == 0 or not _mt_holds(g, mask):  # MT4 always holds
+        raise NotAMaximalTail(f"{sorted(g.names(mask))} does not satisfy MT1-MT4 or is empty")
+    return _realize_mask(g, mask)
 
 
 def _realize_mask(g: Graph, mask: int) -> BoundaryPath:
-    """:func:`realize_as_tail` on a vertex mask."""
-    if mask == 0 or not _mt_holds(g, mask):  # MT4 always holds
-        raise NotAMaximalTail(f"{sorted(g.names(mask))} does not satisfy MT1-MT4 or is empty")
-
+    """:func:`realize_as_tail` on a nonempty vertex mask already known to satisfy MT1-MT3."""
     base = g.vertices[next(_bits(mask))]
     current = base
     bundles: list[Bundle] = []

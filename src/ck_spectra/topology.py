@@ -26,20 +26,20 @@ closures.  :func:`check_kuratowski` tests the closure axioms of a space;
 ``verify`` runs it once per side on the spectrum.
 
 The spectrum is built once per graph as one table of point masks, ``(vertex
-mask, return-vertex bit or 0)`` in point order, straight from the cluster
-masks and the finite-return mask; the point objects, both closure kernels and
-the point-to-pair map are read from it.  Each kernel closes a whole sequence
-of point-index bitmasks (bit i stands for the i-th point) in one call: an
-exhaustive pool's unions fill one list indexed by mask, each from its
-parent's, and each distinct union is scanned once (the graph side's V(X)
-with its essential mask, the ideal side's fold of the meet).  The sweep and
-both Kuratowski passes of ``verify`` read closure lists from these calls, on
-one pool of subsets drawn per graph.  On a finite space an additive closure
-is the down-set closure of its specialization preorder (Alexandrov 1937), so
-one int holds any closed set.  Point objects and vertex names appear only at
-the API and CLI boundary: the arguments and results of :func:`graph_closure`
-and :func:`ideal_closure`, which close within the spectrum, and of
-:func:`h_map`, and the counterexamples in the reports.
+mask, return-vertex bit or 0, breaking vertices out of the complement)`` in
+point order, from the cluster masks and the finite-return mask; the point
+objects, both closure kernels and the point-to-pair map are read from it.
+Each kernel closes a whole sequence of point-index bitmasks (bit i stands for
+the i-th point) in one call: an exhaustive pool's unions fill one list
+indexed by mask, each from its parent's, and each distinct union is scanned
+once (the graph side's V(X) with its essential mask, the ideal side's fold of
+the meet).  The sweep and both Kuratowski passes of ``verify`` read closure
+lists from these calls, on one pool of subsets drawn per graph.  On a finite
+space an additive closure is the down-set closure of its specialization
+preorder (Alexandrov 1937), so one int holds any closed set.  Point objects
+and vertex names appear only at the API and CLI boundary: the arguments and
+results of :func:`graph_closure` and :func:`ideal_closure`, which close within
+the spectrum, and of :func:`h_map`, and the counterexamples in the reports.
 """
 
 from __future__ import annotations
@@ -48,24 +48,23 @@ import random
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import ConditionKRequired, SizeLimitExceeded, VerificationFailure
+from .errors import SizeLimitExceeded, VerificationFailure
 from .graph_core import (
     DEFAULT_ENUMERATION_LIMIT,
     Graph,
     _bits,
-    condition_K,
+    _require_condition_k,
     per_graph,
     require_enumerable,
 )
 from .ideals import (
     AdmissiblePair,
     _breaking_masked,
-    _check_masks,
-    _classified,
     _meet_entry,
     _meet_masks,
     _named,
-    admissible_pairs,
+    _require_sat_her,
+    _verify_record,
     ideal_leq,
 )
 from .tails import _cluster_masks, _finite_return_mask
@@ -87,20 +86,19 @@ SpecPoint = Union[ClusterPoint, FRPoint]
 
 
 @per_graph
-def _spec_masks(g: Graph) -> list[tuple[int, int]]:
-    """The spectrum as ``(vertex mask, return-vertex bit or 0)`` in point order:
-    each cluster, then U(v) with the bit of v for each finite-return vertex v."""
-    if not condition_K(g):
-        raise ConditionKRequired("spectrum computations require Condition (K)")
-    table = [(m, 0) for m in _cluster_masks(g)]
-    return table + [(g.coreach[i], 1 << i) for i in _bits(_finite_return_mask(g))]
+def _spec_masks(g: Graph) -> list[tuple[int, int, int]]:
+    """The spectrum as ``(vertex mask W, return-vertex bit or 0, B_H for H the complement of W)``
+    in point order: each cluster, then U(v) with the bit of v for each finite-return vertex v."""
+    _require_condition_k(g)
+    points = [(m, 0) for m in _cluster_masks(g)] + [(g.coreach[i], 1 << i) for i in _bits(_finite_return_mask(g))]
+    return [(w, r, _breaking_masked(g, g.full_mask & ~w)) for w, r in points]
 
 
 @per_graph
 def spec_points(g: Graph) -> list[SpecPoint]:
     """Points of the prime spectrum: clusters, then finite-return vertices; needs (K)."""
     v = g.vertices
-    return [FRPoint(v[r.bit_length() - 1]) if r else ClusterPoint(g.names(w)) for w, r in _spec_masks(g)]
+    return [FRPoint(v[r.bit_length() - 1]) if r else ClusterPoint(g.names(w)) for w, r, _ in _spec_masks(g)]
 
 
 def prim_points(g: Graph) -> list[SpecPoint]:
@@ -196,7 +194,7 @@ def _graph_kernel(g: Graph) -> Callable[[Sequence[int]], list[int]]:
     """
     n, full = g.n, g.full_mask
     # each point as one int: W_p in the low n bits, its essential mask above them
-    table = [w | (w & ~_breaking_masked(g, full & ~w) | r) << n for w, r in _spec_masks(g)]
+    table = [w | (w & ~b | r) << n for w, r, b in _spec_masks(g)]
 
     def scan(key: int) -> int:
         """The closure of every X whose points' masks join to ``key``."""
@@ -229,20 +227,19 @@ def h_map(g: Graph, p: SpecPoint) -> AdmissiblePair:
 @per_graph
 def _h_masks(g: Graph) -> list[tuple[int, int]]:
     """:func:`h_map` of every point as ``(hmask, smask)``, in point order."""
-    full = g.full_mask
-    return [(full & ~w, _breaking_masked(g, full & ~w) & ~r) for w, r in _spec_masks(g)]
+    return [(g.full_mask & ~w, b & ~r) for w, r, b in _spec_masks(g)]
 
 
 @per_graph
 def _ideal_kernel(g: Graph) -> Callable[[Sequence[int]], list[int]]:
-    """Ideal-side closures of point-index masks, in bulk, from the :func:`h_map`
-    pairs and :func:`meet`'s fold; each pair and each meet is validated as
-    admissible.  The cut to B_H and the containment scan run once per fold."""
-    pairs = [_check_masks(g, *pair) for pair in _h_masks(g)]
+    """Ideal-side closures of point-index masks, in bulk, from the :func:`h_map` pairs and
+    :func:`meet`'s fold; the H of each pair and each meet is validated as saturated hereditary,
+    and each S lies in B_H by construction.  The cut to B_H and the containment scan run once per fold."""
+    pairs = [(_require_sat_her(g, h), s) for h, s in _h_masks(g)]
 
     def above(fold: int) -> int:
         """Mask of the points whose pair contains the meet with this fold."""
-        bottom = _check_masks(g, *_meet_masks(g, fold))
+        bottom = _meet_masks(g, fold)
         return sum(1 << i for i, q in enumerate(pairs) if ideal_leq(bottom, q))
 
     return _fold_kernel([_meet_entry(g, *pair) for pair in pairs], above)
@@ -383,7 +380,7 @@ def verify_homeomorphism(
     if len(image) != len(pts):
         raise VerificationFailure("point-to-ideal map is not injective", pts)
     require_enumerable(g, limit)
-    prime_pairs = {pair for pair, c in zip(admissible_pairs(g), _classified(g).direct) if c.is_prime}
+    prime_pairs = _verify_record(g).prime
     if image != prime_pairs:
         named = lambda pairs: {_named(g, pair) for pair in pairs}
         raise VerificationFailure(

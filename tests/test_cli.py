@@ -8,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -246,14 +247,17 @@ def test_verify_runs_each_whole_graph_scan_once(fixture_path, capsys):
         for name, fn in (
             ("mt", tails._cluster_masks),
             ("sat_her", ideals.saturated_hereditary_sets),
-            ("table", ideals._classified),
+            ("record", ideals._verify_record),
         )
     }
-    runs = Counter()
+    walk = ideals._walk.__code__
+    runs, walks = Counter(), set()
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code in scans:
             runs[scans[frame.f_code]] += 1
+        elif event == "call" and frame.f_code is walk:  # also on each resumption
+            walks.add(frame)
 
     sys.setprofile(count)
     try:
@@ -261,7 +265,8 @@ def test_verify_runs_each_whole_graph_scan_once(fixture_path, capsys):
     finally:
         sys.setprofile(None)
     assert code == 0
-    assert runs == {"mt": 1, "sat_her": 1, "table": 1}
+    # one walk over the pairs, kept as one record that both steps of verify read
+    assert runs == {"mt": 1, "sat_her": 1, "record": 1} and len(walks) == 1
 
 
 def test_verify_decides_each_fact_once(fixture_path, capsys):
@@ -269,9 +274,7 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
         inspect.unwrap(fn).__code__: name
         for name, fn in (("kuratowski", topology.check_kuratowski), ("classify", ideals._direct_verdict))
     }
-    csp_body = graph_core.has_csp.__code__
-    mt_fn = inspect.unwrap(tails._mt_holds)
-    mt_cache = tails._mt_holds.__code__  # the memo lookup, shared by every per_graph function
+    csp_body, mt_body = graph_core.has_csp.__code__, tails._mt_holds.__code__
     runs = Counter()
     csp_graphs = []  # kept alive, so that no two of them share an id
     mt_masks, mt_callers = [], set()
@@ -283,9 +286,8 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
             runs[bodies[frame.f_code]] += 1
         elif frame.f_code is csp_body:
             csp_graphs.append(frame.f_locals["g"])
-        elif frame.f_code is mt_fn.__code__:
+        elif frame.f_code is mt_body:
             mt_masks.append(frame.f_locals["mask"])
-        elif frame.f_code is mt_cache and frame.f_locals["fn"] is mt_fn:
             mt_callers.add(frame.f_back.f_code.co_name)
 
     sys.setprofile(count)
@@ -299,9 +301,9 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
     assert runs == {"kuratowski": 2, "classify": 12}
     # only the input graph is asked for a countable separating set
     assert csp_graphs and len({id(g) for g in csp_graphs}) == 1
-    # MT1-MT3 are decided once per distinct mask, for the direct route, the
-    # cluster check and realization alike: each cluster is the complement of
-    # an H whose pair keeps no breaking vertex, so its test is already made
+    # MT1-MT3 are decided once per distinct mask, with no memo: each cluster
+    # is the complement of an H whose pair keeps no breaking vertex, so the
+    # cluster check and realization read the direct route's verdict on it
     g = running_example()
     complements = {
         g.full_mask & ~h
@@ -310,7 +312,7 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
     }
     assert set(tails._cluster_masks(g)) < complements
     assert sorted(mt_masks) == sorted(complements)
-    assert mt_callers == {"_direct_verdict", "cmd_verify", "_realize_mask"}
+    assert mt_callers == {"_direct_verdict"}
 
 
 def test_verify_keeps_pairs_and_points_as_masks(fixture_path, capsys):
@@ -324,7 +326,8 @@ def test_verify_keeps_pairs_and_points_as_masks(fixture_path, capsys):
         return found
 
     cores = (
-        ideals._classified,
+        ideals._verify_record,
+        ideals._walk,
         ideals._direct_verdict,
         ideals._quotient_verdict,
         ideals.admissible_pairs,
@@ -379,7 +382,8 @@ def test_verify_validates_no_enumerated_pair(fixture_path, capsys):
         "_check_admissible",
         "saturated_hereditary_sets",
         "admissible_pairs",
-        "_classified",
+        "_walk",
+        "_verify_record",
         "_quotient_frame",
         "_direct_verdict",
     }
@@ -412,7 +416,7 @@ def test_ideals_without_condition_K_prints_one_line():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert (result.returncode, result.stdout) == (3, "")
-    assert result.stderr == "precondition violation: classification requires Condition (K)\n"
+    assert result.stderr == "precondition violation: Condition (K) fails: vertex a has exactly one simple cycle\n"
 
 
 def test_a_closed_stdout_exits_quietly(tmp_path, capsys):
@@ -472,19 +476,44 @@ def test_past_two_to_the_twenty_admissible_pairs_exits_four(command, tmp_path, c
 @pytest.mark.parametrize("command", ["verify", "ideals"])
 def test_enumeration_keeps_one_table_and_no_per_pair_or_per_H_verdicts(command, capsys, monkeypatch):
     # 12 disjoint double-loop vertices: 2^12 saturated hereditary sets, one
-    # pair each.  Both verdicts of every pair sit in one classified table; no
-    # verdict is memoised per pair, and no quotient frame per H.
+    # pair each.  The pairs are walked once and nothing is kept per pair or
+    # per H: no verdict, no frame, no breaking vertices and no MT1-MT3 test.
+    # verify keeps one record of the walk, with its 12 prime pairs.
     names = [f"v{i}" for i in range(12)]
     g = parse_graph(f"vertex {', '.join(names)};\n" + "".join(f"edge {v} -> {v} * 2;\n" for v in names))
     monkeypatch.setattr(cli, "_load", lambda path: g)
     code, _, _ = run(capsys, command, "loops.gcg")
     assert code == 0
     slots = {slot.rpartition(".")[2] for slot in g.__dict__ if slot.startswith("_cache:")}
-    assert "_classified" in slots and not {"_direct_verdict", "_quotient_frame", "_quotient_verdict"} & slots
-    table = ideals._classified(g)
-    assert ideals.admissible_pairs(g) is table.pairs
-    assert table.pairs == [(h, 0) for h in ideals.saturated_hereditary_sets(g)]
-    assert len(table.pairs) == len(table.direct) == len(table.quotient) == len(table.has_l) == 2**12
+    per_mask = {"_classified", "_breaking_masked", "_mt_holds", "_direct_verdict", "_quotient_frame", "_quotient_verdict"}
+    assert not per_mask & slots
+    assert ("_verify_record" in slots) == (command == "verify")
+    if command == "verify":
+        record = ideals._verify_record(g)
+        assert len(record.prime) == len(record.tails) == 12
+        assert (record.disagree, record.without_l) == (None, None)
+    rows = list(ideals._walk(g))
+    assert [pair for pair, *_ in rows] == ideals.admissible_pairs(g) == [(h, 0) for h in ideals.saturated_hereditary_sets(g)]
+    assert len(rows) == 2**12
+
+
+def test_verify_peaks_under_200_bytes_per_saturated_hereditary_set(capsys, monkeypatch):
+    # 14 disjoint double-loop vertices: 2^14 saturated hereditary sets, one
+    # pair each.  verify walks the pairs once and keeps only the 14 prime
+    # ones, so its peak holds the sets and no row or memo entry per pair.
+    names = [f"v{i}" for i in range(14)]
+    g = parse_graph(f"vertex {', '.join(names)};\n" + "".join(f"edge {v} -> {v} * 2;\n" for v in names))
+    monkeypatch.setattr(cli, "_load", lambda path: g)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        code, _, _ = run(capsys, "verify", "--limit", "100", "loops.gcg")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (peak - before) / 2**14 < 200
 
 
 # -- planted faults: the two classification routes stay independent -----------------
@@ -569,14 +598,20 @@ def test_verify_reports_a_point_map_that_is_not_injective(fixture_path, capsys, 
     assert (code, err) == (1, "verification counterexample: point-to-ideal map is not injective\n")
 
 
+def without_a_tail(monkeypatch, planted):
+    """Plant in the record that cmd_verify reads a direct route that did not
+    find ``planted`` to be a maximal tail."""
+    real = ideals._verify_record
+    monkeypatch.setattr(cli, "_verify_record", lambda g: real(g)._replace(tails=real(g).tails - {planted}))
+
+
 def test_verify_reports_a_cluster_that_is_not_a_maximal_tail(fixture_path, capsys, monkeypatch):
-    # only verify's own MT1-MT3 check sees the fault: the direct route still
-    # evaluates the real axioms, so the homeomorphism and the sweeps pass
+    # only verify's own cluster check sees the fault: verify_homeomorphism
+    # reads the real record, so the homeomorphism and the sweeps pass
     g = parse_graph(Path(fixture_path).read_text())
     planted = g.mask("tuvwx")
     assert planted in tails._cluster_masks(g)
-    real = tails._mt_holds
-    monkeypatch.setattr(cli, "_mt_holds", lambda g, mask: mask != planted and real(g, mask))
+    without_a_tail(monkeypatch, planted)
     code, out, err = run(capsys, "verify", fixture_path)
     assert (code, err) == (1, "verification counterexample: a cluster is not a maximal tail\n")
     assert "primitive = prime points: ok" in out and "tails equal clusters" not in out
@@ -584,9 +619,7 @@ def test_verify_reports_a_cluster_that_is_not_a_maximal_tail(fixture_path, capsy
 
 def test_verify_counterexample_names_the_cluster_that_is_not_a_maximal_tail(fixture_path, monkeypatch):
     g = parse_graph(Path(fixture_path).read_text())
-    planted = g.mask("tuvwx")
-    real = tails._mt_holds
-    monkeypatch.setattr(cli, "_mt_holds", lambda g, mask: mask != planted and real(g, mask))
+    without_a_tail(monkeypatch, g.mask("tuvwx"))
     with pytest.raises(VerificationFailure, match="a cluster is not a maximal tail") as failure:
         cli.cmd_verify(cli._parse(["verify", fixture_path]))
     assert failure.value.counterexample == frozenset("tuvwx")

@@ -698,18 +698,19 @@ def test_frames_and_breaking_vertices_match_their_per_H_oracles(g):
 @given(g=multigraphs())
 @settings(max_examples=200, deadline=None)
 def test_every_classified_row_matches_both_classifiers(g):
-    # each row of the one table against the public classifiers on its named
-    # pair, which build their own kept set and frame, and against Condition
-    # (L) on the named quotient graph.  Without Condition (K) the classifiers
-    # refuse, and the rows match them with that guard lifted.
-    table = ideals._classified(g)
+    # each row of the walk against the public classifiers on its named pair,
+    # which build their own kept set and frame, and against Condition (L) on
+    # the named quotient graph.  Without Condition (K) the classifiers refuse,
+    # and the rows match them with that guard lifted.
+    rows = list(ideals._walk(g))
+    assert [pair for pair, *_ in rows] == ideals.admissible_pairs(g)
     guard = contextlib.nullcontext()
     if not condition_K(g):
         with pytest.raises(ConditionKRequired):
-            classify_ideal(g, ideals._named(g, table.pairs[0]))
+            classify_ideal(g, ideals._named(g, rows[0][0]))
         guard = mock.patch.object(ideals, "_require_condition_k", lambda g: None)
     with guard:
-        for pair, direct, quotient, has_l in zip(*table):
+        for pair, direct, quotient, has_l in rows:
             named = ideals._named(g, pair)
             assert classify_ideal(g, named) == direct, named
             assert classify_via_quotient(g, named) == quotient, named
@@ -771,19 +772,36 @@ def test_routes_agree_past_the_enumeration_limit(name):
     # edge: 300 to 1,500 vertices, but 21 or 2 pairs
     g = parse_graph((LARGE_SPARSE / f"{name}.gcg").read_text())
     assert g.n >= 300 and condition_K(g)
-    table = ideals._classified(g)
-    for pair, direct, quotient, has_l in zip(*table):
+    rows = list(ideals._walk(g))
+    for pair, direct, quotient, has_l in rows:
         assert (quotient, has_l) == (direct, True), pair
-    assert {verdict.kind for verdict in table.direct} == {IdealKind.PRIMITIVE_TAIL, IdealKind.NOT_PRIME}
+    assert {direct.kind for _, direct, _, _ in rows} == {IdealKind.PRIMITIVE_TAIL, IdealKind.NOT_PRIME}
 
 
 def test_routes_agree_on_a_200_block_chain(chain200):
     # 200 points, so every pair but the full H is a primitive tail
-    table = ideals._classified(chain200)
-    assert len(table.pairs) == 201
-    for pair, direct, quotient, has_l in zip(*table):
+    rows = list(ideals._walk(chain200))
+    assert len(rows) == 201
+    for pair, direct, quotient, has_l in rows:
         assert (quotient, has_l) == (direct, True), pair
-    assert Counter(verdict.kind for verdict in table.direct) == {
+    assert Counter(direct.kind for _, direct, _, _ in rows) == {
         IdealKind.PRIMITIVE_TAIL: 200,
         IdealKind.NOT_PRIME: 1,
     }
+
+
+def test_routes_agree_on_random_graphs_beyond_the_oracles():
+    # seeded Condition-(K) graphs of 30 to 80 vertices, where the random
+    # two-route tests above stop at 9; the 3 of 100 with more than 12 tails
+    # are skipped, and the rest have at most 2,596 pairs each
+    kinds, checked = Counter(), 0
+    for seed in range(100):
+        n = 30 + seed % 51
+        g = random_condition_k_graph(seed, n, 3 / n)
+        if len(tails._cluster_masks(g)) > 12:
+            continue
+        checked += 1
+        for pair, direct, quotient, has_l in ideals._walk(g):
+            assert (quotient, has_l) == (direct, True), (seed, pair)
+            kinds[direct.kind] += 1
+    assert checked == 97 and kinds.keys() == set(IdealKind)
