@@ -19,16 +19,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import (
-    ConditionKRequired,
-    InvalidPath,
-    NotAMaximalTail,
-    NotSaturatedHereditary,
-    ParseError,
-    SizeLimitExceeded,
-    UnknownVertex,
-    VerificationFailure,
-)
+from .errors import CkSpectraError, ParseError, SizeLimitExceeded, UnknownVertex, VerificationFailure
 from .gcg import emit_gcg, parse_graph
 from .generators import ea_graph, random_condition_k_graph, random_graph, running_example
 from .graph_core import (
@@ -231,8 +222,8 @@ def cmd_tails(args) -> int:
 
 def cmd_ideals(args) -> int:
     g = _load(args.path)
-    require_enumerable(g, args.limit)
     _require_condition_k(g)
+    require_enumerable(g, args.limit)
     sh = saturated_hereditary_sets(g)
     # the whole walk before any output, so a size limit prints nothing
     rows = [(*pair, direct, direct == quotient) for pair, direct, quotient, _ in _walk(g)]
@@ -577,13 +568,7 @@ def main(argv=None) -> int:
     except VerificationFailure as err:
         print(f"verification counterexample: {err}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
-    except (
-        ConditionKRequired,
-        UnknownVertex,
-        NotSaturatedHereditary,
-        NotAMaximalTail,
-        InvalidPath,
-    ) as err:
+    except CkSpectraError as err:  # the precondition errors: the rest are handled above
         print(f"precondition violation: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as err:

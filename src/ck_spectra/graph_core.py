@@ -8,6 +8,11 @@ multiplicities are plain sums.  All structural predicates used elsewhere in the
 package (Condition (K), Condition (L), downward directedness, the countable
 separation property) live here, together with bitmask reachability.
 
+The per-vertex edge tables are masks (successors, predecessors, OMEGA
+targets), and the vertex classes are read off them.  Condition (L) and the
+cycle classes read multiplicities off ``Graph.bundles`` in one pass: no
+per-pair multiplicity table is kept.
+
 Reachability, the simple-cycle classes behind Condition (K), and the MT3
 (downward directedness) and MT4 (countable separation) checks all come from
 one strongly connected condensation per graph, ``Graph.condensation``, so each
@@ -273,15 +278,6 @@ class Graph:
         return classify_vertices(self)
 
     @cached_property
-    def edge_mult(self) -> list[dict[int, Mult]]:
-        """edge_mult[i][j]: the edges i -> j, every bundle between them merged."""
-        table: list[dict[int, Mult]] = [{} for _ in self.vertices]
-        for b in self.bundles:
-            row, j = table[self.index[b.src]], self.index[b.dst]
-            row[j] = row.get(j, 0) + b.mult
-        return table
-
-    @cached_property
     def condensation(self) -> tuple[list[int], list[int]]:
         """Strongly connected components: masks, sinks first, and comp[i]; the
         quotient route keeps a table of its own from :func:`strong_components`."""
@@ -352,10 +348,10 @@ def per_graph(fn: Callable) -> Callable:
 def classify_vertices(g: Graph) -> tuple[int, int, int]:
     """The sinks, the infinite emitters and the regular vertices of g, as masks."""
     sinks = emitters = 0
-    for i, row in enumerate(g.edge_mult):
-        if not row:
+    for i, (out, omega) in enumerate(zip(g.succ_mask, g.omega_succ)):
+        if not out:
             sinks |= 1 << i
-        elif OMEGA in row.values():
+        elif omega:
             emitters |= 1 << i
     return sinks, emitters, g.full_mask & ~(sinks | emitters)
 
@@ -491,9 +487,13 @@ def condition_L(g: Graph) -> Check:
     An exitless cycle is exactly a cycle all of whose vertices have total
     out-multiplicity one, so it suffices to chase the out-degree-one
     subgraph.  The witness is the vertex sequence of an exitless cycle.
+    A vertex's one edge is its one bundle, of multiplicity one: two bundles
+    from it, labeled parallel ones included, are two edges.
     """
-    names = g.vertices
-    next_vertex = {names[i]: names[j] for i, row in enumerate(g.edge_mult) for j in row if row == {j: 1}}
+    unit: dict[str, Optional[str]] = {}  # each source's one unit edge's target, None past one edge
+    for b in g.bundles:
+        unit[b.src] = None if b.src in unit or b.mult != 1 else b.dst
+    next_vertex = {v: w for v, w in unit.items() if w is not None}
 
     cleared: set[str] = set()
     for start in g.vertices:

@@ -312,15 +312,21 @@ class _QuotientFrame(NamedTuple):
 @per_graph
 def _components(g: Graph) -> list[tuple[int, int, bool]]:
     """Each strongly connected component of g: its members, what they reach in one
-    step, and whether it is a plain cycle (each member one edge inside, of multiplicity one)."""
-    succ, mult = g.succ_mask, g.edge_mult
+    step, and whether it is a plain cycle (each member one edge inside, of multiplicity one):
+    as in ``simple_cycle_class``, whether the bundles inside it sum to its size."""
+    succ, index = g.succ_mask, g.index
+    masks, comp = strong_components(succ, g.full_mask)
+    internal = [0] * len(masks)
+    for b in g.bundles:
+        c = comp[index[b.src]]
+        if c == comp[index[b.dst]]:
+            internal[c] += b.mult
     table = []
-    for c in strong_components(succ, g.full_mask)[0]:
-        out, plain = 0, True  # what c reaches; whether it is a plain cycle
+    for c, total in zip(masks, internal):
+        out = 0  # what c reaches
         for i in _bits(c):
             out |= succ[i]
-            plain = plain and [m for j, m in mult[i].items() if c >> j & 1] == [1]
-        table.append((c, out, plain))
+        table.append((c, out, total == c.bit_count()))
     return table
 
 

@@ -34,7 +34,9 @@ the i-th point) in one call: an exhaustive pool's unions fill one list
 indexed by mask, each from its parent's, and each distinct union is scanned
 once (the graph side's V(X) with its essential mask, the ideal side's fold of
 the meet).  The sweep and both Kuratowski passes of ``verify`` read closure
-lists from these calls, on one pool of subsets drawn per graph.  On a finite
+lists from these calls, each on the pool of subsets that :func:`_subset_pool`
+draws from the seed; nothing keeps the draw, and a union the kernel has
+scanned for one pass costs the next pass a lookup.  On a finite
 space an additive closure is the down-set closure of its specialization
 preorder (Alexandrov 1937), so one int holds any closed set.  Point objects
 and vertex names appear only at the API and CLI boundary: the arguments and
@@ -45,7 +47,6 @@ the spectrum, and of :func:`h_map`, and the counterexamples in the reports.
 from __future__ import annotations
 
 import random
-from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import SizeLimitExceeded, VerificationFailure
@@ -258,44 +259,32 @@ def ideal_closure(g: Graph, points: Iterable[SpecPoint]) -> frozenset:
 # -- spaces -------------------------------------------------------------------
 
 
-class SpecSpace:
+class SpecSpace(NamedTuple):
     """A finite point set together with a closure operator.
 
     The operator runs on point-index masks, in bulk: ``closures`` maps a
     sequence of masks of sets X (bit i for ``points[i]``) to the list of the
-    masks of their closures.  ``pool(exhaustive_limit, seed)`` draws
-    the subsets and the union pairs that :func:`check_kuratowski` sweeps, as
-    :func:`_subset_pool` does.
+    masks of their closures.
     """
 
-    def __init__(self, points: Iterable[SpecPoint], closures: Callable[[Sequence[int]], list], side: str, name: str):
-        self.points = tuple(points)
-        self.closures = closures
-        self.side = side
-        self.name = name
-        self.pool = partial(_subset_pool, len(self.points))
-
-    def __repr__(self) -> str:
-        return f"SpecSpace({self.name}/{self.side}, {len(self.points)} points)"
+    points: Sequence[SpecPoint]
+    closures: Callable[[Sequence[int]], list]
+    side: str
+    name: str
 
 
 def spec_space(g: Graph, side: str = "graph") -> SpecSpace:
-    return _space(g, side, "spec")
+    """The spectrum with one side's closure."""
+    kernels = {"graph": _graph_kernel, "ideal": _ideal_kernel}
+    pts = tuple(spec_points(g))
+    if side not in kernels:
+        raise ValueError(f"side must be 'graph' or 'ideal', got {side!r}")
+    return SpecSpace(pts, kernels[side](g), side, "spec")
 
 
 def prim_space(g: Graph, side: str = "graph") -> SpecSpace:
-    return _space(g, side, "prim")
-
-
-def _space(g: Graph, side: str, name: str) -> SpecSpace:
-    """The spectrum with one side's closure; the primitive space is the same space."""
-    kernels = {"graph": _graph_kernel, "ideal": _ideal_kernel}
-    pts = spec_points(g)
-    if side not in kernels:
-        raise ValueError(f"side must be 'graph' or 'ideal', got {side!r}")
-    space = SpecSpace(pts, kernels[side](g), side, name)
-    space.pool = partial(_pool, g)  # one draw per graph for both sides and the sweep
-    return space
+    """The primitive ideal space: the spectrum under its other name."""
+    return spec_space(g, side)._replace(name="prim")
 
 
 # -- verification reports ------------------------------------------------------
@@ -333,15 +322,15 @@ _SAMPLES = 256
 
 def _subset_pool(n: int, exhaustive_limit: int, seed: int) -> tuple:
     """Subset masks to sweep, ascending, and pairs of subsets for the union axiom,
-    as the left and the right masks: everything when small, else a seeded
-    selection.  The last item says whether the subsets are all of them."""
+    as the left and the right masks: everything when small, else seeded
+    uniform draws of n bits.  The last item says whether the subsets are all of them."""
     if 20 < n <= exhaustive_limit:  # each kernel would hold a union per subset
         raise SizeLimitExceeded(f"an exhaustive sweep of {n} points is 2^{n} subsets, above 2^20")
     if n <= _UNION_PAIR_LIMIT:
         lefts, rights = [a for a in range(1 << n) for _ in range(1 << n)], list(range(1 << n)) * (1 << n)
     else:
         rng = random.Random(seed + 1)
-        pairs = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(_SAMPLES)]
+        pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(_SAMPLES)]
         lefts, rights = [a for a, _ in pairs], [b for _, b in pairs]
     if n <= exhaustive_limit:
         return range(1 << n), lefts, rights, True
@@ -349,14 +338,8 @@ def _subset_pool(n: int, exhaustive_limit: int, seed: int) -> tuple:
     pool = {0, (1 << n) - 1}
     pool.update(1 << i for i in range(n))
     while len(pool) < min(_SAMPLES, 1 << n):
-        pool.add(rng.randrange(1 << n))
+        pool.add(rng.getrandbits(n))
     return sorted(pool), lefts, rights, False
-
-
-@per_graph
-def _pool(g: Graph, exhaustive_limit: int, seed: int) -> tuple:
-    """:func:`_subset_pool` on the spectrum, drawn once per graph and arguments."""
-    return _subset_pool(len(_spec_masks(g)), exhaustive_limit, seed)
 
 
 def verify_homeomorphism(
@@ -374,7 +357,7 @@ def verify_homeomorphism(
     """
     prim_spec_density_check(g)
     pts = tuple(spec_points(g))
-    masks, *_, exhaustive = _pool(g, exhaustive_limit, seed)
+    masks, *_, exhaustive = _subset_pool(len(pts), exhaustive_limit, seed)
 
     image = set(_h_masks(g))
     if len(image) != len(pts):
@@ -412,14 +395,14 @@ def check_kuratowski(space: SpecSpace, exhaustive_limit: int = 12, *, seed: int 
     report keeps the first failure of each axiom, then the earliest others,
     eight at most, in sweep order.  Closures come from bulk calls on the pool,
     its closures, the singletons and the union pairs; the spaces of
-    :func:`spec_space` share their kernels and pool with :func:`verify_homeomorphism`.
+    :func:`spec_space` share their kernels with :func:`verify_homeomorphism`.
     """
     pts = space.points
     n = len(pts)
     cl = space.closures
 
     failures = []
-    masks, lefts, rights, exhaustive = space.pool(exhaustive_limit, seed)
+    masks, lefts, rights, exhaustive = _subset_pool(n, exhaustive_limit, seed)
     closed, empty = cl(masks), cl([0])[0]
     again = cl(closed)
     singles = cl([1 << i for i in range(n)])

@@ -24,14 +24,20 @@ are the multiplicity sums that the mask test of ``graph_core._finite_edges``
 replaced; ``oracle_breaking_masked`` and ``oracle_finite_return_mask`` run
 the breaking-vertex and finite-return masks through them.  The
 vertex-class, breaking-vertex and finite-return oracles over vertex names
-count edges bundle by bundle over ``g.bundles``, without the merged per-pair
-multiplicity table.  ``oracle_emit_json`` is the ``json.dumps`` call that the
-string-list writer in ``ck_spectra.render`` replaced.  ``px_model``,
+count edges bundle by bundle over ``g.bundles``, as do the multiplicity sums
+and the frame search, so no oracle shares an edge table with the code it
+checks.  ``oracle_out_edges`` expands each bundle into its parallel edges;
+``oracle_expanded_classes`` and ``oracle_condition_L`` read the vertex
+classes and Condition (L) off that list.  ``oracle_emit_json`` is the
+``json.dumps`` call that the string-list writer in ``ck_spectra.render``
+replaced.  ``px_model``,
 ``px_closure`` and ``phi`` model the spectrum of the subset graph
 ``ck_spectra.ea_graph(ground, OMEGA)`` on the nonempty subsets of the ground
 set.  ``named_pairs`` is no oracle: it names the package's own enumeration,
 ``admissible_pairs``, for the tests that take pairs of vertex sets, and
-``bundle_chain`` is the graph family that the pair-limit tests share.
+``bundle_chain`` is the graph family that the pair-limit tests share, and
+``multigraphs`` the hypothesis strategy of small multigraphs with parallel,
+labeled and OMEGA bundles.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
+from hypothesis import strategies as st
 
 from ck_spectra.errors import DuplicateLabel, NotSaturatedHereditary, ParseError, UndeclaredVertex
 from ck_spectra.graph_core import (
@@ -271,8 +278,8 @@ def mult_sum(ms) -> Mult:
 def oracle_finite_edges(g: Graph, i: int, into: int) -> bool:
     """The multiplicity sum that ``graph_core._finite_edges`` replaced with
     mask tests: whether vertex i has finitely many, and at least one, edges
-    into the mask ``into``, summed over the merged per-pair multiplicities."""
-    total = mult_sum(m for j, m in g.edge_mult[i].items() if into >> j & 1)
+    into the mask ``into``, summed bundle by bundle."""
+    total = mult_sum(b.mult for b in g.bundles if g.index[b.src] == i and into >> g.index[b.dst] & 1)
     return total != 0 and not is_omega(total)
 
 
@@ -291,7 +298,7 @@ def _oracle_frame_components(g: Graph, hmask: int) -> tuple[list, list]:
     """One Tarjan run on the complement of H with the parent's edges restricted
     to it: its exitless cycles and its terminal components, each as the mask
     its members reach."""
-    rest, mult = g.full_mask & ~hmask, g.edge_mult
+    rest = g.full_mask & ~hmask
     succ = [m & rest for m in g.succ_mask]
     exitless, terminal = [], []
     for c in strong_components(succ, rest)[0]:
@@ -299,7 +306,7 @@ def _oracle_frame_components(g: Graph, hmask: int) -> tuple[list, list]:
         for i in range(g.n):
             if c >> i & 1:
                 out |= succ[i]
-                if succ[i] and not succ[i] & succ[i] - 1 and mult[i][succ[i].bit_length() - 1] == 1:
+                if [b.mult for b in g.bundles if g.index[b.src] == i and rest >> g.index[b.dst] & 1] == [1]:
                     one |= 1 << i
         if not out & ~c:
             terminal.append(out)
@@ -351,6 +358,46 @@ def oracle_vertex_classes(g: Graph) -> VertexClasses:
         frozenset(v for v, c in counts.items() if is_omega(c)),
         frozenset(v for v, c in counts.items() if _oracle_finitely_many(c)),
     )
+
+
+def oracle_out_edges(g: Graph) -> dict[str, list[str]]:
+    """Every bundle expanded into its parallel edges: each vertex's list of
+    targets, one entry per edge.  An OMEGA bundle stands in as
+    :func:`oracle_edge_cap` edges: more than one, and more than all the finite
+    bundles of g together."""
+    cap = oracle_edge_cap(g)
+    out: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for b in g.bundles:
+        out[b.src] += [b.dst] * (cap if is_omega(b.mult) else b.mult)
+    return out
+
+
+def oracle_edge_cap(g: Graph) -> int:
+    return 2 + sum(b.mult for b in g.bundles if not is_omega(b.mult))
+
+
+def oracle_expanded_classes(g: Graph) -> VertexClasses:
+    """The vertex classes by out-degree over :func:`oracle_out_edges`: none,
+    at least :func:`oracle_edge_cap` (an OMEGA bundle), or anything between."""
+    cap, out = oracle_edge_cap(g), oracle_out_edges(g)
+    return VertexClasses(
+        frozenset(v for v in g.vertices if not out[v]),
+        frozenset(v for v in g.vertices if len(out[v]) >= cap),
+        frozenset(v for v in g.vertices if 0 < len(out[v]) < cap),
+    )
+
+
+def oracle_exitless(out: dict, cycle) -> bool:
+    """Whether the vertex sequence ``cycle`` is a cycle without an exit over the
+    edges ``out`` of :func:`oracle_out_edges`: each member's edges are one, to the next member."""
+    return all(out[v] == [cycle[(k + 1) % len(cycle)]] for k, v in enumerate(cycle))
+
+
+def oracle_condition_L(g: Graph) -> bool:
+    """Condition (L) over :func:`oracle_out_edges`: no simple cycle that networkx lists is exitless."""
+    out = oracle_out_edges(g)
+    support = nx.DiGraph((v, w) for v, targets in out.items() for w in targets)
+    return not any(oracle_exitless(out, cycle) for cycle in nx.simple_cycles(support))
 
 
 def oracle_breaking_vertices(g: Graph, h) -> frozenset:
@@ -555,6 +602,18 @@ def bundle_chain(k: int) -> Graph:
     chain = [f"v{i}" for i in range(k)] + ["w"]
     bundles = [Bundle(a, b, 1) for a, b in zip(chain, chain[1:])] + [Bundle("w", "w", 2)]
     return Graph([*chain, "h"], bundles + [Bundle(v, "h", OMEGA) for v in chain[:-1]])
+
+
+@st.composite
+def multigraphs(draw) -> Graph:
+    """Up to 7 vertices and 20 bundles, loops included, of multiplicity 1, 2
+    or OMEGA; a labeled bundle may run beside another between the same pair."""
+    n = draw(st.integers(1, 7))
+    names = [f"v{i}" for i in range(n)]
+    ends, mults = st.integers(0, n - 1), st.sampled_from([1, 1, 2, OMEGA])
+    drawn = draw(st.lists(st.tuples(ends, ends, mults, st.booleans()), max_size=20))
+    return Graph(names, [Bundle(names[a], names[b], m, f"e{k}" if labeled else None)
+                         for k, (a, b, m, labeled) in enumerate(drawn)])
 
 
 # -- the .gcg parser -----------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ck_spectra import VerificationFailure, emit_gcg, parse_graph, running_example
-from ck_spectra import cli, graph_core, ideals, tails, topology
+from ck_spectra import cli, errors, graph_core, ideals, tails, topology
 
 from .oracles import bundle_chain
 
@@ -165,6 +165,44 @@ def test_internal_error_exits_five(fixture_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_check", boom)
     code, _, err = run(capsys, "check", fixture_path)
     assert (code, err) == (5, "internal error: RuntimeError: forced\n")
+
+
+# Each error class the package raises, with no subclass of its own, and the
+# exit code that the module docstring of ``cli`` gives it.
+ERROR_EXIT_CODES = {
+    "VerificationFailure": 1,
+    "DuplicateLabel": 2,
+    "UndeclaredVertex": 2,
+    "UnknownVertex": 3,
+    "InvalidPath": 3,
+    "NotAMaximalTail": 3,
+    "NotSaturatedHereditary": 3,
+    "ConditionKRequired": 3,
+    "SizeLimitExceeded": 4,
+}
+
+
+def leaf_errors(cls=errors.CkSpectraError):
+    subclasses = cls.__subclasses__()
+    return [leaf for sub in subclasses for leaf in leaf_errors(sub)] if subclasses else [cls]
+
+
+def test_error_exit_table_lists_every_leaf_error():
+    assert sorted(cls.__name__ for cls in leaf_errors()) == sorted(ERROR_EXIT_CODES)
+
+
+@pytest.mark.parametrize("name, expected", ERROR_EXIT_CODES.items())
+def test_each_package_error_exits_with_its_documented_code(name, expected, fixture_path, capsys, monkeypatch):
+    error = getattr(errors, name)
+    exc = error(1, 2, "forced") if issubclass(error, errors.ParseError) else error("forced")
+
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_check", boom)
+    code, out, err = run(capsys, "check", fixture_path)
+    assert (code, out) == (expected, "")
+    assert err.count("\n") == 1 and err.rstrip("\n").endswith(str(exc)), err
 
 
 # -- command output ------------------------------------------------------------------
@@ -438,12 +476,15 @@ def test_a_closed_stdout_exits_quietly(tmp_path, capsys):
     assert (code, proc.returncode, err) == (0, cli.EXIT_CLOSED_PIPE, b"")
 
 
-def test_ideals_limit_comes_before_condition_K(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["ideals", "verify"])
+def test_condition_K_comes_before_the_limit(command, tmp_path, capsys):
+    # 21 single loops: past the vertex cap, and no vertex has (K)
     names = [f"v{i}" for i in range(21)]
     path = tmp_path / "loops.gcg"
     path.write_text(f"vertex {', '.join(names)};\n" + "".join(f"edge {v} -> {v};\n" for v in names))
-    code, out, err = run(capsys, "ideals", str(path))
-    assert (code, out) == (4, "") and err.startswith("size limit: ")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (3, "")
+    assert err == "precondition violation: Condition (K) fails: vertex v0 has exactly one simple cycle\n"
 
 
 def test_ideals_past_two_to_the_twenty_saturated_hereditary_sets_exits_four(tmp_path, capsys):
@@ -495,6 +536,20 @@ def test_enumeration_keeps_one_table_and_no_per_pair_or_per_H_verdicts(command, 
     rows = list(ideals._walk(g))
     assert [pair for pair, *_ in rows] == ideals.admissible_pairs(g) == [(h, 0) for h in ideals.saturated_hereditary_sets(g)]
     assert len(rows) == 2**12
+
+
+@pytest.mark.parametrize(
+    "argv", [["check"], ["tails"], ["ideals"], ["spec"], ["verify"], ["verify", "--exhaustive-limit", "2"]], ids=" ".join
+)
+def test_commands_keep_no_edge_table_or_subset_pool_on_the_graph(argv, capsys, monkeypatch):
+    # the vertex classes and Condition (L) read the masks and the bundles, and
+    # each sweep draws its subsets from the seed, sampled past the exhaustive limit
+    g = running_example()
+    monkeypatch.setattr(cli, "_load", lambda path: g)
+    code, _, _ = run(capsys, *argv, "fixture.gcg")
+    assert code == 0
+    assert "edge_mult" not in g.__dict__ and not hasattr(g, "edge_mult")
+    assert "_pool" not in {slot.rpartition(".")[2] for slot in g.__dict__ if slot.startswith("_cache:")}
 
 
 def test_verify_peaks_under_200_bytes_per_saturated_hereditary_set(capsys, monkeypatch):

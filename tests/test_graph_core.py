@@ -21,10 +21,15 @@ from ck_spectra import (
 from ck_spectra.graph_core import CycleClass, check_mult, has_csp
 
 from .oracles import (
+    multigraphs,
     mult_sum,
+    oracle_condition_L,
     oracle_csp_witness,
     oracle_cycle_class,
     oracle_downward_directed,
+    oracle_exitless,
+    oracle_expanded_classes,
+    oracle_out_edges,
     oracle_reaches,
     oracle_upward_set,
     oracle_vertex_classes,
@@ -322,12 +327,27 @@ def test_condition_l_witness_is_an_exitless_cycle():
     assert set(verdict.witness) == {"a", "b"}
 
 
-def test_condition_l_holds_with_an_exit():
-    g = Graph(
-        ["a", "b", "c"],
+@pytest.mark.parametrize(
+    "bundles",
+    [
         [Bundle("a", "b"), Bundle("b", "a"), Bundle("b", "c")],
-    )
-    assert condition_L(g)
+        # two labeled unit bundles from a are two edges, so one is an exit
+        [Bundle("a", "b", 1, "f"), Bundle("a", "b", 1, "g"), Bundle("b", "a")],
+    ],
+)
+def test_condition_l_holds_with_an_exit(bundles):
+    assert condition_L(Graph(["a", "b", "c"], bundles))
+
+
+@given(g=multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_vertex_classes_and_condition_l_match_the_expanded_edges(g):
+    # parallel, labeled and OMEGA bundles, each expanded into its edges
+    assert tuple(map(g.names, g.class_masks)) == oracle_expanded_classes(g)
+    verdict = condition_L(g)
+    assert verdict.holds == oracle_condition_L(g)
+    if not verdict:
+        assert oracle_exitless(oracle_out_edges(g), verdict.witness), verdict.witness
 
 
 @given(seed=seeds)

@@ -48,6 +48,7 @@ from ck_spectra.tails import _finite_return_mask
 
 from .oracles import (
     bundle_chain,
+    multigraphs,
     named_pairs,
     oracle_breaking_masked,
     oracle_breaking_vertices,
@@ -666,18 +667,6 @@ def test_one_terminal_component_is_downward_directed(build):
             hmask, smask = masks(g, pair)
             kept = ideals._breaking_masked(g, hmask) & ~smask
             assert _quotient_one_terminal(_quotient_frame(g, hmask), kept) == named, pair
-
-
-@st.composite
-def multigraphs(draw) -> Graph:
-    """Up to 7 vertices and 20 bundles, loops included, of multiplicity 1, 2
-    or OMEGA; a labeled bundle may run beside another between the same pair."""
-    n = draw(st.integers(1, 7))
-    names = [f"v{i}" for i in range(n)]
-    ends, mults = st.integers(0, n - 1), st.sampled_from([1, 1, 2, OMEGA])
-    drawn = draw(st.lists(st.tuples(ends, ends, mults, st.booleans()), max_size=20))
-    return Graph(names, [Bundle(names[a], names[b], m, f"e{k}" if labeled else None)
-                         for k, (a, b, m, labeled) in enumerate(drawn)])
 
 
 @given(g=multigraphs())

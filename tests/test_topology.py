@@ -2,7 +2,7 @@ import gc
 import inspect
 import weakref
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
 from pathlib import Path
 
 import pytest
@@ -262,11 +262,22 @@ def test_verify_homeomorphism_requires_condition_k(single_loop):
 
 
 def test_verify_homeomorphism_sampling_path(monkeypatch):
-    # a fresh graph, as the pool is drawn once per graph and sweep arguments
+    # the pool is drawn on each call, so it takes the patched sample size
     monkeypatch.setattr(topology, "_SAMPLES", 20)
     rep = verify_homeomorphism(running_example(), exhaustive_limit=2)
     assert not rep.exhaustive
     assert rep.spec_subsets_checked == 20
+
+
+def test_subset_pool_follows_the_seed():
+    # no memo keeps a draw, so the seed alone picks the sampled subsets and union pairs
+    first, again, other = (topology._subset_pool(17, 12, seed) for seed in (3, 3, 4))
+    assert first == again
+    assert all(mine != theirs for mine, theirs in zip(first[:3], other[:3]))
+    masks, lefts, rights, exhaustive = first
+    assert not exhaustive and len(masks) == len(lefts) == len(rights) == 256
+    # drawn on all 17 points and on no more
+    assert all(reduce(int.__or__, draw) == (1 << 17) - 1 for draw in (masks, lefts, rights))
 
 
 # -- kuratowski axioms -------------------------------------------------------------------
