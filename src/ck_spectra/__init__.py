@@ -21,7 +21,6 @@ from .generators import (
     running_example,
 )
 from .graph_core import (
-    DEFAULT_ENUMERATION_LIMIT,
     OMEGA,
     Bundle,
     Check,
@@ -35,6 +34,7 @@ from .graph_core import (
     upward_set,
 )
 from .ideals import (
+    DEFAULT_ENUMERATION_LIMIT,
     AdmissiblePair,
     IdealClass,
     IdealKind,

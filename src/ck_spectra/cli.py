@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 verification counterexample, 2 parse error or
-argparse usage error, 3 precondition violation, 4 enumeration size limit
-(only ``ideals`` and ``verify``, whose outputs can have 2^n entries), 5
-internal error, 141 (128 + SIGPIPE, as for a writer the signal ends) when
-stdout closes early, as under ``| head -1``; that case prints nothing.
+argparse usage error, 3 precondition violation or an input that cannot be
+read, 4 size limit (only ``ideals`` and ``verify``: more ideals than
+``--limit``, or a ``verify`` sweep of more than 2^20 subsets), 5 internal
+error, 141 (128 + SIGPIPE, as for a writer the signal ends) when stdout
+closes early, as under ``| head -1``; that case prints nothing.
 
 A plain command line is read straight from the command table ``_COMMANDS``:
 the command words, then exact option strings with their values and the path.
@@ -23,7 +24,6 @@ from .errors import CkSpectraError, ParseError, SizeLimitExceeded, UnknownVertex
 from .gcg import emit_gcg, parse_graph
 from .generators import ea_graph, random_condition_k_graph, random_graph, running_example
 from .graph_core import (
-    DEFAULT_ENUMERATION_LIMIT,
     OMEGA,
     Graph,
     Mult,
@@ -33,9 +33,9 @@ from .graph_core import (
     condition_L,
     has_csp,
     is_downward_directed,
-    require_enumerable,
 )
 from .ideals import (
+    DEFAULT_ENUMERATION_LIMIT,
     _named,
     _verify_record,
     _walk,
@@ -223,10 +223,9 @@ def cmd_tails(args) -> int:
 def cmd_ideals(args) -> int:
     g = _load(args.path)
     _require_condition_k(g)
-    require_enumerable(g, args.limit)
-    sh = saturated_hereditary_sets(g)
+    sh = saturated_hereditary_sets(g, args.limit)
     # the whole walk before any output, so a size limit prints nothing
-    rows = [(*pair, direct, direct == quotient) for pair, direct, quotient, _ in _walk(g)]
+    rows = [(*pair, direct, direct == quotient) for pair, direct, quotient, _ in _walk(g, args.limit)]
     if args.json:
         payload = {
             "schema": "ck-spectra/ideals/1",
@@ -370,7 +369,7 @@ def cmd_verify(args) -> int:
         print(f"kuratowski prim/{line}")
     print(f"primitive = prime points: ok ({hom.points} points)")
     # MT4 holds on every finite vertex set, so the direct route has decided each cluster
-    record, tails = _verify_record(g), _cluster_masks(g)
+    record, tails = _verify_record(g, args.limit), _cluster_masks(g)
     if missing := [t for t in tails if t not in record.tails]:
         raise VerificationFailure("a cluster is not a maximal tail", g.names(missing[0]))
     print(f"tails equal clusters: ok ({len(tails)})")
@@ -426,7 +425,7 @@ def multiplicity(text: str) -> Mult:
     return OMEGA if text == "inf" else check_mult(int(text))
 
 
-def vertex_count(text: str) -> int:
+def count(text: str) -> int:
     """An int >= 0; argparse reports a rejected value as a usage error."""
     if (n := int(text)) < 0:
         raise ValueError(text)
@@ -441,8 +440,8 @@ def probability(text: str) -> float:
 
 
 _FLAG = dict(action="store_true")
-_LIMIT_HELP = "vertex cap for enumerating saturated hereditary sets and admissible pairs"
-_LIMIT = dict(type=vertex_count, default=DEFAULT_ENUMERATION_LIMIT, help=_LIMIT_HELP)
+_LIMIT_HELP = "cap on the ideals (admissible pairs) enumerated; past it, exit 4 (default: %(default)s)"
+_LIMIT = dict(type=count, default=DEFAULT_ENUMERATION_LIMIT, help=_LIMIT_HELP)
 
 # In help order: (words, handler, help, takes the path, {flag: add_argument keywords}).
 # No handler groups the entries after it; found by name, a wrapped cmd_* is called.
@@ -473,7 +472,7 @@ _COMMANDS = (
         "--mult": dict(type=multiplicity, default="1", help="bundle multiplicity (count or inf)"),
     }),
     (("gen", "random"), "cmd_gen", "seeded random Condition-(K) graph", False, {
-        "--seed": dict(type=int, required=True), "--n": dict(type=vertex_count, required=True),
+        "--seed": dict(type=int, required=True), "--n": dict(type=count, required=True),
         "--density": dict(type=probability, default=0.3), "--omega-prob": dict(type=probability, default=0.25),
         "--allow-non-k": dict(action="store_true", help="skip the repair pass"),
     }),

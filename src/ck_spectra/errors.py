@@ -20,8 +20,9 @@ class NotAMaximalTail(CkSpectraError):
 
 
 class SizeLimitExceeded(CkSpectraError):
-    """A size cap was passed: the vertex limit, 2^20 saturated hereditary sets,
-    2^20 pairs, 2^20 swept subsets, or 4 elements of a ``gen ea`` ground set."""
+    """A size cap was passed: more admissible pairs than the enumeration limit,
+    an exhaustive sweep of more than 2^20 subsets, or a ``gen ea`` ground set
+    of more than 4 elements."""
 
 
 class NotSaturatedHereditary(CkSpectraError):

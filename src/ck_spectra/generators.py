@@ -72,8 +72,8 @@ def ea_graph(ground, mult: Mult = 1) -> Graph:
 
     With ``mult=1`` this is an honest finite graph with a single maximal
     tail; with ``mult=OMEGA`` every non-terminal vertex becomes an infinite
-    emitter.  The ground set is capped at four elements, which keeps the
-    2**k - 1 vertices under the default vertex cap of the ideal enumeration.
+    emitter.  The ground set is capped at four elements, so the graph has
+    at most 2**4 - 1 = 15 vertices.
     """
     elems = sorted(set(ground))
     if len(elems) > 4:

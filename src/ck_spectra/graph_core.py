@@ -35,9 +35,7 @@ from functools import cached_property, wraps
 from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .errors import ConditionKRequired, SizeLimitExceeded, UnknownVertex
-
-DEFAULT_ENUMERATION_LIMIT = 20
+from .errors import ConditionKRequired, UnknownVertex
 
 
 OMEGA = math.inf
@@ -385,13 +383,6 @@ def simple_cycle_class(g: Graph) -> list[CycleClass]:
         for total, members in zip(internal, masks)
     ]
     return [classes[c] for c in comp]
-
-
-def require_enumerable(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> None:
-    if g.n > limit:
-        raise SizeLimitExceeded(
-            f"graph has {g.n} vertices, above the enumeration limit {limit}"
-        )
 
 
 def _finite_edges(g: Graph, i: int, into: int) -> bool:

@@ -20,6 +20,8 @@ yields both verdicts of each, H by H, and keeps nothing per H:
 The two must agree everywhere; the test suite uses that as its main oracle.
 Past the (K) check, the quotient route reads no reachability or tails.
 ``ideals`` lists the walk's rows; ``verify`` keeps only :func:`_verify_record`.
+The walk stops once the pairs would number more than a cap, ``--limit``: the
+size of the output is capped, not the number of vertices.
 
 Breaking vertices are counted by *edges*: the edges escaping H must be
 finitely many and at least one, so no OMEGA bundle may leave H.  Counting
@@ -91,7 +93,9 @@ _TAIL = IdealClass(IdealKind.PRIMITIVE_TAIL)  # and the one shared by every maxi
 
 # -- saturated hereditary sets ------------------------------------------------
 
-_MAX_SETS = 1 << 20
+# The default cap on the admissible pairs an enumeration lists (``--limit``),
+# and the most subsets an exhaustive ``verify`` sweep may hold.
+DEFAULT_ENUMERATION_LIMIT = 1 << 20
 
 
 def _sat_her_faults(g: Graph, mask: int) -> tuple:
@@ -105,7 +109,7 @@ def _sat_her_faults(g: Graph, mask: int) -> tuple:
 
 
 @per_graph
-def saturated_hereditary_sets(g: Graph) -> list[int]:
+def saturated_hereditary_sets(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[int]:
     """Masks of the complements of the unions of tails, in increasing order.
 
     H is saturated hereditary exactly when its complement C satisfies MT1 and
@@ -113,17 +117,17 @@ def saturated_hereditary_sets(g: Graph) -> list[int]:
     any member ends at a singular vertex or on a cycle, at some w whose tail
     U(w) holds that member and lies in C by MT1.
 
-    Raises SizeLimitExceeded once the unions number more than 2^20, as
-    many as ``verify``'s exhaustive sweep may hold subsets (k disjoint tails
-    have 2^k unions); they are added one at a time, so no more are held.
+    Raises SizeLimitExceeded once the unions number more than ``limit``, the
+    cap on the pairs, as every H has at least one (k disjoint tails have 2^k
+    unions); they are added one at a time, so no more are held.
     """
     unions, tails = {0}, _cluster_masks(g)
     for k, m in enumerate(tails, 1):
         for u in list(unions):
             unions.add(u | m)
-            if len(unions) > _MAX_SETS:
+            if len(unions) > limit:
                 raise SizeLimitExceeded(
-                    f"the unions of the first {k} of {len(tails)} tails number more than 2^20, "
+                    f"the unions of the first {k} of {len(tails)} tails number more than {limit}, "
                     "and so do the saturated hereditary sets"
                 )
     return [g.full_mask ^ u for u in sorted(unions, reverse=True)]
@@ -161,9 +165,9 @@ def admissible_pair(g: Graph, h, s=()) -> AdmissiblePair:
     return pair
 
 
-def admissible_pairs(g: Graph) -> list[tuple[int, int]]:
+def admissible_pairs(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[tuple[int, int]]:
     """Every pair as ``(hmask, smask)``, admissible by construction: the pairs of :func:`_walk`."""
-    return [pair for pair, *_ in _walk(g)]
+    return [pair for pair, *_ in _walk(g, limit)]
 
 
 # -- lattice operations --------------------------------------------------------
@@ -383,16 +387,18 @@ def _quotient_verdict(g: Graph, frame: _QuotientFrame, kept: int) -> tuple[Ideal
     return _TAIL, has_l
 
 
-def _walk(g: Graph) -> Iterator[tuple[tuple[int, int], IdealClass, IdealClass, bool]]:
+def _walk(
+    g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT
+) -> Iterator[tuple[tuple[int, int], IdealClass, IdealClass, bool]]:
     """Each admissible pair, H by H with each subset of B_H, with its direct and quotient
     verdicts and whether its quotient has Condition (L), reading each H's breaking vertices
-    and frame once.  Raises SizeLimitExceeded before an H's 2^|B_H| pairs take the total past 2^20."""
-    sets, total = saturated_hereditary_sets(g), 0
+    and frame once.  Raises SizeLimitExceeded before an H's 2^|B_H| pairs take the total past ``limit``."""
+    sets, total = saturated_hereditary_sets(g, limit), 0
     for k, hmask in enumerate(sets, 1):
         breaking = _breaking_masked(g, hmask)
         total += 1 << breaking.bit_count()
-        if total > _MAX_SETS:
-            raise SizeLimitExceeded(f"the first {k} of {len(sets)} saturated hereditary sets have over 2^20 pairs")
+        if total > limit:
+            raise SizeLimitExceeded(f"the first {k} of {len(sets)} saturated hereditary sets have over {limit} pairs")
         frame, kept_sets = _quotient_frame(g, hmask), [breaking]  # B_H minus S, S from empty up
         for i in _bits(breaking):
             kept_sets += [kept & ~(1 << i) for kept in kept_sets]
@@ -408,10 +414,10 @@ class _VerifyRecord(NamedTuple):  # what verify keeps of the walk: no row per pa
 
 
 @per_graph
-def _verify_record(g: Graph) -> _VerifyRecord:
+def _verify_record(g: Graph, limit: int) -> _VerifyRecord:
     """One walk over the pairs, kept as ``verify`` reads it: its prime pairs and first failures."""
     prime, tails, disagree, without_l = set(), set(), None, None
-    for pair, direct, quotient, has_l in _walk(g):
+    for pair, direct, quotient, has_l in _walk(g, limit):
         if direct.is_prime:
             prime.add(pair)
             if direct.kind is IdealKind.PRIMITIVE_TAIL:

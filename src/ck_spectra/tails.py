@@ -140,17 +140,12 @@ class BoundaryPath(NamedTuple):
         return frozenset(seen)
 
 
-@per_graph
-def _bundle_set(g: Graph) -> frozenset:
-    return frozenset(g.bundles)
-
-
 def validate_boundary_path(g: Graph, path: BoundaryPath) -> None:
     """Raise InvalidPath unless the path is a boundary path of g."""
     g.require_vertex(path.base)
-    at, bundles = path.base, _bundle_set(g)
+    at = path.base
     for b in path.prefix + path.cycle:
-        if b not in bundles:
+        if b not in g.out_bundles.get(b.src, ()):
             raise InvalidPath(f"bundle {b} is not part of the graph")
         if b.src != at:
             raise InvalidPath(f"bundle {b} does not continue the path at {at!r}")

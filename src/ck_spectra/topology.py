@@ -50,15 +50,9 @@ import random
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import SizeLimitExceeded, VerificationFailure
-from .graph_core import (
-    DEFAULT_ENUMERATION_LIMIT,
-    Graph,
-    _bits,
-    _require_condition_k,
-    per_graph,
-    require_enumerable,
-)
+from .graph_core import Graph, _bits, _require_condition_k, per_graph
 from .ideals import (
+    DEFAULT_ENUMERATION_LIMIT,
     AdmissiblePair,
     _breaking_masked,
     _meet_entry,
@@ -324,7 +318,7 @@ def _subset_pool(n: int, exhaustive_limit: int, seed: int) -> tuple:
     """Subset masks to sweep, ascending, and pairs of subsets for the union axiom,
     as the left and the right masks: everything when small, else seeded
     uniform draws of n bits.  The last item says whether the subsets are all of them."""
-    if 20 < n <= exhaustive_limit:  # each kernel would hold a union per subset
+    if n <= exhaustive_limit and 1 << n > DEFAULT_ENUMERATION_LIMIT:  # each kernel would hold a union per subset
         raise SizeLimitExceeded(f"an exhaustive sweep of {n} points is 2^{n} subsets, above 2^20")
     if n <= _UNION_PAIR_LIMIT:
         lefts, rights = [a for a in range(1 << n) for _ in range(1 << n)], list(range(1 << n)) * (1 << n)
@@ -354,6 +348,7 @@ def verify_homeomorphism(
     :class:`VerificationFailure` with the offending subset otherwise.  Each
     prime pair is primitive by the separability theorem of the module
     docstring, which ``verify`` reports as "primitive = prime points".
+    Raises SizeLimitExceeded once the admissible pairs number more than ``limit``.
     """
     prim_spec_density_check(g)
     pts = tuple(spec_points(g))
@@ -362,8 +357,7 @@ def verify_homeomorphism(
     image = set(_h_masks(g))
     if len(image) != len(pts):
         raise VerificationFailure("point-to-ideal map is not injective", pts)
-    require_enumerable(g, limit)
-    prime_pairs = _verify_record(g).prime
+    prime_pairs = _verify_record(g, limit).prime
     if image != prime_pairs:
         named = lambda pairs: {_named(g, pair) for pair in pairs}
         raise VerificationFailure(

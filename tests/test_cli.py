@@ -98,6 +98,8 @@ def test_bad_quotient_set_exits_three(fixture_path, capsys):
 
 
 def test_size_limit_exits_four(tmp_path, capsys):
+    # 25 sinks are 25 disjoint tails with 2^25 unions: past the default cap
+    # of 2^20 ideals, refused once the unions pass it
     names = ", ".join(f"v{i}" for i in range(25))
     path = tmp_path / "big.gcg"
     path.write_text(f"vertex {names};\n")
@@ -113,7 +115,7 @@ def test_negative_limit_is_a_usage_error(command, limit, fixture_path, capsys):
     with pytest.raises(SystemExit) as stop:
         cli.main(argv)
     assert stop.value.code == 2
-    assert "argument --limit: invalid vertex_count value: '-1'" in capsys.readouterr().err
+    assert "argument --limit: invalid count value: '-1'" in capsys.readouterr().err
 
 
 def test_verification_failure_exits_one(fixture_path, capsys, monkeypatch):
@@ -478,7 +480,8 @@ def test_a_closed_stdout_exits_quietly(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["ideals", "verify"])
 def test_condition_K_comes_before_the_limit(command, tmp_path, capsys):
-    # 21 single loops: past the vertex cap, and no vertex has (K)
+    # 21 single loops: 21 disjoint tails with 2^21 unions, past the default
+    # cap of 2^20 ideals, and no vertex has (K)
     names = [f"v{i}" for i in range(21)]
     path = tmp_path / "loops.gcg"
     path.write_text(f"vertex {', '.join(names)};\n" + "".join(f"edge {v} -> {v};\n" for v in names))
@@ -490,14 +493,14 @@ def test_condition_K_comes_before_the_limit(command, tmp_path, capsys):
 def test_ideals_past_two_to_the_twenty_saturated_hereditary_sets_exits_four(tmp_path, capsys):
     # 21 disjoint double-loop vertices are 21 tails with 2^21 unions, each
     # the complement of a saturated hereditary set; the union closure stops
-    # past 2^20 instead of running out of memory
+    # past the default cap of 2^20 ideals instead of running out of memory
     names = [f"v{i}" for i in range(21)]
     path = tmp_path / "loops.gcg"
     path.write_text(f"vertex {', '.join(names)};\n" + "".join(f"edge {v} -> {v} * 2;\n" for v in names))
-    code, out, err = run(capsys, "ideals", "--limit", "21", str(path))
+    code, out, err = run(capsys, "ideals", str(path))
     assert (code, out) == (4, "")
     assert err == (
-        "size limit: the unions of the first 21 of 21 tails number more than 2^20, "
+        "size limit: the unions of the first 21 of 21 tails number more than 1048576, "
         "and so do the saturated hereditary sets\n"
     )
 
@@ -509,9 +512,35 @@ def test_past_two_to_the_twenty_admissible_pairs_exits_four(command, tmp_path, c
     # before they are expanded instead of running out of memory
     path = tmp_path / "chain24.gcg"
     path.write_text(emit_gcg(bundle_chain(24)))
-    code, out, err = run(capsys, command, "--limit", "100", str(path))
+    code, out, err = run(capsys, command, str(path))
     assert (code, out) == (4, "")
-    assert err == "size limit: the first 3 of 28 saturated hereditary sets have over 2^20 pairs\n"
+    assert err == "size limit: the first 3 of 28 saturated hereditary sets have over 1048576 pairs\n"
+
+
+@pytest.mark.parametrize(
+    "limit, err",
+    [
+        ("12", ""),
+        ("11", "size limit: the first 6 of 6 saturated hereditary sets have over 11 pairs\n"),
+        ("5", "size limit: the unions of the first 4 of 4 tails number more than 5, and so do the saturated hereditary sets\n"),
+    ],
+)
+@pytest.mark.parametrize("command", ["ideals", "verify"])
+def test_limit_counts_the_ideals(command, limit, err, fixture_path, capsys):
+    # the fixture has 6 saturated hereditary sets and 12 pairs: --limit 12
+    # lists them all, 11 stops at the pairs and 5 already at the sets
+    code, out, got = run(capsys, command, "--limit", limit, fixture_path)
+    assert (code, got) == ((0, "") if not err else (4, err))
+    assert bool(out) == (not err)
+
+
+@pytest.mark.parametrize("name", ["chain20x20-s1", "chorded1500"])
+@pytest.mark.parametrize("command", ["ideals", "verify"])
+def test_enumeration_of_many_vertices_but_few_ideals_needs_no_limit(command, name, capsys):
+    # 400 and 1,500 vertices with 21 and 2 ideals: the default cap counts ideals
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "large-sparse" / f"{name}.gcg"
+    code, _, err = run(capsys, command, str(path))
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("command", ["verify", "ideals"])
@@ -530,7 +559,7 @@ def test_enumeration_keeps_one_table_and_no_per_pair_or_per_H_verdicts(command, 
     assert not per_mask & slots
     assert ("_verify_record" in slots) == (command == "verify")
     if command == "verify":
-        record = ideals._verify_record(g)
+        record = ideals._verify_record(g, ideals.DEFAULT_ENUMERATION_LIMIT)
         assert len(record.prime) == len(record.tails) == 12
         assert (record.disagree, record.without_l) == (None, None)
     rows = list(ideals._walk(g))
@@ -563,7 +592,7 @@ def test_verify_peaks_under_200_bytes_per_saturated_hereditary_set(capsys, monke
     try:
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        code, _, _ = run(capsys, "verify", "--limit", "100", "loops.gcg")
+        code, _, _ = run(capsys, "verify", "loops.gcg")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -657,7 +686,9 @@ def without_a_tail(monkeypatch, planted):
     """Plant in the record that cmd_verify reads a direct route that did not
     find ``planted`` to be a maximal tail."""
     real = ideals._verify_record
-    monkeypatch.setattr(cli, "_verify_record", lambda g: real(g)._replace(tails=real(g).tails - {planted}))
+    monkeypatch.setattr(
+        cli, "_verify_record", lambda g, limit: real(g, limit)._replace(tails=real(g, limit).tails - {planted})
+    )
 
 
 def test_verify_reports_a_cluster_that_is_not_a_maximal_tail(fixture_path, capsys, monkeypatch):
@@ -765,7 +796,7 @@ def test_verify_sweeps_every_subset_of_17_points(capsys):
 
 
 def test_spec_honours_a_limit_above_the_default(tmp_path, capsys):
-    names = [f"v{i}" for i in range(21)]  # above the ideals/verify default of 20
+    names = [f"v{i}" for i in range(21)]  # spec takes no --limit at any size
     path = tmp_path / "chain.gcg"
     path.write_text(
         f"vertex {', '.join(names)};\n"

@@ -118,18 +118,14 @@ def test_saturated_hereditary_subset_graph(ea2_omega):
 
 
 @pytest.mark.parametrize("seed", range(24))
-def test_saturated_hereditary_sets_stop_just_past_their_limit(seed, monkeypatch):
-    # the limit is 2^20 (test_cli's 21 disjoint loops pass it); cut down to
+def test_saturated_hereditary_sets_stop_just_past_their_limit(seed):
+    # the default limit is 2^20 (test_cli's 21 disjoint loops pass it); at
     # the exact count, every set comes out, and one below, none does
-    def build():
-        return random_condition_k_graph(seed, 2 + seed % 8, 0.3)
-
-    expected = sorted(map(build().mask, oracle_sat_her(build())))
-    monkeypatch.setattr(ideals, "_MAX_SETS", len(expected))
-    assert saturated_hereditary_sets(build()) == expected
-    monkeypatch.setattr(ideals, "_MAX_SETS", len(expected) - 1)
-    with pytest.raises(SizeLimitExceeded, match="tails number more than"):
-        saturated_hereditary_sets(build())
+    g = random_condition_k_graph(seed, 2 + seed % 8, 0.3)
+    expected = sorted(map(g.mask, oracle_sat_her(g)))
+    assert saturated_hereditary_sets(g, len(expected)) == expected
+    with pytest.raises(SizeLimitExceeded, match=rf"tails number more than {len(expected) - 1}\b"):
+        saturated_hereditary_sets(g, len(expected) - 1)
 
 
 @given(
@@ -207,17 +203,12 @@ def test_admissible_pairs_row_finite_subset_graph():
         *(pytest.param(lambda s=s: random_condition_k_graph(s, 2 + s % 8, 0.3, 0.5), id=f"random-{s}") for s in range(12)),
     ],
 )
-def test_admissible_pairs_stop_just_past_their_limit(build, monkeypatch):
+def test_admissible_pairs_stop_just_past_their_limit(build):
     # the running total is checked before each H's 2^|B_H| subsets are
-    # expanded: cut down to the exact count, every pair comes out, H by H, and
-    # one below, none does.  The saturated hereditary sets are cached first,
-    # under the real limit, so that only the pairs can stop.
-    def fresh():
-        g = build()
-        saturated_hereditary_sets(g)
-        return g
-
-    g, again = fresh(), fresh()
+    # expanded: at the exact count, every pair comes out, H by H, and one
+    # below, none does.  Each H has at least one pair, so where the pairs
+    # number as many as the sets, the sets are what stops.
+    g = build()
     expected = [
         (g.mask(h), g.mask(s))
         for h in oracle_sat_her(g)
@@ -225,13 +216,12 @@ def test_admissible_pairs_stop_just_past_their_limit(build, monkeypatch):
         for k in range(len(b) + 1)
         for s in combinations(b, k)
     ]
-    monkeypatch.setattr(ideals, "_MAX_SETS", len(expected))
-    pairs = ideals.admissible_pairs(g)
+    pairs = ideals.admissible_pairs(g, len(expected))
     assert sorted(pairs) == sorted(expected)
     assert list(dict.fromkeys(h for h, _ in pairs)) == saturated_hereditary_sets(g)
-    monkeypatch.setattr(ideals, "_MAX_SETS", len(expected) - 1)
-    with pytest.raises(SizeLimitExceeded, match=r"saturated hereditary sets have over 2\^20 pairs"):
-        ideals.admissible_pairs(again)
+    stop = "tails number more than" if len(saturated_hereditary_sets(g)) == len(expected) else "sets have over"
+    with pytest.raises(SizeLimitExceeded, match=rf"{stop} {len(expected) - 1}\b"):
+        ideals.admissible_pairs(g, len(expected) - 1)
 
 
 def test_admissible_pair_validation(g7):

@@ -149,13 +149,17 @@ def test_tail_of_f_loop_path(g7):
 def test_invalid_paths_rejected(g7):
     with pytest.raises(InvalidPath):
         tail_of_boundary(g7, BoundaryPath("v"))  # regular endpoint, no cycle
-    with pytest.raises(InvalidPath):
+    with pytest.raises(InvalidPath, match="does not continue the path at 'y'"):
         tail_of_boundary(g7, BoundaryPath("y", (bundle_of(g7, "u", "t"),)))
     with pytest.raises(InvalidPath):
         # cycle part that does not close up
         tail_of_boundary(g7, BoundaryPath("y", (), (bundle_of(g7, "y", "z"),)))
-    with pytest.raises(InvalidPath):
-        tail_of_boundary(g7, BoundaryPath("x", (Bundle("x", "q"),)))
+    # a bundle outside the graph is reported as such, even where it does not
+    # continue the path: from an unknown vertex, to one, or with another multiplicity
+    for stray in (Bundle("x", "q"), Bundle("q", "x"), Bundle("u", "t", 2)):
+        for base in ("x", "y"):
+            with pytest.raises(InvalidPath, match="is not part of the graph"):
+                tail_of_boundary(g7, BoundaryPath(base, (stray,)))
 
 
 def test_vertex_trace():
