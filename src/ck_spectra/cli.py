@@ -396,7 +396,7 @@ def cmd_gen(args) -> int:
     elif args.kind == "ea":
         try:
             g = ea_graph(_comma_set(args.set), args.mult)
-        except (ValueError, SizeLimitExceeded) as err:
+        except ValueError as err:
             print(f"precondition violation: {err}", file=sys.stderr)
             return EXIT_PRECONDITION
     else:
@@ -463,7 +463,7 @@ _COMMANDS = (
         "--space": dict(choices=("spec", "prim"), default="spec"), "--json": _FLAG,
     }),
     (("verify",), "cmd_verify", "run the full property suite on one graph", True, {
-        "--limit": _LIMIT, "--exhaustive-limit": dict(type=int, default=12), "--seed": dict(type=int, default=0),
+        "--limit": _LIMIT, "--exhaustive-limit": dict(type=count, default=12), "--seed": dict(type=int, default=0),
     }),
     (("gen",), None, "emit a generated graph as .gcg", False, {}),
     (("gen", "fixture"), "cmd_gen", "the seven-vertex reference example", False, {}),

@@ -21,8 +21,7 @@ class NotAMaximalTail(CkSpectraError):
 
 class SizeLimitExceeded(CkSpectraError):
     """A size cap was passed: more admissible pairs than the enumeration limit,
-    an exhaustive sweep of more than 2^20 subsets, or a ``gen ea`` ground set
-    of more than 4 elements."""
+    or an exhaustive sweep of more than 2^20 subsets."""
 
 
 class NotSaturatedHereditary(CkSpectraError):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .errors import SizeLimitExceeded
 from .graph_core import (
     OMEGA,
     Bundle,
@@ -73,11 +72,11 @@ def ea_graph(ground, mult: Mult = 1) -> Graph:
     With ``mult=1`` this is an honest finite graph with a single maximal
     tail; with ``mult=OMEGA`` every non-terminal vertex becomes an infinite
     emitter.  The ground set is capped at four elements, so the graph has
-    at most 2**4 - 1 = 15 vertices.
+    at most 2**4 - 1 = 15 vertices (past it, ValueError).
     """
     elems = sorted(set(ground))
     if len(elems) > 4:
-        raise SizeLimitExceeded(f"ground set of {len(elems)} elements is above the cap of 4")
+        raise ValueError(f"ground set of {len(elems)} elements is above the cap of 4")
     check_mult(mult)
     subsets = [s for s in _all_subsets(elems) if s]
     names = [_subset_name(s) for s in subsets]

@@ -6,7 +6,9 @@ infinite family.  ``OMEGA`` is the float ``math.inf`` and prints as ``inf``:
 it absorbs ``+``, lies above every int and equals only itself, so merged
 multiplicities are plain sums.  All structural predicates used elsewhere in the
 package (Condition (K), Condition (L), downward directedness, the countable
-separation property) live here, together with bitmask reachability.
+separation property) live here, together with bitmask reachability and the
+one mask test of each MT axiom that the package shares: :func:`_union_faults`
+(MT1, MT2) and :func:`_common_bound` (MT3).
 
 The per-vertex edge tables are masks (successors, predecessors, OMEGA
 targets), and the vertex classes are read off them.  Condition (L) and the
@@ -405,24 +407,40 @@ def is_downward_directed(g: Graph, members: Iterable[str]) -> Check:
     """Whether every two members share a vertex both can reach, inside the set.
 
     This is the MT3 axiom.  Fails with the first violating pair in
-    declaration order.
-
-    A member every member reaches settles it at once, and is also necessary
-    (a common bound x of u and v is a member, so x and w have one too, and so
-    on).  Only otherwise are the pairs scanned.
+    declaration order, scanned only when :func:`_common_bound` finds none.
     """
     pair = _undirected_pair(g, g.mask(members))
     return Check(True) if pair is None else Check(False, (g.vertices[pair[0]], g.vertices[pair[1]]))
 
 
-def _undirected_pair(g: Graph, mask: int) -> Optional[tuple[int, int]]:
-    """:func:`is_downward_directed` on masks: the first failing pair of indices, or None."""
+def _union_faults(g: Graph, mask: int) -> tuple:
+    """MT1 and MT2 on a vertex mask, each as its first failure in indices or None: an
+    edge (v, w) into the mask from v outside, as a path enters through one; a regular
+    member with no successor inside.  Both hold iff the complement is saturated hereditary."""
+    pred, succ, rest = g.pred_mask, g.succ_mask, g.full_mask & ~mask
+    entries = ((next(_bits(pred[w] & rest)), w) for w in _bits(mask) if pred[w] & rest)
+    trapped = (i for i in _bits(mask & g.class_masks[2]) if not succ[i] & mask)
+    return next(entries, None), next(trapped, None)
+
+
+def _common_bound(g: Graph, mask: int) -> int:
+    """The members of a vertex mask that every member reaches, stopping at 0.  On a
+    nonempty mask it is nonzero iff MT3 holds: a common bound of two members and a
+    third member have a common bound, which all three reach, and so on."""
     reach = g.reach
     common = mask
     for i in _bits(mask):
         common &= reach[i]
-    if common:
+        if not common:
+            break
+    return common
+
+
+def _undirected_pair(g: Graph, mask: int) -> Optional[tuple[int, int]]:
+    """:func:`is_downward_directed` on masks: the first failing pair of indices, or None."""
+    if _common_bound(g, mask):
         return None
+    reach = g.reach
     idx = list(_bits(mask))
     for a, i in enumerate(idx):
         ri = reach[i]

@@ -46,6 +46,7 @@ from .graph_core import (
     _bits,
     _finite_edges,
     _require_condition_k,
+    _union_faults,
     per_graph,
     strong_components,
 )
@@ -98,22 +99,13 @@ _TAIL = IdealClass(IdealKind.PRIMITIVE_TAIL)  # and the one shared by every maxi
 DEFAULT_ENUMERATION_LIMIT = 1 << 20
 
 
-def _sat_her_faults(g: Graph, mask: int) -> tuple:
-    """The first member with a successor outside, the first regular non-member with none; or None."""
-    succ, pred, rest = g.succ_mask, g.pred_mask, g.full_mask & ~mask
-    escapes = 0  # the members with an edge out, read off the complement's predecessors
-    for i in _bits(rest):
-        escapes |= pred[i] & mask
-    trapped = (i for i in _bits(g.class_masks[2] & rest) if not succ[i] & rest)
-    return (escapes & -escapes).bit_length() - 1 if escapes else None, next(trapped, None)
-
-
 @per_graph
 def saturated_hereditary_sets(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[int]:
     """Masks of the complements of the unions of tails, in increasing order.
 
     H is saturated hereditary exactly when its complement C satisfies MT1 and
-    MT2.  Every union of tails does; conversely, following MT2 inside C from
+    MT2, which ``graph_core._union_faults`` tests when a given H is validated.
+    Every union of tails does; conversely, following MT2 inside C from
     any member ends at a singular vertex or on a cycle, at some w whose tail
     U(w) holds that member and lies in C by MT1.
 
@@ -144,7 +136,7 @@ def _breaking_masked(g: Graph, hmask: int) -> int:
 
 @per_graph
 def _require_sat_her(g: Graph, hmask: int) -> int:
-    if _sat_her_faults(g, hmask) != (None, None):
+    if _union_faults(g, g.full_mask & ~hmask) != (None, None):  # MT1 and MT2 of the complement
         raise NotSaturatedHereditary(f"{sorted(g.names(hmask))} is not saturated hereditary")
     return hmask
 

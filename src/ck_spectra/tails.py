@@ -15,17 +15,14 @@ MT1 the cluster is U(w), the set of vertices reaching w.  U(w) passes MT2
 exactly when w is singular or on a cycle.  Tails are the clusters, as MT4
 always holds.
 
-:func:`_mt_holds` decides MT1-MT3 on a whole mask in one pass over its
-members, for the direct classification and :func:`realize_as_tail`; ``verify``
-reads the direct route's verdicts on the clusters.  MT1 holds iff each
-member's predecessors lie in the set, as a path into the set enters it
-through a predecessor of a member.  MT3 holds iff some member is reached from
-every member: in a finite set, pairwise common bounds give one common bound,
-since a common bound of the first two members and the third member have a
-common bound, which all three reach, and so on.  So the AND of the members'
-reach masks meets the set exactly when MT3 holds, and no pair need be named.
-Only :func:`mt_report`, which names a witness for each failing axiom, walks
-the pairs.
+The axioms are read off two mask tests of ``graph_core``, which the rest of
+the package shares: ``_union_faults`` decides MT1 and MT2 (on the complement
+of H it is the saturated hereditary test of ``ideals``), and ``_common_bound``
+gives the members that every member reaches, which is nonzero exactly when MT3
+holds on a nonempty set.  :func:`_mt_holds` joins the two for the direct
+classification and :func:`realize_as_tail`, and ``verify`` reads the direct
+route's verdicts on the clusters.  Only :func:`mt_report`, which names a
+witness for each failing axiom, walks the pairs.
 """
 
 from __future__ import annotations
@@ -37,9 +34,10 @@ from .graph_core import (
     Bundle,
     Graph,
     _bits,
+    _common_bound,
     _finite_edges,
     _undirected_pair,
-    has_csp,
+    _union_faults,
     per_graph,
 )
 
@@ -51,7 +49,7 @@ class MtReport(NamedTuple):
     mt2: bool
     mt3: bool
     mt4: bool
-    mt1_witness: Optional[tuple[str, str]] = None  # (v, w): v >= w in the set, v outside
+    mt1_witness: Optional[tuple[str, str]] = None  # an edge v -> w into the set, v outside
     mt2_witness: Optional[str] = None  # regular member with no out-edge into the set
     mt3_witness: Optional[tuple[str, str]] = None  # pair with no common bound in the set
 
@@ -72,26 +70,17 @@ def mt_report(g: Graph, members) -> MtReport:
 
 
 def _mt_faults(g: Graph, mask: int) -> tuple:
-    """MT1-MT3 on a vertex mask, each as its first failure in indices or None: (v, w)
-    with v outside reaching w inside; a regular member with no successor inside;
-    two members with no common bound inside."""
-    coreach, succ = g.coreach, g.succ_mask
-    escapes = ((next(_bits(coreach[w] & ~mask)), w) for w in _bits(mask) if coreach[w] & ~mask)
-    trapped = (i for i in _bits(mask & g.class_masks[2]) if not succ[i] & mask)
-    return next(escapes, None), next(trapped, None), _undirected_pair(g, mask)
+    """MT1-MT3 on a vertex mask, each as its first failure in indices or None: an
+    edge (v, w) into the mask from v outside; a regular member with no successor
+    inside; two members with no common bound inside."""
+    return (*_union_faults(g, mask), _undirected_pair(g, mask))
 
 
 def _mt_holds(g: Graph, mask: int) -> bool:
     """Whether MT1-MT3 hold on a vertex mask, as ``_mt_faults(g, mask) == (None,
-    None, None)``, in one pass: each member's predecessors lie in the mask, each
-    regular member has a successor in it, and some member is reached from all."""
-    pred, succ, reach, regular = g.pred_mask, g.succ_mask, g.reach, g.class_masks[2]
-    common = mask  # the members that every member so far reaches
-    for i in _bits(mask):
-        common &= reach[i]
-        if not common or pred[i] & ~mask or regular >> i & 1 and not succ[i] & mask:
-            return False
-    return True
+    None, None)``: some member is reached from all, unless there is none, and
+    MT1 and MT2 hold."""
+    return (not mask or _common_bound(g, mask) != 0) and _union_faults(g, mask) == (None, None)
 
 
 def maximal_tails(g: Graph) -> list[frozenset]:
@@ -200,9 +189,11 @@ def _shortest_route(g: Graph, src: str, dst: str) -> tuple[Bundle, ...]:
 def realize_as_tail(g: Graph, members) -> BoundaryPath:
     """Produce a boundary path whose tail is exactly the given set.
 
-    Follows the constructive argument behind the MT characterization: fold a
-    countable separating subset into a descending chain inside the set, then
-    extend through MT2 until the walk hits a singular vertex or repeats.
+    Follows the constructive argument behind the MT characterization: on a
+    finite set, the countable separating subset is one vertex of the class
+    that every member reaches, so walk a shortest route from the first member
+    to that class (MT3), then extend through MT2 until the walk hits a
+    singular vertex or repeats.
     """
     mask = g.mask(members)
     if mask == 0 or not _mt_holds(g, mask):  # MT4 always holds
@@ -213,15 +204,9 @@ def realize_as_tail(g: Graph, members) -> BoundaryPath:
 def _realize_mask(g: Graph, mask: int) -> BoundaryPath:
     """:func:`realize_as_tail` on a nonempty vertex mask already known to satisfy MT1-MT3."""
     base = g.vertices[next(_bits(mask))]
-    current = base
-    bundles: list[Bundle] = []
-    for x in _bits(has_csp(g, mask).witness):  # the witness lies inside the set
-        # common lower bound of x and the walk head, inside the set (MT3);
-        # MT1 keeps every vertex of the connecting route inside the set.
-        common = g.reach[x] & g.reach[g.index[current]] & mask
-        target = g.vertices[next(_bits(common))]
-        bundles.extend(_shortest_route(g, current, target))
-        current = target
+    # MT1 keeps every vertex of the route to the common bound inside the set
+    current = g.vertices[next(_bits(_common_bound(g, mask)))]
+    bundles = list(_shortest_route(g, base, current))
 
     regular = g.class_masks[2]
     seen_at = {current: len(bundles)}

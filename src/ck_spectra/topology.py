@@ -348,7 +348,7 @@ def verify_homeomorphism(
     :class:`VerificationFailure` with the offending subset otherwise.  Each
     prime pair is primitive by the separability theorem of the module
     docstring, which ``verify`` reports as "primitive = prime points".
-    Raises SizeLimitExceeded once the admissible pairs number more than ``limit``.
+    Raises SizeLimitExceeded past ``limit`` pairs or 2^20 exhaustive subsets.
     """
     prim_spec_density_check(g)
     pts = tuple(spec_points(g))
@@ -390,6 +390,7 @@ def check_kuratowski(space: SpecSpace, exhaustive_limit: int = 12, *, seed: int 
     eight at most, in sweep order.  Closures come from bulk calls on the pool,
     its closures, the singletons and the union pairs; the spaces of
     :func:`spec_space` share their kernels with :func:`verify_homeomorphism`.
+    Raises SizeLimitExceeded past 2^20 exhaustive subsets.
     """
     pts = space.points
     n = len(pts)

@@ -13,7 +13,12 @@ in ``ck_spectra.gcg`` replaced.  ``oracle_check_admissible``
 and ``oracle_classify_ideal`` are the name-based bodies that the mask cores
 of ``ck_spectra.ideals`` replaced, with the hereditary, saturated and MT
 tests read off explicit sets; ``oracle_sat_her_faults`` is the member walk
-that ``ideals._sat_her_faults`` replaced with a read of the complement.  ``oracle_classify_quotient`` is the quotient
+that MT1 and MT2 of the complement, ``graph_core._union_faults``, replaced.
+``oracle_common_bound`` is the set of members that every member reaches, read
+off explicit sets, that the reach fold of ``graph_core._common_bound`` must
+reproduce, and ``oracle_realize_mask`` the chain fold over a countable
+separating set, the paper's general construction of a boundary path, that one
+route to the common bound in ``tails._realize_mask`` replaced.  ``oracle_classify_quotient`` is the quotient
 route on the named quotient graph, through the package's ``condition_L`` and
 ``is_downward_directed``, that the quotient's own masks replaced, and
 ``oracle_quotient_frame`` the Tarjan search per H that a filter over one
@@ -60,7 +65,9 @@ from ck_spectra.graph_core import (
     CycleClass,
     Graph,
     Mult,
+    _bits,
     condition_L,
+    has_csp,
     is_downward_directed,
     is_omega,
     strong_components,
@@ -78,6 +85,7 @@ from ck_spectra.ideals import (
     _require_condition_k,
     meet,
 )
+from ck_spectra.tails import BoundaryPath, _shortest_route
 from ck_spectra.topology import ClusterPoint, FRPoint, h_map
 
 
@@ -206,6 +214,13 @@ def oracle_downward_directed(g: Graph, members):
     return None
 
 
+def oracle_common_bound(g: Graph, members) -> frozenset:
+    """The members that every member reaches."""
+    m = reach_matrix(g)
+    keep = set(members)
+    return frozenset(c for c in keep if all(m[g.index[u], g.index[c]] for u in keep))
+
+
 def oracle_mt1(g: Graph, members: frozenset) -> bool:
     m = reach_matrix(g)
     return all(
@@ -244,6 +259,36 @@ def oracle_tails(g: Graph) -> set:
         if oracle_mt1(g, members) and oracle_mt2(g, members) and oracle_mt3(g, members):
             out.add(members)
     return out
+
+
+def oracle_realize_mask(g: Graph, mask: int) -> BoundaryPath:
+    """A boundary path whose tail is a nonempty MT1-MT3 mask, by the general
+    construction: fold a countable separating subset into a descending chain
+    inside the set, then extend through MT2 until the walk hits a singular
+    vertex or repeats."""
+    base = g.vertices[next(_bits(mask))]
+    current = base
+    bundles: list[Bundle] = []
+    for x in _bits(has_csp(g, mask).witness):  # the witness lies inside the set
+        # common lower bound of x and the walk head, inside the set (MT3);
+        # MT1 keeps every vertex of the connecting route inside the set.
+        common = g.reach[x] & g.reach[g.index[current]] & mask
+        target = g.vertices[next(_bits(common))]
+        bundles.extend(_shortest_route(g, current, target))
+        current = target
+
+    regular = g.class_masks[2]
+    seen_at = {current: len(bundles)}
+    while regular >> g.index[current] & 1:
+        step = next(b for b in g.out_bundles[current] if 1 << g.index[b.dst] & mask)
+        bundles.append(step)
+        current = step.dst
+        if current in seen_at:
+            cut = seen_at[current]
+            return BoundaryPath(base, tuple(bundles[:cut]), tuple(bundles[cut:]))
+        seen_at[current] = len(bundles)
+
+    return BoundaryPath(base, tuple(bundles))
 
 
 def oracle_sat_her(g: Graph) -> set:
@@ -439,9 +484,9 @@ def oracle_is_saturated(g: Graph, members) -> Check:
 
 
 def oracle_sat_her_faults(g: Graph, mask: int) -> tuple:
-    """The member walk that the heredity test of ``ideals._sat_her_faults``
-    replaced: the first member with a successor outside, the first regular
-    non-member with none; or None."""
+    """The member walk that MT1 and MT2 of the complement replaced: the first
+    member with a successor outside, the first regular non-member with none;
+    or None."""
     succ = g.succ_mask
     escapes = (i for i in range(g.n) if mask >> i & 1 and succ[i] & ~mask)
     trapped = (i for i in range(g.n) if g.class_masks[2] >> i & 1 and not mask >> i & 1 and not succ[i] & ~mask)

@@ -107,15 +107,18 @@ def test_size_limit_exits_four(tmp_path, capsys):
     assert code == 4 and "limit" in err
 
 
-@pytest.mark.parametrize("limit", [["--limit", "-1"], ["--limit=-1"]], ids=" ".join)
-@pytest.mark.parametrize("command", ["ideals", "verify"])
-def test_negative_limit_is_a_usage_error(command, limit, fixture_path, capsys):
-    argv = [command, *limit, fixture_path]
-    assert cli._parse_exact(argv) is None
+@pytest.mark.parametrize(
+    "argv",
+    [[command, *limit] for command in ("ideals", "verify") for limit in (["--limit", "-1"], ["--limit=-1"])]
+    + [["verify", "--exhaustive-limit", "-1"], ["verify", "--exhaustive-limit=-1"]],  # not "always sample"
+    ids=" ".join,
+)
+def test_negative_limit_is_a_usage_error(argv, fixture_path, capsys):
+    assert cli._parse_exact([*argv, fixture_path]) is None
     with pytest.raises(SystemExit) as stop:
-        cli.main(argv)
+        cli.main([*argv, fixture_path])
     assert stop.value.code == 2
-    assert "argument --limit: invalid count value: '-1'" in capsys.readouterr().err
+    assert f"argument {argv[1].partition('=')[0]}: invalid count value: '-1'" in capsys.readouterr().err
 
 
 def test_verification_failure_exits_one(fixture_path, capsys, monkeypatch):
@@ -312,11 +315,15 @@ def test_verify_runs_each_whole_graph_scan_once(fixture_path, capsys):
 def test_verify_decides_each_fact_once(fixture_path, capsys):
     bodies = {
         inspect.unwrap(fn).__code__: name
-        for name, fn in (("kuratowski", topology.check_kuratowski), ("classify", ideals._direct_verdict))
+        for name, fn in (
+            ("kuratowski", topology.check_kuratowski),
+            ("classify", ideals._direct_verdict),
+            ("csp", graph_core.has_csp),
+            ("quotient graph", ideals.quotient_graph),
+        )
     }
-    csp_body, mt_body = graph_core.has_csp.__code__, tails._mt_holds.__code__
+    mt_body = tails._mt_holds.__code__
     runs = Counter()
-    csp_graphs = []  # kept alive, so that no two of them share an id
     mt_masks, mt_callers = [], set()
 
     def count(frame, event, arg):
@@ -324,8 +331,6 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
             return
         if frame.f_code in bodies:
             runs[bodies[frame.f_code]] += 1
-        elif frame.f_code is csp_body:
-            csp_graphs.append(frame.f_locals["g"])
         elif frame.f_code is mt_body:
             mt_masks.append(frame.f_locals["mask"])
             mt_callers.add(frame.f_back.f_code.co_name)
@@ -336,11 +341,10 @@ def test_verify_decides_each_fact_once(fixture_path, capsys):
     finally:
         sys.setprofile(None)
     assert code == 0
-    # one sweep per side, one direct verdict per admissible pair
+    # one sweep per side, one direct verdict per admissible pair; no graph is
+    # asked for a countable separating set, and no quotient graph is built
     assert len(ideals.admissible_pairs(running_example())) == 12
     assert runs == {"kuratowski": 2, "classify": 12}
-    # only the input graph is asked for a countable separating set
-    assert csp_graphs and len({id(g) for g in csp_graphs}) == 1
     # MT1-MT3 are decided once per distinct mask, with no memo: each cluster
     # is the complement of an H whose pair keeps no breaking vertex, so the
     # cluster check and realization read the direct route's verdict on it

@@ -8,7 +8,6 @@ from ck_spectra import (
     Bundle,
     ClusterPoint,
     OMEGA,
-    SizeLimitExceeded,
     classify_ideal,
     clusters,
     condition_K,
@@ -96,7 +95,7 @@ def test_ea_graph_omega_cluster_count():
 
 
 def test_ea_graph_caps_ground_size():
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(ValueError, match="ground set of 5 elements is above the cap of 4"):
         ea_graph(["a", "b", "c", "d", "e"], OMEGA)
 
 

@@ -18,11 +18,12 @@ from ck_spectra import (
     random_graph,
     upward_set,
 )
-from ck_spectra.graph_core import CycleClass, check_mult, has_csp
+from ck_spectra.graph_core import CycleClass, _common_bound, check_mult, has_csp
 
 from .oracles import (
     multigraphs,
     mult_sum,
+    oracle_common_bound,
     oracle_condition_L,
     oracle_csp_witness,
     oracle_cycle_class,
@@ -242,6 +243,31 @@ def test_mt3_and_mt4_witnesses_match_oracles(seed, n, repaired, density, picks):
         verdict = is_downward_directed(g, members)
         failing = oracle_downward_directed(g, members)
         assert (verdict.holds, verdict.witness) == (failing is None, failing)
+
+
+def test_common_bound_of_every_fixture_mask(g7):
+    for mask in range(1 << g7.n):
+        assert g7.names(_common_bound(g7, mask)) == oracle_common_bound(g7, g7.names(mask)), mask
+
+
+@given(
+    seed=seeds,
+    n=st.integers(1, 12),
+    repaired=st.booleans(),
+    density=st.sampled_from([0.1, 0.25, 0.5]),
+    picks=st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_common_bound_matches_explicit_sets(seed, n, repaired, density, picks):
+    # the members every member reaches; on a nonempty set, some exactly under MT3
+    g = (random_condition_k_graph if repaired else random_graph)(seed, n, density)
+    for pick in picks:
+        mask = pick & g.full_mask
+        members = g.names(mask)
+        common = _common_bound(g, mask)
+        assert g.names(common) == oracle_common_bound(g, members), sorted(members)
+        if mask:
+            assert (common != 0) == (oracle_downward_directed(g, members) is None), sorted(members)
 
 
 # -- simple cycles -------------------------------------------------------------------

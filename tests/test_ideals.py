@@ -34,6 +34,7 @@ from ck_spectra import (
     random_graph,
 )
 from ck_spectra import ideals, tails
+from ck_spectra.graph_core import _union_faults
 from ck_spectra.ideals import (
     _breaking_masked,
     _check_admissible,
@@ -41,7 +42,6 @@ from ck_spectra.ideals import (
     _quotient_one_terminal,
     _quotient_verdict,
     _require_sat_her,
-    _sat_her_faults,
     saturated_hereditary_sets,
 )
 from ck_spectra.tails import _finite_return_mask
@@ -71,6 +71,20 @@ seeds = st.integers(0, 10_000)
 f = frozenset
 
 
+def complement_faults(g, hmask):
+    """MT1 and MT2 of the complement of a vertex mask, checked against the member
+    walk: clean exactly when it is, the same MT2 witness, and an MT1 edge v -> w
+    with v in the mask and w outside."""
+    entry, trapped = _union_faults(g, g.full_mask & ~hmask)
+    escaping, walked = oracle_sat_her_faults(g, hmask)
+    assert (entry is None, trapped) == (escaping is None, walked), sorted(g.names(hmask))
+    if entry is not None:
+        v, w = g.vertices[entry[0]], g.vertices[entry[1]]
+        assert hmask >> entry[0] & 1 and not hmask >> entry[1] & 1
+        assert any(b.src == v and b.dst == w for b in g.bundles), (v, w)
+    return entry, trapped
+
+
 # -- predicates -----------------------------------------------------------------
 
 
@@ -80,14 +94,14 @@ def test_hereditary_saturated_fixture_sets(g7):
         assert oracle_is_hereditary(g7, h) and oracle_is_saturated(g7, h)
     verdict = oracle_is_hereditary(g7, "y")
     assert not verdict and verdict.witness == Bundle("y", "z")
-    assert _sat_her_faults(g7, g7.mask("y")) == (g7.index["y"], None)
+    assert complement_faults(g7, g7.mask("y")) == ((g7.index["y"], g7.index["z"]), None)
 
 
 def test_saturation_failure_witness():
     g = Graph(["a", "b"], [Bundle("a", "b")])
     verdict = oracle_is_saturated(g, "b")
     assert not verdict and verdict.witness == "a"
-    assert _sat_her_faults(g, g.mask("b")) == (None, g.index["a"])
+    assert complement_faults(g, g.mask("b")) == (None, g.index["a"])
 
 
 def test_saturated_hereditary_enumeration(fixture):
@@ -561,13 +575,11 @@ def test_direct_route_rejects_as_its_oracle_does(g7):
             kinds["admissible"] += 1
     assert len(kinds) == 5, kinds
     for h in subsets:
-        # the first member with an edge out, and the first regular non-member
-        # with every edge in, are where the oracles' witnesses sit
+        # an edge out of H where the heredity oracle finds one, and the first
+        # regular non-member with every edge in, where the saturation oracle sits
         escaping, trapped = oracle_is_hereditary(g7, h).witness, oracle_is_saturated(g7, h).witness
-        assert _sat_her_faults(g7, g7.mask(h)) == (
-            None if escaping is None else g7.index[escaping.src],
-            None if trapped is None else g7.index[trapped],
-        )
+        entry, first_trapped = complement_faults(g7, g7.mask(h))
+        assert (entry is None, first_trapped) == (escaping is None, None if trapped is None else g7.index[trapped])
 
 
 @given(
@@ -578,7 +590,8 @@ def test_direct_route_rejects_as_its_oracle_does(g7):
 @settings(max_examples=150, deadline=None)
 def test_heredity_from_the_complement_matches_the_member_walk(seed, generate, raw):
     # a random mask, mostly neither hereditary nor saturated, its hereditary
-    # hull, and the complement of each: the same two witnesses as the old walk
+    # hull, and the complement of each: MT1 and MT2 of their complements find
+    # a fault exactly where the member walk does
     g = generate(seed, 1 + seed % 9, 0.3)
     mask = raw & g.full_mask
     hull = 0
@@ -586,7 +599,7 @@ def test_heredity_from_the_complement_matches_the_member_walk(seed, generate, ra
         if mask >> i & 1:
             hull |= g.reach[i]
     for m in (mask, hull, g.full_mask & ~mask, g.full_mask & ~hull):
-        assert _sat_her_faults(g, m) == oracle_sat_her_faults(g, m), sorted(g.names(m))
+        complement_faults(g, m)
 
 
 # -- the quotient route on masks against the named quotient graph ---------------------

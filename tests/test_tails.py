@@ -23,9 +23,9 @@ from ck_spectra import (
 )
 from ck_spectra.graph_core import _bits
 from ck_spectra.ideals import _breaking_masked
-from ck_spectra.tails import _cluster_masks, _mt_faults, _mt_holds
+from ck_spectra.tails import _cluster_masks, _mt_faults, _mt_holds, _realize_mask
 
-from .oracles import oracle_reaches, oracle_tails
+from .oracles import oracle_mt1, oracle_mt2, oracle_mt3, oracle_reaches, oracle_realize_mask, oracle_tails
 
 seeds = st.integers(0, 10_000)
 
@@ -52,8 +52,9 @@ def test_mt_report_on_a_tail(g7):
 def test_mt_report_mt1_failure_with_witness(g7):
     rep = mt_report(g7, "wx")
     assert not rep.mt1
-    v, w = rep.mt1_witness
+    v, w = rep.mt1_witness  # an edge into the set
     assert w in {"w", "x"} and v not in {"w", "x"} and oracle_reaches(g7, v, w)
+    assert any(b.src == v and b.dst == w for b in g7.bundles)
 
 
 def test_mt_report_mt2_failure():
@@ -202,6 +203,25 @@ def test_realize_round_trip_exhaustive(g7, ea3_omega, three_chain, remark_graph)
             assert tail_of_boundary(g, path) == t
 
 
+def test_realization_matches_the_chain_fold_random():
+    # one route to the common bound against the general construction, path
+    # for path, on every cluster of seeded random graphs of up to 14 vertices
+    for seed in range(3000):
+        generate = (random_graph, random_condition_k_graph)[seed // 14 % 2]
+        g = generate(seed, 1 + seed % 14, (0.1, 0.2, 0.35)[seed // 28 % 3])
+        for mask in _cluster_masks(g):
+            assert _realize_mask(g, mask) == oracle_realize_mask(g, mask), (seed, sorted(g.names(mask)))
+
+
+def test_realization_matches_the_chain_fold_on_every_mt_mask():
+    # every vertex set that passes MT1-MT3 by literal evaluation, up to 8 vertices
+    for seed in range(480):
+        generate = (random_graph, random_condition_k_graph)[seed // 8 % 2]
+        g = generate(seed, 1 + seed % 8, (0.15, 0.3, 0.5)[seed // 16 % 3])
+        for t in oracle_tails(g):
+            assert realize_as_tail(g, t) == oracle_realize_mask(g, g.mask(t)), (seed, sorted(t))
+
+
 @given(seed=seeds)
 @settings(max_examples=50, deadline=None)
 def test_realize_round_trip_random(seed):
@@ -235,10 +255,14 @@ def test_every_cluster_mask_has_no_mt_fault_random(seed, n, generate):
 @settings(max_examples=60, deadline=None)
 def test_whole_mask_mt_test_matches_the_witness_search_random(seed, n, density, generate):
     # on every vertex mask, not only on complements of saturated hereditary
-    # sets, where MT1 and MT2 always hold
+    # sets, where MT1 and MT2 always hold; each axiom against its literal test
     g = generate(seed, n, density)
     for mask in range(1 << g.n):
-        assert _mt_holds(g, mask) == (_mt_faults(g, mask) == (None, None, None)), sorted(g.names(mask))
+        members = g.names(mask)
+        faults = _mt_faults(g, mask)
+        literal = oracle_mt1(g, members), oracle_mt2(g, members), oracle_mt3(g, members)
+        assert tuple(fault is None for fault in faults) == literal, sorted(members)
+        assert _mt_holds(g, mask) == all(literal), sorted(members)
 
 
 # -- finite-return vertices --------------------------------------------------------------
