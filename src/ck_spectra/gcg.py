@@ -22,10 +22,17 @@ underscores (``str.isalnum``).  A NAT is a run of ``str.isdigit``
 characters; as a count it must be decimal digits (``str.isdecimal``), so
 ``٣`` reads as 3 and ``²`` is an error.
 
-One compiled regular expression scans the whole text; each match is one
-token (or a comment, dropped), kept as a plain string.  No positions are
-kept: an error rescans the text for the offset of the token at fault and
-computes its line and column from that.
+The plain spelling that ``emit_gcg`` writes (ASCII, no ``#``, no blank but
+space, tab, CR and newline, blanks around ``->`` and ``*`` and after a
+label's ``:``, counts of up to 18 digits with no leading zero) is cut at
+``;`` and each statement at blanks.  Any other text (comments, ``a->b``,
+characters outside ASCII, a form feed, every error) goes to the token
+parser, which alone reports errors and their positions.
+
+In the token parser one compiled regular expression scans the whole text;
+each match is one token (or a comment, dropped), kept as a plain string.  No
+positions are kept: an error rescans the text for the offset of the token at
+fault and computes its line and column from that.
 
 ``parse_graph(emit_gcg(g)) == g`` for every graph whose vertex names and
 labels are identifiers, since the emitter writes the canonical form.
@@ -215,9 +222,49 @@ class _Parser:
         return k + 1
 
 
+def _read_plain(src: str) -> Graph | None:
+    """The graph of ``src`` in the plain spelling, or None for other text."""
+    if not src.isascii() or "#" in src or any(ch in src for ch in "\f\v\x1c\x1d\x1e\x1f"):
+        return None  # str.split() cuts at these, the scanner rejects them
+    *stmts, tail = src.split(";")
+    declared: dict[str, str] = {}  # each bundle end is the string its declaration made
+    labels: set[str] = set()
+    bundles: list[Bundle] = []
+    for stmt in stmts:
+        words = stmt.split()
+        if words and words[0] == "vertex":
+            words = stmt.replace(",", " , ").split()
+            if len(words) % 2 or any(sep != "," for sep in words[2::2]):
+                return None
+            for name in words[1::2]:
+                if not name.isidentifier() or name in _KEYWORDS or name in declared:
+                    return None
+                declared[name] = name
+            continue
+        label = None
+        if len(words) > 1 and words[1][-1] == ":":
+            label = words.pop(1)[:-1]
+            if not label.isidentifier() or label in _KEYWORDS or label in labels:
+                return None
+            labels.add(label)
+        if len(words) == 4:
+            mult: Mult = 1
+        elif len(words) == 6 and words[4] == "*" and (count := words[5]) == "inf":
+            mult = OMEGA
+        elif len(words) == 6 and words[4] == "*" and count.isdigit() and count[0] != "0" and len(count) < 19:
+            mult = int(count)  # no leading zero, and short enough for int()
+        else:
+            return None
+        src_v, dst_v = declared.get(words[1]), declared.get(words[3])
+        if words[0] != "edge" or words[2] != "->" or src_v is None or dst_v is None:
+            return None
+        bundles.append(Bundle(src_v, dst_v, mult, label))
+    return None if tail.split() else Graph(declared, bundles)
+
+
 def parse_graph(src: str) -> Graph:
     """Parse .gcg text into a graph."""
-    return _Parser(src).parse()
+    return _read_plain(src) or _Parser(src).parse()
 
 
 def emit_gcg(g: Graph) -> str:

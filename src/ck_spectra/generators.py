@@ -129,10 +129,11 @@ def random_graph(
     rng = random.Random(seed)
     vertices = tuple(f"v{i}" for i in range(n))
     bundles = []
+    draw = rng.random
     for u in vertices:
         for w in vertices:
-            if rng.random() < density:
-                mult = OMEGA if rng.random() < omega_prob else rng.choice((1, 1, 1, 2))
+            if draw() < density:
+                mult = OMEGA if draw() < omega_prob else rng.choice((1, 1, 1, 2))
                 bundles.append(Bundle(u, w, mult))
     return Graph(vertices, bundles)
 

@@ -165,30 +165,32 @@ class Graph:
             raise ValueError("vertex identifiers must be distinct")
         index = {v: i for i, v in enumerate(verts)}
 
-        # A caller's Bundle is kept as it is unless a merge replaces it.
-        unlabeled: dict[tuple[str, str], Bundle] = {}
-        labeled: list[Bundle] = []
+        # A caller's Bundle stays unless merged; rows sort on a unique (i, j, labeled, label).
+        unlabeled: dict[tuple[int, int], Bundle] = {}
+        rows: list[tuple] = []
         seen_labels: set[str] = set()
         for b in bundles:
-            if b.src not in index:
+            i = index.get(b.src)
+            if i is None:
                 raise UnknownVertex(f"unknown source vertex {b.src!r}")
-            if b.dst not in index:
+            j = index.get(b.dst)
+            if j is None:
                 raise UnknownVertex(f"unknown target vertex {b.dst!r}")
             if type(b.mult) is not int or b.mult < 1:  # a plain count needs no check
                 check_mult(b.mult)
             if b.label is None:
-                key = (b.src, b.dst)
+                key = (i, j)
                 prev = unlabeled.get(key)
                 unlabeled[key] = b if prev is None else Bundle(b.src, b.dst, prev.mult + b.mult)
             else:
                 if b.label in seen_labels:
                     raise ValueError(f"duplicate bundle label {b.label!r}")
                 seen_labels.add(b.label)
-                labeled.append(b)
-
-        order = lambda b: (index[b.src], index[b.dst], b.label is not None, b.label or "")
+                rows.append((i, j, True, b.label, b))
+        rows += [(i, j, False, "", b) for (i, j), b in unlabeled.items()]
+        rows.sort()
         self.vertices: tuple[str, ...] = verts
-        self.bundles: tuple[Bundle, ...] = tuple(sorted([*unlabeled.values(), *labeled], key=order))
+        self.bundles: tuple[Bundle, ...] = tuple([row[4] for row in rows])
         self.index: dict[str, int] = index
 
     # -- identity ---------------------------------------------------------
@@ -268,7 +270,7 @@ class Graph:
         """omega_succ[i] = mask of the vertices that an OMEGA bundle from i runs into."""
         masks = [0] * self.n
         for b in self.bundles:
-            if is_omega(b.mult):
+            if b.mult == OMEGA:
                 masks[self.index[b.src]] |= 1 << self.index[b.dst]
         return masks
 

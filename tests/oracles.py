@@ -40,9 +40,11 @@ replaced.  ``px_model``,
 ``ck_spectra.ea_graph(ground, OMEGA)`` on the nonempty subsets of the ground
 set.  ``named_pairs`` is no oracle: it names the package's own enumeration,
 ``admissible_pairs``, for the tests that take pairs of vertex sets, and
-``bundle_chain`` is the graph family that the pair-limit tests share, and
-``multigraphs`` the hypothesis strategy of small multigraphs with parallel,
-labeled and OMEGA bundles.
+``bundle_chain`` is the graph family that the pair-limit tests share,
+``bundle_lists`` the hypothesis strategy of small vertex lists with parallel,
+labeled and OMEGA bundles on them, and ``multigraphs`` the graphs it gives.
+``oracle_graph_bundles`` is the merge and sort, keyed by vertex names, that
+``Graph.__init__`` replaced with one index lookup per bundle end.
 """
 
 from __future__ import annotations
@@ -57,7 +59,13 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from ck_spectra.errors import DuplicateLabel, NotSaturatedHereditary, ParseError, UndeclaredVertex
+from ck_spectra.errors import (
+    DuplicateLabel,
+    NotSaturatedHereditary,
+    ParseError,
+    UndeclaredVertex,
+    UnknownVertex,
+)
 from ck_spectra.graph_core import (
     OMEGA,
     Bundle,
@@ -66,6 +74,7 @@ from ck_spectra.graph_core import (
     Graph,
     Mult,
     _bits,
+    check_mult,
     condition_L,
     has_csp,
     is_downward_directed,
@@ -650,15 +659,51 @@ def bundle_chain(k: int) -> Graph:
 
 
 @st.composite
-def multigraphs(draw) -> Graph:
-    """Up to 7 vertices and 20 bundles, loops included, of multiplicity 1, 2
-    or OMEGA; a labeled bundle may run beside another between the same pair."""
+def bundle_lists(draw) -> tuple[list[str], list[Bundle]]:
+    """Up to 7 vertex names and 20 bundles on them, loops included, of
+    multiplicity 1, 2 or OMEGA; a labeled bundle may run beside another
+    between the same pair, and unlabeled ones repeat a pair."""
     n = draw(st.integers(1, 7))
     names = [f"v{i}" for i in range(n)]
     ends, mults = st.integers(0, n - 1), st.sampled_from([1, 1, 2, OMEGA])
     drawn = draw(st.lists(st.tuples(ends, ends, mults, st.booleans()), max_size=20))
-    return Graph(names, [Bundle(names[a], names[b], m, f"e{k}" if labeled else None)
-                         for k, (a, b, m, labeled) in enumerate(drawn)])
+    return names, [Bundle(names[a], names[b], m, f"e{k}" if labeled else None)
+                   for k, (a, b, m, labeled) in enumerate(drawn)]
+
+
+def multigraphs():
+    """The graphs of ``bundle_lists``."""
+    return bundle_lists().map(lambda drawn: Graph(*drawn))
+
+
+def oracle_graph_bundles(vertices, bundles) -> tuple[Bundle, ...]:
+    """The bundles of ``Graph(vertices, bundles)``, merged in a dict keyed by
+    vertex names and sorted with a key function per bundle; it raises what
+    ``Graph`` raises, for the first fault in the same order."""
+    verts = tuple(vertices)
+    if len(set(verts)) != len(verts):
+        raise ValueError("vertex identifiers must be distinct")
+    index = {v: i for i, v in enumerate(verts)}
+    unlabeled: dict[tuple[str, str], Bundle] = {}
+    labeled: list[Bundle] = []
+    seen_labels: set[str] = set()
+    for b in bundles:
+        if b.src not in index:
+            raise UnknownVertex(f"unknown source vertex {b.src!r}")
+        if b.dst not in index:
+            raise UnknownVertex(f"unknown target vertex {b.dst!r}")
+        check_mult(b.mult)
+        if b.label is None:
+            key = (b.src, b.dst)
+            prev = unlabeled.get(key)
+            unlabeled[key] = b if prev is None else Bundle(b.src, b.dst, prev.mult + b.mult)
+        else:
+            if b.label in seen_labels:
+                raise ValueError(f"duplicate bundle label {b.label!r}")
+            seen_labels.add(b.label)
+            labeled.append(b)
+    order = lambda b: (index[b.src], index[b.dst], b.label is not None, b.label or "")
+    return tuple(sorted([*unlabeled.values(), *labeled], key=order))
 
 
 # -- the .gcg parser -----------------------------------------------------------

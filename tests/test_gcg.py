@@ -19,6 +19,8 @@ from ck_spectra import (
     random_graph,
     running_example,
 )
+from ck_spectra.gcg import _Parser, _read_plain
+
 from .oracles import oracle_parse_graph
 
 seeds = st.integers(0, 10_000)
@@ -275,7 +277,19 @@ def outcome(parse, text):
         return ValueError
 
 
+def read_plain(text):
+    """``_read_plain(text)``, checked against the token parser when it reads a graph."""
+    g = _read_plain(text)
+    if g is not None:
+        want = _Parser(text).parse()
+        assert (g.vertices, g.bundles) == (want.vertices, want.bundles), text
+        for b in g.bundles:  # each end is the very string its declaration made
+            assert b.src is g.vertices[g.index[b.src]] and b.dst is g.vertices[g.index[b.dst]]
+    return g
+
+
 def agrees_with_oracle(text):
+    read_plain(text)
     want = outcome(oracle_parse_graph, text)
     got = outcome(parse_graph, text)
     if want is ValueError:  # the oracle's int() crashes on a count
@@ -299,10 +313,95 @@ def test_parser_matches_oracle_on_every_truncation(stmts):
         agrees_with_oracle(text[:end])
 
 
+# Statements in the plain spelling, ASCII only, after "vertex a, b;", with
+# each fault the plain reader must leave to the token parser: a redeclared (a)
+# or undeclared (d) vertex, a reserved word as a name, a count of 0, a
+# repeated label, and a blank that str.split() cuts at but the scanner rejects.
+plain_statements = st.one_of(
+    st.builds(
+        lambda names: "vertex " + ", ".join(names),
+        st.lists(st.sampled_from(["c", "e", "h", "_x", "_y", "k", "inf", "a"]), min_size=1, max_size=2),
+    ),
+    st.builds(
+        lambda label, src, dst, count: f"edge {label}{src} -> {dst}{count}",
+        st.sampled_from(["", "", "", "", "f: ", "g: ", "inf: "]),
+        st.sampled_from(["a", "b", "a", "b", "d"]),
+        st.sampled_from(["a", "b", "a", "b", "_x"]),
+        st.sampled_from(["", "", "", " * 2", " * inf", " * 12", " * 0"]),
+    ),
+)
+plain_seps = st.sampled_from([";\n", ";\n", ";\n", ";\n", "; ", ";\r\n", ";\t", " ;", ";\x0c", ";\x0b", ""])
+
+
+@given(st.lists(st.tuples(plain_statements, plain_seps), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_plain_reader_matches_the_token_parser(stmts):
+    agrees_with_oracle("vertex a, b;\n" + "".join(stmt + sep for stmt, sep in stmts))
+
+
 @given(st.text(min_size=1, max_size=3), st.sampled_from(["vertex {};", "vertex a{};", "vertex a;edge a -> a * 3{};", "{}"]))
 @settings(max_examples=400, deadline=None)
 def test_parser_matches_oracle_on_any_characters(chars, template):
     agrees_with_oracle(template.format(chars))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "vertex a;\x0cedge a -> a;",  # the scanner has no form feed among its blanks
+        "vertex a;\x0bedge a -> a;",
+        "vertex a;\x1cedge a -> a;",
+        "vertex a;\u00a0edge a -> a;",
+        "vertex inf;",
+        "vertex a; edge inf: a -> a;",
+        "vertex a; edge a -> a * inf2;",
+        "vertex a; edge a -> a * 0;",
+        "vertex a; edge a -> a * " + "9" * 5000 + ";",
+        "vertex a; edge a -> b;",
+        "vertex a; edge b -> a;",
+        "edge a -> a; vertex a;",
+        "vertex a, a;",
+        "vertex a,, b;",
+        "vertex a b;",
+        "vertex a; edge f: a -> a; edge f: a -> a;",
+        "vertex a; edge a -> a",
+        "vertex a;;",
+        "vertex a; edge a => a;",
+        "vertex a; edge a -> a *;",
+        "vertex a; node a;",
+    ],
+)
+def test_plain_reader_leaves_every_error_to_the_token_parser(text):
+    assert _read_plain(text) is None
+    with pytest.raises(ParseError):
+        _Parser(text).parse()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["vertex a; # note\n", "vertex a, b; edge a->b;", "vertex \u00e9;", "vertex a; edge f : a -> a;",
+     "vertex a; edge a -> a * 07;"],
+)
+def test_plain_reader_leaves_other_spellings_to_the_token_parser(text):
+    assert _read_plain(text) is None
+    assert parse_graph(text) == _Parser(text).parse()
+
+
+def test_emitted_text_takes_the_plain_path():
+    # were the plain reader to decline these, no other test would notice
+    graphs = [running_example(), Graph([])]
+    graphs += [ea_graph(["a", "b", "c"], mult) for mult in (1, 2, OMEGA)]
+    graphs += [random_graph(seed, seed % 9, density=0.5) for seed in range(100)]
+    for g in graphs:
+        assert read_plain(emit_gcg(g)) == g
+
+
+def test_every_corpus_file_takes_the_plain_path():
+    corpus = pathlib.Path(__file__).parent.parent / "perfbench" / "corpus"
+    paths = sorted(corpus.glob("*/*.gcg"))
+    assert len(paths) > 50
+    for path in paths:
+        assert read_plain(path.read_text()) is not None, path
 
 
 def test_parser_matches_oracle_on_the_corpus():

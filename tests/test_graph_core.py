@@ -21,6 +21,7 @@ from ck_spectra import (
 from ck_spectra.graph_core import CycleClass, _common_bound, check_mult, has_csp
 
 from .oracles import (
+    bundle_lists,
     multigraphs,
     mult_sum,
     oracle_common_bound,
@@ -30,6 +31,7 @@ from .oracles import (
     oracle_downward_directed,
     oracle_exitless,
     oracle_expanded_classes,
+    oracle_graph_bundles,
     oracle_out_edges,
     oracle_reaches,
     oracle_upward_set,
@@ -91,6 +93,74 @@ def test_construction_errors():
         Graph(["a"], [Bundle("a", "b")])
     with pytest.raises(ValueError):
         Graph(["a"], [Bundle("a", "a", 1, "f"), Bundle("a", "a", 1, "f")])
+
+
+def construction(build, vertices, bundles):
+    """The bundles that ``build`` gives, or the class and message of what it raises."""
+    try:
+        return build(vertices, bundles)
+    except (ValueError, UnknownVertex) as e:
+        return type(e), str(e)
+
+
+def agrees_with_reference(vertices, bundles):
+    got = construction(lambda vs, bs: Graph(vs, bs).bundles, vertices, bundles)
+    assert got == construction(oracle_graph_bundles, vertices, bundles), bundles
+    return got
+
+
+@given(drawn=bundle_lists())
+@settings(max_examples=300, deadline=None)
+def test_construction_matches_the_reference_on_drawn_bundles(drawn):
+    agrees_with_reference(*drawn)
+
+
+# any name may be unknown, a label repeat and a multiplicity be out of range
+hostile_bundles = st.lists(
+    st.builds(
+        Bundle,
+        st.sampled_from(["a", "b", "x"]),
+        st.sampled_from(["a", "b", "y"]),
+        st.sampled_from([1, 2, OMEGA, 0, -1, True, 1.5]),
+        st.sampled_from([None, None, "f", "g", ""]),
+    ),
+    max_size=8,
+)
+
+
+@given(bundles=hostile_bundles)
+@settings(max_examples=300, deadline=None)
+def test_construction_matches_the_reference_on_hostile_bundles(bundles):
+    agrees_with_reference(["a", "b"], bundles)
+
+
+@pytest.mark.parametrize(
+    "bundles, want",
+    [
+        ([Bundle("x", "y")], (UnknownVertex, "unknown source vertex 'x'")),
+        ([Bundle("a", "b"), Bundle("a", "y", 0)], (UnknownVertex, "unknown target vertex 'y'")),
+        ([Bundle("a", "a", 1, "f"), Bundle("b", "b", 2, "f")], (ValueError, "duplicate bundle label 'f'")),
+        ([Bundle("a", "a", 0)], (ValueError, "multiplicity must be at least 1, got 0")),
+        ([Bundle("a", "a", -1)], (ValueError, "multiplicity must be at least 1, got -1")),
+        ([Bundle("a", "a", True)], (ValueError, "multiplicity must be a positive int or OMEGA, got True")),
+        ([Bundle("a", "a", 1.5)], (ValueError, "multiplicity must be a positive int or OMEGA, got 1.5")),
+        # repeated unlabeled pairs merge, and OMEGA absorbs what follows it
+        (
+            [Bundle("b", "a"), Bundle("a", "b", 2), Bundle("a", "b", OMEGA),
+             Bundle("a", "b", 3), Bundle("b", "a", 4)],
+            (Bundle("a", "b", OMEGA), Bundle("b", "a", 5)),
+        ),
+        # per pair: the unlabeled bundle, then the labeled ones by label, "" first
+        (
+            [Bundle("b", "a", 1, "g"), Bundle("a", "b", 1, "f"), Bundle("b", "a"),
+             Bundle("a", "b", 2, ""), Bundle("a", "b", 3)],
+            (Bundle("a", "b", 3), Bundle("a", "b", 2, ""), Bundle("a", "b", 1, "f"),
+             Bundle("b", "a"), Bundle("b", "a", 1, "g")),
+        ),
+    ],
+)
+def test_construction_matches_the_reference_on_named_cases(bundles, want):
+    assert agrees_with_reference(["a", "b"], bundles) == want
 
 
 def test_graph_equality_and_canonical_order():
