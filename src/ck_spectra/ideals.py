@@ -44,7 +44,6 @@ from .graph_core import (
     Bundle,
     Graph,
     _bits,
-    _finite_edges,
     _require_condition_k,
     _union_faults,
     per_graph,
@@ -129,9 +128,18 @@ def saturated_hereditary_sets(g: Graph, limit: int = DEFAULT_ENUMERATION_LIMIT) 
 
 
 def _breaking_masked(g: Graph, hmask: int) -> int:
-    """Mask of infinite emitters with a finite, nonzero edge count escaping hmask."""
-    rest = g.full_mask & ~hmask
-    return sum(1 << i for i in _bits(g.class_masks[1] & rest) if _finite_edges(g, i, rest))
+    """Mask of infinite emitters with a successor outside hmask and no OMEGA bundle into it:
+    a finite, nonzero edge count escaping it.  Asked per H and per closure scan, so bits are walked inline."""
+    rest, out = g.full_mask & ~hmask, 0
+    omega, succ = g.omega_succ, g.succ_mask
+    emitters = g.class_masks[1] & rest
+    while emitters:
+        low = emitters & -emitters
+        i = low.bit_length() - 1
+        if succ[i] & rest and not omega[i] & rest:
+            out |= low
+        emitters ^= low
+    return out
 
 
 @per_graph

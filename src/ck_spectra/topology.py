@@ -29,19 +29,22 @@ The spectrum is built once per graph as one table of point masks, ``(vertex
 mask, return-vertex bit or 0, breaking vertices out of the complement)`` in
 point order, from the cluster masks and the finite-return mask; the point
 objects, both closure kernels and the point-to-pair map are read from it.
-Each kernel closes a whole sequence of point-index bitmasks (bit i stands for
-the i-th point) in one call: an exhaustive pool's unions fill one list
-indexed by mask, each from its parent's, and each distinct union is scanned
-once (the graph side's V(X) with its essential mask, the ideal side's fold of
-the meet).  The sweep and both Kuratowski passes of ``verify`` read closure
-lists from these calls, each on the pool of subsets that :func:`_subset_pool`
-draws from the seed; nothing keeps the draw, and a union the kernel has
-scanned for one pass costs the next pass a lookup.  On a finite
-space an additive closure is the down-set closure of its specialization
-preorder (Alexandrov 1937), so one int holds any closed set.  Point objects
-and vertex names appear only at the API and CLI boundary: the arguments and
-results of :func:`graph_closure` and :func:`ideal_closure`, which close within
-the spectrum, and of :func:`h_map`, and the counterexamples in the reports.
+Each kernel closes a whole sequence of point-index bitmasks (bit i stands
+for the i-th point) in one call: an exhaustive pool's unions fill one list
+indexed by mask, each from its parent's; a sampled pool is folded in bulk,
+one pass over the list per 8-point block.  Each distinct union is scanned
+once against per-point masks that the kernel builds once (the graph side's
+V(X) against each W_p and essential mask, the ideal side's meet against the
+complements of each point's H and H | S).  The sweep and both Kuratowski
+passes of ``verify`` read closure lists from these calls, each on the pool
+of subsets that :func:`_subset_pool` draws from the seed; nothing keeps the
+draw, and a union the kernel has scanned for one pass costs the next pass a
+lookup.  On a finite space an additive closure is the down-set closure of
+its specialization preorder (Alexandrov 1937), so one int holds any closed
+set.  Point objects and vertex names appear only at the API and CLI
+boundary: the arguments and results of :func:`graph_closure` and
+:func:`ideal_closure`, which close within the spectrum, and of
+:func:`h_map`, and the counterexamples in the reports.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .ideals import (
     _named,
     _require_sat_her,
     _verify_record,
-    ideal_leq,
 )
 from .tails import _cluster_masks, _finite_return_mask
 
@@ -129,8 +131,8 @@ def _unions(table: Sequence[int]) -> Callable[[Sequence[int]], list[int]]:
     The unions of the masks below 2^k sit in a list indexed by mask.  A range of
     masks grows it by doubling: each new mask takes its parent's union (the mask
     less its highest bit) with one more entry, so an exhaustive pool is folded in
-    one step per subset.  A mask beyond the list joins the unions of its 8-bit
-    blocks, each table of 256 built the same way.
+    one step per subset.  Any other list reaching past it is folded in bulk: per 8-point
+    block, one pass over the list joins the block's table of 256 unions (built the same way).
     """
 
     def doubled(unions: list[int], entries: Sequence[int]) -> list[int]:
@@ -141,21 +143,16 @@ def _unions(table: Sequence[int]) -> Callable[[Sequence[int]], list[int]]:
     power = [0]
     blocks = [doubled([0], table[j : j + 8]) for j in range(0, len(table), 8)]
 
-    def union(m: int) -> int:
-        key = 0
-        while m:
-            j = (m & -m).bit_length() - 1 >> 3
-            key, m = key | blocks[j][m >> 8 * j & 255], m & ~(255 << 8 * j)
-        return key
-
     def unions(masks: Sequence[int]) -> list[int]:
         if isinstance(masks, range) and masks.step == 1 and masks.stop <= 1 << len(table):
             doubled(power, table[len(power).bit_length() - 1 : (masks.stop - 1).bit_length()])
             return power[masks.start : masks.stop]
-        size = len(power)
-        if max(masks, default=0) < size:
+        if max(masks, default=0) < len(power):
             return list(map(power.__getitem__, masks))
-        return [power[m] if m < size else union(m) for m in masks]
+        keys = [0] * len(masks)
+        for j, block in enumerate(blocks):
+            keys = [key | block[m >> 8 * j & 255] for key, m in zip(keys, masks)]
+        return keys
 
     return unions
 
@@ -188,19 +185,19 @@ def _graph_kernel(g: Graph) -> Callable[[Sequence[int]], list[int]]:
     in one int, so the scan runs once per distinct value of that int.
     """
     n, full = g.n, g.full_mask
-    # each point as one int: W_p in the low n bits, its essential mask above them
-    table = [w | (w & ~b | r) << n for w, r, b in _spec_masks(g)]
+    points = [(w, w & ~b | r) for w, r, b in _spec_masks(g)]  # (W_p, essential mask)
 
     def scan(key: int) -> int:
         """The closure of every X whose points' masks join to ``key``."""
-        smask = _breaking_masked(g, full & ~key) & ~(key >> n)
+        outside = full & ~key
+        smask = _breaking_masked(g, outside) & ~(key >> n)
         out = 0
-        for i, p in enumerate(table):
-            if not p & full & ~key and not smask & p >> n:
+        for i, (w, e) in enumerate(points):
+            if not w & outside and not smask & e:
                 out |= 1 << i
         return out
 
-    return _fold_kernel(table, scan)
+    return _fold_kernel([w | e << n for w, e in points], scan)  # W_p in the low n bits, e above
 
 
 def graph_closure(g: Graph, points: Iterable[SpecPoint]) -> frozenset:
@@ -231,11 +228,16 @@ def _ideal_kernel(g: Graph) -> Callable[[Sequence[int]], list[int]]:
     :func:`meet`'s fold; the H of each pair and each meet is validated as saturated hereditary,
     and each S lies in B_H by construction.  The cut to B_H and the containment scan run once per fold."""
     pairs = [(_require_sat_her(g, h), s) for h, s in _h_masks(g)]
+    outside = [(~h, ~(h | s)) for h, s in pairs]  # (H, S) lies below (H', S') iff H misses ~H' and S misses ~(H' | S')
 
     def above(fold: int) -> int:
         """Mask of the points whose pair contains the meet with this fold."""
-        bottom = _meet_masks(g, fold)
-        return sum(1 << i for i, q in enumerate(pairs) if ideal_leq(bottom, q))
+        h, s = _meet_masks(g, fold)
+        out = 0
+        for i, (not_h, not_hs) in enumerate(outside):
+            if not h & not_h and not s & not_hs:
+                out |= 1 << i
+        return out
 
     return _fold_kernel([_meet_entry(g, *pair) for pair in pairs], above)
 

@@ -35,7 +35,8 @@ checks.  ``oracle_out_edges`` expands each bundle into its parallel edges;
 ``oracle_expanded_classes`` and ``oracle_condition_L`` read the vertex
 classes and Condition (L) off that list.  ``oracle_emit_json`` is the
 ``json.dumps`` call that the string-list writer in ``ck_spectra.render``
-replaced.  ``px_model``,
+replaced.  ``oracle_block_union`` is the per-mask join of 8-point block
+unions that the bulk fold of ``topology._unions`` replaced.  ``px_model``,
 ``px_closure`` and ``phi`` model the spectrum of the subset graph
 ``ck_spectra.ea_graph(ground, OMEGA)`` on the nonempty subsets of the ground
 set.  ``named_pairs`` is no oracle: it names the package's own enumeration,
@@ -582,6 +583,17 @@ def oracle_ideal_closure(g: Graph, ambient, points) -> frozenset:
     """Ideal-side closure through the public lattice operations on pairs."""
     bottom = meet(g, [h_map(g, p) for p in points])
     return frozenset(p for p in ambient if meet(g, (bottom, h_map(g, p))) == bottom)
+
+
+def oracle_block_union(blocks, m: int) -> int:
+    """The union of an index mask through ``topology._unions``' 8-point block
+    tables, one mask at a time: each nonempty 8-bit block of ``m``, lowest
+    first, joins its block table's entry."""
+    key = 0
+    while m:
+        j = (m & -m).bit_length() - 1 >> 3
+        key, m = key | blocks[j][m >> 8 * j & 255], m & ~(255 << 8 * j)
+    return key
 
 
 def oracle_separation(points, closure) -> tuple:

@@ -750,14 +750,23 @@ def test_verify_folds_each_swept_subset_once_per_side(capsys, monkeypatch):
     kernels = {side: inspect.getclosurevars(getattr(topology, f"_{side}_kernel")(g)).nonlocals for side in ("graph", "ideal")}
     scans = {k["scan"].__code__: side for side, k in kernels.items()}
     folds = {side: inspect.getclosurevars(k["unions"]).nonlocals for side, k in kernels.items()}
-    from_bits = folds["graph"]["union"].__code__
-    seen = {"graph": Counter(), "ideal": Counter(), "from bits": Counter()}
+    seen = {"graph": Counter(), "ideal": Counter()}
+    block_reads = Counter()
+
+    class Block(list):  # an 8-point block's table of unions, counting its reads
+        def __getitem__(self, i):
+            block_reads[self.at + (i,)] += 1
+            return super().__getitem__(i)
+
+    for side, k in folds.items():
+        blocks = k["blocks"]
+        for j, block in enumerate(blocks):
+            blocks[j] = Block(block)
+            blocks[j].at = (side, j)
 
     def record(frame, event, arg):
         if event == "call" and frame.f_code in scans:
             seen[scans[frame.f_code]][frame.f_locals.get("key", frame.f_locals.get("fold"))] += 1
-        elif event == "call" and frame.f_code is from_bits:
-            seen["from bits"][frame.f_locals["m"]] += 1
 
     monkeypatch.setattr(cli, "_load", lambda p: g)
     sys.setprofile(record)
@@ -771,8 +780,9 @@ def test_verify_folds_each_swept_subset_once_per_side(capsys, monkeypatch):
         assert len(power) == 4096, side  # a list indexed by mask, so one union per subset
         assert all(power[m] == power[m & m - 1] | table[(m & -m).bit_length() - 1] for m in range(1, 4096)), side
         assert len(seen[side]) == 114 and set(seen[side].values()) == {1}, side
-    # only the density check's closure of every point, asked before the sweep
-    assert seen["from bits"] == {4095: 1}
+    # the blocks serve only the density check's closure of every point, asked
+    # before the sweep: one read of each block at the bits of 4095
+    assert block_reads == {("graph", 0, 255): 1, ("graph", 1, 15): 1}
 
 
 def test_verify_refuses_an_exhaustive_sweep_above_2_to_the_20_subsets(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 import inspect
+import random
 import weakref
 from collections import Counter
 from functools import cache, reduce
@@ -26,6 +27,7 @@ from ck_spectra import (
     graph_closure,
     h_map,
     ideal_closure,
+    meet,
     parse_graph,
     prim_points,
     prim_space,
@@ -37,10 +39,18 @@ from ck_spectra import (
     spec_space,
     verify_homeomorphism,
 )
-from ck_spectra import cli, topology
+from ck_spectra import cli, ideals, topology
 from ck_spectra.graph_core import is_omega
 
-from .oracles import mult_sum, named_pairs, oracle_graph_closure, oracle_ideal_closure, oracle_separation, vertex_set
+from .oracles import (
+    mult_sum,
+    named_pairs,
+    oracle_block_union,
+    oracle_graph_closure,
+    oracle_ideal_closure,
+    oracle_separation,
+    vertex_set,
+)
 
 seeds = st.integers(0, 10_000)
 f = frozenset
@@ -501,6 +511,42 @@ def test_mask_kernels_and_separation_match_oracles(name):
     sep = separation_report(topology.SpecSpace(pts, graph_side, "graph", "spec"))
     want = oracle_separation(pts, lambda x: oracle_graph_closure(g, x, pts))
     assert (sep.t0, sep.t1, sep.hausdorff, sep.specialization) == want
+
+
+@pytest.mark.parametrize("path", LATTICE_RICH, ids=lambda p: p.stem)
+def test_ideal_kernel_keeps_each_point_whose_pair_contains_the_meet(path):
+    # the default pool, which holds every singleton, with containment in the meet
+    # decided by ideals.ideal_leq on each point's pair, not by the kernel's complements
+    g = parse_graph(path.read_text())
+    pts = tuple(spec_points(g))
+    pairs = [(g.mask(q.h), g.mask(q.s)) for q in (h_map(g, p) for p in pts)]
+    masks = list(topology._subset_pool(len(pts), 12, 0)[0])
+    assert all(1 << i in masks for i in range(len(pts)))
+    for mask, closure in zip(masks, topology._ideal_kernel(g)(masks)):
+        bottom = meet(g, [h_map(g, p) for i, p in enumerate(pts) if mask >> i & 1])
+        bottom = (g.mask(bottom.h), g.mask(bottom.s))
+        assert closure == sum(1 << i for i, q in enumerate(pairs) if ideals.ideal_leq(bottom, q)), (path.stem, mask)
+
+
+@pytest.mark.parametrize("size", range(1, 41))
+def test_bulk_fold_matches_the_per_mask_block_join(size):
+    # tables of 1-5 blocks; lists mixing masks below and beyond the doubling
+    # list with 0, the full mask and repeats, before and after ranges grow it.
+    # Entry i has bit i of its own, so every bit of a mask shows in its union.
+    rng = random.Random(size)
+    table = [1 << i | 1 << rng.randrange(size, 2 * size) for i in range(size)]
+    unions = topology._unions(table)
+    fold = inspect.getclosurevars(unions).nonlocals
+    full = (1 << size) - 1
+    literal = lambda m: reduce(int.__or__, (t for i, t in enumerate(table) if m >> i & 1), 0)
+    for grow in (0, size // 3, min(size, 10)):
+        assert unions(range(1 << grow)) == list(map(literal, range(1 << grow))), (size, grow)
+        below = [rng.randrange(len(fold["power"])) for _ in range(8)]
+        beyond = [rng.getrandbits(size) for _ in range(24)]
+        masks = below + beyond + [0, full, full] + below[:3] + beyond[:3]
+        rng.shuffle(masks)
+        want = [oracle_block_union(fold["blocks"], m) for m in masks]
+        assert unions(masks) == want == list(map(literal, masks)), (size, grow)
 
 
 @given(seed=seeds, rng=st.randoms(use_true_random=False))
