@@ -29,10 +29,10 @@ label's ``:``, counts of up to 18 digits with no leading zero) is cut at
 characters outside ASCII, a form feed, every error) goes to the token
 parser, which alone reports errors and their positions.
 
-In the token parser one compiled regular expression scans the whole text;
-each match is one token (or a comment, dropped), kept as a plain string.  No
-positions are kept: an error rescans the text for the offset of the token at
-fault and computes its line and column from that.
+In the token parser one compiled regular expression scans the whole text
+once; each match is a comment (dropped), a punctuation token, or a word run
+split into tokens, and every token is kept with its offset, from which an
+error computes its line and column.
 
 ``parse_graph(emit_gcg(g)) == g`` for every graph whose vertex names and
 labels are identifiers, since the emitter writes the canonical form.
@@ -48,7 +48,6 @@ from .graph_core import OMEGA, Bundle, Graph, Mult
 
 _KEYWORDS = {"vertex", "edge", "inf"}
 _PUNCT = {",", ";", ":", "*", "->"}
-_NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
 
 # Blanks, then one piece: punctuation, a run of word characters, a comment,
 # "" at the end of the text, or any other single character.  After the greedy
@@ -56,57 +55,34 @@ _NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
 _TOKEN = re.compile(r"[ \t\r\n]*(->|[,;:*]|\w+|#[^\n]*|\Z|.)", re.DOTALL)
 
 
-def _plain(tok: str) -> bool:
-    """Whether a scanned piece is one whole token of the grammar as it stands.
+def _scan(src: str) -> tuple[list[str], list[int]]:
+    """The tokens, ending in "", and their offsets.
 
-    Any other word run (one that starts outside ASCII, or with a digit and
-    goes on with more than ASCII digits) is split by ``_split_words``, and
-    any other single character is an error.
-    """
-    return not tok or tok in _PUNCT or tok[0] in _NAME_START or (tok.isascii() and tok.isdigit())
-
-
-def _scan(src: str) -> tuple[list[str], list[int] | None]:
-    """The tokens, ending in "", and their offsets if the scan needed them."""
-    toks = _TOKEN.findall(src)
-    if "#" in src:
-        toks = [tok for tok in toks if tok[:1] != "#"]
-    if all(map(_plain, set(toks))):
-        return toks, None
-    return _split_words(src)
-
-
-def _split_words(src: str) -> tuple[list[str], list[int]]:
-    """Tokens and their offsets, splitting word runs character by character.
-
-    A word run is a sequence of tokens: digit runs (``str.isdigit``) and
-    names (a letter or an underscore, then the rest of the run).  Any other
-    character that starts a token is an error.
+    A word run is one token or two: a run of digits (``str.isdigit``), a
+    name (a letter or an underscore, then the rest of the run), or such a
+    digit run and then a name.  Any other character that starts a token is
+    an error.
     """
     toks: list[str] = []
     starts: list[int] = []
     for m in _TOKEN.finditer(src):
-        tok, at = m.group(1), m.start(1)
+        tok, at = m[1], m.start(1)
         if tok[:1] == "#":
             continue
-        if _plain(tok):
+        if tok[:1].isdigit():
+            j = 1
+            while j < len(tok) and tok[j].isdigit():
+                j += 1
+            toks.append(tok[:j])
+            starts.append(at)
+            if j == len(tok):
+                continue
+            tok, at = tok[j:], at + j
+        if not tok or tok in _PUNCT or tok[0].isalpha() or tok[0] == "_":
             toks.append(tok)
             starts.append(at)
-            continue
-        i = 0
-        while i < len(tok):
-            ch = tok[i]
-            if ch.isdigit():
-                j = i + 1
-                while j < len(tok) and tok[j].isdigit():
-                    j += 1
-            elif ch.isalpha() or ch == "_":
-                j = len(tok)
-            else:
-                raise ParseError(*_line_col(src, at + i), f"unexpected character {ch!r}")
-            toks.append(tok[i:j])
-            starts.append(at + i)
-            i = j
+        else:
+            raise ParseError(*_line_col(src, at), f"unexpected character {tok[0]!r}")
     return toks, starts
 
 
@@ -132,9 +108,7 @@ class _Parser:
         self.bundles: list[Bundle] = []
 
     def fail(self, k: int, message: str, kind: type[ParseError] = ParseError) -> NoReturn:
-        """Raise ``kind`` at token ``k``, scanning again for its offset."""
-        if self.starts is None:
-            self.starts = _split_words(self.src)[1]
+        """Raise ``kind`` at token ``k``."""
         raise kind(*_line_col(self.src, self.starts[k]), message)
 
     def expected(self, k: int, what: str) -> NoReturn:

@@ -265,7 +265,6 @@ class SpecSpace(NamedTuple):
 
     points: Sequence[SpecPoint]
     closures: Callable[[Sequence[int]], list]
-    side: str
     name: str
 
 
@@ -275,7 +274,7 @@ def spec_space(g: Graph, side: str = "graph") -> SpecSpace:
     pts = tuple(spec_points(g))
     if side not in kernels:
         raise ValueError(f"side must be 'graph' or 'ideal', got {side!r}")
-    return SpecSpace(pts, kernels[side](g), side, "spec")
+    return SpecSpace(pts, kernels[side](g), "spec")
 
 
 def prim_space(g: Graph, side: str = "graph") -> SpecSpace:
@@ -316,26 +315,30 @@ _UNION_PAIR_LIMIT = 6
 _SAMPLES = 256
 
 
-def _subset_pool(n: int, exhaustive_limit: int, seed: int) -> tuple:
-    """Subset masks to sweep, ascending, and pairs of subsets for the union axiom,
-    as the left and the right masks: everything when small, else seeded
-    uniform draws of n bits.  The last item says whether the subsets are all of them."""
+def _subset_pool(n: int, exhaustive_limit: int, seed: int) -> tuple[Sequence[int], bool]:
+    """Subset masks to sweep, ascending: all of them when small, else the empty set,
+    the full set, the singletons and seeded uniform draws of n bits.  The second
+    item says whether the subsets are all of them."""
     if n <= exhaustive_limit and 1 << n > DEFAULT_ENUMERATION_LIMIT:  # each kernel would hold a union per subset
         raise SizeLimitExceeded(f"an exhaustive sweep of {n} points is 2^{n} subsets, above 2^20")
-    if n <= _UNION_PAIR_LIMIT:
-        lefts, rights = [a for a in range(1 << n) for _ in range(1 << n)], list(range(1 << n)) * (1 << n)
-    else:
-        rng = random.Random(seed + 1)
-        pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(_SAMPLES)]
-        lefts, rights = [a for a, _ in pairs], [b for _, b in pairs]
     if n <= exhaustive_limit:
-        return range(1 << n), lefts, rights, True
+        return range(1 << n), True
     rng = random.Random(seed)
     pool = {0, (1 << n) - 1}
     pool.update(1 << i for i in range(n))
     while len(pool) < min(_SAMPLES, 1 << n):
         pool.add(rng.getrandbits(n))
-    return sorted(pool), lefts, rights, False
+    return sorted(pool), False
+
+
+def _union_pairs(n: int, seed: int) -> tuple[list[int], list[int]]:
+    """Pairs of subsets for the union axiom, as the left and the right masks:
+    every pair when small, else seeded uniform draws of n bits."""
+    if n <= _UNION_PAIR_LIMIT:
+        return [a for a in range(1 << n) for _ in range(1 << n)], list(range(1 << n)) * (1 << n)
+    rng = random.Random(seed + 1)
+    pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(_SAMPLES)]
+    return [a for a, _ in pairs], [b for _, b in pairs]
 
 
 def verify_homeomorphism(
@@ -354,7 +357,7 @@ def verify_homeomorphism(
     """
     prim_spec_density_check(g)
     pts = tuple(spec_points(g))
-    masks, *_, exhaustive = _subset_pool(len(pts), exhaustive_limit, seed)
+    masks, exhaustive = _subset_pool(len(pts), exhaustive_limit, seed)
 
     image = set(_h_masks(g))
     if len(image) != len(pts):
@@ -399,7 +402,8 @@ def check_kuratowski(space: SpecSpace, exhaustive_limit: int = 12, *, seed: int 
     cl = space.closures
 
     failures = []
-    masks, lefts, rights, exhaustive = _subset_pool(n, exhaustive_limit, seed)
+    masks, exhaustive = _subset_pool(n, exhaustive_limit, seed)
+    lefts, rights = _union_pairs(n, seed)
     closed, empty = cl(masks), cl([0])[0]
     again = cl(closed)
     singles = cl([1 << i for i in range(n)])

@@ -649,7 +649,7 @@ def test_verify_catches_a_one_terminal_test_that_accepts_two_kept_vertices(fixtu
 
 def test_verify_reports_a_kuratowski_failure(fixture_path, capsys, monkeypatch):
     def empty_closure(g, side="graph"):
-        return topology.SpecSpace(topology.spec_points(g), lambda masks: [0] * len(masks), side, "spec")
+        return topology.SpecSpace(topology.spec_points(g), lambda masks: [0] * len(masks), "spec")
 
     monkeypatch.setattr(cli, "spec_space", empty_closure)
     code, out, err = run(capsys, "verify", fixture_path)

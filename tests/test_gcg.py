@@ -19,6 +19,7 @@ from ck_spectra import (
     random_graph,
     running_example,
 )
+from ck_spectra import gcg
 from ck_spectra.gcg import _Parser, _read_plain
 
 from .oracles import oracle_parse_graph
@@ -369,12 +370,44 @@ def test_parser_matches_oracle_on_any_characters(chars, template):
         "vertex a; edge a => a;",
         "vertex a; edge a -> a *;",
         "vertex a; node a;",
+        # positions the one scan computes: after a comment, after a name
+        # outside ASCII, and inside a word run it splits (at 2:11, 2:11, 1:27)
+        "vertex a; # note\nedge a -> b;",
+        "vertex \u00e9, a;\nedge \u00e9 -> c;",
+        "vertex a; edge a -> a * 12ab;",
     ],
 )
 def test_plain_reader_leaves_every_error_to_the_token_parser(text):
     assert _read_plain(text) is None
     with pytest.raises(ParseError):
         _Parser(text).parse()
+    agrees_with_oracle(text)
+
+
+class CountingScanner:
+    """Stands in for ``gcg._TOKEN`` and counts the scans made through it."""
+
+    def __init__(self, pattern):
+        self.pattern, self.scans = pattern, 0
+
+    def __getattr__(self, name):
+        def scan(*args, **kwargs):
+            self.scans += 1
+            return getattr(self.pattern, name)(*args, **kwargs)
+
+        return scan
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["vertex a, b; edge a->b * 2;", "vertex a; # note\nedge a -> a;", "vertex \u00e9; edge \u00e9 -> \u00e9;",
+     "vertex a; edge a -> b;", "vertex a; # note\nedge a -> b;", "vertex a; edge a -> a * 12ab;", "vertex a; $"],
+)
+def test_token_parser_scans_the_text_once(text, monkeypatch):
+    scanner = CountingScanner(gcg._TOKEN)
+    monkeypatch.setattr(gcg, "_TOKEN", scanner)
+    assert outcome(parse_graph, text) == outcome(oracle_parse_graph, text)
+    assert scanner.scans == 1
 
 
 @pytest.mark.parametrize(

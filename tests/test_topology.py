@@ -281,10 +281,11 @@ def test_verify_homeomorphism_sampling_path(monkeypatch):
 
 def test_subset_pool_follows_the_seed():
     # no memo keeps a draw, so the seed alone picks the sampled subsets and union pairs
-    first, again, other = (topology._subset_pool(17, 12, seed) for seed in (3, 3, 4))
+    pools = lambda seed: (*topology._subset_pool(17, 12, seed), *topology._union_pairs(17, seed))
+    first, again, other = map(pools, (3, 3, 4))
     assert first == again
-    assert all(mine != theirs for mine, theirs in zip(first[:3], other[:3]))
-    masks, lefts, rights, exhaustive = first
+    masks, exhaustive, lefts, rights = first
+    assert masks != other[0] and lefts != other[2] and rights != other[3]
     assert not exhaustive and len(masks) == len(lefts) == len(rights) == 256
     # drawn on all 17 points and on no more
     assert all(reduce(int.__or__, draw) == (1 << 17) - 1 for draw in (masks, lefts, rights))
@@ -311,7 +312,7 @@ def test_kuratowski_flags_a_broken_operator(g7):
     from ck_spectra import SpecSpace
 
     pts = tuple(spec_points(g7))
-    broken = SpecSpace(pts, bulk(lambda m: 0), "graph", "spec")  # drops everything
+    broken = SpecSpace(pts, bulk(lambda m: 0), "spec")  # drops everything
     rep = check_kuratowski(broken)
     assert not rep.ok
     assert any(kind == "extensive" for kind, _, _ in rep.failures)
@@ -321,7 +322,7 @@ def test_kuratowski_sweeps_many_points_without_recursion():
     from ck_spectra import SpecSpace
 
     pts = tuple(FRPoint(f"v{i}") for i in range(1500))
-    rep = check_kuratowski(SpecSpace(pts, bulk(lambda m: m), "graph", "discrete"))
+    rep = check_kuratowski(SpecSpace(pts, bulk(lambda m: m), "discrete"))
     assert rep.ok and not rep.exhaustive
     assert rep.subsets_checked == 1502  # the empty set, everything and each singleton
 
@@ -332,7 +333,7 @@ def test_kuratowski_flags_a_non_additive_operator_when_sampling():
     pts = tuple(FRPoint(f"v{i}") for i in range(14))
     everything = (1 << 14) - 1
     # singletons are closed, anything larger closes to everything
-    spread = SpecSpace(pts, bulk(lambda m: m if m & (m - 1) == 0 else everything), "graph", "spread")
+    spread = SpecSpace(pts, bulk(lambda m: m if m & (m - 1) == 0 else everything), "spread")
     rep = check_kuratowski(spread)
     assert not rep.ok and not rep.exhaustive
     assert {kind for kind, _, _ in rep.failures} == {"additive"}
@@ -356,7 +357,7 @@ def test_kuratowski_names_each_failing_axiom(n, mask_closure, kinds):
     from ck_spectra import SpecSpace
 
     pts = tuple(FRPoint(f"v{i}") for i in range(n))
-    rep = check_kuratowski(SpecSpace(pts, bulk(mask_closure), "graph", "synthetic"))
+    rep = check_kuratowski(SpecSpace(pts, bulk(mask_closure), "synthetic"))
     assert not rep.ok and rep.exhaustive
     assert {kind for kind, _, _ in rep.failures} == kinds
     assert len(rep.failures) <= 8
@@ -367,7 +368,7 @@ def test_kuratowski_names_the_same_failures_on_a_sampled_pool(n, mask_closure, k
     from ck_spectra import SpecSpace
 
     pts = tuple(FRPoint(f"v{i}") for i in range(n))
-    space = SpecSpace(pts, bulk(mask_closure), "graph", "synthetic")
+    space = SpecSpace(pts, bulk(mask_closure), "synthetic")
     exhaustive = check_kuratowski(space)
     monkeypatch.setattr(topology, "_SAMPLES", 3 + n)
     sampled = check_kuratowski(space, 1)
@@ -379,7 +380,7 @@ def test_kuratowski_report_keeps_the_first_failure_first():
     from ck_spectra import SpecSpace
 
     pts = tuple(FRPoint(f"v{i}") for i in range(4))
-    spread = SpecSpace(pts, bulk(lambda m: m if m & (m - 1) == 0 else 0b1111), "graph", "spread")
+    spread = SpecSpace(pts, bulk(lambda m: m if m & (m - 1) == 0 else 0b1111), "spread")
     rep = check_kuratowski(spread)
     # verify reports failures[0]: the sweep's first failure, at {v0, v1}
     assert rep.failures[0] == ("additive", f(pts[:2]), None)
@@ -400,9 +401,9 @@ def test_kuratowski_reports_the_same_failures_without_a_memo(g7, side):
         (c,) = kernel([m])
         return c & c - 1 if m.bit_count() == 2 else c  # a pair's closure loses its lowest point
 
-    bare = check_kuratowski(SpecSpace(pts, bulk(planted), side, "spec"))
+    bare = check_kuratowski(SpecSpace(pts, bulk(planted), "spec"))
     assert max(asked.values()) > 1  # some subsets were asked for again
-    memoised = check_kuratowski(SpecSpace(pts, bulk(cache(planted)), side, "spec"))
+    memoised = check_kuratowski(SpecSpace(pts, bulk(cache(planted)), "spec"))
     assert bare == memoised and not bare.ok
     assert {kind for kind, _, _ in bare.failures} == {"extensive", "idempotent", "additive", "union"}
 
@@ -413,7 +414,7 @@ def test_naive_closure_fails_kuratowski_here(g7):
     pts = tuple(spec_points(g7))
     index = {p: i for i, p in enumerate(pts)}
     naive = lambda m: topology._mask_of(index, naive_graph_closure(g7, topology._pick(pts, m), ambient=pts))
-    space = SpecSpace(pts, bulk(naive), "graph", "spec")
+    space = SpecSpace(pts, bulk(naive), "spec")
     assert not check_kuratowski(space).ok
 
 
@@ -508,7 +509,7 @@ def test_mask_kernels_and_separation_match_oracles(name):
         want = oracle_graph_closure(g, x, pts)
         assert topology._pick(pts, left) == want, (name, x)
         assert topology._pick(pts, right) == oracle_ideal_closure(g, pts, x) == want
-    sep = separation_report(topology.SpecSpace(pts, graph_side, "graph", "spec"))
+    sep = separation_report(topology.SpecSpace(pts, graph_side, "spec"))
     want = oracle_separation(pts, lambda x: oracle_graph_closure(g, x, pts))
     assert (sep.t0, sep.t1, sep.hausdorff, sep.specialization) == want
 
