@@ -410,7 +410,7 @@ def cmd_gen(args) -> int:
 
 def cmd_export(args) -> int:
     g = _load(args.path)
-    if args.dot:
+    if args.dot and not args.json:  # --json wins, as in ``quotient``
         sys.stdout.write(emit_dot(g))
     else:
         sys.stdout.write(emit_json(graph_payload(g)))

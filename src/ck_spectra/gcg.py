@@ -35,7 +35,9 @@ split into tokens, and every token is kept with its offset, from which an
 error computes its line and column.
 
 ``parse_graph(emit_gcg(g)) == g`` for every graph whose vertex names and
-labels are identifiers, since the emitter writes the canonical form.
+labels are IDENTs other than the reserved words ``vertex``, ``edge`` and
+``inf``, since the emitter writes the canonical form.  ``str.isidentifier``
+is not the test: it accepts ``℘`` and ``a·b``, which are no IDENTs.
 """
 
 from __future__ import annotations
@@ -242,7 +244,8 @@ def parse_graph(src: str) -> Graph:
 
 
 def emit_gcg(g: Graph) -> str:
-    """Canonical text form; parsing it reproduces the graph exactly."""
+    """Canonical text form; parsing it reproduces the graph whenever every
+    vertex name and label is an IDENT and no reserved word."""
     lines = []
     if g.vertices:
         lines.append("vertex " + ", ".join(g.vertices) + ";")

@@ -11,16 +11,17 @@ one mask test of each MT axiom that the package shares: :func:`_union_faults`
 (MT1, MT2) and :func:`_common_bound` (MT3).
 
 The per-vertex edge tables are masks (successors, predecessors, OMEGA
-targets), and the vertex classes are read off them.  Condition (L) and the
-cycle classes read multiplicities off ``Graph.bundles`` in one pass: no
-per-pair multiplicity table is kept.
+targets), and the vertex classes are read off them.  One walk over the
+bundles builds all three on first read; it stays lazy, as ``export`` reads
+none of them.  Condition (L) and the cycle classes read multiplicities off
+``Graph.bundles`` in one pass: no per-pair multiplicity table is kept.
 
-Reachability, the simple-cycle classes behind Condition (K), and the MT3
-(downward directedness) and MT4 (countable separation) checks all come from
-one strongly connected condensation per graph, ``Graph.condensation``, so each
-costs O(n + m) big-int operations.  Its search, :func:`strong_components`,
-works on successor masks alone: the quotient route in ``ideals`` runs its own
-search once per graph and reads every quotient's frame off that table.
+Reachability, the simple-cycle classes behind Condition (K), the MT3
+(downward directedness) and MT4 (countable separation) checks, and every
+quotient's frame in ``ideals`` all come from one strongly connected
+condensation per graph, ``Graph.condensation``, so each costs O(n + m)
+big-int operations.  Its search, :func:`strong_components`, works on
+successor masks alone.
 
 Vertex subsets are plain ``frozenset`` objects at the API boundary; the
 implementation works on integer bitmasks indexed by declaration order, which
@@ -192,6 +193,8 @@ class Graph:
         self.vertices: tuple[str, ...] = verts
         self.bundles: tuple[Bundle, ...] = tuple([row[4] for row in rows])
         self.index: dict[str, int] = index
+        self.n: int = len(verts)
+        self.full_mask: int = (1 << len(verts)) - 1
 
     # -- identity ---------------------------------------------------------
 
@@ -213,14 +216,6 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.bundles)} bundles)"
 
     # -- bitmask plumbing --------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    @cached_property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     def require_vertex(self, v: str) -> int:
         try:
@@ -252,27 +247,21 @@ class Graph:
         return {v: tuple(bs) for v, bs in out.items()}
 
     @cached_property
-    def succ_mask(self) -> list[int]:
-        masks = [0] * self.n
+    def _edge_tables(self) -> tuple[list[int], list[int], list[int]]:
+        """``succ_mask``, ``pred_mask`` and ``omega_succ`` from one walk over the bundles: per vertex, the
+        mask of what its bundles run into, of where those into it start, and of what its OMEGA bundles run into."""
+        index, succ, pred, omega = self.index, [0] * self.n, [0] * self.n, [0] * self.n
         for b in self.bundles:
-            masks[self.index[b.src]] |= 1 << self.index[b.dst]
-        return masks
-
-    @cached_property
-    def pred_mask(self) -> list[int]:
-        masks = [0] * self.n
-        for b in self.bundles:
-            masks[self.index[b.dst]] |= 1 << self.index[b.src]
-        return masks
-
-    @cached_property
-    def omega_succ(self) -> list[int]:
-        """omega_succ[i] = mask of the vertices that an OMEGA bundle from i runs into."""
-        masks = [0] * self.n
-        for b in self.bundles:
+            i, j = index[b.src], index[b.dst]
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
             if b.mult == OMEGA:
-                masks[self.index[b.src]] |= 1 << self.index[b.dst]
-        return masks
+                omega[i] |= 1 << j
+        return succ, pred, omega
+
+    succ_mask = cached_property(lambda self: self._edge_tables[0])
+    pred_mask = cached_property(lambda self: self._edge_tables[1])
+    omega_succ = cached_property(lambda self: self._edge_tables[2])
 
     @cached_property
     def class_masks(self) -> tuple[int, int, int]:
@@ -281,8 +270,7 @@ class Graph:
 
     @cached_property
     def condensation(self) -> tuple[list[int], list[int]]:
-        """Strongly connected components: masks, sinks first, and comp[i]; the
-        quotient route keeps a table of its own from :func:`strong_components`."""
+        """Strongly connected components, masks sinks first and comp[i]: the graph's one search."""
         return strong_components(self.succ_mask, self.full_mask)
 
     def _closure(self, step: list[int], order: Iterable[int]) -> list[int]:

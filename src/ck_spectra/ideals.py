@@ -47,7 +47,6 @@ from .graph_core import (
     _require_condition_k,
     _union_faults,
     per_graph,
-    strong_components,
 )
 from .tails import _cluster_masks, _mt_holds
 
@@ -315,11 +314,11 @@ class _QuotientFrame(NamedTuple):
 
 @per_graph
 def _components(g: Graph) -> list[tuple[int, int, bool]]:
-    """Each strongly connected component of g: its members, what they reach in one
-    step, and whether it is a plain cycle (each member one edge inside, of multiplicity one):
-    as in ``simple_cycle_class``, whether the bundles inside it sum to its size."""
+    """Each component of ``g.condensation``: its members, what they reach in one step, and
+    whether it is a plain cycle, its inside bundles summing to its size as in ``simple_cycle_class``.
+    The sum is its own, or ``verify``'s "quotients satisfy condition L" could not fail."""
     succ, index = g.succ_mask, g.index
-    masks, comp = strong_components(succ, g.full_mask)
+    masks, comp = g.condensation
     internal = [0] * len(masks)
     for b in g.bundles:
         c = comp[index[b.src]]

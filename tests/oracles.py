@@ -688,6 +688,21 @@ def multigraphs():
     return bundle_lists().map(lambda drawn: Graph(*drawn))
 
 
+def oracle_edge_tables(vertices, bundles) -> tuple:
+    """``n``, ``full_mask``, ``succ_mask``, ``pred_mask`` and ``omega_succ`` of a
+    graph on these vertices with these (already merged) bundles, each mask read
+    off the bundles by vertex name: bit i stands for the i-th vertex."""
+    verts = list(vertices)
+
+    def mask(names) -> int:
+        return sum(1 << verts.index(v) for v in set(names))
+
+    succ = [mask(b.dst for b in bundles if b.src == v) for v in verts]
+    pred = [mask(b.src for b in bundles if b.dst == v) for v in verts]
+    omega = [mask(b.dst for b in bundles if b.src == v and is_omega(b.mult)) for v in verts]
+    return len(verts), mask(verts), succ, pred, omega
+
+
 def oracle_graph_bundles(vertices, bundles) -> tuple[Bundle, ...]:
     """The bundles of ``Graph(vertices, bundles)``, merged in a dict keyed by
     vertex names and sorted with a key function per bundle; it raises what

@@ -585,6 +585,24 @@ def test_commands_keep_no_edge_table_or_subset_pool_on_the_graph(argv, capsys, m
     assert "_pool" not in {slot.rpartition(".")[2] for slot in g.__dict__ if slot.startswith("_cache:")}
 
 
+@pytest.mark.parametrize("name", ["lattice-rich/fixture", "random-k/r14-s2"])
+@pytest.mark.parametrize("command", ["check", "tails", "ideals", "spec", "verify"])
+def test_each_command_searches_its_graph_once(command, name, capsys, monkeypatch):
+    # the (K) guard, reachability and every quotient's frame all read Graph.condensation
+    search, calls = graph_core.strong_components, []
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("strong_components") is search:
+            monkeypatch.setattr(module, "strong_components", counting)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / f"{name}.gcg"
+    code, _, _ = run(capsys, command, str(path))
+    assert (code, len(calls)) == (0, 1)
+
+
 def test_verify_peaks_under_200_bytes_per_saturated_hereditary_set(capsys, monkeypatch):
     # 14 disjoint double-loop vertices: 2^14 saturated hereditary sets, one
     # pair each.  verify walks the pairs once and keeps only the 14 prime
@@ -1165,6 +1183,24 @@ def test_export_dot(fixture_path, capsys):
     assert code == 0
     assert out.startswith("digraph E {")
     assert '"u" -> "v" [label="∞"];' in out
+
+
+@pytest.mark.parametrize("argv", [["export"], ["quotient", "--H", "t,y,z", "--S", "w"]], ids=" ".join)
+def test_json_wins_over_dot(argv, fixture_path, capsys):
+    # given both flags, either command prints the bytes of --json alone
+    alone = run(capsys, *argv, "--json", fixture_path)
+    assert alone[0] == 0 and alone[1].startswith("{")
+    assert run(capsys, *argv, "--json", "--dot", fixture_path) == alone
+    assert run(capsys, *argv, "--dot", "--json", fixture_path) == alone
+
+
+def test_export_builds_no_edge_table(capsys, monkeypatch):
+    # the one walk that builds succ_mask, pred_mask and omega_succ waits for a reader
+    g = running_example()
+    monkeypatch.setattr(cli, "_load", lambda path: g)
+    for flag in ("--json", "--dot"):
+        assert run(capsys, "export", flag, "fixture.gcg")[0] == 0
+    assert not {"succ_mask", "pred_mask", "omega_succ"} & g.__dict__.keys()
 
 
 def test_empty_graph_exports_valid_dot():

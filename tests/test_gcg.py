@@ -215,6 +215,29 @@ def test_round_trip_random_property(seed, n):
     assert parse_graph(emit_gcg(g)) == g
 
 
+@pytest.mark.parametrize(
+    "g, error",
+    [
+        (Graph(["vertex"]), "1:8: 'vertex' is a reserved word"),
+        (Graph(["a"], [Bundle("a", "a", 1, "edge")]), "2:6: 'edge' is a reserved word"),
+        (Graph(["inf"]), "1:8: 'inf' is a reserved word"),
+        (Graph(["℘"]), "1:8: unexpected character '℘'"),
+        (Graph(["a·b"]), "1:9: unexpected character '·'"),
+    ],
+)
+def test_round_trip_needs_idents_that_are_not_reserved(g, error):
+    # each name is a Python identifier, but a reserved word or no IDENT of the grammar
+    assert all(name.isidentifier() for name in g.vertices + tuple(b.label for b in g.bundles))
+    with pytest.raises(ParseError) as e:
+        parse_graph(emit_gcg(g))
+    assert str(e.value) == error
+
+
+def test_round_trip_of_non_ascii_idents():
+    g = Graph(["é", "x٣", "ǅ"], [Bundle("é", "x٣", 2, "ǅ"), Bundle("ǅ", "é", OMEGA)])
+    assert parse_graph(emit_gcg(g)) == g
+
+
 def test_emit_is_canonical_fixed_point():
     scrambled = "vertex b, a;\nedge a -> b * 2;\nedge a -> b * 3;\nedge z2: b -> a;\n"
     g = parse_graph(scrambled)

@@ -29,6 +29,7 @@ from .oracles import (
     oracle_csp_witness,
     oracle_cycle_class,
     oracle_downward_directed,
+    oracle_edge_tables,
     oracle_exitless,
     oracle_expanded_classes,
     oracle_graph_bundles,
@@ -106,6 +107,9 @@ def construction(build, vertices, bundles):
 def agrees_with_reference(vertices, bundles):
     got = construction(lambda vs, bs: Graph(vs, bs).bundles, vertices, bundles)
     assert got == construction(oracle_graph_bundles, vertices, bundles), bundles
+    if not (got and isinstance(got[0], type)):  # built: its one walk's tables against the reference bundles
+        g = Graph(vertices, bundles)
+        assert (g.n, g.full_mask, g.succ_mask, g.pred_mask, g.omega_succ) == oracle_edge_tables(vertices, got), bundles
     return got
 
 

@@ -742,7 +742,7 @@ def test_quotient_route_reads_nothing_of_the_direct_route(build, monkeypatch):
     monkeypatch.setattr(ideals, "_cluster_masks", forbidden)
     for pair, verdict in zip(pairs, verdicts):
         assert quotient_verdict(fresh, pair)[0] == verdict, pair
-    assert not {"reach", "coreach", "condensation"} & fresh.__dict__.keys()
+    assert not {"reach", "coreach"} & fresh.__dict__.keys()
     assert not [slot for slot in fresh.__dict__ if slot.startswith("_cache:ck_spectra.tails.")]
 
 
