@@ -13,8 +13,8 @@ one mask test of each MT axiom that the package shares: :func:`_union_faults`
 The per-vertex edge tables are masks (successors, predecessors, OMEGA
 targets), and the vertex classes are read off them.  One walk over the
 bundles builds all three on first read; it stays lazy, as ``export`` reads
-none of them.  Condition (L) and the cycle classes read multiplicities off
-``Graph.bundles`` in one pass: no per-pair multiplicity table is kept.
+none of them.  The cycle classes read multiplicities off ``Graph.bundles`` in one
+pass; Condition (L) reads the classes and the condensation, and its old chase is a test oracle.
 
 Reachability, the simple-cycle classes behind Condition (K), the MT3
 (downward directedness) and MT4 (countable separation) checks, and every
@@ -184,6 +184,8 @@ class Graph:
                 prev = unlabeled.get(key)
                 unlabeled[key] = b if prev is None else Bundle(b.src, b.dst, prev.mult + b.mult)
             else:
+                if not b.label:
+                    raise ValueError("bundle label must not be empty")
                 if b.label in seen_labels:
                     raise ValueError(f"duplicate bundle label {b.label!r}")
                 seen_labels.add(b.label)
@@ -483,29 +485,18 @@ def _require_condition_k(g: Graph) -> None:
 def condition_L(g: Graph) -> Check:
     """Every cycle has an exit.
 
-    An exitless cycle is exactly a cycle all of whose vertices have total
-    out-multiplicity one, so it suffices to chase the out-degree-one
-    subgraph.  The witness is the vertex sequence of an exitless cycle.
-    A vertex's one edge is its one bundle, of multiplicity one: two bundles
-    from it, labeled parallel ones included, are two edges.
+    An exitless cycle is a component of class ONE in ``g.cycle_class`` (a plain cycle: a
+    labeled parallel bundle or a multiplicity above one is a second edge) whose members each
+    have one successor.  Each component is walked once from its lowest member, up to the first
+    member off a plain cycle or with a second successor; a walk back to the start is the witness.
     """
-    unit: dict[str, Optional[str]] = {}  # each source's one unit edge's target, None past one edge
-    for b in g.bundles:
-        unit[b.src] = None if b.src in unit or b.mult != 1 else b.dst
-    next_vertex = {v: w for v, w in unit.items() if w is not None}
-
-    cleared: set[str] = set()
-    for start in g.vertices:
-        if start not in next_vertex or start in cleared:
-            continue
-        trail: list[str] = []
-        pos: dict[str, int] = {}
-        v = start
-        while v in next_vertex and v not in cleared:
-            if v in pos:
-                return Check(False, tuple(trail[pos[v]:]))
-            pos[v] = len(trail)
-            trail.append(v)
-            v = next_vertex[v]
-        cleared.update(trail)
+    classes, succ = g.cycle_class, g.succ_mask
+    for members in g.condensation[0]:
+        i = start = (members & -members).bit_length() - 1
+        cycle = []
+        while classes[i] is CycleClass.ONE and succ[i].bit_count() == 1:
+            cycle.append(g.vertices[i])
+            i = succ[i].bit_length() - 1
+            if i == start:
+                return Check(False, tuple(cycle))
     return Check(True)

@@ -19,8 +19,8 @@ off explicit sets, that the reach fold of ``graph_core._common_bound`` must
 reproduce, and ``oracle_realize_mask`` the chain fold over a countable
 separating set, the paper's general construction of a boundary path, that one
 route to the common bound in ``tails._realize_mask`` replaced.  ``oracle_classify_quotient`` is the quotient
-route on the named quotient graph, through the package's ``condition_L`` and
-``is_downward_directed``, that the quotient's own masks replaced, and
+route on the named quotient graph, through ``oracle_chase_condition_L`` and the
+package's ``is_downward_directed``, that the quotient's own masks replaced, and
 ``oracle_quotient_frame`` the Tarjan search per H that a filter over one
 per-graph component table replaced.  ``oracle_one_terminal`` is the count of
 terminal components after the sink copies that the constant-time test of
@@ -33,7 +33,11 @@ count edges bundle by bundle over ``g.bundles``, as do the multiplicity sums
 and the frame search, so no oracle shares an edge table with the code it
 checks.  ``oracle_out_edges`` expands each bundle into its parallel edges;
 ``oracle_expanded_classes`` and ``oracle_condition_L`` read the vertex
-classes and Condition (L) off that list.  ``oracle_emit_json`` is the
+classes and Condition (L) off that list.  ``oracle_chase_condition_L`` is
+the out-degree-one chase over vertex names that ``graph_core.condition_L``
+replaced with one walk per component of the condensation, read off the
+cycle classes and the successor masks; it shares no code and no idea with
+the quotient route's plain-cycle test.  ``oracle_emit_json`` is the
 ``json.dumps`` call that the string-list writer in ``ck_spectra.render``
 replaced.  ``oracle_block_union`` is the per-mask join of 8-point block
 unions that the bulk fold of ``topology._unions`` replaced.  ``px_model``,
@@ -54,7 +58,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import networkx as nx
 import numpy as np
@@ -76,7 +80,6 @@ from ck_spectra.graph_core import (
     Mult,
     _bits,
     check_mult,
-    condition_L,
     has_csp,
     is_downward_directed,
     is_omega,
@@ -455,6 +458,35 @@ def oracle_condition_L(g: Graph) -> bool:
     return not any(oracle_exitless(out, cycle) for cycle in nx.simple_cycles(support))
 
 
+def oracle_chase_condition_L(g: Graph) -> Check:
+    """Condition (L) by the out-degree-one chase that ``graph_core.condition_L``
+    replaced, over dicts keyed by vertex names: an exitless cycle is a cycle
+    all of whose vertices have total out-multiplicity one.  A vertex's one
+    edge is its one bundle, of multiplicity one: two bundles from it, labeled
+    parallel ones included, are two edges.  The witness is the vertex
+    sequence of an exitless cycle."""
+    unit: dict[str, Optional[str]] = {}  # each source's one unit edge's target, None past one edge
+    for b in g.bundles:
+        unit[b.src] = None if b.src in unit or b.mult != 1 else b.dst
+    next_vertex = {v: w for v, w in unit.items() if w is not None}
+
+    cleared: set[str] = set()
+    for start in g.vertices:
+        if start not in next_vertex or start in cleared:
+            continue
+        trail: list[str] = []
+        pos: dict[str, int] = {}
+        v = start
+        while v in next_vertex and v not in cleared:
+            if v in pos:
+                return Check(False, tuple(trail[pos[v]:]))
+            pos[v] = len(trail)
+            trail.append(v)
+            v = next_vertex[v]
+        cleared.update(trail)
+    return Check(True)
+
+
 def oracle_breaking_vertices(g: Graph, h) -> frozenset:
     """Infinite emitters outside H with finitely many, but some, edges leaving H."""
     rest = frozenset(g.vertices) - frozenset(h)
@@ -541,12 +573,13 @@ def oracle_classify_ideal(g: Graph, pair: AdmissiblePair) -> IdealClass:
 
 
 def oracle_classify_quotient(q: QuotientGraph) -> IdealClass:
-    """The quotient route on the named quotient graph: Condition (L) by its
-    out-degree-one chase and downward directedness by its pair scan."""
+    """The quotient route on the named quotient graph: Condition (L) by
+    :func:`oracle_chase_condition_L` and downward directedness by the
+    package's pair scan."""
     qg = q.graph
     if not qg.vertices:
         return IdealClass(IdealKind.NOT_PRIME)
-    if not (condition_L(qg).holds and is_downward_directed(qg, qg.vertices).holds):
+    if not (oracle_chase_condition_L(qg).holds and is_downward_directed(qg, qg.vertices).holds):
         return IdealClass(IdealKind.NOT_PRIME)
     if len(q.primed) == 1:
         (v0,) = q.primed
@@ -725,6 +758,8 @@ def oracle_graph_bundles(vertices, bundles) -> tuple[Bundle, ...]:
             prev = unlabeled.get(key)
             unlabeled[key] = b if prev is None else Bundle(b.src, b.dst, prev.mult + b.mult)
         else:
+            if not b.label:
+                raise ValueError("bundle label must not be empty")
             if b.label in seen_labels:
                 raise ValueError(f"duplicate bundle label {b.label!r}")
             seen_labels.add(b.label)

@@ -46,6 +46,21 @@ def test_check_reports_k_violation_with_exit_zero(tmp_path, capsys):
     assert "condition K: no (vertex a has exactly one simple cycle)" in out
 
 
+@pytest.mark.parametrize("with_exit", [False, True])
+def test_condition_l_on_a_cycle_of_20000_vertices(with_exit, tmp_path, capsys):
+    # far past the recursion limit; one edge out of the last member is an exit
+    names = [f"v{i}" for i in range(20_000)]
+    lines = ["vertex " + ", ".join(names) + (", out;" if with_exit else ";")]
+    lines += [f"edge {a} -> {b};" for a, b in zip(names, names[1:] + names[:1])]
+    if with_exit:
+        lines.append(f"edge {names[-1]} -> out;")
+    path = tmp_path / "cycle.gcg"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "check", str(path))
+    want = "condition L: yes" if with_exit else f"condition L: no (exitless cycle through {', '.join(names)})"
+    assert code == 0 and want in out.splitlines()
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.gcg"
     path.write_text("vertex a\n")
@@ -1183,6 +1198,14 @@ def test_export_dot(fixture_path, capsys):
     assert code == 0
     assert out.startswith("digraph E {")
     assert '"u" -> "v" [label="∞"];' in out
+
+
+def test_export_dot_labels_a_count_and_a_labeled_omega_bundle(tmp_path, capsys):
+    path = tmp_path / "labels.gcg"
+    path.write_text("vertex a, b;\nedge a -> b * 2;\nedge f: b -> a * inf;\n")
+    code, out, _ = run(capsys, "export", "--dot", str(path))
+    assert code == 0
+    assert {'  "a" -> "b" [label="×2"];', '  "b" -> "a" [label="f ∞"];'} <= set(out.splitlines())
 
 
 @pytest.mark.parametrize("argv", [["export"], ["quotient", "--H", "t,y,z", "--S", "w"]], ids=" ".join)

@@ -24,6 +24,7 @@ from .oracles import (
     bundle_lists,
     multigraphs,
     mult_sum,
+    oracle_chase_condition_L,
     oracle_common_bound,
     oracle_condition_L,
     oracle_csp_witness,
@@ -154,13 +155,17 @@ def test_construction_matches_the_reference_on_hostile_bundles(bundles):
              Bundle("a", "b", 3), Bundle("b", "a", 4)],
             (Bundle("a", "b", OMEGA), Bundle("b", "a", 5)),
         ),
-        # per pair: the unlabeled bundle, then the labeled ones by label, "" first
+        # per pair: the unlabeled bundle, then the labeled ones by label
         (
             [Bundle("b", "a", 1, "g"), Bundle("a", "b", 1, "f"), Bundle("b", "a"),
-             Bundle("a", "b", 2, ""), Bundle("a", "b", 3)],
-            (Bundle("a", "b", 3), Bundle("a", "b", 2, ""), Bundle("a", "b", 1, "f"),
+             Bundle("a", "b", 2, "e"), Bundle("a", "b", 3)],
+            (Bundle("a", "b", 3), Bundle("a", "b", 2, "e"), Bundle("a", "b", 1, "f"),
              Bundle("b", "a"), Bundle("b", "a", 1, "g")),
         ),
+        # an empty label would be written as no label, and merge on the round trip
+        ([Bundle("a", "a", 1, ""), Bundle("a", "a", 2)], (ValueError, "bundle label must not be empty")),
+        ([Bundle("a", "a", 1, "f"), Bundle("b", "b", 1, ""), Bundle("b", "b", 1, "f")],
+         (ValueError, "bundle label must not be empty")),
     ],
 )
 def test_construction_matches_the_reference_on_named_cases(bundles, want):
@@ -439,13 +444,25 @@ def test_condition_l_holds_with_an_exit(bundles):
     assert condition_L(Graph(["a", "b", "c"], bundles))
 
 
+def test_condition_l_walk_stops_at_an_exit_and_goes_on():
+    # the plain cycle a, b, c is walked before the loop at e, and its only
+    # exit leaves from its highest member, to x below its lowest one
+    g = Graph(
+        ["x", "a", "b", "c", "e"],
+        [Bundle("a", "b"), Bundle("b", "c"), Bundle("c", "a"), Bundle("c", "x"), Bundle("e", "e")],
+    )
+    assert g.condensation[0] == [g.mask("x"), g.mask("abc"), g.mask("e")]
+    verdict = condition_L(g)
+    assert not verdict and verdict.witness == ("e",)
+
+
 @given(g=multigraphs())
 @settings(max_examples=300, deadline=None)
 def test_vertex_classes_and_condition_l_match_the_expanded_edges(g):
     # parallel, labeled and OMEGA bundles, each expanded into its edges
     assert tuple(map(g.names, g.class_masks)) == oracle_expanded_classes(g)
     verdict = condition_L(g)
-    assert verdict.holds == oracle_condition_L(g)
+    assert verdict.holds == oracle_condition_L(g) == oracle_chase_condition_L(g).holds
     if not verdict:
         assert oracle_exitless(oracle_out_edges(g), verdict.witness), verdict.witness
 

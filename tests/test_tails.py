@@ -188,6 +188,12 @@ def test_realize_subset_graph_singleton():
     assert path.base == "v_a" and not path.cycle
 
 
+def test_end_of_a_cyclic_path_is_where_its_cycle_closes():
+    g = Graph(["a", "b", "c"], [Bundle("a", "b"), Bundle("b", "c", 2), Bundle("c", "b")])
+    path = realize_as_tail(g, "abc")
+    assert path.prefix and path.cycle and path.end == "b"
+
+
 def test_realize_rejects_non_tails(g7):
     with pytest.raises(NotAMaximalTail):
         realize_as_tail(g7, [])

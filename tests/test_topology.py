@@ -302,6 +302,11 @@ def test_kuratowski_fixture(g7, side):
         assert rep.exhaustive and rep.subsets_checked == 32
 
 
+def test_spec_space_rejects_an_unknown_side(g7):
+    with pytest.raises(ValueError, match="side must be 'graph' or 'ideal', got 'other'"):
+        spec_space(g7, "other")
+
+
 @pytest.mark.parametrize("side", ["graph", "ideal"])
 def test_kuratowski_subset_graph(ea3_omega, side):
     rep = check_kuratowski(spec_space(ea3_omega, side))
