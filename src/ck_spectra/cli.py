@@ -273,7 +273,9 @@ def _space_listing(g: Graph, space, json_mode: bool) -> int:
     sep = separation_report(space)
     closure_of = {p: [] for p in pts}
     for p, q in sep.specialization:
-        closure_of[p].append(q)
+        closure_of[p].append(names[q])
+    closure_of = {p: sorted(closure) for p, closure in closure_of.items()}
+    arrows = [[names[p], names[q]] for p, q in sep.specialization if p != q]
     if json_mode:
         payload = {
             "schema": f"ck-spectra/{space.name}/1",
@@ -283,13 +285,11 @@ def _space_listing(g: Graph, space, json_mode: bool) -> int:
                     "kind": "finite-return" if r else "cluster",
                     "vertices": g.listing(r or w),
                     "ideal": pair_payload(g, *pair),
-                    "closure": sorted(names[q] for q in closure_of[p]),
+                    "closure": closure_of[p],
                 }
                 for p, (w, r, _), pair in rows
             ],
-            "specialization": [
-                [names[p], names[q]] for p, q in sep.specialization if p != q
-            ],
+            "specialization": arrows,
             "non_closed_singletons": [names[p] for p in sep.non_closed_singletons],
             "t0": sep.t0,
             "t1": sep.t1,
@@ -301,11 +301,10 @@ def _space_listing(g: Graph, space, json_mode: bool) -> int:
     for p, (w, r, _), pair in rows:
         print(f"  {names[p]} = {f'return vertex {g.listing(r)[0]}' if r else _fmt_set(g, w)}")
         print(f"       ideal: {_fmt_pair(g, *pair)}")
-        print(f"       closure: {{{', '.join(sorted(names[q] for q in closure_of[p]))}}}")
-    arrows = [(p, q) for p, q in sep.specialization if p != q]
+        print(f"       closure: {{{', '.join(closure_of[p])}}}")
     print("specialization (p -> q means q lies in the closure of {p}):")
     for p, q in arrows:
-        print(f"  {names[p]} -> {names[q]}")
+        print(f"  {p} -> {q}")
     print(f"non-closed singletons: {', '.join(names[p] for p in sep.non_closed_singletons) or '(none)'}")
     print(f"T0: {'yes' if sep.t0 else 'no'}")
     print(f"T1: {'yes' if sep.t1 else 'no'}")
@@ -328,21 +327,22 @@ def cmd_closure(args) -> int:
     names = _point_names(g)
     xs = _parse_points(names, args.points)
     left, right = graph_closure(g, xs), ideal_closure(g, xs)
+    given, graph_side, ideal_side = (sorted(names[p] for p in ps) for ps in (xs, left, right))
     if args.json:
         payload = {
             "schema": "ck-spectra/closure/1",
             "space": args.space,
-            "input": sorted(names[p] for p in xs),
-            "graph_side": sorted(names[p] for p in left),
-            "ideal_side": sorted(names[p] for p in right),
+            "input": given,
+            "graph_side": graph_side,
+            "ideal_side": ideal_side,
             "agree": left == right,
         }
         sys.stdout.write(emit_json(payload))
-        return EXIT_OK if left == right else EXIT_COUNTEREXAMPLE
-    print(f"input points: {', '.join(sorted(names[p] for p in xs)) or '(none)'}")
-    print(f"graph-side closure ({len(left)}): {', '.join(sorted(names[p] for p in left)) or '(none)'}")
-    print(f"ideal-side closure ({len(right)}): {', '.join(sorted(names[p] for p in right)) or '(none)'}")
-    print(f"agreement: {'yes' if left == right else 'NO'}")
+    else:
+        print(f"input points: {', '.join(given) or '(none)'}")
+        print(f"graph-side closure ({len(left)}): {', '.join(graph_side) or '(none)'}")
+        print(f"ideal-side closure ({len(right)}): {', '.join(ideal_side) or '(none)'}")
+        print(f"agreement: {'yes' if left == right else 'NO'}")
     return EXIT_OK if left == right else EXIT_COUNTEREXAMPLE
 
 

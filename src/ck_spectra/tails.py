@@ -22,7 +22,8 @@ gives the members that every member reaches, which is nonzero exactly when MT3
 holds on a nonempty set.  :func:`_mt_holds` joins the two for the direct
 classification and :func:`realize_as_tail`, and ``verify`` reads the direct
 route's verdicts on the clusters.  Only :func:`mt_report`, which names a
-witness for each failing axiom, walks the pairs.
+witness for each failing axiom, walks the pairs.  :func:`_tail_mask` checks
+a boundary path and gathers U(trace), its tail, in the same walk.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ def maximal_tails(g: Graph) -> list[frozenset]:
     return clusters(g)
 
 
-@per_graph
 def clusters(g: Graph) -> list[frozenset]:
     """All nonempty sets satisfying MT1-MT3, as named by :func:`_cluster_masks`."""
     return [g.names(m) for m in _cluster_masks(g)]
@@ -115,12 +115,6 @@ class BoundaryPath(NamedTuple):
     cycle: tuple[Bundle, ...] = ()
 
     @property
-    def end(self) -> str:
-        if self.cycle:
-            return self.cycle[-1].dst
-        return self.prefix[-1].dst if self.prefix else self.base
-
-    @property
     def vertex_trace(self) -> frozenset:
         seen = {self.base}
         for b in self.prefix + self.cycle:
@@ -129,38 +123,29 @@ class BoundaryPath(NamedTuple):
         return frozenset(seen)
 
 
-def validate_boundary_path(g: Graph, path: BoundaryPath) -> None:
-    """Raise InvalidPath unless the path is a boundary path of g."""
-    g.require_vertex(path.base)
-    at = path.base
-    for b in path.prefix + path.cycle:
-        if b not in g.out_bundles.get(b.src, ()):
-            raise InvalidPath(f"bundle {b} is not part of the graph")
-        if b.src != at:
-            raise InvalidPath(f"bundle {b} does not continue the path at {at!r}")
-        at = b.dst
-    if path.cycle:
-        if path.cycle[-1].dst != path.cycle[0].src:
-            raise InvalidPath("cycle part does not close up")
-    else:
-        end = path.end
-        if g.class_masks[2] >> g.index[end] & 1:
-            raise InvalidPath(
-                f"finite boundary path must end at a sink or infinite emitter, not {end!r}"
-            )
-
-
 def tail_of_boundary(g: Graph, path: BoundaryPath) -> frozenset:
     """T_alpha: everything that can reach the path's vertex trace."""
     return g.names(_tail_mask(g, path))
 
 
 def _tail_mask(g: Graph, path: BoundaryPath) -> int:
-    """:func:`tail_of_boundary` as a mask."""
-    validate_boundary_path(g, path)
-    out = 0
-    for v in path.vertex_trace:
-        out |= g.coreach[g.index[v]]
+    """:func:`tail_of_boundary` as a mask, or InvalidPath unless the path is a boundary
+    path of g: walked step by step, it traces its base and each bundle's target."""
+    g.require_vertex(path.base)
+    at = path.base
+    out = g.coreach[g.index[at]]
+    for b in path.prefix + path.cycle:
+        if b not in g.out_bundles.get(b.src, ()):
+            raise InvalidPath(f"bundle {b} is not part of the graph")
+        if b.src != at:
+            raise InvalidPath(f"bundle {b} does not continue the path at {at!r}")
+        at = b.dst
+        out |= g.coreach[g.index[at]]
+    if path.cycle:
+        if path.cycle[-1].dst != path.cycle[0].src:
+            raise InvalidPath("cycle part does not close up")
+    elif g.class_masks[2] >> g.index[at] & 1:
+        raise InvalidPath(f"finite boundary path must end at a sink or infinite emitter, not {at!r}")
     return out
 
 
@@ -222,7 +207,6 @@ def _realize_mask(g: Graph, mask: int) -> BoundaryPath:
     return BoundaryPath(base, tuple(bundles))
 
 
-@per_graph
 def finite_return_vertices(g: Graph) -> frozenset:
     """Infinite emitters with finitely many (but at least one) returning edges,
     as named by :func:`_finite_return_mask`."""

@@ -271,10 +271,9 @@ class SpecSpace(NamedTuple):
 def spec_space(g: Graph, side: str = "graph") -> SpecSpace:
     """The spectrum with one side's closure."""
     kernels = {"graph": _graph_kernel, "ideal": _ideal_kernel}
-    pts = tuple(spec_points(g))
     if side not in kernels:
         raise ValueError(f"side must be 'graph' or 'ideal', got {side!r}")
-    return SpecSpace(pts, kernels[side](g), "spec")
+    return SpecSpace(tuple(spec_points(g)), kernels[side](g), "spec")
 
 
 def prim_space(g: Graph, side: str = "graph") -> SpecSpace:

@@ -50,6 +50,10 @@ set.  ``named_pairs`` is no oracle: it names the package's own enumeration,
 labeled and OMEGA bundles on them, and ``multigraphs`` the graphs it gives.
 ``oracle_graph_bundles`` is the merge and sort, keyed by vertex names, that
 ``Graph.__init__`` replaced with one index lookup per bundle end.
+``poset_graph`` realizes a finite poset as a Condition (K) graph whose answers
+follow from the poset alone: ``posets`` draws small ones, ``grid_poset`` gives
+the m x m grid, ``poset_with_returns`` doubles each finite-return point, and
+``count_down_sets`` counts the down-sets, the ideals, without the package.
 """
 
 from __future__ import annotations
@@ -719,6 +723,74 @@ def bundle_lists(draw) -> tuple[list[str], list[Bundle]]:
 def multigraphs():
     """The graphs of ``bundle_lists``."""
     return bundle_lists().map(lambda drawn: Graph(*drawn))
+
+
+def poset_graph(points, covers, sinks=(), finite_return=()) -> Graph:
+    """The Condition (K) graph of a finite poset given by its cover pairs (y, x),
+    y covered by x: one vertex per point with a loop of multiplicity 2, and one
+    edge x -> y per cover pair, so that reachability is the order and the
+    maximal tails are the up-sets of the points.  A minimal point in ``sinks``
+    has no loop.  A point in ``finite_return``, which must cover some point,
+    sends its downward edges with multiplicity OMEGA: an infinite emitter whose
+    two loop edges alone return, so a finite-return vertex."""
+    upper = {x for _, x in covers}
+    assert not upper & set(sinks) and set(finite_return) <= upper
+    bundles = [Bundle(x, x, 2) for x in points if x not in sinks]
+    bundles += [Bundle(x, y, OMEGA if x in finite_return else 1) for y, x in covers]
+    return Graph(list(points), bundles)
+
+
+def grid_poset(m: int) -> tuple[list[str], list[tuple[str, str]]]:
+    """The points and cover pairs of the product of two m-chains."""
+    points = [f"g{i}_{j}" for i in range(m) for j in range(m)]
+    covers = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(m - 1) for j in range(m)]
+    covers += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(m) for j in range(m - 1)]
+    return points, covers
+
+
+def poset_with_returns(points, covers, finite_return) -> tuple[list[str], list[tuple[str, str]]]:
+    """The poset with each finite-return point x doubled into a chain x < x+:
+    x keeps what lies below it, and x+ lies below what covered x."""
+    fr = set(finite_return)
+    doubled = [(x + "+" if x in fr else x, z) for x, z in covers] + [(x, x + "+") for x in points if x in fr]
+    return list(points) + [x + "+" for x in points if x in fr], doubled
+
+
+def count_down_sets(points, covers) -> int:
+    """The number of down-sets of the poset with these cover pairs (y, x), y
+    below x, split on one point x at a time: the down-sets without x are those
+    of the rest less everything above x, those with x those less everything
+    below x."""
+    order = nx.transitive_closure(nx.DiGraph(covers))
+    up = {x: {x, *(order.successors(x) if x in order else ())} for x in points}
+    down = {x: {x, *(order.predecessors(x) if x in order else ())} for x in points}
+
+    @cache
+    def count(rest: frozenset) -> int:
+        if not rest:
+            return 1
+        x = min(rest)
+        return count(rest - up[x]) + count(rest - down[x])
+
+    return count(frozenset(points))
+
+
+@st.composite
+def posets(draw, k_max: int = 7) -> tuple[list[str], list[tuple[str, str]], set, set]:
+    """Up to ``k_max`` points p0, p1, ... as (points, covers, sinks, finite_return):
+    the order is the transitive closure of drawn pairs pi < pj with i < j, and
+    each point may be drawn a sink, if minimal, or finite-return, if it covers
+    some point."""
+    k = draw(st.integers(1, k_max))
+    points = [f"p{i}" for i in range(k)]
+    drawn = nx.DiGraph()
+    drawn.add_nodes_from(points)
+    drawn.add_edges_from((points[i], points[j]) for i, j in combinations(range(k), 2) if draw(st.booleans()))
+    covers = sorted(nx.transitive_reduction(drawn).edges)
+    upper = {x for _, x in covers}
+    sinks = {x for x in points if x not in upper and draw(st.booleans())}
+    finite_return = {x for x in points if x in upper and draw(st.booleans())}
+    return points, covers, sinks, finite_return
 
 
 def oracle_edge_tables(vertices, bundles) -> tuple:

@@ -1,6 +1,7 @@
 """Static checks on the package source with ``ast``: nothing imported or
 defined at module level goes unused, and every name the package re-exports is
-reached from the command line or named in README's library sketch, which runs."""
+reached from the command line or named in the code of README's library sketch,
+which runs."""
 
 import ast
 import re
@@ -11,7 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ck_spectra"
 TREES = {path.name: ast.parse(path.read_text(), path.name) for path in sorted(SRC.glob("*.py"))}
-SKETCH = (ROOT / "README.md").read_text().split("\n## Library sketch\n", 1)[1].split("\n## ", 1)[0]
+SECTION = (ROOT / "README.md").read_text().split("\n## Library sketch\n", 1)[1].split("\n## ", 1)[0]
+(SKETCH,) = re.findall(r"```python\n(.*?)```", SECTION, re.S)  # the code only, not the prose around it
 
 
 def _referenced(node: ast.AST) -> list[str]:
@@ -98,5 +100,4 @@ def test_every_reexport_is_reached_from_the_cli_or_named_in_the_sketch():
 
 
 def test_the_readme_sketch_runs():
-    (code,) = re.findall(r"```python\n(.*?)```", SKETCH, re.S)
-    exec(compile(code, "README.md", "exec"), {})
+    exec(compile(SKETCH, "README.md", "exec"), {})

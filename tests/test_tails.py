@@ -19,6 +19,7 @@ from ck_spectra import (
     random_graph,
     realize_as_tail,
     tail_of_boundary,
+    upward_set,
     verify_homeomorphism,
 )
 from ck_spectra.graph_core import _bits
@@ -188,12 +189,6 @@ def test_realize_subset_graph_singleton():
     assert path.base == "v_a" and not path.cycle
 
 
-def test_end_of_a_cyclic_path_is_where_its_cycle_closes():
-    g = Graph(["a", "b", "c"], [Bundle("a", "b"), Bundle("b", "c", 2), Bundle("c", "b")])
-    path = realize_as_tail(g, "abc")
-    assert path.prefix and path.cycle and path.end == "b"
-
-
 def test_realize_rejects_non_tails(g7):
     with pytest.raises(NotAMaximalTail):
         realize_as_tail(g7, [])
@@ -226,6 +221,33 @@ def test_realization_matches_the_chain_fold_on_every_mt_mask():
         g = generate(seed, 1 + seed % 8, (0.15, 0.3, 0.5)[seed // 16 % 3])
         for t in oracle_tails(g):
             assert realize_as_tail(g, t) == oracle_realize_mask(g, g.mask(t)), (seed, sorted(t))
+
+
+@given(
+    seed=seeds,
+    n=st.integers(1, 12),
+    density=st.sampled_from([0.15, 0.3, 0.5]),
+    generate=st.sampled_from([random_graph, random_condition_k_graph]),
+)
+@settings(max_examples=60, deadline=None)
+def test_tail_walk_is_the_upward_set_of_the_vertex_trace(seed, n, density, generate):
+    # the one walk that checks a path gathers U(trace) as the definition reads it
+    g = generate(seed, n, density)
+    for t in clusters(g):
+        path = realize_as_tail(g, t)
+        assert tail_of_boundary(g, path) == upward_set(g, path.vertex_trace) == t
+
+
+def test_a_cyclic_path_is_checked_and_traced_in_one_walk():
+    # a prefix into a cycle that closes where the prefix ends
+    g = Graph(["a", "b", "c"], [Bundle("a", "b"), Bundle("b", "c", 2), Bundle("c", "b")])
+    path = realize_as_tail(g, "abc")
+    assert path.prefix and path.cycle and path.vertex_trace == {"a", "b", "c"}
+    assert tail_of_boundary(g, path) == upward_set(g, path.vertex_trace) == {"a", "b", "c"}
+    with pytest.raises(InvalidPath, match="cycle part does not close up"):
+        tail_of_boundary(g, path._replace(cycle=path.cycle[:1]))
+    with pytest.raises(InvalidPath, match="must end at a sink or infinite emitter, not 'c'"):
+        tail_of_boundary(g, BoundaryPath("a", path.prefix + path.cycle[:1]))
 
 
 @given(seed=seeds)

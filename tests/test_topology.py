@@ -303,8 +303,10 @@ def test_kuratowski_fixture(g7, side):
 
 
 def test_spec_space_rejects_an_unknown_side(g7):
-    with pytest.raises(ValueError, match="side must be 'graph' or 'ideal', got 'other'"):
-        spec_space(g7, "other")
+    # the side is checked before the graph is read, so a graph without (K) gets the same error
+    for g in (g7, parse_graph("vertex a; edge a -> a;")):
+        with pytest.raises(ValueError, match="side must be 'graph' or 'ideal', got 'other'"):
+            spec_space(g, "other")
 
 
 @pytest.mark.parametrize("side", ["graph", "ideal"])
