@@ -45,7 +45,7 @@ from .ideals import (
     meet,
     quotient_graph,
 )
-from .render import emit_dot, emit_json, graph_payload, quotient_payload
+from .render import emit_dot, emit_json
 from .tails import (
     BoundaryPath,
     MtReport,

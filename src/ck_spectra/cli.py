@@ -43,13 +43,7 @@ from .ideals import (
     quotient_graph,
     saturated_hereditary_sets,
 )
-from .render import (
-    emit_dot,
-    emit_json,
-    graph_payload,
-    pair_payload,
-    quotient_payload,
-)
+from .render import emit_dot, emit_json, graph_json, ideals_json, pair_payload, quotient_json
 from .tails import (
     BoundaryPath,
     _cluster_masks,
@@ -227,20 +221,7 @@ def cmd_ideals(args) -> int:
     # the whole walk before any output, so a size limit prints nothing
     rows = [(*pair, direct, direct == quotient) for pair, direct, quotient, _ in _walk(g, args.limit)]
     if args.json:
-        payload = {
-            "schema": "ck-spectra/ideals/1",
-            "saturated_hereditary_sets": [g.listing(h) for h in sh],
-            "pairs": [
-                {
-                    **pair_payload(g, hmask, smask),
-                    "class": direct.kind.value,
-                    "v0": direct.v0,
-                    "quotient_route_agrees": agree,
-                }
-                for hmask, smask, direct, agree in rows
-            ],
-        }
-        sys.stdout.write(emit_json(payload))
+        print(ideals_json(g, sh, rows))
         return EXIT_OK
     print(f"saturated hereditary sets: {len(sh)}")
     print(f"admissible pairs: {len(rows)}")
@@ -255,7 +236,7 @@ def cmd_quotient(args) -> int:
     pair = admissible_pair(g, _comma_set(args.H), _comma_set(args.S))
     q = quotient_graph(g, pair)
     if args.json:
-        sys.stdout.write(emit_json(quotient_payload(q)))
+        print(quotient_json(q))
     elif args.dot:
         sys.stdout.write(emit_dot(q))
     else:
@@ -413,7 +394,7 @@ def cmd_export(args) -> int:
     if args.dot and not args.json:  # --json wins, as in ``quotient``
         sys.stdout.write(emit_dot(g))
     else:
-        sys.stdout.write(emit_json(graph_payload(g)))
+        print(graph_json(g))
     return EXIT_OK
 
 

@@ -25,9 +25,9 @@ successor masks alone.
 
 Vertex subsets are plain ``frozenset`` objects at the API boundary; the
 implementation works on integer bitmasks indexed by declaration order, which
-is also the canonical order for all deterministic output.  ``Graph.listing``
-is the one reader of that order: it lists a mask's vertices, and every
-printed or rendered vertex set comes from it.
+is also the canonical order for all deterministic output.  ``_mask_bytes`` is
+the one reader of that order: ``Graph.listing`` and the JSON row writers of
+``render`` list every printed or rendered vertex set through it.
 """
 
 from __future__ import annotations
@@ -90,6 +90,11 @@ class Check(NamedTuple):
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _mask_bytes(mask: int) -> bytes:
+    """The ``compress`` selectors of ``mask``, in one pass over bin(mask): byte i is 1 iff bit i is set."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -233,8 +238,7 @@ class Graph:
 
     def listing(self, mask: int) -> tuple[str, ...]:
         """The vertices of ``mask`` in declaration order, the canonical output order."""
-        # one pass over bin(mask), low bit first: byte i is 1 iff bit i is set
-        return tuple(compress(self.vertices, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+        return tuple(compress(self.vertices, _mask_bytes(mask)))
 
     def names(self, mask: int) -> frozenset:
         return frozenset(self.listing(mask))

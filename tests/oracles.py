@@ -38,12 +38,14 @@ the out-degree-one chase over vertex names that ``graph_core.condition_L``
 replaced with one walk per component of the condensation, read off the
 cycle classes and the successor masks; it shares no code and no idea with
 the quotient route's plain-cycle test.  ``oracle_emit_json`` is the
-``json.dumps`` call that the string-list writer in ``ck_spectra.render``
-replaced.  ``oracle_block_union`` is the per-mask join of 8-point block
-unions that the bulk fold of ``topology._unions`` replaced.  ``px_model``,
-``px_closure`` and ``phi`` model the spectrum of the subset graph
-``ck_spectra.ea_graph(ground, OMEGA)`` on the nonempty subsets of the ground
-set.  ``named_pairs`` is no oracle: it names the package's own enumeration,
+``json.dumps`` call that the writers in ``ck_spectra.render`` replaced;
+``oracle_ideals_payload`` and ``oracle_quotient_payload`` are the payloads
+that the ``ideals`` and ``quotient`` JSON writers stand for, the former with
+vertex sets listed bit by bit.  ``oracle_block_union`` is the per-mask join
+of 8-point block unions that the bulk fold of ``topology._unions`` replaced.
+``px_model``, ``px_closure`` and ``phi`` model the spectrum of the subset
+graph ``ck_spectra.ea_graph(ground, OMEGA)`` on the nonempty subsets of the
+ground set.  ``named_pairs`` is no oracle: it names the package's own enumeration,
 ``admissible_pairs``, for the tests that take pairs of vertex sets, and
 ``bundle_chain`` is the graph family that the pair-limit tests share,
 ``bundle_lists`` the hypothesis strategy of small vertex lists with parallel,
@@ -102,6 +104,7 @@ from ck_spectra.ideals import (
     _require_condition_k,
     meet,
 )
+from ck_spectra.render import graph_payload
 from ck_spectra.tails import BoundaryPath, _shortest_route
 from ck_spectra.topology import ClusterPoint, FRPoint, h_map
 
@@ -1013,3 +1016,35 @@ def oracle_parse_graph(src: str) -> Graph:
 def oracle_emit_json(payload) -> str:
     """The reference JSON text: the stdlib encoder, indented by two spaces."""
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+def _oracle_listing(g: Graph, mask: int) -> list[str]:
+    return [v for i, v in enumerate(g.vertices) if mask >> i & 1]
+
+
+def oracle_ideals_payload(g: Graph, sh, rows) -> dict:
+    """The ``ideals --json`` payload of the saturated hereditary masks ``sh``
+    and the rows (hmask, smask, direct class, whether the routes agree)."""
+    return {
+        "schema": "ck-spectra/ideals/1",
+        "saturated_hereditary_sets": [_oracle_listing(g, h) for h in sh],
+        "pairs": [
+            {
+                "h": _oracle_listing(g, hmask),
+                "s": _oracle_listing(g, smask),
+                "class": direct.kind.value,
+                "v0": direct.v0,
+                "quotient_route_agrees": agree,
+            }
+            for hmask, smask, direct, agree in rows
+        ],
+    }
+
+
+def oracle_quotient_payload(q: QuotientGraph) -> dict:
+    """The ``quotient --json`` payload, its graph that of ``export --json``."""
+    return {
+        "schema": "ck-spectra/quotient/1",
+        "graph": graph_payload(q.graph),
+        "primed": {v: q.primed[v] for v in sorted(q.primed)},
+    }
