@@ -20,7 +20,14 @@ import os
 import sys
 
 from . import __version__
-from .errors import CkSpectraError, ParseError, SizeLimitExceeded, UnknownVertex, VerificationFailure
+from .errors import (
+    CkSpectraError,
+    NotAMaximalTail,
+    ParseError,
+    SizeLimitExceeded,
+    UnknownVertex,
+    VerificationFailure,
+)
 from .gcg import emit_gcg, parse_graph
 from .generators import ea_graph, random_condition_k_graph, random_graph, running_example
 from .graph_core import (
@@ -48,11 +55,10 @@ from .tails import (
     BoundaryPath,
     _cluster_masks,
     _finite_return_mask,
+    _mt_faults,
     _realize_mask,
     _tail_mask,
     maximal_tails,
-    mt_report,
-    realize_as_tail,
 )
 from .topology import (
     _h_masks,
@@ -201,14 +207,13 @@ def cmd_tails(args) -> int:
         sys.stdout.write(emit_json(payload))
         return EXIT_OK
     print(f"maximal tails ({len(tails)}):")
-    for i, (t, m) in enumerate(zip(tails, masks), 1):
-        rep = mt_report(g, t)
-        flags = " ".join(
-            f"{name}={'yes' if ok else 'no'}"
-            for name, ok in [("mt1", rep.mt1), ("mt2", rep.mt2), ("mt3", rep.mt3), ("mt4", rep.mt4)]
-        )
+    for i, m in enumerate(masks, 1):
+        faults = _mt_faults(g, m)  # MT4 holds on every finite vertex set
+        flags = " ".join(f"mt{k}={'yes' if f is None else 'no'}" for k, f in enumerate((*faults, None), 1))
         print(f"  T{i} = {_fmt_set(g, m)}  [{flags}]")
-        print(f"       realized by: {_fmt_path(realize_as_tail(g, t))}")
+        if faults != (None, None, None):  # a cluster passes by construction; the refusal of realize_as_tail
+            raise NotAMaximalTail(f"{sorted(g.names(m))} does not satisfy MT1-MT4 or is empty")
+        print(f"       realized by: {_fmt_path(_realize_mask(g, m))}")
     print("clusters match maximal tails: yes")
     print(f"finite-return vertices: {_fmt_set(g, fr)}")
     return EXIT_OK

@@ -8,7 +8,8 @@ multiplicities are plain sums.  All structural predicates used elsewhere in the
 package (Condition (K), Condition (L), downward directedness, the countable
 separation property) live here, together with bitmask reachability and the
 one mask test of each MT axiom that the package shares: :func:`_union_faults`
-(MT1, MT2) and :func:`_common_bound` (MT3).
+(MT1, MT2) and :func:`_common_bound` (MT3).  Both walk their mask bits inline,
+as they run once per H and per meet.
 
 The per-vertex edge tables are masks (successors, predecessors, OMEGA
 targets), and the vertex classes are read off them.  One walk over the
@@ -414,9 +415,20 @@ def _union_faults(g: Graph, mask: int) -> tuple:
     edge (v, w) into the mask from v outside, as a path enters through one; a regular
     member with no successor inside.  Both hold iff the complement is saturated hereditary."""
     pred, succ, rest = g.pred_mask, g.succ_mask, g.full_mask & ~mask
-    entries = ((next(_bits(pred[w] & rest)), w) for w in _bits(mask) if pred[w] & rest)
-    trapped = (i for i in _bits(mask & g.class_masks[2]) if not succ[i] & mask)
-    return next(entries, None), next(trapped, None)
+    entry = trapped = None
+    members = mask  # dropped from the bottom up to the first with a predecessor outside
+    while members and not pred[(members & -members).bit_length() - 1] & rest:
+        members &= members - 1
+    if members:
+        w = (members & -members).bit_length() - 1
+        into = pred[w] & rest
+        entry = ((into & -into).bit_length() - 1, w)
+    regular = mask & g.class_masks[2]  # and to the first regular one with no successor inside
+    while regular and succ[(regular & -regular).bit_length() - 1] & mask:
+        regular &= regular - 1
+    if regular:
+        trapped = (regular & -regular).bit_length() - 1
+    return entry, trapped
 
 
 def _common_bound(g: Graph, mask: int) -> int:
@@ -424,11 +436,10 @@ def _common_bound(g: Graph, mask: int) -> int:
     nonempty mask it is nonzero iff MT3 holds: a common bound of two members and a
     third member have a common bound, which all three reach, and so on."""
     reach = g.reach
-    common = mask
-    for i in _bits(mask):
-        common &= reach[i]
-        if not common:
-            break
+    common = members = mask
+    while members and common:
+        common &= reach[(members & -members).bit_length() - 1]
+        members &= members - 1
     return common
 
 

@@ -88,6 +88,7 @@ class IdealClass(NamedTuple):
 
 _NOT_PRIME = IdealClass(IdealKind.NOT_PRIME)  # the one verdict shared by every non-prime pair
 _TAIL = IdealClass(IdealKind.PRIMITIVE_TAIL)  # and the one shared by every maximal-tail complement
+_NOT_PRIME_KIND, _TAIL_KIND = IdealKind.NOT_PRIME, IdealKind.PRIMITIVE_TAIL  # read per pair by _verify_record
 
 
 # -- saturated hereditary sets ------------------------------------------------
@@ -353,7 +354,10 @@ def _quotient_has_L(frame: _QuotientFrame, kept: int) -> bool:
     """Condition (L) on the quotient: every cycle has an exit.  A member of an
     exitless cycle whose one edge runs to a kept vertex also has an edge to
     that vertex's copy, which is an exit."""
-    return all(succ & kept for succ in frame.exitless)
+    for succ in frame.exitless:
+        if not succ & kept:
+            return False
+    return True
 
 
 def _quotient_one_terminal(frame: _QuotientFrame, kept: int) -> bool:
@@ -399,8 +403,11 @@ def _walk(
         if total > limit:
             raise SizeLimitExceeded(f"the first {k} of {len(sets)} saturated hereditary sets have over {limit} pairs")
         frame, kept_sets = _quotient_frame(g, hmask), [breaking]  # B_H minus S, S from empty up
-        for i in _bits(breaking):
-            kept_sets += [kept & ~(1 << i) for kept in kept_sets]
+        rest = breaking
+        while rest:
+            low = rest & -rest
+            kept_sets += [kept ^ low for kept in kept_sets]  # each still holds the bit
+            rest ^= low
         for kept in kept_sets:
             yield (hmask, breaking ^ kept), _direct_verdict(g, hmask, kept), *_quotient_verdict(g, frame, kept)
 
@@ -417,9 +424,9 @@ def _verify_record(g: Graph, limit: int) -> _VerifyRecord:
     """One walk over the pairs, kept as ``verify`` reads it: its prime pairs and first failures."""
     prime, tails, disagree, without_l = set(), set(), None, None
     for pair, direct, quotient, has_l in _walk(g, limit):
-        if direct.is_prime:
+        if direct.kind is not _NOT_PRIME_KIND:
             prime.add(pair)
-            if direct.kind is IdealKind.PRIMITIVE_TAIL:
+            if direct.kind is _TAIL_KIND:
                 tails.add(g.full_mask & ~pair[0])
         if disagree is None and direct != quotient:
             disagree = pair

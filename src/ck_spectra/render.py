@@ -21,7 +21,7 @@ from itertools import compress
 from json.encoder import encode_basestring as _quote
 
 from .graph_core import OMEGA, Graph, _mask_bytes, is_omega
-from .ideals import QuotientGraph
+from .ideals import IdealKind, QuotientGraph
 
 _INF = '"inf"'  # OMEGA in the graph schema
 
@@ -119,11 +119,11 @@ def ideals_json(g: Graph, sh, rows) -> str:
     """The ideals schema, without a final newline: the saturated hereditary
     masks ``sh``, then one row (hmask, smask, direct class, whether the
     quotient route agrees) per admissible pair."""
-    quoted = list(map(_quote, g.vertices))
+    quoted, kinds = list(map(_quote, g.vertices)), {k: _quote(k.value) for k in IdealKind}
     # each vertex set at the pad of a pair's fields, for this call only: H repeats across pairs
     listed = cache(lambda mask: _array(list(compress(quoted, _mask_bytes(mask))), "      "))
     pairs = [
-        f'{{\n      "h": {listed(h)},\n      "s": {listed(s)},\n      "class": {_quote(d.kind.value)},'
+        f'{{\n      "h": {listed(h)},\n      "s": {listed(s)},\n      "class": {kinds[d.kind]},'
         f'\n      "v0": {"null" if d.v0 is None else _quote(d.v0)},'
         f'\n      "quotient_route_agrees": {"true" if agree else "false"}\n    }}'
         for h, s, d, agree in rows

@@ -37,7 +37,8 @@ once against per-point masks that the kernel builds once (the graph side's
 V(X) against each W_p and essential mask, the ideal side's meet against the
 complements of each point's H and H | S).  The sweep and both Kuratowski
 passes of ``verify`` read closure lists from these calls, each on the pool
-of subsets that :func:`_subset_pool` draws from the seed; nothing keeps the
+of subsets that :func:`_subset_pool` draws from the seed, its seeded values
+taken in bulk calls, the same values as one draw at a time; nothing keeps the
 draw, and a union the kernel has scanned for one pass costs the next pass a
 lookup.  On a finite space an additive closure is the down-set closure of
 its specialization preorder (Alexandrov 1937), so one int holds any closed
@@ -50,6 +51,7 @@ boundary: the arguments and results of :func:`graph_closure` and
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import SizeLimitExceeded, VerificationFailure
@@ -322,11 +324,11 @@ def _subset_pool(n: int, exhaustive_limit: int, seed: int) -> tuple[Sequence[int
         raise SizeLimitExceeded(f"an exhaustive sweep of {n} points is 2^{n} subsets, above 2^20")
     if n <= exhaustive_limit:
         return range(1 << n), True
-    rng = random.Random(seed)
-    pool = {0, (1 << n) - 1}
+    draw = random.Random(seed).getrandbits
+    pool, size = {0, (1 << n) - 1}, min(_SAMPLES, 1 << n)
     pool.update(1 << i for i in range(n))
-    while len(pool) < min(_SAMPLES, 1 << n):
-        pool.add(rng.getrandbits(n))
+    while len(pool) < size:  # the shortfall in one call: the draws one at a time would make, and no more
+        pool.update(map(draw, repeat(n, size - len(pool))))
     return sorted(pool), False
 
 
@@ -335,9 +337,8 @@ def _union_pairs(n: int, seed: int) -> tuple[list[int], list[int]]:
     every pair when small, else seeded uniform draws of n bits."""
     if n <= _UNION_PAIR_LIMIT:
         return [a for a in range(1 << n) for _ in range(1 << n)], list(range(1 << n)) * (1 << n)
-    rng = random.Random(seed + 1)
-    pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(_SAMPLES)]
-    return [a for a, _ in pairs], [b for _, b in pairs]
+    draws = list(map(random.Random(seed + 1).getrandbits, repeat(n, 2 * _SAMPLES)))
+    return draws[::2], draws[1::2]
 
 
 def verify_homeomorphism(

@@ -16,7 +16,9 @@ tests read off explicit sets; ``oracle_sat_her_faults`` is the member walk
 that MT1 and MT2 of the complement, ``graph_core._union_faults``, replaced.
 ``oracle_common_bound`` is the set of members that every member reaches, read
 off explicit sets, that the reach fold of ``graph_core._common_bound`` must
-reproduce, and ``oracle_realize_mask`` the chain fold over a countable
+reproduce; ``oracle_common_bound_fold`` and ``oracle_union_faults`` are that
+fold and the MT1 and MT2 test as loops and generators over ``_bits``, which
+the inline bit walks of ``graph_core`` replaced, failures included; and ``oracle_realize_mask`` the chain fold over a countable
 separating set, the paper's general construction of a boundary path, that one
 route to the common bound in ``tails._realize_mask`` replaced.  ``oracle_classify_quotient`` is the quotient
 route on the named quotient graph, through ``oracle_chase_condition_L`` and the
@@ -43,6 +45,9 @@ the quotient route's plain-cycle test.  ``oracle_emit_json`` is the
 that the ``ideals`` and ``quotient`` JSON writers stand for, the former with
 vertex sets listed bit by bit.  ``oracle_block_union`` is the per-mask join
 of 8-point block unions that the bulk fold of ``topology._unions`` replaced.
+``oracle_subset_pool`` and ``oracle_union_pairs`` draw the sampled subsets
+and union pairs one ``getrandbits`` call at a time, where ``topology`` draws
+them in bulk.
 ``px_model``, ``px_closure`` and ``phi`` model the spectrum of the subset
 graph ``ck_spectra.ea_graph(ground, OMEGA)`` on the nonempty subsets of the
 ground set.  ``named_pairs`` is no oracle: it names the package's own enumeration,
@@ -61,6 +66,7 @@ the m x m grid, ``poset_with_returns`` doubles each finite-return point, and
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -106,7 +112,7 @@ from ck_spectra.ideals import (
 )
 from ck_spectra.render import graph_payload
 from ck_spectra.tails import BoundaryPath, _shortest_route
-from ck_spectra.topology import ClusterPoint, FRPoint, h_map
+from ck_spectra.topology import _SAMPLES, ClusterPoint, FRPoint, h_map
 
 
 def reach_matrix(g: Graph) -> np.ndarray:
@@ -239,6 +245,26 @@ def oracle_common_bound(g: Graph, members) -> frozenset:
     m = reach_matrix(g)
     keep = set(members)
     return frozenset(c for c in keep if all(m[g.index[u], g.index[c]] for u in keep))
+
+
+def oracle_union_faults(g: Graph, mask: int) -> tuple:
+    """``graph_core._union_faults`` as generator expressions over ``_bits``: the
+    first entry edge and the first trapped regular member, or None."""
+    pred, succ, rest = g.pred_mask, g.succ_mask, g.full_mask & ~mask
+    entries = ((next(_bits(pred[w] & rest)), w) for w in _bits(mask) if pred[w] & rest)
+    trapped = (i for i in _bits(mask & g.class_masks[2]) if not succ[i] & mask)
+    return next(entries, None), next(trapped, None)
+
+
+def oracle_common_bound_fold(g: Graph, mask: int) -> int:
+    """``graph_core._common_bound`` as a loop over ``_bits``: the reach of each
+    member folded into the mask, stopping at 0."""
+    common = mask
+    for i in _bits(mask):
+        common &= g.reach[i]
+        if not common:
+            break
+    return common
 
 
 def oracle_mt1(g: Graph, members: frozenset) -> bool:
@@ -634,6 +660,23 @@ def oracle_block_union(blocks, m: int) -> int:
         j = (m & -m).bit_length() - 1 >> 3
         key, m = key | blocks[j][m >> 8 * j & 255], m & ~(255 << 8 * j)
     return key
+
+
+def oracle_subset_pool(n: int, seed: int) -> list[int]:
+    """The sampled pool of ``topology._subset_pool``, drawn one subset at a time."""
+    rng = random.Random(seed)
+    pool = {0, (1 << n) - 1}
+    pool.update(1 << i for i in range(n))
+    while len(pool) < min(_SAMPLES, 1 << n):
+        pool.add(rng.getrandbits(n))
+    return sorted(pool)
+
+
+def oracle_union_pairs(n: int, seed: int) -> tuple[list[int], list[int]]:
+    """The sampled pairs of ``topology._union_pairs``, drawn one pair at a time."""
+    rng = random.Random(seed + 1)
+    pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(_SAMPLES)]
+    return [a for a, _ in pairs], [b for _, b in pairs]
 
 
 def oracle_separation(points, closure) -> tuple:

@@ -862,6 +862,24 @@ def test_tails_output_shows_realizations(fixture_path, capsys):
     assert "realized by: w" in out
 
 
+def test_tails_tests_each_tail_once(fixture_path, capsys, monkeypatch):
+    # the flags and the realization of each tail come from one MT1-MT3 evaluation of its mask
+    real, asked = tails._union_faults, []
+    monkeypatch.setattr(tails, "_union_faults", lambda g, mask: asked.append(mask) or real(g, mask))
+    code, out, _ = run(capsys, "tails", fixture_path)
+    assert code == 0 and out.count("[mt1=yes mt2=yes mt3=yes mt4=yes]") == 4
+    assert asked == tails._cluster_masks(running_example())
+
+
+def test_tails_refuses_a_tail_with_a_fault(fixture_path, capsys, monkeypatch):
+    # a planted MT2 fault on every mask: its flag reads no, and the tail is refused as realize_as_tail refuses it
+    monkeypatch.setattr(tails, "_union_faults", lambda g, mask: (None, (mask & -mask).bit_length() - 1))
+    code, out, err = run(capsys, "tails", fixture_path)
+    assert code == 3
+    assert out == "maximal tails (4):\n  T1 = {w}  [mt1=yes mt2=no mt3=yes mt4=yes]\n"
+    assert err == "precondition violation: ['w'] does not satisfy MT1-MT4 or is empty\n"
+
+
 def test_quotient_output(fixture_path, capsys):
     code, out, _ = run(capsys, "quotient", "--H", "t,y,z", "--S", "w", fixture_path)
     assert code == 0

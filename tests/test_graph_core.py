@@ -18,7 +18,7 @@ from ck_spectra import (
     random_graph,
     upward_set,
 )
-from ck_spectra.graph_core import CycleClass, _common_bound, check_mult, has_csp
+from ck_spectra.graph_core import CycleClass, _common_bound, _union_faults, check_mult, has_csp
 
 from .oracles import (
     bundle_lists,
@@ -26,6 +26,7 @@ from .oracles import (
     mult_sum,
     oracle_chase_condition_L,
     oracle_common_bound,
+    oracle_common_bound_fold,
     oracle_condition_L,
     oracle_csp_witness,
     oracle_cycle_class,
@@ -36,6 +37,7 @@ from .oracles import (
     oracle_graph_bundles,
     oracle_out_edges,
     oracle_reaches,
+    oracle_union_faults,
     oracle_upward_set,
     oracle_vertex_classes,
     reach_matrix,
@@ -327,6 +329,15 @@ def test_mt3_and_mt4_witnesses_match_oracles(seed, n, repaired, density, picks):
 def test_common_bound_of_every_fixture_mask(g7):
     for mask in range(1 << g7.n):
         assert g7.names(_common_bound(g7, mask)) == oracle_common_bound(g7, g7.names(mask)), mask
+
+
+@given(multigraphs(), st.data())
+def test_inline_mt_kernels_match_their_generator_forms(g, data):
+    # the same first failure, indices and all, as the generators over _bits
+    drawn = data.draw(st.lists(st.integers(0, g.full_mask), max_size=8))
+    for mask in [0, g.full_mask, *drawn]:
+        assert _union_faults(g, mask) == oracle_union_faults(g, mask), mask
+        assert _common_bound(g, mask) == oracle_common_bound_fold(g, mask), mask
 
 
 @given(

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import inspect
 import random
 import weakref
@@ -49,6 +50,8 @@ from .oracles import (
     oracle_graph_closure,
     oracle_ideal_closure,
     oracle_separation,
+    oracle_subset_pool,
+    oracle_union_pairs,
     vertex_set,
 )
 
@@ -289,6 +292,32 @@ def test_subset_pool_follows_the_seed():
     assert not exhaustive and len(masks) == len(lefts) == len(rights) == 256
     # drawn on all 17 points and on no more
     assert all(reduce(int.__or__, draw) == (1 << 17) - 1 for draw in (masks, lefts, rights))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bulk_draws_equal_draws_one_at_a_time(seed, monkeypatch):
+    # up to n = 8 the pool is every subset; from n = 9 on, duplicates leave shortfalls to draw again
+    monkeypatch.setattr(topology, "_UNION_PAIR_LIMIT", 0)  # so pairs are drawn at every n
+    for n in range(1, 65):
+        assert topology._subset_pool(n, 0, seed) == (oracle_subset_pool(n, seed), False), n
+        assert topology._union_pairs(n, seed) == oracle_union_pairs(n, seed), n
+
+
+@pytest.mark.parametrize(
+    "seed, pool, pairs",
+    [
+        (0, "5f9a4b709a23fd57626dca9150f5d28039c8e787d4aeec13531524c61a6ab420",
+         "d2d0d45f2eb4ccd97f5876dfcfe90399e4a296179a3be6e96b2c2471530b9ff6"),
+        (1, "80e93d4b329bfcbf1e10402b14c18b8fde74fe9e32210c65652350b48b460aa1",
+         "9ac4d0ebc455cdd1d5d6e94470a0657652b36c3b11cc9da0d3621878b8d828a0"),
+        (2, "9881250026e02b38e883823cd4e408a06162757af91d67d3b347b3a01676e4ef",
+         "b4e29bec3c304ca25018637e6304096dfa0abc3095ebb3ef08deabdbe02083b1"),
+    ],
+)
+def test_seeded_draws_are_pinned(seed, pool, pairs):
+    # the seeded stream itself, on every Python version the suite runs on
+    digest = lambda drawn: hashlib.sha256(repr(drawn).encode()).hexdigest()
+    assert (digest(topology._subset_pool(17, 12, seed)), digest(topology._union_pairs(17, seed))) == (pool, pairs)
 
 
 # -- kuratowski axioms -------------------------------------------------------------------
